@@ -313,13 +313,6 @@ def _apply_env_seed(cfg: dict, environ=None) -> dict:
     return out
 
 
-def _build(cfg: dict) -> tuple:
-    model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
-    kin = KineticFunction(theta=cfg["kinetics"]["theta"],
-                          nucleation_gamma=cfg["kinetics"]["gamma"])
-    return model, kin
-
-
 def initial_profile(cfg: dict) -> tuple:
     """States and jump positions built from u_star, the main jump, and the
     scaled perturbation deltas."""
@@ -406,37 +399,72 @@ def _write_jsonl(path: str, rows):
     _write_atomic(path, buf.getvalue())
 
 
-def _event_row(model: FluxModel, ev, w: dg.Weights, q_weak_only: bool) -> dict:
-    row = dg.event_delta(model, ev, w, q_weak_only=q_weak_only)
-    row["position"] = ev.position
-    row["incoming"] = [wv.to_json_dict() for wv in ev.incoming]
-    row["outgoing"] = [wv.to_json_dict() for wv in ev.outgoing.waves]
-    row["incoming_roles"] = {str(k): v for k, v in ev.incoming_roles.items()}
-    row["outgoing_roles"] = {str(k): v for k, v in ev.outgoing_roles.items()}
-    row["mass_correction"] = [float(c) for c in np.atleast_1d(ev.mass_correction)]
-    return row
-
-
-def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dict:
-    """Full pipeline for one validated config; returns the manifest dict."""
-    os.makedirs(out_dir, exist_ok=True)
-    model, kin = _build(cfg)
-
+def _prepare(cfg: dict, gate: bool = True) -> tuple:
+    """(model, kinetics, stability report, conformance report) of one
+    validated config. With gate set, data over the stability bound is
+    refused before any conformance sampling."""
+    model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
+    kin = KineticFunction(theta=cfg["kinetics"]["theta"],
+                          nucleation_gamma=cfg["kinetics"]["gamma"])
     stability = stability_report(model, kin, cfg)
-    if not calibrate_only and stability["enabled"] and not stability["within_bound"]:
+    if gate and stability["enabled"] and not stability["within_bound"]:
         raise ConfigError(
             f"perturbation total variation {stability['tv']} exceeds the "
             f"stability bound {stability['bound']} "
             f"(kappa={stability['kappa']}); set flags.stability_check false "
             f"for exploratory runs"
         )
+    return model, kin, stability, kin_mod.check_hypotheses(model, kin)
 
-    conformance = kin_mod.check_hypotheses(model, kin)
+
+def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
+           weights: dg.Weights, cff: float) -> tuple:
+    """(run result, Lyapunov series, cycle audit, conservation report):
+    the initial fronts of the config tracked to T, then replayed once."""
+    flags = cfg["flags"]
+    states, positions = initial_profile(cfg)
+    fronts0 = tracking.init_fronts(
+        model, kin, states, positions, h=cfg["h"],
+        use_nucleation=flags["use_nucleation"],
+        strong_jumps=[0],
+        convention=flags["rarefaction_speed_convention"],
+    )
+    result = tracking.run(
+        model, kin, fronts0, t_end=cfg["T"],
+        use_nucleation=flags["use_nucleation"],
+        snapshot_dt=cfg["snapshot_dt"],
+        convention=flags["rarefaction_speed_convention"],
+    )
+    series = dg.lyapunov_series(model, result.events, result.snapshots,
+                                weights, q_weak_only=flags["q_weak_only"])
+    audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
+                           weights, q_weak_only=flags["q_weak_only"], cff=cff)
+    conservation = tracking.conservation_report(model, result)
+    return result, series, audit, conservation
+
+
+def _event_row(ev, row: dict) -> dict:
+    """The event's replay row with its position, waves, strong roles and
+    mass correction added."""
+    return dict(
+        row,
+        position=ev.position,
+        incoming=[wv.to_json_dict() for wv in ev.incoming],
+        outgoing=[wv.to_json_dict() for wv in ev.outgoing.waves],
+        incoming_roles={str(k): v for k, v in ev.incoming_roles.items()},
+        outgoing_roles={str(k): v for k, v in ev.outgoing_roles.items()},
+        mass_correction=[float(c) for c in np.atleast_1d(ev.mass_correction)],
+    )
+
+
+def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dict:
+    """Full pipeline for one validated config; returns the manifest dict."""
+    os.makedirs(out_dir, exist_ok=True)
+    model, kin, stability, conformance = _prepare(cfg,
+                                                  gate=not calibrate_only)
     _write_json(os.path.join(out_dir, "conformance.json"),
                 conformance.to_json_dict())
     cff = conformance.measured_Cff
-    kin = KineticFunction(theta=kin.theta, nucleation_gamma=kin.nucleation_gamma,
-                          measured_Cff=cff)
 
     weights = _weights_for(cfg, cff)
     calibration = dg.calibrate(
@@ -468,40 +496,20 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
             "K_recommended": calibration.K_recommended,
         },
         "seed": cfg["seed"],
+        "stability": stability,
     }
-    manifest["stability"] = stability
     if calibrate_only:
         _write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
         return manifest
 
-    states, positions = initial_profile(cfg)
-    fronts0 = tracking.init_fronts(
-        model, kin, states, positions, h=cfg["h"],
-        use_nucleation=cfg["flags"]["use_nucleation"],
-        strong_jumps=[0],
-        convention=cfg["flags"]["rarefaction_speed_convention"],
-    )
-    result = tracking.run(
-        model, kin, fronts0, t_end=cfg["T"],
-        use_nucleation=cfg["flags"]["use_nucleation"],
-        snapshot_dt=cfg["snapshot_dt"],
-        convention=cfg["flags"]["rarefaction_speed_convention"],
-    )
-
-    q_weak_only = cfg["flags"]["q_weak_only"]
-    dg.annotate_events(result.events)
-    series = dg.lyapunov_series(model, result.events, result.snapshots,
-                                weights, q_weak_only=q_weak_only,
-                                calibration=calibration)
-    audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
-                           weights, q_weak_only=q_weak_only, cff=cff)
-    conservation = tracking.conservation_report(model, result)
+    result, series, audit, conservation = _track(cfg, model, kin, weights,
+                                                 cff)
 
     _write_jsonl(os.path.join(out_dir, "trajectory.jsonl"),
                  (fs.to_json_dict() for fs in result.snapshots))
     _write_jsonl(os.path.join(out_dir, "events.jsonl"),
-                 (_event_row(model, ev, weights, q_weak_only)
-                  for ev in result.events))
+                 (_event_row(ev, row)
+                  for ev, row in zip(result.events, series["events"])))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(dg.CSV_HEADER)
@@ -578,35 +586,18 @@ def _row_config(cfg: dict, overrides: dict) -> dict:
 
 
 def sweep_row(payload: tuple) -> dict:
-    """One isolated sweep run; returns a flat CSV row dict. Top-level so
-    process pools can pickle it."""
+    """One isolated sweep run through the single run's chain, without
+    calibration; returns a flat CSV row dict. Top-level so process pools
+    can pickle it."""
     cfg, overrides = payload
     row = {key: overrides.get(key, "") for key in SWEEP_KEYS}
     row.update({col: "" for col in SWEEP_COLUMNS if col not in SWEEP_KEYS})
     try:
         run_cfg = validate_config(_serialize_config(_row_config(cfg, overrides)))
-        model, kin = _build(run_cfg)
-        conformance = kin_mod.check_hypotheses(model, kin)
-        weights = _weights_for(run_cfg, conformance.measured_Cff)
-        states, positions = initial_profile(run_cfg)
-        fronts0 = tracking.init_fronts(
-            model, kin, states, positions, h=run_cfg["h"],
-            use_nucleation=run_cfg["flags"]["use_nucleation"],
-            strong_jumps=[0],
-            convention=run_cfg["flags"]["rarefaction_speed_convention"])
-        result = tracking.run(
-            model, kin, fronts0, t_end=run_cfg["T"],
-            use_nucleation=run_cfg["flags"]["use_nucleation"],
-            convention=run_cfg["flags"]["rarefaction_speed_convention"])
-        dg.annotate_events(result.events)
-        series = dg.lyapunov_series(model, result.events, result.snapshots,
-                                    weights,
-                                    q_weak_only=run_cfg["flags"]["q_weak_only"])
-        audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
-                               weights,
-                               q_weak_only=run_cfg["flags"]["q_weak_only"],
-                               cff=conformance.measured_Cff)
-        conservation = tracking.conservation_report(model, result)
+        model, kin, _, conformance = _prepare(run_cfg)
+        cff = conformance.measured_Cff
+        result, series, audit, conservation = _track(
+            run_cfg, model, kin, _weights_for(run_cfg, cff), cff)
         drops = [r.lyapunov_drop for r in audit.records
                  if not r.open and r.lyapunov_drop is not None]
         row.update({

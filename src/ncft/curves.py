@@ -74,10 +74,7 @@ class CurvePoint:
 
 
 def _model_cache(model: FluxModel) -> dict:
-    cache = getattr(model, "_ncft_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_ncft_cache", cache)
+    cache = model.cache
     if len(cache) > 8192:
         cache.clear()
     return cache
@@ -304,6 +301,8 @@ def _dissipation_at(model: FluxModel, curve: HugoniotCurve, m: float) -> float:
 
 
 def _crit_cache(model: FluxModel, u: Array) -> dict:
+    """The state's memo entry: the critical maps store their parameters
+    under string keys, the kinetics under (name, kinetic function) keys."""
     cache = _model_cache(model)
     key = ("crit", model.cc_index, u.tobytes())
     entry = cache.get(key)
@@ -599,14 +598,6 @@ def classify_shock(model: FluxModel, u_minus, u_plus, family: Optional[int] = No
     if above_right >= -CLASSIFY_TOL and below_left <= CLASSIFY_TOL:
         return "FastUndercompressive"
     return "RarefactionShock"
-
-
-def hugoniot_tangent(model: FluxModel, u_minus, m: float, h: float = 1e-6) -> Array:
-    """Finite-difference tangent of the Hugoniot state with respect to the
-    parameter; diagnostic only (alignment with the eigenvector at the
-    tangency point)."""
-    curve = hugoniot_curve(model, u_minus)
-    return (curve.point(m + h).state - curve.point(m - h).state) / (2 * h)
 
 
 def projected_mu(model: FluxModel, u) -> float:

@@ -418,20 +418,12 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
 
 
 def lyapunov_series(model: FluxModel, events, snapshots, w: Weights,
-                    q_weak_only: bool = False,
-                    calibration: Optional["CalibrationReport"] = None) -> dict:
-    """Time series of W+K*Q plus the per-event replay.
-
-    Flagged events carry their case tag and, when a calibration is
-    supplied, the measured quadratic bound the delta should respect."""
+                    q_weak_only: bool = False) -> dict:
+    """Time series of W+K*Q plus the per-event replay, one event_delta
+    row per event, each carrying its case tag."""
     annotate_events(events)
     series = [snapshot(model, fs, w, q_weak_only) for fs in snapshots]
-    rows = []
-    for ev in events:
-        row = event_delta(model, ev, w, q_weak_only)
-        if calibration is not None:
-            row["bound"] = calibration.growth_coefficient * row["product"]
-        rows.append(row)
+    rows = [event_delta(model, ev, w, q_weak_only) for ev in events]
     max_delta = max((r["delta"] for r in rows), default=0.0)
     return {
         "series": series,
@@ -551,12 +543,6 @@ class CycleAudit:
     cff: float
     passed: bool
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
     def to_json_dict(self) -> dict:
         return {
             "records": [r.to_json_dict() for r in self.records],
@@ -624,10 +610,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     """
     annotate_events(events)
     if cff is None:
-        cff = kin.measured_Cff
-    if cff is None:
-        rep = kin_mod.check_hypotheses(model, kin)
-        cff = rep.measured_Cff
+        cff = kin_mod.check_hypotheses(model, kin).measured_Cff
     initial = snapshots[0]
     records = []
     current = None

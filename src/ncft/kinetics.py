@@ -34,13 +34,12 @@ class KineticFunction:
     limit at the tangency point, 1 degenerates onto the open band end and
     fails conformance); table: optional override mapping (model, state) to
     the kinetic parameter value; nucleation_gamma in [0, 1]: nucleation
-    interpolation weight (0 disables nucleation); measured_Cff: filled in
-    by measurement, never assumed."""
+    interpolation weight (0 disables nucleation). Frozen, so its value
+    keys the per-state memo of kinetic parameters."""
 
     theta: float = 0.5
     table: Optional[Callable[[FluxModel, Array], float]] = None
     nucleation_gamma: float = 0.0
-    measured_Cff: Optional[float] = None
 
     def __post_init__(self):
         if self.table is None and not (0.0 <= self.theta <= 1.0):
@@ -49,31 +48,16 @@ class KineticFunction:
             raise ValueError("nucleation_gamma must lie in [0, 1]")
 
 
-def _kin_cache(kin: KineticFunction, model: FluxModel, u: Array) -> dict:
-    cache = getattr(kin, "_ncft_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(kin, "_ncft_cache", cache)
-    if len(cache) > 8192:
-        cache.clear()
-    key = (id(model), u.tobytes())
-    entry = cache.get(key)
-    if entry is None:
-        entry = {}
-        cache[key] = entry
-    return entry
-
-
 def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
     """Kinetic parameter value for left state u."""
     a = models.as_state(model, u)
-    entry = _kin_cache(kin, model, a)
-    if "flat" in entry:
-        return entry["flat"]
     muv = models.mu(model, a)
     if abs(muv) < 1e-12:
-        entry["flat"] = muv
         return muv
+    entry = curves._crit_cache(model, a)
+    key = ("flat", kin)
+    if key in entry:
+        return entry[key]
     m_nat = curves.mu_natural(model, a)
     m_b0 = curves.mu_flat_zero(model, a)
     if kin.table is not None:
@@ -88,7 +72,7 @@ def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
             )
     else:
         val = (1.0 - kin.theta) * m_nat + kin.theta * m_b0
-    entry["flat"] = float(val)
+    entry[key] = float(val)
     return float(val)
 
 
@@ -100,16 +84,15 @@ def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
 def mu_sharp(model: FluxModel, kin: KineticFunction, u) -> float:
     """Equal-shock-speed companion of the kinetic value."""
     a = models.as_state(model, u)
-    entry = _kin_cache(kin, model, a)
-    if "sharp" in entry:
-        return entry["sharp"]
     muv = models.mu(model, a)
     if abs(muv) < 1e-12:
-        entry["sharp"] = muv
         return muv
-    val = curves.companion_parameter(model, a, mu_flat(model, kin, a))
-    entry["sharp"] = float(val)
-    return float(val)
+    entry = curves._crit_cache(model, a)
+    key = ("sharp", kin)
+    if key not in entry:
+        entry[key] = float(curves.companion_parameter(
+            model, a, mu_flat(model, kin, a)))
+    return entry[key]
 
 
 def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
@@ -122,17 +105,16 @@ def mu_nucleation(model: FluxModel, kin: KineticFunction, u) -> float:
     tangency parameter. With weight 0 it coincides with the companion and
     nucleation never constrains anything."""
     a = models.as_state(model, u)
-    entry = _kin_cache(kin, model, a)
-    if "nucl" in entry:
-        return entry["nucl"]
     muv = models.mu(model, a)
     if abs(muv) < 1e-12:
-        entry["nucl"] = muv
         return muv
-    g = kin.nucleation_gamma
-    val = (1.0 - g) * mu_sharp(model, kin, a) + g * curves.mu_natural(model, a)
-    entry["nucl"] = float(val)
-    return float(val)
+    entry = curves._crit_cache(model, a)
+    key = ("nucl", kin)
+    if key not in entry:
+        g = kin.nucleation_gamma
+        entry[key] = float((1.0 - g) * mu_sharp(model, kin, a)
+                           + g * curves.mu_natural(model, a))
+    return entry[key]
 
 
 def nucleation_gap(model: FluxModel, kin: KineticFunction, u) -> float:

@@ -56,6 +56,10 @@ class FluxModel:
     The analytic hooks (eigen_fn, family_parameter_grad, m_fn,
     entropy_grad, entropy_hessian) are optional; finite differences with
     step FD_STEP fill in for any that are absent.
+
+    cache is the model's memo of curve and critical-map results, filled
+    by the curve layer; it takes no part in construction, comparison or
+    hashing.
     """
 
     name: str
@@ -73,6 +77,8 @@ class FluxModel:
     m_fn: Optional[Callable[[Array, int], float]] = None
     entropy_grad: Optional[Callable[[Array], tuple]] = None
     entropy_hessian: Optional[Callable[[Array], Array]] = None
+    cache: dict = dataclasses.field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.delta1 <= self.delta0):

@@ -56,16 +56,14 @@ class NoSolutionGap(SolverError):
 
 
 class IdGen:
-    """Monotone id source; one per run keeps output ids deterministic."""
+    """Monotone id source; one per run keeps output ids deterministic.
+    Solver calls given none number their waves from zero."""
 
     def __init__(self, start: int = 0):
         self._c = itertools.count(start)
 
     def __call__(self) -> int:
         return next(self._c)
-
-
-_default_ids = IdGen()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,10 +99,6 @@ class Wave:
 @dataclasses.dataclass(frozen=True)
 class WaveFan:
     waves: tuple
-
-    @property
-    def left_state(self) -> Optional[Array]:
-        return self.waves[0].left if self.waves else None
 
     @property
     def right_state(self) -> Optional[Array]:
@@ -184,7 +178,7 @@ def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: in
     Returns (state, fragment): the reached state and the list of waves
     (possibly empty, possibly two for the nonclassical branch) that
     realize the jump."""
-    ids = ids or _default_ids
+    ids = ids or IdGen()
     a = models.as_state(model, u_minus)
     mu0 = float(model.family_parameter(a, family))
     m = float(m)
@@ -283,7 +277,7 @@ def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
 def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
                   use_nucleation: bool = True,
                   ids: Optional[IdGen] = None) -> WaveFan:
-    ids = ids or _default_ids
+    ids = ids or IdGen()
     a = models.require_in_ball(model, u_l)
     b = models.require_in_ball(model, u_r)
     if float(np.max(np.abs(b - a))) < 1e-14:
@@ -344,11 +338,9 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
                   targets: np.ndarray, use_nucleation: bool) -> Array:
     state = a
-    scratch = IdGen()
     for j in range(model.N):
         state, _ = wave_curve_point(model, kin, state, j, targets[j],
-                                    use_nucleation, scratch,
-                                    with_strengths=False)
+                                    use_nucleation, with_strengths=False)
     return state
 
 

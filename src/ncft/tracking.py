@@ -86,7 +86,7 @@ class FrontSet:
     y_id: Optional[int]
     z_id: Optional[int]
     h: float
-    ids: Optional[IdGen] = None
+    ids: IdGen = dataclasses.field(default_factory=IdGen)
 
     @property
     def strong_ids(self) -> tuple:
@@ -102,9 +102,6 @@ class FrontSet:
             if f.id == front_id:
                 return f
         return None
-
-    def is_strong(self, front_id: int) -> bool:
-        return front_id == self.y_id or front_id == self.z_id
 
     def advanced(self, t: float) -> "FrontSet":
         dt = t - self.time
@@ -142,19 +139,6 @@ class InteractionEvent:
     mass_correction: Array
     case_tag: Optional[str] = None
     case_sub: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.time,
-            "x": self.position,
-            "incoming": [w.to_json_dict() for w in self.incoming],
-            "outgoing": self.outgoing.to_json_dict(),
-            "incoming_roles": {str(k): v for k, v in self.incoming_roles.items()},
-            "outgoing_roles": {str(k): v for k, v in self.outgoing_roles.items()},
-            "case": self.case_tag,
-            "sub": self.case_sub,
-            "mass_correction": self.mass_correction.tolist(),
-        }
 
 
 def _chord_speed(model: FluxModel, left: Array, right: Array) -> float:
@@ -213,7 +197,6 @@ def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen,
 
 def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
                 h: float, use_nucleation: bool = True,
-                ids: Optional[IdGen] = None,
                 strong_jumps: Optional[list] = None,
                 convention: str = "rh") -> FrontSet:
     """Piecewise-constant data: states[j] left of positions[j], states[-1]
@@ -225,15 +208,14 @@ def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
         raise ValueError("need exactly one more state than jump positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ValueError("jump positions must increase")
-    ids = ids or IdGen()
     if strong_jumps is None:
         strong_jumps = [j for j, x in enumerate(positions) if x == 0.0]
-    fs = FrontSet(0.0, [], None, None, h, ids)
+    fs = FrontSet(0.0, [], None, None, h)
     for j, x in enumerate(positions):
         fan = riemann.solve_riemann(model, kin, states[j], states[j + 1],
-                                    use_nucleation, ids)
-        placed = _place(model, fs, None, float(x), fan.waves, h, ids,
-                        convention, fold=False)
+                                    use_nucleation, fs.ids)
+        placed = _place(model, fs, None, float(x), fan.waves, convention,
+                        fold=False)
         if j in strong_jumps:
             _tag_initial_strong(model, fs, placed)
     return fs.check()
@@ -312,14 +294,13 @@ def _ladder(x_star: float, n: int, width: float) -> list:
 
 
 def _place(model: FluxModel, fs: FrontSet, span: Optional[tuple], x_star: float,
-           fan_waves, h: float, ids: IdGen, convention: str,
-           fold: bool = True) -> list:
+           fan_waves, convention: str, fold: bool = True) -> list:
     """Replace fs.fronts[span] (or append at x_star when span is None)
     with the expanded fan, folding sub-threshold waves into their largest
     neighbor. Returns the placed fronts."""
-    expanded = _expand(model, fan_waves, h, ids, convention)
+    expanded = _expand(model, fan_waves, fs.h, fs.ids, convention)
     if fold and len(expanded) > 1:
-        expanded = _fold_small(model, expanded, h)
+        expanded = _fold_small(model, expanded, fs.h)
     width = 0.5 * CLUSTER_REL * max(1.0, abs(x_star))
     xs = _ladder(x_star, len(expanded), width)
     placed = [Front(x, w, sp) for x, (w, sp) in zip(xs, expanded)]
@@ -389,12 +370,10 @@ def _moment(fronts) -> Array:
 
 def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
                         collision: tuple, use_nucleation: bool = True,
-                        ids: Optional[IdGen] = None,
                         convention: str = "rh") -> tuple:
     """Advance to the collision time and replace the colliding cluster by
     the Riemann fan of its outer states. Returns (new FrontSet, event)."""
     t, pair = collision
-    ids = ids or fs.ids or IdGen()
     cur = fs.advanced(t)
     lo, hi, x_star, w = _cluster_slice(cur, pair)
     cluster = cur.fronts[lo:hi + 1]
@@ -411,10 +390,9 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
             incoming_roles[f.id] = "z"
     u_l = cluster[0].wave.left
     u_r = cluster[-1].wave.right
-    fan = riemann.solve_riemann(model, kin, u_l, u_r, use_nucleation, ids)
+    fan = riemann.solve_riemann(model, kin, u_l, u_r, use_nucleation, cur.ids)
     pre_moment = _moment(cluster)
-    placed = _place(model, cur, (lo, hi), x_star, fan.waves, cur.h, ids,
-                    convention)
+    placed = _place(model, cur, (lo, hi), x_star, fan.waves, convention)
     outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
     post_moment = _moment(placed)
     correction = pre_moment - post_moment
@@ -480,7 +458,6 @@ class RunResult:
     final: FrontSet
     snapshots: list
     events: list
-    h: float
 
     @property
     def corrections(self) -> list:
@@ -489,11 +466,10 @@ class RunResult:
 
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         t_end: float, use_nucleation: bool = True,
-        ids: Optional[IdGen] = None, snapshot_dt: Optional[float] = None,
+        snapshot_dt: Optional[float] = None,
         max_fronts: int = DEFAULT_MAX_FRONTS,
         max_events: int = DEFAULT_MAX_EVENTS,
         convention: str = "rh") -> RunResult:
-    ids = ids or fronts0.ids or IdGen()
     initial = FrontSet(fronts0.time, [dataclasses.replace(f)
                                       for f in fronts0.fronts],
                        fronts0.y_id, fronts0.z_id, fronts0.h, fronts0.ids)
@@ -516,7 +492,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         if col is None:
             break
         fs, ev = resolve_interaction(model, kin, fs, col, use_nucleation,
-                                     ids, convention)
+                                     convention)
         events.append(ev)
         if len(events) > max_events:
             raise TrackingError(f"event count exceeded {max_events}")
@@ -525,7 +501,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
     final = fs.advanced(t_end)
     if not snapshots or snapshots[-1].time != t_end:
         snapshots.append(final)
-    return RunResult(initial, final, snapshots, events, fronts0.h)
+    return RunResult(initial, final, snapshots, events)
 
 
 def mass(fs: FrontSet, x_lo: float, x_hi: float) -> Array:

@@ -349,6 +349,59 @@ def test_sweep_parallel_matches_serial(sweep_serial, tmp_path):
         assert fh_par.read() == fh_ser.read()
 
 
+def _sweep_rows(cfg: dict, out) -> list:
+    with open(cli.run_sweep(cfg, str(out), workers=1), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_row_at_base_values_matches_single_run(baseline_run, tmp_path):
+    # rows run the single run's chain, snapshot_dt included, so a row at
+    # the base values reproduces the MANIFEST summary exactly
+    cfg, _, manifest = baseline_run
+    swept = copy.deepcopy(cfg)
+    swept["sweep"] = {"h": [cfg["h"]]}
+    (row,) = _sweep_rows(swept, tmp_path)
+    summary = manifest["summary"]
+    assert row["status"] == "ok", row["error"]
+    for key in ("n_events", "cycle_records", "completed_cycles"):
+        assert int(row[key]) == summary[key], key
+    fitted = summary["fitted_c"]
+    assert row["fitted_c"] == ("" if fitted is None else repr(fitted))
+    assert float(row["max_lyapunov_delta"]) == summary["max_lyapunov_delta"]
+    assert float(row["conservation_raw"]) == summary["conservation"]["raw"]
+    assert float(row["conservation_corrected"]) == \
+        summary["conservation"]["corrected"]
+
+
+def test_sweep_row_over_stability_bound_is_refused(tmp_path):
+    # eps0 = 10 lifts the perturbation variation to 0.2, over the
+    # bound 0.25 * 0.75 of the base jump
+    cfg = validated(T=0.1, sweep={"eps0": [10.0]})
+    (row,) = _sweep_rows(cfg, tmp_path / "gated")
+    assert row["status"] == "error"
+    assert "stability bound" in row["error"]
+    assert row["n_events"] == ""
+    cfg["flags"]["stability_check"] = False
+    (row,) = _sweep_rows(cfg, tmp_path / "open")
+    assert row["status"] == "ok", row["error"]
+
+
+def test_run_experiment_replays_each_event_once(tmp_path, monkeypatch):
+    calls = []
+    replay = dg.event_delta
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(dg, "event_delta", counted)
+    cfg = validated(calibration={"n": 4, "scales": [0.05]})
+    manifest = cli.run_experiment(cfg, str(tmp_path))
+    assert manifest["summary"]["n_events"] >= 1
+    assert len(calls) == manifest["summary"]["n_events"]
+    assert len({id(ev) for ev in calls}) == len(calls)
+
+
 def test_sweep_empty_grid_writes_header_only(tmp_path):
     cfg = validated(sweep={"h": []})
     path = cli.run_sweep(cfg, str(tmp_path), workers=1)

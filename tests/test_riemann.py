@@ -276,6 +276,20 @@ def test_wave_json_round_trip():
     assert fan2.to_json_dict()["waves"][0]["speed"] == [3.0, 4.32]
 
 
+def test_wave_ids_do_not_depend_on_earlier_calls():
+    # without an id source every call numbers its waves from zero
+    first = solve_riemann(CUBIC, KIN, 1.0, -0.45)
+    second = solve_riemann(CUBIC, KIN, 1.0, -0.45)
+    assert [w.id for w in first.waves] == [0, 1]
+    assert [w.id for w in second.waves] == [0, 1]
+    _, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, -0.45)
+    assert [w.id for w in frag] == [0, 1]
+    ids = IdGen()
+    solve_riemann(CUBIC, KIN, 1.0, -0.45, ids=ids)
+    assert [w.id for w in solve_riemann(CUBIC, KIN, 1.0, -0.45,
+                                        ids=ids).waves] == [2, 3]
+
+
 @given(
     ul=st.floats(-1.4, 1.4),
     ur=st.floats(-1.4, 1.4),
