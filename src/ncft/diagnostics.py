@@ -10,7 +10,12 @@ completed splitting-merging cycle must burn at least c*eta of it when
 the nucleation gap eta is positive.
 
 Everything here is replay: pure functions over the immutable event and
-snapshot logs a run leaves behind.
+snapshot logs a run leaves behind. W, Q and the perturbation size depend
+only on the order of the fronts, their strengths, their assigned speeds
+and which fronts are strong, never on positions. Between events none of
+these change, so the value just before an event is, bit for bit, the
+value just after the previous one (or of the initial front set), and the
+replay evaluates one full front set per event.
 """
 
 from __future__ import annotations
@@ -373,43 +378,37 @@ def glimm_residual(ev: InteractionEvent) -> tuple:
 
 
 def _cluster_items(ev: InteractionEvent) -> tuple:
-    """Incoming and outgoing (wave, speed, strong) triples of the cluster.
-
-    Outgoing fronts are the ones whose ids did not exist before the
-    event; the solver mints fresh ids for every placed wave."""
-    in_ids = {wv.id for wv in ev.incoming}
-    pre_ids = {f.id for f in ev.pre.fronts}
-    pre_strong = set(ev.pre.strong_ids)
-    post_strong = set(ev.post.strong_ids)
-    pre = [(f.wave, f.assigned_speed, f.id in pre_strong)
-           for f in ev.pre.fronts if f.id in in_ids]
-    post = [(f.wave, f.assigned_speed, f.id in post_strong)
-            for f in ev.post.fronts if f.id not in pre_ids]
+    """Incoming and outgoing (wave, speed, strong) triples of the cluster."""
+    pre = [(f.wave, f.assigned_speed, f.id in ev.incoming_roles)
+           for f in ev.cluster]
+    post = [(f.wave, f.assigned_speed, f.id in ev.outgoing_roles)
+            for f in ev.placed]
     return pre, post
 
 
 def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
-                q_weak_only: bool = False) -> dict:
-    """Replay one event against the functionals.
+                pre_lyapunov: float, q_weak_only: bool = False) -> dict:
+    """Replay one event against the functionals, given W+K*Q just before it.
 
-    q_cluster_pre is the potential stored in the colliding cluster
-    itself; placement orders outgoing waves by speed, so the cluster
-    part of Q can only be released, never created."""
-    pre_snap = snapshot(model, ev.pre, w, q_weak_only)
+    W+K*Q does not depend on front positions, so pre_lyapunov is exactly
+    the value after the previous event, or of the initial front set for
+    the first one. q_cluster_pre is the potential stored in the colliding
+    cluster itself; placement orders outgoing waves by speed, so the
+    cluster part of Q can only be released, never created."""
     post_snap = snapshot(model, ev.post, w, q_weak_only)
     items_pre, items_post = _cluster_items(ev)
     q0_pre, q1_pre = _potential_over(items_pre, model.cc_index, q_weak_only)
     q0_post, q1_post = _potential_over(items_post, model.cc_index, q_weak_only)
     residual, product = glimm_residual(ev)
-    delta = post_snap.lyapunov - pre_snap.lyapunov
+    delta = post_snap.lyapunov - pre_lyapunov
     return {
         "t": ev.time,
         "case": ev.case_tag,
         "sub": ev.case_sub,
-        "pre_lyapunov": pre_snap.lyapunov,
+        "pre_lyapunov": pre_lyapunov,
         "post_lyapunov": post_snap.lyapunov,
         "delta": delta,
-        "flagged": delta > LYAPUNOV_TOL * max(1.0, pre_snap.lyapunov),
+        "flagged": delta > LYAPUNOV_TOL * max(1.0, pre_lyapunov),
         "residual": residual,
         "product": product,
         "q_cluster_pre": q0_pre + q1_pre,
@@ -420,10 +419,15 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
 def lyapunov_series(model: FluxModel, events, snapshots, w: Weights,
                     q_weak_only: bool = False) -> dict:
     """Time series of W+K*Q plus the per-event replay, one event_delta
-    row per event, each carrying its case tag."""
+    row per event, each carrying its case tag. snapshots[0] must be the
+    front set the events start from."""
     annotate_events(events)
     series = [snapshot(model, fs, w, q_weak_only) for fs in snapshots]
-    rows = [event_delta(model, ev, w, q_weak_only) for ev in events]
+    rows = []
+    lyapunov = series[0].lyapunov
+    for ev in events:
+        rows.append(event_delta(model, ev, w, lyapunov, q_weak_only))
+        lyapunov = rows[-1]["post_lyapunov"]
     max_delta = max((r["delta"] for r in rows), default=0.0)
     return {
         "series": series,
@@ -574,7 +578,7 @@ def _strong_in_wave(ev: InteractionEvent, role: str) -> Optional[Wave]:
 
 
 def _strong_out_wave(ev: InteractionEvent, role: str) -> Optional[Wave]:
-    for f in ev.post.fronts:
+    for f in ev.placed:
         if ev.outgoing_roles.get(f.id) == role:
             return f.wave
     return None
@@ -586,9 +590,8 @@ def _weak_in_strength(ev: InteractionEvent) -> float:
 
 
 def _weak_out_strength(ev: InteractionEvent) -> float:
-    pre_ids = {f.id for f in ev.pre.fronts}
-    return sum(abs(f.wave.strength) for f in ev.post.fronts
-               if f.id not in pre_ids and f.id not in ev.outgoing_roles)
+    return sum(abs(f.wave.strength) for f in ev.placed
+               if f.id not in ev.outgoing_roles)
 
 
 def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
@@ -612,6 +615,8 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     if cff is None:
         cff = kin_mod.check_hypotheses(model, kin).measured_Cff
     initial = snapshots[0]
+    # the previous event's front set: W+K*Q as just before the current one
+    before = initial
     records = []
     current = None
     tol = 1e-12
@@ -683,7 +688,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             wz = _strong_out_wave(ev, "z")
             current = _OpenCycle(ev.time, wy.left.tolist(),
                                  wz.right.tolist(),
-                                 lyapunov_of(ev.pre), perturbation(ev.post))
+                                 lyapunov_of(before), perturbation(ev.post))
         elif tag == "Case2":
             if current is None:
                 current = _OpenCycle(initial.time, [], [],
@@ -706,6 +711,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
                 led["beta_R_tilde"] += _weak_out_strength(ev)
             if tag in ("Case3", "Case4", "Case5", "Case6", "Case7"):
                 current.n_crossings += 1
+        before = ev.post
 
     if current is not None:
         records.append(CycleRecord(

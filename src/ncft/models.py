@@ -172,12 +172,6 @@ def mu(model: FluxModel, u) -> float:
     return float(model.family_parameter(a, model.cc_index))
 
 
-def mu_grad(model: FluxModel, u, family: Optional[int] = None) -> Array:
-    a = as_state(model, u)
-    j = model.cc_index if family is None else family
-    return family_parameter_grad(model, a, j)
-
-
 def m_value(model: FluxModel, u, family: Optional[int] = None) -> float:
     """Genuine-nonlinearity measure m_j = grad(lambda_j) . r_j."""
     a = as_state(model, u)

@@ -58,7 +58,7 @@ class PatternBroken(TrackingError):
     """The strong-wave configuration left the splitting-merging pattern."""
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Front:
     position: float
     wave: Wave
@@ -128,17 +128,24 @@ class FrontSet:
 
 @dataclasses.dataclass
 class InteractionEvent:
+    """One collision: the colliding cluster as it met, the fronts placed
+    in its stead, and the whole front set right after (never mutated)."""
+
     time: float
     position: float
-    incoming: tuple
+    cluster: tuple
+    placed: tuple
     outgoing: WaveFan
     incoming_roles: dict
     outgoing_roles: dict
-    pre: FrontSet
     post: FrontSet
     mass_correction: Array
     case_tag: Optional[str] = None
     case_sub: Optional[str] = None
+
+    @property
+    def incoming(self) -> tuple:
+        return tuple(f.wave for f in self.cluster)
 
 
 def _chord_speed(model: FluxModel, left: Array, right: Array) -> float:
@@ -376,12 +383,9 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     t, pair = collision
     cur = fs.advanced(t)
     lo, hi, x_star, w = _cluster_slice(cur, pair)
-    cluster = cur.fronts[lo:hi + 1]
+    cluster = tuple(cur.fronts[lo:hi + 1])
     if len(cluster) < 2:
         raise TrackingError("interaction needs at least two incoming fronts")
-    pre = FrontSet(t, [dataclasses.replace(f) for f in cur.fronts],
-                   cur.y_id, cur.z_id, cur.h, cur.ids)
-    incoming = tuple(f.wave for f in cluster)
     incoming_roles = {}
     for f in cluster:
         if f.id == cur.y_id:
@@ -397,10 +401,8 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     post_moment = _moment(placed)
     correction = pre_moment - post_moment
     cur.check()
-    post = FrontSet(t, [dataclasses.replace(f) for f in cur.fronts],
-                    cur.y_id, cur.z_id, cur.h, cur.ids)
-    ev = InteractionEvent(t, x_star, incoming, fan, incoming_roles,
-                          outgoing_roles, pre, post, correction)
+    ev = InteractionEvent(t, x_star, cluster, tuple(placed), fan,
+                          incoming_roles, outgoing_roles, cur, correction)
     return cur, ev
 
 
@@ -459,10 +461,6 @@ class RunResult:
     snapshots: list
     events: list
 
-    @property
-    def corrections(self) -> list:
-        return [(ev.time, ev.mass_correction) for ev in self.events]
-
 
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         t_end: float, use_nucleation: bool = True,
@@ -470,11 +468,8 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         max_fronts: int = DEFAULT_MAX_FRONTS,
         max_events: int = DEFAULT_MAX_EVENTS,
         convention: str = "rh") -> RunResult:
-    initial = FrontSet(fronts0.time, [dataclasses.replace(f)
-                                      for f in fronts0.fronts],
-                       fronts0.y_id, fronts0.z_id, fronts0.h, fronts0.ids)
     fs = fronts0
-    snapshots = [initial]
+    snapshots = [fronts0]
     events = []
     next_snap = None
     if snapshot_dt is not None:
@@ -501,7 +496,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
     final = fs.advanced(t_end)
     if not snapshots or snapshots[-1].time != t_end:
         snapshots.append(final)
-    return RunResult(initial, final, snapshots, events)
+    return RunResult(fronts0, final, snapshots, events)
 
 
 def mass(fs: FrontSet, x_lo: float, x_hi: float) -> Array:
@@ -536,9 +531,9 @@ def conservation_report(model: FluxModel, result: RunResult) -> dict:
     raw = m1 - m0 - transport
     ledger = np.zeros_like(raw)
     budget = 0.0
-    for _, corr in result.corrections:
-        ledger = ledger + corr
-        budget += float(np.max(np.abs(corr)))
+    for ev in result.events:
+        ledger = ledger + ev.mass_correction
+        budget += float(np.max(np.abs(ev.mass_correction)))
     corrected = raw - ledger
     return {
         "raw": float(np.max(np.abs(raw))),

@@ -251,8 +251,18 @@ def test_glimm_residual_merge_exact(merge_run_three_state):
     assert product == pytest.approx(0.25 * 0.53, abs=1e-10)
 
 
-def test_event_deltas_monotone(split_run):
+def test_event_deltas_monotone(split_run, monkeypatch):
+    evaluated = []
+    full_snapshot = dg.snapshot
+
+    def counted(model, fs, *args, **kwargs):
+        evaluated.append(fs)
+        return full_snapshot(model, fs, *args, **kwargs)
+
+    monkeypatch.setattr(dg, "snapshot", counted)
     rep = dg.lyapunov_series(CUBIC, split_run.events, split_run.snapshots, W)
+    # one full evaluation per snapshot and per event, none for pre-event sets
+    assert len(evaluated) == len(split_run.snapshots) + len(split_run.events)
     assert rep["n_flagged"] == 0
     assert rep["max_delta"] <= dg.LYAPUNOV_TOL
     for row in rep["events"]:
@@ -262,6 +272,51 @@ def test_event_deltas_monotone(split_run):
     assert series[-1].lyapunov <= series[0].lyapunov
     for a, b in zip(series, series[1:]):
         assert b.lyapunov <= a.lyapunov + 1e-12
+    rows = rep["events"]
+    assert rows[0]["pre_lyapunov"] == series[0].lyapunov
+    for prev, row in zip(rows, rows[1:]):
+        assert row["pre_lyapunov"] == prev["post_lyapunov"]
+
+
+def _weak_pressure_jumps(n=6, seed=0):
+    rng = np.random.default_rng(seed)
+    states = [np.array([0.0, 0.5])]
+    for d in rng.uniform(-0.03, 0.03, (n, 2)):
+        states.append(states[-1] + d)
+    return states, [-1.0 + 2.0 * k / n for k in range(n)]
+
+
+# (model, kinetics, states, positions, h, T, speed convention)
+ORACLE_RUNS = {
+    "cubic-split": (CUBIC, KIN, [1.0, -0.368, -0.388], [0.0, 0.05],
+                    0.005, 0.5, "rh"),
+    "cubic-merge-gamma0": (CUBIC, KIN_G0, [1.0, -0.24, -0.28, -0.24],
+                           [0.0, 0.05, 0.1], 0.005, 1.0, "rh"),
+    "p-system-char-left": (ELAS, KIN, *_weak_pressure_jumps(), 0.01, 1.0,
+                           "char_left"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_lyapunov_series_matches_full_recomputation(name):
+    # the oracle evaluates the whole front set before and after every
+    # event; the series chains one evaluation per event
+    model, kin, states, positions, h, t_end, conv = ORACLE_RUNS[name]
+    fs = init_fronts(model, kin, states, positions, h=h, convention=conv)
+    full = []
+    while True:
+        col = tracking.next_collision(fs)
+        if col is None or col[0] > t_end:
+            break
+        pre = dg.snapshot(model, fs, W).lyapunov
+        fs, _ = tracking.resolve_interaction(model, kin, fs, col,
+                                             convention=conv)
+        full.append((pre, dg.snapshot(model, fs, W).lyapunov))
+    fs0 = init_fronts(model, kin, states, positions, h=h, convention=conv)
+    res = run(model, kin, fs0, t_end=t_end, convention=conv)
+    rows = dg.lyapunov_series(model, res.events, res.snapshots, W)["events"]
+    assert len(full) >= 4
+    assert [(r["pre_lyapunov"], r["post_lyapunov"]) for r in rows] == full
 
 
 def test_lyapunov_series_merge_run(merge_run_g0):

@@ -5,6 +5,8 @@ lam(a,b) = a^2+ab+b^2 for the cubic model, and the split/merge points
 come from the nucleation threshold arithmetic at u_l = 1.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,10 @@ def test_resolve_weak_absorption_keeps_token():
     assert fs2.fronts[0].wave.kind == KIND_CLASSICAL
     assert fs2.fronts[0].wave.right[0] == pytest.approx(-0.373, abs=1e-12)
     fs2.check()
+    # the event keeps the returned set itself, safe because fronts are frozen
+    assert ev.post is fs2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs2.fronts[0].position = 0.0
 
 
 def test_split_run_event_sequence():
