@@ -1,7 +1,10 @@
-"""Run the nucleation baseline and its gamma=0 contrast on the same data."""
+"""Run the nucleation baseline and its gamma=0 contrast on the same data,
+and print the sha256 of every artifact each run writes."""
 
 import argparse
+import hashlib
 import json
+import os
 from importlib.resources import files
 
 from ncft import cli
@@ -14,6 +17,15 @@ def run_one(name, out_root):
     cfg = cli.validate_config(raw)
     out = f"{out_root}/{name[:-len('.json')]}"
     return cfg, cli.run_experiment(cfg, out), out
+
+
+def artifact_hashes(out):
+    """(file name, sha256 hex digest) of every file in out, sorted by name."""
+    rows = []
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            rows.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    return rows
 
 
 def main():
@@ -36,6 +48,8 @@ def main():
             if entry["status"] != "not_evaluated":
                 print(f"  {key} {entry['name']}: {entry['status']}")
         print(f"  artifacts in {out}")
+        for name, digest in artifact_hashes(out):
+            print(f"    {digest}  {name}")
 
 
 if __name__ == "__main__":

@@ -165,9 +165,9 @@ def check_c05():
         u0 = np.array([u])
         fl = kin_mod.phi_flat(model, kin, u0)
         sh = kin_mod.phi_sharp(model, kin, u0)
-        total = dg.wave_strength(model, u0, sh, 0)
-        first = dg.wave_strength(model, u0, fl, 0)
-        second = dg.wave_strength(model, fl, sh, 0)
+        total = curves.generalized_strength(model, u0, sh, 0)
+        first = curves.generalized_strength(model, u0, fl, 0)
+        second = curves.generalized_strength(model, fl, sh, 0)
         worst = max(worst, abs(total - first - second))
     return worst <= 1e-10, (
         f"strength additivity across the split on {len(GRID)} states: "
@@ -199,7 +199,7 @@ def check_c07():
     w = dg.lemma_weights(0.75, zeta=0.1, K=1.0)
     # scales keep each incoming strength at or below 0.05
     rep = dg.calibrate(model, kin, w, n=10000, scales=(0.025, 0.01, 0.004),
-                       seed=11, zero_fraction=0.1)
+                       seed=11)
     passed = (rep.n_evaluated == 10000 and
               math.isfinite(rep.fitted_glimm_C) and
               not rep.witnesses and

@@ -26,7 +26,7 @@ import numpy as np
 
 from ncft import diagnostics as dg
 from ncft import kinetics as kin_mod
-from ncft import models, tracking
+from ncft import curves, models, tracking
 from ncft.kinetics import KineticFunction
 from ncft.models import FluxModel
 
@@ -65,11 +65,8 @@ _MODEL_KEYS = {"name", "params"}
 _KINETICS_KEYS = {"theta", "gamma"}
 _INITIAL_KEYS = {"u_star", "main", "jumps", "scale"}
 _WEIGHTS_KEYS = {"mode", "zeta", "K", "values"}
-_FLAG_KEYS = {
-    "use_nucleation", "q_weak_only", "rarefaction_speed_convention",
-    "stability_check",
-}
-_CALIBRATION_KEYS = {"n", "scales", "zero_fraction", "cross_family"}
+_FLAG_KEYS = {"q_weak_only", "rarefaction_speed_convention", "stability_check"}
+_CALIBRATION_KEYS = {"n", "scales"}
 
 _WEIGHT_VALUE_KEYS = {
     "kL", "kM", "kR", "kL_less", "kM_less", "kR_less",
@@ -251,7 +248,6 @@ def validate_config(raw: dict) -> dict:
             f"{tracking.SPEED_CONVENTIONS}, got {convention!r}"
         )
     cfg["flags"] = {
-        "use_nucleation": bool(flags_raw.get("use_nucleation", True)),
         "q_weak_only": bool(flags_raw.get("q_weak_only", False)),
         "rarefaction_speed_convention": convention,
         "stability_check": bool(flags_raw.get("stability_check", True)),
@@ -273,9 +269,6 @@ def validate_config(raw: dict) -> dict:
     cfg["calibration"] = {
         "n": cal_n,
         "scales": [_as_float(s, "calibration.scales") for s in scales],
-        "zero_fraction": _as_float(cal_raw.get("zero_fraction", 0.1),
-                                   "calibration.zero_fraction"),
-        "cross_family": bool(cal_raw.get("cross_family", True)),
     }
 
     if raw.get("snapshot_dt") is not None:
@@ -343,7 +336,8 @@ def stability_report(model: FluxModel, kin: KineticFunction,
     bound kappa * |sigma(u_star, Phi_sharp(u_star))|."""
     u_star = np.asarray(cfg["initial"]["u_star"], dtype=float)
     companion = kin_mod.phi_sharp(model, kin, u_star)
-    sigma = dg.wave_strength(model, u_star, companion, model.cc_index)
+    sigma = curves.generalized_strength(model, u_star, companion,
+                                        model.cc_index)
     tv = perturbation_tv(cfg)
     bound = cfg["stability_kappa"] * abs(sigma)
     return {
@@ -424,15 +418,11 @@ def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
     flags = cfg["flags"]
     states, positions = initial_profile(cfg)
     fronts0 = tracking.init_fronts(
-        model, kin, states, positions, h=cfg["h"],
-        use_nucleation=flags["use_nucleation"],
-        strong_jumps=[0],
+        model, kin, states, positions, h=cfg["h"], strong_jumps=[0],
         convention=flags["rarefaction_speed_convention"],
     )
     result = tracking.run(
-        model, kin, fronts0, t_end=cfg["T"],
-        use_nucleation=flags["use_nucleation"],
-        snapshot_dt=cfg["snapshot_dt"],
+        model, kin, fronts0, t_end=cfg["T"], snapshot_dt=cfg["snapshot_dt"],
         convention=flags["rarefaction_speed_convention"],
     )
     series = dg.lyapunov_series(model, result.events, result.snapshots,
@@ -472,9 +462,6 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
         n=cfg["calibration"]["n"],
         scales=tuple(cfg["calibration"]["scales"]),
         seed=cfg["seed"],
-        zero_fraction=cfg["calibration"]["zero_fraction"],
-        use_nucleation=cfg["flags"]["use_nucleation"],
-        cross_family=cfg["calibration"]["cross_family"],
     )
     _write_json(os.path.join(out_dir, "calibration.json"),
                 calibration.to_json_dict())

@@ -46,6 +46,10 @@ RAREFACTION_KINDS = (KIND_RAREFACTION, KIND_PIECE)
 LYAPUNOV_TOL = 1e-9
 # strengths below this count as zero in ratio fits
 STRENGTH_FLOOR = 1e-14
+# calibration: expansive same-family pairs per requested sample, and the
+# share of system samples that pair two different families
+ZERO_FRACTION = 0.1
+CROSS_FAMILY_SHARE = 0.3
 
 CSV_HEADER = ("t", "V_L", "V_M", "V_R", "W", "Q", "eps", "lyapunov")
 
@@ -55,11 +59,6 @@ CASE_TAGS = ("Case1", "Case2", "Case3", "Case4", "Case5", "Case6", "Case7",
 
 class DiagnosticsError(ValueError):
     pass
-
-
-def wave_strength(model: FluxModel, u_minus, u_plus, family: int) -> float:
-    """Signed generalized strength of the jump; see curves for the fold."""
-    return curves.generalized_strength(model, u_minus, u_plus, family)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,19 +339,19 @@ def classify_case(ev: InteractionEvent) -> tuple:
     return "Case3", None
 
 
-def annotate_events(events) -> list:
-    """Stamp case_tag/case_sub on every event; returns the (tag, sub) list."""
-    out = []
-    for ev in events:
-        tag, sub = classify_case(ev)
-        ev.case_tag = tag
-        ev.case_sub = sub
-        out.append((tag, sub))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # interaction estimates
+
+
+def _additivity_residual(incoming, outgoing) -> float:
+    """Per-family defect of strength additivity between incoming and
+    outgoing waves, summed over the families in increasing order."""
+    residual = 0.0
+    for fam in sorted({wv.family for wv in (*incoming, *outgoing)}):
+        a = sum(wv.strength for wv in incoming if wv.family == fam)
+        g = sum(wv.strength for wv in outgoing if wv.family == fam)
+        residual += abs(g - a)
+    return residual
 
 
 def glimm_residual(ev: InteractionEvent) -> tuple:
@@ -361,13 +360,7 @@ def glimm_residual(ev: InteractionEvent) -> tuple:
     Residual is the per-family defect of strength additivity between the
     incoming waves and the outgoing fan; the product sums |strength|
     products over approaching incoming pairs."""
-    fams = {wv.family for wv in ev.incoming}
-    fams |= {wv.family for wv in ev.outgoing.waves}
-    residual = 0.0
-    for fam in fams:
-        a = sum(wv.strength for wv in ev.incoming if wv.family == fam)
-        g = sum(wv.strength for wv in ev.outgoing.waves if wv.family == fam)
-        residual += abs(g - a)
+    residual = _additivity_residual(ev.incoming, ev.outgoing.waves)
     product = 0.0
     for a in range(len(ev.incoming)):
         for b in range(a + 1, len(ev.incoming)):
@@ -401,10 +394,11 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
     q0_post, q1_post = _potential_over(items_post, model.cc_index, q_weak_only)
     residual, product = glimm_residual(ev)
     delta = post_snap.lyapunov - pre_lyapunov
+    tag, sub = classify_case(ev)
     return {
         "t": ev.time,
-        "case": ev.case_tag,
-        "sub": ev.case_sub,
+        "case": tag,
+        "sub": sub,
         "pre_lyapunov": pre_lyapunov,
         "post_lyapunov": post_snap.lyapunov,
         "delta": delta,
@@ -421,7 +415,6 @@ def lyapunov_series(model: FluxModel, events, snapshots, w: Weights,
     """Time series of W+K*Q plus the per-event replay, one event_delta
     row per event, each carrying its case tag. snapshots[0] must be the
     front set the events start from."""
-    annotate_events(events)
     series = [snapshot(model, fs, w, q_weak_only) for fs in snapshots]
     rows = []
     lyapunov = series[0].lyapunov
@@ -611,7 +604,6 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     condition when eta is positive, the drop of W+K*Q, and the crossing
     bounds with the measured contraction and a (1+slack) allowance.
     """
-    annotate_events(events)
     if cff is None:
         cff = kin_mod.check_hypotheses(model, kin).measured_Cff
     initial = snapshots[0]
@@ -678,7 +670,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
         current = None
 
     for ev in events:
-        tag = ev.case_tag
+        tag, _ = classify_case(ev)
         if tag == "Case1":
             if current is not None:
                 # nested split never leaves the tracked pattern intact;
@@ -777,9 +769,8 @@ def _wave_chord(model: FluxModel, wv: Wave) -> float:
 
 
 def _single_wave(model: FluxModel, kin: KineticFunction, u_from, fam: int,
-                 m: float, use_nucleation: bool) -> Optional[tuple]:
-    state, frag = riemann.wave_curve_point(model, kin, u_from, fam, m,
-                                           use_nucleation)
+                 m: float) -> Optional[tuple]:
+    state, frag = riemann.wave_curve_point(model, kin, u_from, fam, m)
     if len(frag) != 1:
         return None
     wv = frag[0]
@@ -788,9 +779,7 @@ def _single_wave(model: FluxModel, kin: KineticFunction, u_from, fam: int,
 
 def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
               n: int = 10000, scales: tuple = (0.05, 0.02, 0.005),
-              seed: int = 0, zero_fraction: float = 0.1,
-              use_nucleation: bool = True,
-              cross_family: bool = True) -> CalibrationReport:
+              seed: int = 0) -> CalibrationReport:
     """Measure the interaction constants on random weak binary collisions.
 
     Each sample chains two weak waves off a random base state, keeps the
@@ -826,7 +815,7 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         scale = scales[n_eval % len(scales)]
         fam1 = i
         fam2 = i
-        if model.N > 1 and cross_family and rng.uniform() < 0.3:
+        if model.N > 1 and rng.uniform() < CROSS_FAMILY_SHARE:
             fam1 = int(rng.integers(1, model.N))
             fam2 = int(rng.integers(0, fam1))
         u0 = base_state(fam1)
@@ -838,14 +827,14 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         try:
             first = _single_wave(
                 model, kin, u0, fam1,
-                float(model.family_parameter(u0, fam1)) + d1, use_nucleation)
+                float(model.family_parameter(u0, fam1)) + d1)
             if first is None:
                 n_skip += 1
                 continue
             ub, w1, v1 = first
             second = _single_wave(
                 model, kin, ub, fam2,
-                float(model.family_parameter(ub, fam2)) + d2, use_nucleation)
+                float(model.family_parameter(ub, fam2)) + d2)
             if second is None:
                 n_skip += 1
                 continue
@@ -853,16 +842,12 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
             if not _approaching(w1, w2) or v1 <= v2 + 1e-10:
                 n_skip += 1
                 continue
-            fan = riemann.solve_riemann(model, kin, u0, uc, use_nucleation)
+            fan = riemann.solve_riemann(model, kin, u0, uc)
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             n_skip += 1
             continue
         n_eval += 1
-        residual = 0.0
-        for fam in range(model.N):
-            a = sum(wv.strength for wv in (w1, w2) if wv.family == fam)
-            g = sum(wv.strength for wv in fan.waves if wv.family == fam)
-            residual += abs(g - a)
+        residual = _additivity_residual((w1, w2), fan.waves)
         product = abs(w1.strength) * abs(w2.strength)
         max_residual = max(max_residual, residual)
         bucket = per_scale[scale]
@@ -875,10 +860,9 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
-        if w1.family != i and w2.family != i:
-            q_pre = product
-        else:
-            q_pre = max(v1 - v2, 0.0) * product
+        q0_pre, q1_pre = _potential_over([(w1, v1, False), (w2, v2, False)],
+                                         i, False)
+        q_pre = q0_pre + q1_pre
         out_items = [(wv, _wave_chord(model, wv), False) for wv in fan.waves]
         q0_post, q1_post = _potential_over(out_items, i, False)
         d_q = (q0_post + q1_post) - q_pre
@@ -896,7 +880,7 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
                 })
 
     # expansive same-family pairs: approaching product identically zero
-    n_zero = max(1, int(n * zero_fraction))
+    n_zero = max(1, int(n * ZERO_FRACTION))
     zero_done = 0
     max_zero_resid = 0.0
     trials = 0
@@ -911,16 +895,15 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         d1 = s * scale * rng.uniform(0.25, 1.0)
         d2 = s * scale * rng.uniform(0.25, 1.0)
         try:
-            first = _single_wave(model, kin, u0, i, mu0 + d1, use_nucleation)
+            first = _single_wave(model, kin, u0, i, mu0 + d1)
             if first is None or first[1].kind not in RAREFACTION_KINDS:
                 continue
             ub = first[0]
-            second = _single_wave(model, kin, ub, i, mu0 + d1 + d2,
-                                  use_nucleation)
+            second = _single_wave(model, kin, ub, i, mu0 + d1 + d2)
             if second is None or second[1].kind not in RAREFACTION_KINDS:
                 continue
             uc = second[0]
-            fan = riemann.solve_riemann(model, kin, u0, uc, use_nucleation)
+            fan = riemann.solve_riemann(model, kin, u0, uc)
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             continue
         zero_done += 1

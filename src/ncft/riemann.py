@@ -1,6 +1,8 @@
 """Riemann solvers: classical composite curves for the ordinary families
-and the multi-branch nonclassical curve, with kinetics and optional
-nucleation, for the designated concave-convex family.
+and the multi-branch nonclassical curve, with kinetics and nucleation,
+for the designated concave-convex family. The nucleation weight alone
+sets the threshold; weight zero puts it on the companion, which turns
+nucleation off.
 
 The nonclassical curve for a left state on the positive parameter side
 (mirrored otherwise): rarefactions beyond the base parameter; a single
@@ -119,7 +121,7 @@ class WaveFan:
 
 
 def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
-                      speed: float, ids: IdGen, kind_hint: Optional[str] = None,
+                      speed: float, ids: IdGen,
                       kin: Optional[KineticFunction] = None,
                       with_strength: bool = True) -> Wave:
     """Build a shock/contact wave, derive its kind from the classification,
@@ -147,8 +149,6 @@ def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
                     f"nonclassical jump violates the kinetic relation: "
                     f"{got} vs {want}"
                 )
-    if kind_hint == KIND_PIECE:
-        kind = KIND_PIECE
     strength = (curves.generalized_strength(model, left, right, family)
                 if with_strength else 0.0)
     return Wave(family, kind, left.copy(), right.copy(), float(speed),
@@ -170,8 +170,7 @@ def _mk_rarefaction(model: FluxModel, family: int, left: Array, right: Array,
 
 
 def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: int,
-                     m: float, use_nucleation: bool = True,
-                     ids: Optional[IdGen] = None,
+                     m: float, ids: Optional[IdGen] = None,
                      with_strengths: bool = True) -> tuple:
     """Point of the family's forward wave curve at parameter value m.
 
@@ -191,8 +190,7 @@ def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: in
                                             with_strength=with_strengths)]
     if family != model.cc_index:
         return _classical_point(model, a, family, m, ids, with_strengths)
-    return _nonclassical_point(model, kin, a, family, m, use_nucleation, ids,
-                               with_strengths)
+    return _nonclassical_point(model, kin, a, family, m, ids, with_strengths)
 
 
 def _classical_point(model: FluxModel, a: Array, family: int, m: float,
@@ -219,8 +217,8 @@ def _classical_point(model: FluxModel, a: Array, family: int, m: float,
 
 
 def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
-                        family: int, m: float, use_nucleation: bool,
-                        ids: IdGen, with_strengths: bool = True) -> tuple:
+                        family: int, m: float, ids: IdGen,
+                        with_strengths: bool = True) -> tuple:
     mu0 = float(model.family_parameter(a, family))
     if abs(mu0) < 1e-12:
         # on the manifold the characteristic speed grows both ways
@@ -240,10 +238,7 @@ def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
                                             pt.speed, ids, kin=kin,
                                             with_strength=with_strengths)]
     m_sharp = kin_mod.mu_sharp(model, kin, a)
-    if use_nucleation:
-        threshold = kin_mod.mu_nucleation(model, kin, a)
-    else:
-        threshold = m_sharp
+    threshold = kin_mod.mu_nucleation(model, kin, a)
     if s * (m - threshold) >= -THRESHOLD_TIE:
         # classical shocks are preferred throughout the overlap, ties also
         pt = curves.hugoniot_point(model, a, family, m)
@@ -275,7 +270,6 @@ def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
 
 
 def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
-                  use_nucleation: bool = True,
                   ids: Optional[IdGen] = None) -> WaveFan:
     ids = ids or IdGen()
     a = models.require_in_ball(model, u_l)
@@ -284,15 +278,14 @@ def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
         return WaveFan(())
     if model.N == 1:
         m = float(model.family_parameter(b, 0))
-        _, frag = wave_curve_point(model, kin, a, 0, m, use_nucleation, ids)
+        _, frag = wave_curve_point(model, kin, a, 0, m, ids)
         frag = _snap_last(model, frag, b)
         return WaveFan(tuple(frag)).validate()
-    targets = _newton_targets(model, kin, a, b, use_nucleation)
+    targets = _newton_targets(model, kin, a, b)
     waves = []
     state = a
     for j in range(model.N):
-        state, frag = wave_curve_point(model, kin, state, j, targets[j],
-                                       use_nucleation, ids)
+        state, frag = wave_curve_point(model, kin, state, j, targets[j], ids)
         waves.extend(frag)
     waves = _snap_last(model, waves, b)
     return WaveFan(tuple(waves)).validate()
@@ -336,31 +329,31 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 
 
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
-                  targets: np.ndarray, use_nucleation: bool) -> Array:
+                  targets: np.ndarray) -> Array:
     state = a
     for j in range(model.N):
         state, _ = wave_curve_point(model, kin, state, j, targets[j],
-                                    use_nucleation, with_strengths=False)
+                                    with_strengths=False)
     return state
 
 
-def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
-                    use_nucleation: bool) -> np.ndarray:
+def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
+                    b: Array) -> np.ndarray:
     classical = KineticFunction(theta=0.0, nucleation_gamma=0.0)
     guess = _initial_targets(model, a, b)
     try:
-        guess = _newton_refine(model, classical, a, b, guess, False)
+        guess = _newton_refine(model, classical, a, b, guess)
     except SolverError:
         pass  # the warm start is allowed to be rough
-    return _newton_refine(model, kin, a, b, guess, use_nucleation)
+    return _newton_refine(model, kin, a, b, guess)
 
 
 def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
-                   targets: np.ndarray, use_nucleation: bool) -> np.ndarray:
+                   targets: np.ndarray) -> np.ndarray:
     n = model.N
 
     def residual(t):
-        return _fan_endpoint(model, kin, a, t, use_nucleation) - b
+        return _fan_endpoint(model, kin, a, t) - b
 
     r = residual(targets)
     best = float(np.max(np.abs(r)))

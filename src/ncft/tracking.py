@@ -140,8 +140,6 @@ class InteractionEvent:
     outgoing_roles: dict
     post: FrontSet
     mass_correction: Array
-    case_tag: Optional[str] = None
-    case_sub: Optional[str] = None
 
     @property
     def incoming(self) -> tuple:
@@ -203,8 +201,7 @@ def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen,
 
 
 def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
-                h: float, use_nucleation: bool = True,
-                strong_jumps: Optional[list] = None,
+                h: float, strong_jumps: Optional[list] = None,
                 convention: str = "rh") -> FrontSet:
     """Piecewise-constant data: states[j] left of positions[j], states[-1]
     beyond. Each jump is replaced by its Riemann fan. Jumps listed in
@@ -220,7 +217,7 @@ def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
     fs = FrontSet(0.0, [], None, None, h)
     for j, x in enumerate(positions):
         fan = riemann.solve_riemann(model, kin, states[j], states[j + 1],
-                                    use_nucleation, fs.ids)
+                                    fs.ids)
         placed = _place(model, fs, None, float(x), fan.waves, convention,
                         fold=False)
         if j in strong_jumps:
@@ -376,8 +373,7 @@ def _moment(fronts) -> Array:
 
 
 def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
-                        collision: tuple, use_nucleation: bool = True,
-                        convention: str = "rh") -> tuple:
+                        collision: tuple, convention: str = "rh") -> tuple:
     """Advance to the collision time and replace the colliding cluster by
     the Riemann fan of its outer states. Returns (new FrontSet, event)."""
     t, pair = collision
@@ -394,7 +390,7 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
             incoming_roles[f.id] = "z"
     u_l = cluster[0].wave.left
     u_r = cluster[-1].wave.right
-    fan = riemann.solve_riemann(model, kin, u_l, u_r, use_nucleation, cur.ids)
+    fan = riemann.solve_riemann(model, kin, u_l, u_r, cur.ids)
     pre_moment = _moment(cluster)
     placed = _place(model, cur, (lo, hi), x_star, fan.waves, convention)
     outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
@@ -463,8 +459,7 @@ class RunResult:
 
 
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
-        t_end: float, use_nucleation: bool = True,
-        snapshot_dt: Optional[float] = None,
+        t_end: float, snapshot_dt: Optional[float] = None,
         max_fronts: int = DEFAULT_MAX_FRONTS,
         max_events: int = DEFAULT_MAX_EVENTS,
         convention: str = "rh") -> RunResult:
@@ -486,8 +481,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             next_snap += snapshot_dt
         if col is None:
             break
-        fs, ev = resolve_interaction(model, kin, fs, col, use_nucleation,
-                                     convention)
+        fs, ev = resolve_interaction(model, kin, fs, col, convention)
         events.append(ev)
         if len(events) > max_events:
             raise TrackingError(f"event count exceeded {max_events}")

@@ -75,6 +75,20 @@ def test_unknown_nested_keys_rejected():
         validated(sweep={"T": [0.1]})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("flags", "use_nucleation", False),
+    ("calibration", "zero_fraction", 0.1),
+    ("calibration", "cross_family", True),
+])
+def test_removed_settings_rejected(section, key, value):
+    # nucleation is set by kinetics.gamma alone and the calibration mix is
+    # fixed, so these keys are unknown like any other
+    raw = base_cfg()
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(cli.ConfigError, match=f"{section}.*{key}"):
+        cli.validate_config(raw)
+
+
 def test_schema_version_checked():
     with pytest.raises(cli.ConfigError, match="schema_version"):
         validated(schema_version=2)
@@ -156,7 +170,7 @@ def test_defaults_filled_and_plain_json():
     assert cfg["initial"]["main"][1] == [-1.368]
     assert cfg["initial"]["jumps"] == []
     assert cfg["initial"]["scale"] == 1.0
-    assert cfg["flags"] == {"use_nucleation": True, "q_weak_only": False,
+    assert cfg["flags"] == {"q_weak_only": False,
                             "rarefaction_speed_convention": "rh",
                             "stability_check": True}
     assert cfg["stability_kappa"] == 0.25

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncft import curves
 from ncft import diagnostics as dg
 from ncft import tracking
 from ncft.kinetics import KineticFunction
@@ -112,14 +113,14 @@ def test_validate_eps_advisory_rows():
 
 
 def test_wave_strength_examples():
-    assert dg.wave_strength(CUBIC, 1.0, -0.75, 0) == pytest.approx(
-        -0.25, abs=1e-10)
-    s1 = dg.wave_strength(CUBIC, 1.0, -0.75, 0)
-    s2 = dg.wave_strength(CUBIC, -0.75, -0.45, 0)
-    s12 = dg.wave_strength(CUBIC, 1.0, -0.45, 0)
+    strength = curves.generalized_strength
+    assert strength(CUBIC, 1.0, -0.75, 0) == pytest.approx(-0.25, abs=1e-10)
+    s1 = strength(CUBIC, 1.0, -0.75, 0)
+    s2 = strength(CUBIC, -0.75, -0.45, 0)
+    s12 = strength(CUBIC, 1.0, -0.45, 0)
     assert s2 == pytest.approx(-0.3, abs=1e-10)
     assert s1 + s2 == pytest.approx(s12, abs=1e-10)
-    assert dg.wave_strength(CUBIC, 0.7, 0.7, 0) == 0.0
+    assert strength(CUBIC, 0.7, 0.7, 0) == 0.0
 
 
 def test_functionals_region_weights():
@@ -216,14 +217,13 @@ def test_strong_record_three_state():
 
 
 def test_classify_split_run(split_run):
-    tags = dg.annotate_events(split_run.events)
+    tags = [dg.classify_case(ev) for ev in split_run.events]
     assert [t for t, _ in tags] == ["Case3", "Case1", "Case3", "Case3"]
-    assert tags[1][1] == "CR-4"
-    assert split_run.events[1].case_tag == "Case1"
+    assert tags[1] == ("Case1", "CR-4")
 
 
 def test_classify_merge_run(merge_run_g0):
-    tags = [t for t, _ in dg.annotate_events(merge_run_g0.events)]
+    tags = [dg.classify_case(ev)[0] for ev in merge_run_g0.events]
     assert tags.count("Case1") == 1
     assert tags.count("Case2") == 1
     assert tags[-1] == "Case2"
@@ -242,9 +242,8 @@ def test_classify_weak_weak_and_residual():
 
 
 def test_glimm_residual_merge_exact(merge_run_three_state):
-    dg.annotate_events(merge_run_three_state.events)
     merges = [ev for ev in merge_run_three_state.events
-              if ev.case_tag == "Case2"]
+              if dg.classify_case(ev)[0] == "Case2"]
     assert len(merges) == 1
     residual, product = dg.glimm_residual(merges[0])
     assert residual <= 1e-10

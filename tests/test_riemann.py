@@ -96,23 +96,23 @@ def test_nucleation_keeps_classical_inside_overlap():
 def test_nucleation_switch_point():
     ids = IdGen()
     # at the threshold itself the tie goes classical
-    _, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, -0.375, True, ids)
+    _, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, -0.375, ids)
     assert [w.kind for w in frag] == [KIND_CLASSICAL]
     assert frag[0].speed == pytest.approx(0.765625, abs=1e-12)
-    _, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, -0.375 - 1e-9, True, ids)
+    _, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, -0.375 - 1e-9, ids)
     assert [w.kind for w in frag] == [KIND_NONCLASSICAL, KIND_CLASSICAL]
 
 
 def test_no_nucleation_threshold_is_companion():
-    # without nucleation the classical branch ends at the companion -0.25,
-    # so -0.3 now takes the nonclassical branch
-    fan = solve_riemann(CUBIC, KIN, 1.0, -0.3, use_nucleation=False)
+    # with gamma=0 the nucleation threshold is the companion -0.25 bit for
+    # bit, so the classical branch ends there and -0.3 takes the
+    # nonclassical branch
+    kin_g0 = KineticFunction(theta=0.5, nucleation_gamma=0.0)
+    assert kin_mod.mu_nucleation(CUBIC, kin_g0, 1.0) == \
+        kin_mod.mu_sharp(CUBIC, kin_g0, 1.0)
+    fan = solve_riemann(CUBIC, kin_g0, 1.0, -0.3)
     assert fan_kinds(fan) == [KIND_NONCLASSICAL, KIND_CLASSICAL]
     assert fan.waves[1].speed == pytest.approx(0.8775, abs=1e-11)
-    # gamma=0 with nucleation enabled gives the same threshold
-    kin_g0 = KineticFunction(theta=0.5, nucleation_gamma=0.0)
-    fan2 = solve_riemann(CUBIC, kin_g0, 1.0, -0.3, use_nucleation=True)
-    assert fan_kinds(fan2) == fan_kinds(fan)
 
 
 def test_manifold_state_spreads_both_ways():
@@ -131,7 +131,7 @@ def test_mirror_fan():
 def test_theta_zero_leading_piece_is_classical_contact():
     # the tangent jump 1 -> -0.5 is a Lax tie, so it carries the
     # classical label, and the join to the tail is speed-continuous
-    fan = solve_riemann(CUBIC, KIN0, 1.0, -0.6, use_nucleation=False)
+    fan = solve_riemann(CUBIC, KIN0, 1.0, -0.6)
     assert fan_kinds(fan) == [KIND_CLASSICAL, KIND_RAREFACTION]
     lead, tail = fan.waves
     assert lead.right[0] == pytest.approx(-0.5, abs=1e-12)
@@ -143,8 +143,8 @@ def test_gamma_zero_speed_continuity_at_companion_join():
     kin_g0 = KineticFunction(theta=0.5, nucleation_gamma=0.0)
     ids = IdGen()
     eps = 1e-7
-    _, above = wave_curve_point(CUBIC, kin_g0, 1.0, 0, -0.25 + eps, True, ids)
-    _, below = wave_curve_point(CUBIC, kin_g0, 1.0, 0, -0.25 - eps, True, ids)
+    _, above = wave_curve_point(CUBIC, kin_g0, 1.0, 0, -0.25 + eps, ids)
+    _, below = wave_curve_point(CUBIC, kin_g0, 1.0, 0, -0.25 - eps, ids)
     assert [w.kind for w in above] == [KIND_CLASSICAL]
     assert [w.kind for w in below] == [KIND_NONCLASSICAL, KIND_CLASSICAL]
     # single-shock speed and trailing-shock speed meet at the companion
@@ -155,7 +155,7 @@ def test_gamma_zero_speed_continuity_at_companion_join():
 def test_reached_parameter_matches_target():
     ids = IdGen()
     for m in np.linspace(-1.4, 1.4, 29):
-        state, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, float(m), True, ids)
+        state, frag = wave_curve_point(CUBIC, KIN, 1.0, 0, float(m), ids)
         assert abs(state[0] - m) < 1e-9
         for w in frag:
             assert w.strength != 0.0
@@ -177,7 +177,7 @@ def test_no_solution_gap_guard(monkeypatch):
     # companion to exercise the guard
     monkeypatch.setattr(kin_mod, "mu_nucleation", lambda model, kin, u: -0.2)
     with pytest.raises(riemann.NoSolutionGap):
-        wave_curve_point(CUBIC, KIN, 1.0, 0, -0.22, True, IdGen())
+        wave_curve_point(CUBIC, KIN, 1.0, 0, -0.22, IdGen())
 
 
 def test_ball_enforced_on_inputs():
@@ -253,9 +253,9 @@ def test_elasticity_nonclassical_system_fan():
     # build the target state by walking the true curves forward, then ask
     # the solver to recover the construction
     ids = IdGen()
-    mid, frag0 = wave_curve_point(ELAS, KIN, (0.0, 0.5), 0, -0.45, True, ids)
+    mid, frag0 = wave_curve_point(ELAS, KIN, (0.0, 0.5), 0, -0.45, ids)
     assert [w.kind for w in frag0] == [KIND_RAREFACTION]
-    end, frag1 = wave_curve_point(ELAS, KIN, mid, 1, -0.30, True, ids)
+    end, frag1 = wave_curve_point(ELAS, KIN, mid, 1, -0.30, ids)
     assert [w.kind for w in frag1] == [KIND_NONCLASSICAL, KIND_CLASSICAL]
 
     fan = solve_riemann(ELAS, KIN, (0.0, 0.5), end)

@@ -225,7 +225,7 @@ def test_transport_only_run_and_snapshots():
 
 def test_fold_absorbs_tiny_waves():
     mid, frag = tracking.riemann.wave_curve_point(
-        CUBIC, KIN, 1.0, 0, -0.75 - 1e-8, True, IdGen()
+        CUBIC, KIN, 1.0, 0, -0.75 - 1e-8, ids=IdGen()
     )
     expanded = tracking._expand(CUBIC, frag, 0.01, IdGen(), "rh")
     assert len(expanded) == 2
