@@ -328,35 +328,41 @@ def check_c12():
 def check_c13():
     model = _elasticity()
     kin = _kin()
-    rng = np.random.default_rng(5)
     t0 = time.perf_counter()
     worst_rh = worst_speed_sq = 0.0
     n_shocks = 0
-    for _ in range(1000):
-        # genuine nonlinearity fails on the strain manifold w=0; weak
-        # problems live in a one-sided neighborhood, either sign
-        base_w = rng.uniform(0.25, 0.75) * rng.choice([-1.0, 1.0])
-        base = np.array([rng.uniform(-0.5, 0.5), base_w])
-        delta = rng.uniform(-0.1, 0.1, size=2)
-        fan = riemann.solve_riemann(model, kin, base, base + delta)
-        for w in fan.waves:
-            if w.kind == KIND_RAREFACTION:
-                continue
-            n_shocks += 1
-            jump = w.right - w.left
-            rh = w.speed * jump - (model.flux(w.right) - model.flux(w.left))
-            worst_rh = max(worst_rh, float(np.max(np.abs(rh))))
-            dw = w.right[1] - w.left[1]
-            if abs(dw) > 1e-10:
-                dsig = ((w.right[1] ** 3 + w.right[1]) -
-                        (w.left[1] ** 3 + w.left[1]))
-                worst_speed_sq = max(worst_speed_sq,
-                                     abs(w.speed ** 2 - dsig / dw))
+    # several seeds, so that the bounds hold on the distribution and not
+    # on one draw of it
+    seeds = (5, 7, 1, 2, 3)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            # genuine nonlinearity fails on the strain manifold w=0; weak
+            # problems live in a one-sided neighborhood, either sign
+            base_w = rng.uniform(0.25, 0.75) * rng.choice([-1.0, 1.0])
+            base = np.array([rng.uniform(-0.5, 0.5), base_w])
+            delta = rng.uniform(-0.1, 0.1, size=2)
+            fan = riemann.solve_riemann(model, kin, base, base + delta)
+            for w in fan.waves:
+                if w.kind == KIND_RAREFACTION:
+                    continue
+                n_shocks += 1
+                jump = w.right - w.left
+                rh = (w.speed * jump
+                      - (model.flux(w.right) - model.flux(w.left)))
+                worst_rh = max(worst_rh, float(np.max(np.abs(rh))))
+                dw = w.right[1] - w.left[1]
+                if abs(dw) > 1e-10:
+                    dsig = ((w.right[1] ** 3 + w.right[1]) -
+                            (w.left[1] ** 3 + w.left[1]))
+                    worst_speed_sq = max(worst_speed_sq,
+                                         abs(w.speed ** 2 - dsig / dw))
     elapsed = time.perf_counter() - t0
     passed = (worst_rh <= 1e-11 and worst_speed_sq <= 1e-10 and
               elapsed <= 120.0)
     return passed, (
-        f"10^3 weak two-family problems, {n_shocks} shocks: max fan "
+        f"{len(seeds)}x10^3 weak two-family problems (rng seeds "
+        f"{', '.join(map(str, seeds))}), {n_shocks} shocks: max fan "
         f"residual {worst_rh:.3e} (tol 1e-11), max squared-speed identity "
         f"error {worst_speed_sq:.3e} (tol 1e-10); {elapsed:.1f}s")
 

@@ -9,9 +9,12 @@ built on the zero-dissipation involution.
 
 Parametrization convention: eigenvectors are normalized so the family
 parameter advances at unit rate along integral curves, and Hugoniot points
-are indexed by the parameter value m of the state reached. All critical-map
-root-finding is generic (bracketing plus polishing on exact identities);
-closed forms of the canonical models are test oracles, not code paths.
+are indexed by the parameter value m of the state reached. A curve point
+comes from the model's closed-form hook when it has one (hugoniot_fn,
+integral_curve_fn), from the parameter inversion on scalar models, and
+otherwise from continuation and RK4; tests hold each path against the
+other. All critical-map root-finding is generic (bracketing plus polishing
+on exact identities).
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class HugoniotCurve:
     Anchors are stored at parameter steps of CONT_STEP out from the base
     state in both directions; point queries run a corrector Newton from
     the nearest anchor. The scalar case needs no continuation: every state
-    is on the locus and the chord formula gives the speed.
+    is on the locus and the chord formula gives the speed. A model's
+    hugoniot_fn, when present, answers point queries in place of both.
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
@@ -103,6 +107,10 @@ class HugoniotCurve:
         m = float(m)
         if abs(m - self.mu0) < STATE_COINCIDENCE:
             return CurvePoint(self.u_minus.copy(), self.mu0, self.lam0)
+        if self.model.hugoniot_fn is not None:
+            u, lam = self.model.hugoniot_fn(self.u_minus, self.family, m)
+            self._require_outer_ball(u)
+            return CurvePoint(u, m, float(lam))
         if self.model.N == 1:
             return self._point_scalar(m)
         anchors = self._up if m > self.mu0 else self._down
@@ -135,14 +143,7 @@ class HugoniotCurve:
         # Every scalar state is Hugoniot-compatible; solve the parameter
         # equation and use the chord slope.
         model = self.model
-        u = self.u_minus.copy()
-        for _ in range(60):
-            val = model.family_parameter(u, self.family)
-            g = models.family_parameter_grad(model, u, self.family)[0]
-            du = (m - val) / g
-            u = u + np.array([du])
-            if abs(du) < 1e-15:
-                break
+        u = _scalar_state(model, self.u_minus, self.family, m)
         self._require_outer_ball(u)
         du_state = float(u[0] - self.u_minus[0])
         if abs(du_state) < STATE_COINCIDENCE:
@@ -216,6 +217,22 @@ class HugoniotCurve:
         raise ContinuationError(f"corrector stalled at m = {m}")
 
 
+def _scalar_state(model: FluxModel, u_minus: Array, family: int,
+                  m: float) -> Array:
+    """The scalar state with family parameter m, by Newton from u_minus.
+    It lies on both wave curves: every scalar state is Hugoniot-compatible
+    and on the one integral curve."""
+    u = u_minus.copy()
+    for _ in range(60):
+        val = model.family_parameter(u, family)
+        g = models.family_parameter_grad(model, u, family)[0]
+        du = (m - val) / g
+        u = u + np.array([du])
+        if abs(du) < 1e-15:
+            break
+    return u
+
+
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
     fam = model.cc_index if family is None else family
     a = as_state(model, u_minus)
@@ -236,15 +253,30 @@ def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> CurvePoi
 def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> CurvePoint:
     """State on the integral curve of r_family with parameter value m.
 
-    Fixed-step RK4 on u' = r(u); the unit-rate normalization makes the
-    family parameter the integration variable, so step count is set by the
-    parameter increment alone (bit-reproducible).
+    From the model's integral_curve_fn when it has one, by parameter
+    inversion on scalar models, and otherwise by fixed-step RK4 on
+    u' = r(u); the unit-rate normalization makes the family parameter the
+    integration variable, so step count is set by the parameter increment
+    alone (bit-reproducible).
     """
     a = models.require_in_ball(model, u_minus, "delta0")
+    m = float(m)
     mu0 = float(model.family_parameter(a, family))
-    dm = float(m) - mu0
+    dm = m - mu0
     if abs(dm) < 1e-15:
         return CurvePoint(a.copy(), mu0, None)
+
+    def checked(u):
+        if not models.in_ball(model, u, "delta0"):
+            raise BallExit(
+                f"rarefaction curve left the outer ball at {u.tolist()}"
+            )
+        return u
+
+    if model.integral_curve_fn is not None:
+        return CurvePoint(checked(model.integral_curve_fn(a, family, m)), m, None)
+    if model.N == 1:
+        return CurvePoint(checked(_scalar_state(model, a, family, m)), m, None)
     n_steps = max(8, int(math.ceil(abs(dm) / 0.002)))
     h = dm / n_steps
 
@@ -257,12 +289,8 @@ def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Curve
         k2 = rhs(u + 0.5 * h * k1)
         k3 = rhs(u + 0.5 * h * k2)
         k4 = rhs(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not models.in_ball(model, u, "delta0"):
-            raise BallExit(
-                f"rarefaction curve left the outer ball at {u.tolist()}"
-            )
-    return CurvePoint(u, float(m), None)
+        u = checked(u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return CurvePoint(u, m, None)
 
 
 def shock_speed(model: FluxModel, u_minus, u_plus,

@@ -15,6 +15,7 @@ compositions and continuation legitimately roam beyond the inner one.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +58,13 @@ class FluxModel:
     entropy_grad, entropy_hessian) are optional; finite differences with
     step FD_STEP fill in for any that are absent.
 
+    The curve hooks are optional closed forms of the wave curves through
+    u_minus, indexed by the family parameter m of the state reached:
+    hugoniot_fn(u_minus, j, m) returns (state, shock speed) on the
+    Hugoniot locus, integral_curve_fn(u_minus, j, m) the state on the
+    integral curve of r_j. Without them the curve layer runs
+    predictor-corrector continuation and fixed-step RK4.
+
     cache is the model's memo of curve and critical-map results, filled
     by the curve layer; it takes no part in construction, comparison or
     hashing.
@@ -77,6 +85,8 @@ class FluxModel:
     m_fn: Optional[Callable[[Array, int], float]] = None
     entropy_grad: Optional[Callable[[Array], tuple]] = None
     entropy_hessian: Optional[Callable[[Array], Array]] = None
+    hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
+    integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
     cache: dict = dataclasses.field(default_factory=dict, init=False,
                                     repr=False, compare=False)
 
@@ -407,6 +417,27 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def entropy_hessian(u):
         return np.array([[1.0, 0.0], [0.0, sigma_p(u[1])]])
 
+    # Curves through (v-, w-) reach w+ = m on family 1 and w+ = -m on
+    # family 0, where the parameter is -w.
+    def hugoniot_fn(u, j, m):
+        # s^2 = [sigma]/[w], with the division carried out; [v] = -s [w]
+        w_m = float(u[1])
+        w_p = m if j == 1 else -m
+        s = math.sqrt(w_p * w_p + w_p * w_m + w_m * w_m + 1.0)
+        if j == 0:
+            s = -s
+        return np.array([u[0] - s * (w_p - w_m), w_p]), s
+
+    def sqrt_sigma_p_integral(w):
+        return (0.5 * w * math.sqrt(3.0 * w * w + 1.0)
+                + math.asinh(math.sqrt(3.0) * w) / (2.0 * math.sqrt(3.0)))
+
+    def integral_curve_fn(u, j, m):
+        # dv/dw = -sqrt(sigma'(w)) on family 1, +sqrt(sigma'(w)) on family 0
+        w_p = m if j == 1 else -m
+        dv = sqrt_sigma_p_integral(w_p) - sqrt_sigma_p_integral(float(u[1]))
+        return np.array([u[0] - dv if j == 1 else u[0] + dv, w_p])
+
     return FluxModel(
         name="elasticity",
         N=2,
@@ -423,6 +454,8 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         m_fn=m_fn,
         entropy_grad=entropy_grad,
         entropy_hessian=entropy_hessian,
+        hugoniot_fn=hugoniot_fn,
+        integral_curve_fn=integral_curve_fn,
     )
 
 

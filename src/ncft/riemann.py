@@ -348,10 +348,22 @@ def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
     return _newton_refine(model, kin, a, b, guess)
 
 
+def _newton_step(residual, targets: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton step on the fan endpoint, with a forward-difference Jacobian."""
+    n = len(targets)
+    J = np.empty((n, n))
+    for j in range(n):
+        probe = targets.copy()
+        probe[j] += FD_STRENGTH
+        J[:, j] = (residual(probe) - r) / FD_STRENGTH
+    try:
+        return np.linalg.solve(J, -r)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular Jacobian in the curve intersection") from exc
+
+
 def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
                    targets: np.ndarray) -> np.ndarray:
-    n = model.N
-
     def residual(t):
         return _fan_endpoint(model, kin, a, t) - b
 
@@ -359,16 +371,16 @@ def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
     best = float(np.max(np.abs(r)))
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
-            return targets
-        J = np.empty((n, n))
-        for j in range(n):
-            probe = targets.copy()
-            probe[j] += FD_STRENGTH
-            J[:, j] = (residual(probe) - r) / FD_STRENGTH
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Jacobian in the curve intersection") from exc
+            # one undamped step past the tolerance lands the fan on the
+            # roundoff floor; kept only when it helps, as in the Hugoniot
+            # corrector
+            try:
+                trial = targets + _newton_step(residual, targets, r)
+                polished = float(np.max(np.abs(residual(trial))))
+            except (curves.CurveError, SolverError):
+                return targets
+            return trial if polished < best else targets
+        step = _newton_step(residual, targets, r)
         # damping by halving until the residual decreases
         scale = 1.0
         for _ in range(12):

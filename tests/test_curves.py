@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,9 @@ from ncft.models import cubic_model, elasticity_model
 CUBIC = cubic_model()
 WIDE = cubic_model(delta0=4.0, delta1=3.0)
 ELAS = elasticity_model()
+# the same model without its closed-form curve hooks: continuation and RK4
+ELAS_GENERIC = dataclasses.replace(ELAS, hugoniot_fn=None, integral_curve_fn=None)
+ELAS_PATHS = (ELAS, ELAS_GENERIC)
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=40)
 settings.load_profile("ci")
@@ -46,26 +50,60 @@ def test_cubic_hugoniot_zero_strength_limit():
 
 def test_elasticity_hugoniot_point():
     # exact reduction: w+ = m, lam^2 = (sigma(w+)-sigma(w-))/(w+-w-)
-    pt = hugoniot_point(ELAS, (0.0, 0.5), 1, -0.1)
-    assert pt.state[1] == pytest.approx(-0.1, abs=1e-12)
-    lam_sq = pt.speed ** 2
-    want = (-0.101 - 0.625) / (-0.6)
-    assert lam_sq == pytest.approx(want, abs=1e-10)
-    assert pt.speed == pytest.approx(1.1, abs=1e-10)
-    assert pt.state[0] == pytest.approx(0.66, abs=1e-10)
-    # residual of the Rankine-Hugoniot system itself
-    du = pt.state - np.array([0.0, 0.5])
-    df = ELAS.flux(pt.state) - ELAS.flux(np.array([0.0, 0.5]))
-    assert np.max(np.abs(df - pt.speed * du)) <= 1e-11
+    for model in ELAS_PATHS:
+        pt = hugoniot_point(model, (0.0, 0.5), 1, -0.1)
+        assert pt.state[1] == pytest.approx(-0.1, abs=1e-12)
+        lam_sq = pt.speed ** 2
+        want = (-0.101 - 0.625) / (-0.6)
+        assert lam_sq == pytest.approx(want, abs=1e-10)
+        assert pt.speed == pytest.approx(1.1, abs=1e-10)
+        assert pt.state[0] == pytest.approx(0.66, abs=1e-10)
+        # residual of the Rankine-Hugoniot system itself
+        du = pt.state - np.array([0.0, 0.5])
+        df = model.flux(pt.state) - model.flux(np.array([0.0, 0.5]))
+        assert np.max(np.abs(df - pt.speed * du)) <= 1e-11
 
 
 def test_elasticity_hugoniot_family0():
-    pt = hugoniot_point(ELAS, (0.0, 0.5), 0, -0.1)
-    # family-0 parameter is -w, so m=-0.1 lands at w=+0.1
-    assert pt.state[1] == pytest.approx(0.1, abs=1e-12)
-    assert pt.speed < 0
-    lam_sq = (0.101 - 0.625) / (0.1 - 0.5)
-    assert pt.speed == pytest.approx(-math.sqrt(lam_sq), abs=1e-10)
+    for model in ELAS_PATHS:
+        pt = hugoniot_point(model, (0.0, 0.5), 0, -0.1)
+        # family-0 parameter is -w, so m=-0.1 lands at w=+0.1
+        assert pt.state[1] == pytest.approx(0.1, abs=1e-12)
+        assert pt.speed < 0
+        lam_sq = (0.101 - 0.625) / (0.1 - 0.5)
+        assert pt.speed == pytest.approx(-math.sqrt(lam_sq), abs=1e-10)
+
+
+def test_elasticity_curve_hooks_match_generic_paths():
+    # each path is the other's oracle: closed forms against continuation
+    # and RK4, on queries that reach the outer ball about half the time
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    n_exit = n_compared = 0
+    for u in models.sample_ball(ELAS, 60, rng, radius="delta0", margin=0.95):
+        for family in (0, 1):
+            mu0 = float(ELAS.family_parameter(u, family))
+            for m in mu0 + rng.uniform(-1.5, 1.5, size=2):
+                for point in (hugoniot_point, rarefaction_point):
+                    got = []
+                    for model in ELAS_PATHS:
+                        try:
+                            got.append(point(model, u, family, m))
+                        except BallExit:
+                            got.append(None)
+                    hooked, generic = got
+                    assert (hooked is None) == (generic is None), (u, family, m)
+                    if hooked is None:
+                        n_exit += 1
+                        continue
+                    n_compared += 1
+                    worst = max(worst, float(np.max(np.abs(
+                        hooked.state - generic.state))))
+                    if hooked.speed is not None:
+                        worst = max(worst, abs(hooked.speed - generic.speed))
+    assert worst <= 1e-12
+    # 480 queries: both outcomes are exercised
+    assert n_exit >= 100 and n_compared >= 100
 
 
 def test_shock_speed_oracles():
@@ -195,6 +233,14 @@ def test_companion_of_tangency_is_itself():
 
 # -- Rarefaction curves -----------------------------------------------------
 
+def test_cubic_curves_share_the_parameter_inversion():
+    for u in (1.0, 0.3, -0.7):
+        for m in np.linspace(-1.9, 1.9, 39):
+            h = hugoniot_point(CUBIC, u, 0, m).state
+            r = rarefaction_point(CUBIC, u, 0, m).state
+            assert np.array_equal(h, r), (u, m)
+
+
 def test_cubic_rarefaction_is_identity_line():
     pt = rarefaction_point(CUBIC, 1.0, 0, 1.2)
     assert pt.state[0] == pytest.approx(1.2, abs=1e-13)
@@ -211,39 +257,43 @@ def _elas_rarefaction_integral(s):
 
 
 def test_elasticity_rarefaction_closed_form():
-    pt = rarefaction_point(ELAS, (0.0, 0.2), 1, 0.4)
-    assert pt.state[1] == pytest.approx(0.4, abs=1e-12)
     want_v = -(_elas_rarefaction_integral(0.4) - _elas_rarefaction_integral(0.2))
-    assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
+    for model in ELAS_PATHS:
+        pt = rarefaction_point(model, (0.0, 0.2), 1, 0.4)
+        assert pt.state[1] == pytest.approx(0.4, abs=1e-12)
+        assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_elasticity_rarefaction_family0():
     # family-0 parameter -w: m=0.4 lands at w=-0.4, v integrates upward
-    pt = rarefaction_point(ELAS, (0.0, 0.2), 0, 0.4)
-    assert pt.state[1] == pytest.approx(-0.4, abs=1e-12)
     want_v = _elas_rarefaction_integral(-0.4) - _elas_rarefaction_integral(0.2)
-    assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
+    for model in ELAS_PATHS:
+        pt = rarefaction_point(model, (0.0, 0.2), 0, 0.4)
+        assert pt.state[1] == pytest.approx(-0.4, abs=1e-12)
+        assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_rarefaction_richardson():
     # halving the step by doubling the count: fixed grid already resolves
     # the curve to well under 1e-9
-    coarse = rarefaction_point(ELAS, (0.0, 0.1), 1, 0.9)
     want_v = -(_elas_rarefaction_integral(0.9) - _elas_rarefaction_integral(0.1))
-    assert coarse.state[0] == pytest.approx(want_v, abs=1e-9)
+    for model in ELAS_PATHS:
+        coarse = rarefaction_point(model, (0.0, 0.1), 1, 0.9)
+        assert coarse.state[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_hugoniot_rarefaction_third_order_contact():
     u = (0.0, 0.5)
-    errs = []
-    for dm in (0.1, 0.05, 0.025):
-        m = 0.5 + dm
-        h = hugoniot_point(ELAS, u, 1, m).state
-        r = rarefaction_point(ELAS, u, 1, m).state
-        errs.append(float(np.linalg.norm(h - r)))
-    assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.35)
-    assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.35)
-    assert errs[2] <= 1e-5
+    for model in ELAS_PATHS:
+        errs = []
+        for dm in (0.1, 0.05, 0.025):
+            m = 0.5 + dm
+            h = hugoniot_point(model, u, 1, m).state
+            r = rarefaction_point(model, u, 1, m).state
+            errs.append(float(np.linalg.norm(h - r)))
+        assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.35)
+        assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.35)
+        assert errs[2] <= 1e-5
 
 
 def test_chord_speed_convexity():

@@ -72,6 +72,17 @@ def test_contraction_measurement():
     assert n > 50
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_elasticity_contraction_exact_on_seeded_samples(seed):
+    # samples just above the 1e-3 usable cutoff put the zero-dissipation
+    # root at the roundoff floor; the exact 0.75 must still come out
+    cff, witness, n = kinetics.measure_contraction(
+        ELAS, KIN, default_samples(ELAS, n=30, seed=seed)
+    )
+    assert cff == pytest.approx(0.75, abs=1e-8)
+    assert n > 10
+
+
 def test_check_hypotheses_pass():
     rep = check_hypotheses(CUBIC, KIN)
     assert rep.passed
