@@ -245,7 +245,7 @@ def _cycle_scenario(gamma: float):
     result = tracking.run(model, kin, fronts0, t_end=2.0)
     audit = dg.cycle_audit(model, kin, result.events, result.snapshots, w,
                            cff=0.75)
-    l0 = dg.snapshot(model, result.initial, w, False).lyapunov
+    l0 = dg.snapshot(model, result.initial, w).lyapunov
     return result, audit, l0
 
 
@@ -289,34 +289,34 @@ def check_c11():
     entry = manifest["checks"]["c11"]
     return entry["status"] == "pass", (
         f"baseline run: corrected drift {entry['corrected']:.3e} "
-        f"(tol 1e-8), raw drift {entry['raw']:.3e} within fold budget "
-        f"{entry['budget']:.3e}")
+        f"(tol 1e-8), raw drift {entry['raw']:.3e} <= fold budget "
+        f"{entry['budget']:.3e} + 1e-12")
 
 
-def _classical_exact_profile(x):
-    """Cubic data 1.0 -> -0.8 at t=1: tangent shock at x=0.75 followed by
-    a fan out to x=1.92."""
-    fan = -np.sqrt(np.maximum(x, 0.0) / 3.0)
-    return np.where(x < 0.75, 1.0, np.where(x > 1.92, -0.8, fan))
-
-
-def check_c12():
+def classical_l1_error(h: float) -> tuple:
+    """(L1 error, final front count) at T=1 of the cubic problem
+    1.0 -> -0.8 tracked with theta = gamma = 0 and strength cap h, against
+    its exact classical profile: a tangent shock at x=0.75 followed by a
+    fan out to x=1.92."""
     model, kin = _cubic(), _kin(theta=0.0, gamma=0.0)
     xs = np.linspace(-0.5, 2.5, 60001)
     dx = xs[1] - xs[0]
     mids = 0.5 * (xs[:-1] + xs[1:])
-    exact = _classical_exact_profile(mids)
-    errs = {}
-    for h in (0.02, 0.01, 0.005):
-        fronts0 = tracking.init_fronts(model, kin, [[1.0], [-0.8]], [0.0],
-                                       h=h, strong_jumps=[0])
-        result = tracking.run(model, kin, fronts0, t_end=1.0)
-        fronts = sorted(result.final.fronts, key=lambda f: f.position)
-        pos = np.array([f.position for f in fronts])
-        vals = np.array([fronts[0].wave.left[0]] +
-                        [f.wave.right[0] for f in fronts])
-        approx = vals[np.searchsorted(pos, mids, side="right")]
-        errs[h] = float(np.sum(np.abs(approx - exact)) * dx)
+    fan = -np.sqrt(np.maximum(mids, 0.0) / 3.0)
+    exact = np.where(mids < 0.75, 1.0, np.where(mids > 1.92, -0.8, fan))
+    fronts0 = tracking.init_fronts(model, kin, [[1.0], [-0.8]], [0.0],
+                                   h=h, strong_jumps=[0])
+    result = tracking.run(model, kin, fronts0, t_end=1.0)
+    fronts = sorted(result.final.fronts, key=lambda f: f.position)
+    pos = np.array([f.position for f in fronts])
+    vals = np.array([fronts[0].wave.left[0]] +
+                    [f.wave.right[0] for f in fronts])
+    approx = vals[np.searchsorted(pos, mids, side="right")]
+    return float(np.sum(np.abs(approx - exact)) * dx), len(fronts)
+
+
+def check_c12():
+    errs = {h: classical_l1_error(h)[0] for h in (0.02, 0.01, 0.005)}
     passed = all(errs[h] <= 5.0 * h for h in errs)
     ratios = ", ".join(f"h={h}: {errs[h]:.4f} ({errs[h] / h:.2f}h)"
                        for h in errs)

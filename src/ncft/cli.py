@@ -65,7 +65,7 @@ _MODEL_KEYS = {"name", "params"}
 _KINETICS_KEYS = {"theta", "gamma"}
 _INITIAL_KEYS = {"u_star", "main", "jumps", "scale"}
 _WEIGHTS_KEYS = {"mode", "zeta", "K", "values"}
-_FLAG_KEYS = {"q_weak_only", "rarefaction_speed_convention", "stability_check"}
+_FLAG_KEYS = {"rarefaction_speed_convention", "stability_check"}
 _CALIBRATION_KEYS = {"n", "scales"}
 
 _WEIGHT_VALUE_KEYS = {
@@ -248,7 +248,6 @@ def validate_config(raw: dict) -> dict:
             f"{tracking.SPEED_CONVENTIONS}, got {convention!r}"
         )
     cfg["flags"] = {
-        "q_weak_only": bool(flags_raw.get("q_weak_only", False)),
         "rarefaction_speed_convention": convention,
         "stability_check": bool(flags_raw.get("stability_check", True)),
     }
@@ -426,9 +425,9 @@ def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
         convention=flags["rarefaction_speed_convention"],
     )
     series = dg.lyapunov_series(model, result.events, result.snapshots,
-                                weights, q_weak_only=flags["q_weak_only"])
+                                weights)
     audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
-                           weights, q_weak_only=flags["q_weak_only"], cff=cff)
+                           weights, cff=cff)
     conservation = tracking.conservation_report(model, result)
     return result, series, audit, conservation
 

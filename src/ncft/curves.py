@@ -20,6 +20,7 @@ on exact identities).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -74,13 +75,6 @@ class CurvePoint:
     state: Array
     m: float
     speed: Optional[float]
-
-
-def _model_cache(model: FluxModel) -> dict:
-    cache = model.cache
-    if len(cache) > 8192:
-        cache.clear()
-    return cache
 
 
 class HugoniotCurve:
@@ -236,13 +230,7 @@ def _scalar_state(model: FluxModel, u_minus: Array, family: int,
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
     fam = model.cc_index if family is None else family
     a = as_state(model, u_minus)
-    cache = _model_cache(model)
-    key = ("hug", fam, a.tobytes())
-    curve = cache.get(key)
-    if curve is None:
-        curve = HugoniotCurve(model, a, fam)
-        cache[key] = curve
-    return curve
+    return model.cache.curve(fam, a, lambda: HugoniotCurve(model, a, fam))
 
 
 def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> CurvePoint:
@@ -328,19 +316,20 @@ def _dissipation_at(model: FluxModel, curve: HugoniotCurve, m: float) -> float:
     return -pt.speed * (U_p - U_m) + (F_p - F_m)
 
 
-def _crit_cache(model: FluxModel, u: Array) -> dict:
-    """The state's memo entry: the critical maps store their parameters
-    under string keys, the kinetics under (name, kinetic function) keys."""
-    cache = _model_cache(model)
-    key = ("crit", model.cc_index, u.tobytes())
-    entry = cache.get(key)
-    if entry is None:
-        entry = {}
-        cache[key] = entry
-    return entry
+def _memoized(name: str):
+    """Serve a critical map of u_minus from the model's memo under name.
+    The map's body receives the state checked against the outer ball."""
+    def wrap(body):
+        @functools.wraps(body)
+        def memoized(model: FluxModel, u_minus):
+            a = models.require_in_ball(model, u_minus, "delta0")
+            return model.cache.value(name, a, lambda: body(model, a))
+        return memoized
+    return wrap
 
 
-def mu_natural(model: FluxModel, u_minus) -> float:
+@_memoized("nat")
+def mu_natural(model: FluxModel, a: Array) -> float:
     """Parameter of the tangency point: interior minimizer of the chord
     speed along the Hugoniot, where the shock speed meets the
     characteristic speed of the right state.
@@ -349,14 +338,9 @@ def mu_natural(model: FluxModel, u_minus) -> float:
     the exact tangency identity, whose sign flips at the minimizer; a
     golden-section search with a Newton polish covers the rare bracket
     where the identity fails to change sign."""
-    a = models.require_in_ball(model, u_minus, "delta0")
-    entry = _crit_cache(model, a)
-    if "nat" in entry:
-        return entry["nat"]
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
-        entry["nat"] = -0.5 * mu0
-        return entry["nat"]
+        return -0.5 * mu0
     s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
     step = 0.25 * abs(mu0)
@@ -433,22 +417,17 @@ def mu_natural(model: FluxModel, u_minus) -> float:
                 m_star = brentq(tangency, lo, hi, xtol=1e-13, rtol=8.9e-16)
         except (CurveError, ValueError):
             pass
-    entry["nat"] = float(m_star)
     return float(m_star)
 
 
-def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
+@_memoized("mnat")
+def mu_minus_natural(model: FluxModel, a: Array) -> Optional[float]:
     """Parameter of the left contact: the root beyond the tangency point
     where the chord speed climbs back to the characteristic speed of the
     base state. None when the root lies outside the ball."""
-    a = models.require_in_ball(model, u_minus, "delta0")
-    entry = _crit_cache(model, a)
-    if "mnat" in entry:
-        return entry["mnat"]
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
-        entry["mnat"] = -2.0 * mu0
-        return entry["mnat"]
+        return -2.0 * mu0
     s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
     lam_target = curve.lam0
@@ -466,7 +445,6 @@ def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
         try:
             gk = g(m_k)
         except BallExit:
-            entry["mnat"] = None
             return None
         if abs(gk) <= 1e-11:
             # walked exactly onto the root; nudge a bracket around it
@@ -482,25 +460,19 @@ def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
             break
         m_prev = m_k
     if root is None:
-        entry["mnat"] = None
         return None
-    entry["mnat"] = float(root)
     return float(root)
 
 
-def mu_flat_zero(model: FluxModel, u_minus) -> float:
+@_memoized("flat0")
+def mu_flat_zero(model: FluxModel, a: Array) -> float:
     """Parameter of the zero-dissipation point: the interior root of the
     entropy dissipation along the Hugoniot, between the left contact and
     the tangency point. Applying the map from the reached state returns
     the start (involution)."""
-    a = models.require_in_ball(model, u_minus, "delta0")
-    entry = _crit_cache(model, a)
-    if "flat0" in entry:
-        return entry["flat0"]
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
-        entry["flat0"] = -mu0
-        return entry["flat0"]
+        return -mu0
     s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
     m_nat = mu_natural(model, a)
@@ -555,7 +527,6 @@ def mu_flat_zero(model: FluxModel, u_minus) -> float:
         root -= upd
         if abs(upd) < 1e-14:
             break
-    entry["flat0"] = float(root)
     return float(root)
 
 
@@ -586,16 +557,12 @@ def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
     return float(root)
 
 
-def mu_sharp_zero(model: FluxModel, u_minus) -> float:
+@_memoized("sharp0")
+def mu_sharp_zero(model: FluxModel, a: Array) -> float:
     """Equal-speed companion of the zero-dissipation point; the ordering
     flat-zero, tangency, sharp-zero holds along the parameter direction."""
-    a = models.require_in_ball(model, u_minus, "delta0")
-    entry = _crit_cache(model, a)
-    if "sharp0" in entry:
-        return entry["sharp0"]
     mu0 = mu(model, a)
     if abs(mu0) < 1e-12:
-        entry["sharp0"] = 0.0
         return 0.0
     s = 1.0 if mu0 > 0 else -1.0
     m_b0 = mu_flat_zero(model, a)
@@ -605,7 +572,6 @@ def mu_sharp_zero(model: FluxModel, u_minus) -> float:
         raise CurveError(
             f"critical point ordering violated: {m_b0}, {m_nat}, {root}"
         )
-    entry["sharp0"] = float(root)
     return float(root)
 
 

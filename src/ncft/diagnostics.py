@@ -50,6 +50,8 @@ STRENGTH_FLOOR = 1e-14
 # share of system samples that pair two different families
 ZERO_FRACTION = 0.1
 CROSS_FAMILY_SHARE = 0.3
+# cycle audit: least fitted ratio of Lyapunov drop to nucleation gap
+CYCLE_DROP_FLOOR = 1e-3
 
 CSV_HEADER = ("t", "V_L", "V_M", "V_R", "W", "Q", "eps", "lyapunov")
 
@@ -186,44 +188,40 @@ def _approaching(left: Wave, right: Wave) -> bool:
     return _is_shock(left) or _is_shock(right)
 
 
-def _potential_over(items: list, cc_index: int, q_weak_only: bool) -> tuple:
-    """(Q0, Q1) over position-ordered (wave, speed, strong) triples.
+def _potential_over(items: list, cc_index: int) -> tuple:
+    """(Q0, Q1) over position-ordered (wave, speed) pairs.
 
     Q0 collects approaching pairs with neither wave in the designated
-    family, unweighted; Q1 collects pairs touching that family with the
-    positive part of the speed gap as weight. Strong fronts join Q1
-    unless q_weak_only is set."""
+    family, unweighted; Q1 collects pairs touching that family, strong
+    fronts included, with the positive part of the speed gap as
+    weight."""
     q0 = 0.0
     q1 = 0.0
     for a in range(len(items)):
-        wa, va, sa = items[a]
+        wa, va = items[a]
         for b in range(a + 1, len(items)):
-            wb, vb, sb = items[b]
+            wb, vb = items[b]
             if not _approaching(wa, wb):
                 continue
             p = abs(wa.strength) * abs(wb.strength)
             if wa.family != cc_index and wb.family != cc_index:
                 q0 += p
             else:
-                if q_weak_only and (sa or sb):
-                    continue
                 q1 += max(va - vb, 0.0) * p
     return q0, q1
 
 
-def _fs_items(fs: FrontSet) -> list:
-    strong = set(fs.strong_ids)
-    return [(f.wave, f.assigned_speed, f.id in strong) for f in fs.fronts]
+def _items(fronts) -> list:
+    """(wave, assigned speed) pairs of the fronts, in their order."""
+    return [(f.wave, f.assigned_speed) for f in fronts]
 
 
-def potential_parts(model: FluxModel, fs: FrontSet,
-                    q_weak_only: bool = False) -> tuple:
-    return _potential_over(_fs_items(fs), model.cc_index, q_weak_only)
+def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
+    return _potential_over(_items(fs.fronts), model.cc_index)
 
 
-def interaction_potential(model: FluxModel, fs: FrontSet,
-                          q_weak_only: bool = False) -> float:
-    q0, q1 = potential_parts(model, fs, q_weak_only)
+def interaction_potential(model: FluxModel, fs: FrontSet) -> float:
+    q0, q1 = potential_parts(model, fs)
     return q0 + q1
 
 
@@ -278,10 +276,10 @@ def strong_wave_state(fs: FrontSet) -> Optional[dict]:
     return rec
 
 
-def snapshot(model: FluxModel, fs: FrontSet, w: Weights,
-             q_weak_only: bool = False) -> DiagnosticsSnapshot:
+def snapshot(model: FluxModel, fs: FrontSet,
+             w: Weights) -> DiagnosticsSnapshot:
     v_l, v_m, v_r, total = functionals(model, fs, w)
-    q = interaction_potential(model, fs, q_weak_only)
+    q = interaction_potential(model, fs)
     eps = perturbation(fs)
     return DiagnosticsSnapshot(
         t=fs.time, V_L=v_l, V_M=v_m, V_R=v_r, W=total, Q=q, eps=eps,
@@ -370,17 +368,8 @@ def glimm_residual(ev: InteractionEvent) -> tuple:
     return residual, product
 
 
-def _cluster_items(ev: InteractionEvent) -> tuple:
-    """Incoming and outgoing (wave, speed, strong) triples of the cluster."""
-    pre = [(f.wave, f.assigned_speed, f.id in ev.incoming_roles)
-           for f in ev.cluster]
-    post = [(f.wave, f.assigned_speed, f.id in ev.outgoing_roles)
-            for f in ev.placed]
-    return pre, post
-
-
 def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
-                pre_lyapunov: float, q_weak_only: bool = False) -> dict:
+                pre_lyapunov: float) -> dict:
     """Replay one event against the functionals, given W+K*Q just before it.
 
     W+K*Q does not depend on front positions, so pre_lyapunov is exactly
@@ -388,10 +377,9 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
     the first one. q_cluster_pre is the potential stored in the colliding
     cluster itself; placement orders outgoing waves by speed, so the
     cluster part of Q can only be released, never created."""
-    post_snap = snapshot(model, ev.post, w, q_weak_only)
-    items_pre, items_post = _cluster_items(ev)
-    q0_pre, q1_pre = _potential_over(items_pre, model.cc_index, q_weak_only)
-    q0_post, q1_post = _potential_over(items_post, model.cc_index, q_weak_only)
+    post_snap = snapshot(model, ev.post, w)
+    q0_pre, q1_pre = _potential_over(_items(ev.cluster), model.cc_index)
+    q0_post, q1_post = _potential_over(_items(ev.placed), model.cc_index)
     residual, product = glimm_residual(ev)
     delta = post_snap.lyapunov - pre_lyapunov
     tag, sub = classify_case(ev)
@@ -410,16 +398,15 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
     }
 
 
-def lyapunov_series(model: FluxModel, events, snapshots, w: Weights,
-                    q_weak_only: bool = False) -> dict:
+def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
     """Time series of W+K*Q plus the per-event replay, one event_delta
     row per event, each carrying its case tag. snapshots[0] must be the
     front set the events start from."""
-    series = [snapshot(model, fs, w, q_weak_only) for fs in snapshots]
+    series = [snapshot(model, fs, w) for fs in snapshots]
     rows = []
     lyapunov = series[0].lyapunov
     for ev in events:
-        rows.append(event_delta(model, ev, w, lyapunov, q_weak_only))
+        rows.append(event_delta(model, ev, w, lyapunov))
         lyapunov = rows[-1]["post_lyapunov"]
     max_delta = max((r["delta"] for r in rows), default=0.0)
     return {
@@ -588,10 +575,7 @@ def _weak_out_strength(ev: InteractionEvent) -> float:
 
 
 def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
-                w: Weights, q_weak_only: bool = False,
-                cff: Optional[float] = None,
-                slack: Optional[float] = None,
-                drop_floor: float = 1e-3) -> CycleAudit:
+                w: Weights, *, cff: float) -> CycleAudit:
     """Pair splits with merges and check each completed cycle.
 
     A cycle opens at a Case1 split, or at time zero when the run starts
@@ -602,10 +586,11 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     the trailing classical (alpha_R), beta entries for the transversal
     families. Checks per completed cycle: the signed-variation gap
     condition when eta is positive, the drop of W+K*Q, and the crossing
-    bounds with the measured contraction and a (1+slack) allowance.
+    bounds with the contraction cff and a (1+eps0) allowance, eps0 the
+    perturbation at the cycle's opening. The audit passes when every
+    completed cycle does and the fitted drop constant is at least
+    CYCLE_DROP_FLOOR.
     """
-    if cff is None:
-        cff = kin_mod.check_hypotheses(model, kin).measured_Cff
     initial = snapshots[0]
     # the previous event's front set: W+K*Q as just before the current one
     before = initial
@@ -614,7 +599,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     tol = 1e-12
 
     def lyapunov_of(fs):
-        return snapshot(model, fs, w, q_weak_only).lyapunov
+        return snapshot(model, fs, w).lyapunov
 
     if initial.y_id is not None and initial.z_id is not None:
         fy = initial.find(initial.y_id)
@@ -645,7 +630,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             eta = None
             sv = None
         drop = current.L0 - lyapunov_of(ev.post)
-        allow = 1.0 + (current.eps0 if slack is None else slack)
+        allow = 1.0 + current.eps0
         led = current.ledgers
         checks = {
             "well_formed": current.well_formed,
@@ -725,7 +710,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
         for r in completed
     )
     if fitted_c is not None:
-        ok = ok and fitted_c >= drop_floor
+        ok = ok and fitted_c >= CYCLE_DROP_FLOOR
     return CycleAudit(
         records=records, fitted_c=fitted_c,
         n_completed=len(completed),
@@ -860,11 +845,10 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
-        q0_pre, q1_pre = _potential_over([(w1, v1, False), (w2, v2, False)],
-                                         i, False)
+        q0_pre, q1_pre = _potential_over([(w1, v1), (w2, v2)], i)
         q_pre = q0_pre + q1_pre
-        out_items = [(wv, _wave_chord(model, wv), False) for wv in fan.waves]
-        q0_post, q1_post = _potential_over(out_items, i, False)
+        out_items = [(wv, _wave_chord(model, wv)) for wv in fan.waves]
+        q0_post, q1_post = _potential_over(out_items, i)
         d_q = (q0_post + q1_post) - q_pre
         if d_w > 1e-13:
             if d_q < -STRENGTH_FLOOR:

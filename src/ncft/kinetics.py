@@ -18,6 +18,7 @@ It returns a report; callers decide whether to abort.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +27,11 @@ from ncft import curves, models
 from ncft.models import FluxModel
 
 Array = np.ndarray
+
+# H3 monotonicity: points per integral-curve arc and the arc's half-span
+# in the family parameter
+ARC_POINTS = 21
+ARC_SPAN = 0.2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,21 +54,31 @@ class KineticFunction:
             raise ValueError("nucleation_gamma must lie in [0, 1]")
 
 
-def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
+def _memoized(name: str):
+    """Serve a kinetic map of u from the model's memo under (name, kin).
+    States on the sign-change manifold map to their own parameter and
+    bypass the memo; the map's body receives u as a state vector."""
+    def wrap(body):
+        @functools.wraps(body)
+        def memoized(model: FluxModel, kin: KineticFunction, u):
+            a = models.as_state(model, u)
+            muv = models.mu(model, a)
+            if abs(muv) < 1e-12:
+                return muv
+            return model.cache.value((name, kin), a,
+                                     lambda: body(model, kin, a))
+        return memoized
+    return wrap
+
+
+@_memoized("flat")
+def mu_flat(model: FluxModel, kin: KineticFunction, a: Array) -> float:
     """Kinetic parameter value for left state u."""
-    a = models.as_state(model, u)
-    muv = models.mu(model, a)
-    if abs(muv) < 1e-12:
-        return muv
-    entry = curves._crit_cache(model, a)
-    key = ("flat", kin)
-    if key in entry:
-        return entry[key]
     m_nat = curves.mu_natural(model, a)
     m_b0 = curves.mu_flat_zero(model, a)
     if kin.table is not None:
         val = float(kin.table(model, a))
-        s = 1.0 if muv > 0 else -1.0
+        s = 1.0 if models.mu(model, a) > 0 else -1.0
         # reject values outside the closed band; the open-end boundary
         # itself is judged by check_hypotheses, not here
         if s * val < s * m_b0 - 1e-12 or s * val > s * m_nat + 1e-12:
@@ -72,7 +88,6 @@ def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
             )
     else:
         val = (1.0 - kin.theta) * m_nat + kin.theta * m_b0
-    entry[key] = float(val)
     return float(val)
 
 
@@ -81,18 +96,10 @@ def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
     return curves.hugoniot_point(model, a, model.cc_index, mu_flat(model, kin, a)).state
 
 
-def mu_sharp(model: FluxModel, kin: KineticFunction, u) -> float:
+@_memoized("sharp")
+def mu_sharp(model: FluxModel, kin: KineticFunction, a: Array) -> float:
     """Equal-shock-speed companion of the kinetic value."""
-    a = models.as_state(model, u)
-    muv = models.mu(model, a)
-    if abs(muv) < 1e-12:
-        return muv
-    entry = curves._crit_cache(model, a)
-    key = ("sharp", kin)
-    if key not in entry:
-        entry[key] = float(curves.companion_parameter(
-            model, a, mu_flat(model, kin, a)))
-    return entry[key]
+    return float(curves.companion_parameter(model, a, mu_flat(model, kin, a)))
 
 
 def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
@@ -100,21 +107,14 @@ def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
     return curves.hugoniot_point(model, a, model.cc_index, mu_sharp(model, kin, a)).state
 
 
-def mu_nucleation(model: FluxModel, kin: KineticFunction, u) -> float:
+@_memoized("nucl")
+def mu_nucleation(model: FluxModel, kin: KineticFunction, a: Array) -> float:
     """Nucleation threshold: convex combination of the companion and the
     tangency parameter. With weight 0 it coincides with the companion and
     nucleation never constrains anything."""
-    a = models.as_state(model, u)
-    muv = models.mu(model, a)
-    if abs(muv) < 1e-12:
-        return muv
-    entry = curves._crit_cache(model, a)
-    key = ("nucl", kin)
-    if key not in entry:
-        g = kin.nucleation_gamma
-        entry[key] = float((1.0 - g) * mu_sharp(model, kin, a)
-                           + g * curves.mu_natural(model, a))
-    return entry[key]
+    g = kin.nucleation_gamma
+    return float((1.0 - g) * mu_sharp(model, kin, a)
+                 + g * curves.mu_natural(model, a))
 
 
 def nucleation_gap(model: FluxModel, kin: KineticFunction, u) -> float:
@@ -172,8 +172,7 @@ class ConformanceReport:
 
 
 def check_hypotheses(model: FluxModel, kin: KineticFunction,
-                     samples=None, arc_points: int = 21,
-                     arc_span: float = 0.2) -> ConformanceReport:
+                     samples=None) -> ConformanceReport:
     if samples is None:
         samples = default_samples(model)
     states = [models.as_state(model, u) for u in samples]
@@ -245,10 +244,10 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
     arc_witness = None
     for a in usable[: max(1, len(usable) // 4)]:
         mu0 = models.mu(model, a)
-        span = min(arc_span, 0.45 * (model.delta1 - abs(mu0)))
+        span = min(ARC_SPAN, 0.45 * (model.delta1 - abs(mu0)))
         if span <= 1e-6:
             continue
-        grid = np.linspace(mu0 - span, mu0 + span, arc_points)
+        grid = np.linspace(mu0 - span, mu0 + span, ARC_POINTS)
         vals = []
         try:
             for m in grid:
@@ -294,7 +293,7 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
             "n_usable": len(usable),
             "n_skipped_ball": n_skipped,
             "n_contraction_evaluated": n_cff,
-            "arc_points": arc_points,
-            "arc_span": arc_span,
+            "arc_points": ARC_POINTS,
+            "arc_span": ARC_SPAN,
         },
     )

@@ -31,6 +31,46 @@ EIGEN_GAP_TOL = 1e-10
 BALL_TOL = 1e-12
 
 
+class Memo:
+    """A model's memo: each Hugoniot curve through a state takes one
+    entry, keyed by family and the state's bytes, and all critical and
+    kinetic values of one state share one more, keyed by the state's
+    bytes. Kinetic values are named by (map, KineticFunction) pairs, so
+    equal kinetic functions share them. Whenever an access finds more
+    than LIMIT entries, the memo clears whole first.
+    """
+
+    LIMIT = 8192
+
+    def __init__(self):
+        self._entries = {}
+
+    def __len__(self):
+        return len(self._entries)
+
+    def curve(self, family: int, u: Array, build: Callable):
+        """The family's Hugoniot curve through u, from build() once."""
+        entries = self._live()
+        key = (family, u.tobytes())
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
+
+    def value(self, name, u: Array, compute: Callable):
+        """The value called name of state u, from compute() once; None is
+        a value like any other. A value whose computation clears the memo
+        is returned but not kept."""
+        entry = self._live().setdefault(u.tobytes(), {})
+        if name not in entry:
+            entry[name] = compute()
+        return entry[name]
+
+    def _live(self) -> dict:
+        if len(self._entries) > self.LIMIT:
+            self._entries.clear()
+        return self._entries
+
+
 class BallViolation(ValueError):
     """State outside the working ball."""
 
@@ -65,9 +105,11 @@ class FluxModel:
     integral curve of r_j. Without them the curve layer runs
     predictor-corrector continuation and fixed-step RK4.
 
-    cache is the model's memo of curve and critical-map results, filled
-    by the curve layer; it takes no part in construction, comparison or
-    hashing.
+    cache is the model's Memo: one entry per Hugoniot curve through a
+    state and one per state for all its critical and kinetic values,
+    cleared whole once it holds more than Memo.LIMIT entries. The curve
+    layer and the kinetics fill it through Memo.curve and Memo.value; it
+    takes no part in construction, comparison or hashing.
     """
 
     name: str
@@ -87,7 +129,7 @@ class FluxModel:
     entropy_hessian: Optional[Callable[[Array], Array]] = None
     hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
     integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
-    cache: dict = dataclasses.field(default_factory=dict, init=False,
+    cache: Memo = dataclasses.field(default_factory=Memo, init=False,
                                     repr=False, compare=False)
 
     def __post_init__(self):

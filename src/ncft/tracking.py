@@ -460,8 +460,6 @@ class RunResult:
 
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         t_end: float, snapshot_dt: Optional[float] = None,
-        max_fronts: int = DEFAULT_MAX_FRONTS,
-        max_events: int = DEFAULT_MAX_EVENTS,
         convention: str = "rh") -> RunResult:
     fs = fronts0
     snapshots = [fronts0]
@@ -483,10 +481,10 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             break
         fs, ev = resolve_interaction(model, kin, fs, col, convention)
         events.append(ev)
-        if len(events) > max_events:
-            raise TrackingError(f"event count exceeded {max_events}")
-        if len(fs.fronts) > max_fronts:
-            raise TrackingError(f"front count exceeded {max_fronts}")
+        if len(events) > DEFAULT_MAX_EVENTS:
+            raise TrackingError(f"event count exceeded {DEFAULT_MAX_EVENTS}")
+        if len(fs.fronts) > DEFAULT_MAX_FRONTS:
+            raise TrackingError(f"front count exceeded {DEFAULT_MAX_FRONTS}")
     final = fs.advanced(t_end)
     if not snapshots or snapshots[-1].time != t_end:
         snapshots.append(final)

@@ -79,10 +79,12 @@ def test_unknown_nested_keys_rejected():
     ("flags", "use_nucleation", False),
     ("calibration", "zero_fraction", 0.1),
     ("calibration", "cross_family", True),
+    ("flags", "q_weak_only", False),
 ])
 def test_removed_settings_rejected(section, key, value):
-    # nucleation is set by kinetics.gamma alone and the calibration mix is
-    # fixed, so these keys are unknown like any other
+    # nucleation is set by kinetics.gamma alone, the calibration mix is
+    # fixed and Q always counts strong fronts, so these keys are unknown
+    # like any other
     raw = base_cfg()
     raw.setdefault(section, {})[key] = value
     with pytest.raises(cli.ConfigError, match=f"{section}.*{key}"):
@@ -170,8 +172,7 @@ def test_defaults_filled_and_plain_json():
     assert cfg["initial"]["main"][1] == [-1.368]
     assert cfg["initial"]["jumps"] == []
     assert cfg["initial"]["scale"] == 1.0
-    assert cfg["flags"] == {"q_weak_only": False,
-                            "rarefaction_speed_convention": "rh",
+    assert cfg["flags"] == {"rarefaction_speed_convention": "rh",
                             "stability_check": True}
     assert cfg["stability_kappa"] == 0.25
     assert cfg["calibration"]["n"] == 400

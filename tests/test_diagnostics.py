@@ -173,13 +173,12 @@ def test_potential_first_sum_unweighted():
     assert q1 == 0.0
 
 
-def test_potential_weak_only_flag():
+def test_potential_counts_strong_fronts():
     strong = _front(0.0, 0.767, -0.632, uid=10)
     weak = _front(-1.0, 0.9, -0.01, uid=11)
     fs = _fs([weak, strong], y_id=10)
     full = dg.interaction_potential(CUBIC, fs)
     assert full == pytest.approx((0.9 - 0.767) * 0.632 * 0.01, abs=1e-15)
-    assert dg.interaction_potential(CUBIC, fs, q_weak_only=True) == 0.0
 
 
 def test_perturbation_counts_weak_only():
