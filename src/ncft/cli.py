@@ -650,6 +650,17 @@ def run_check(out_dir: str) -> dict:
     return manifest
 
 
+def _coverage_line(out_dir: str) -> str:
+    """The conformance verdict and how many samples it rests on, read back
+    from the run's conformance.json."""
+    with open(os.path.join(out_dir, "conformance.json")) as fh:
+        conformance = json.load(fh)
+    grid = conformance["grid"]
+    return (f"conformance: {_status(conformance['passed'])}, "
+            f"{grid['n_usable']} of {grid['n_samples']} samples usable, "
+            f"{grid['n_skipped_ball']} skipped outside the ball")
+
+
 @click.command(name="ncft")
 @click.option("--config", "config_path", type=click.Path(exists=True,
               dir_okay=False), default=None, help="Run configuration JSON.")
@@ -690,6 +701,7 @@ def main(config_path: Optional[str], out_dir: str, workers: int,
                 if "checks" in manifest else {}
             for key in sorted(statuses):
                 click.echo(f"{key} {CRITERIA[key]}: {statuses[key]}")
+            click.echo(_coverage_line(out_dir))
             click.echo(f"artifacts written: {os.path.abspath(out_dir)}")
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -16,6 +16,16 @@ and which fronts are strong, never on positions. Between events none of
 these change, so the value just before an event is, bit for bit, the
 value just after the previous one (or of the initial front set), and the
 replay evaluates one full front set per event.
+
+Q over a front set is one numpy pass: per-front arrays of |strength|,
+family, shock flag and assigned speed, broadcast to every pair a < b in
+row-major order. Pairs that do not approach, or belong to the other sum,
+hold 0.0, which leaves a sum unchanged. Each sum is the last entry of
+np.add.accumulate, which adds strictly left to right, so Q has the same
+bits as a double loop over the pairs; np.sum, which adds pairwise, would
+not. The pair terms of a set also give the potential inside a colliding
+cluster and inside the fronts placed in its stead, since both are
+contiguous runs of fronts.
 """
 
 from __future__ import annotations
@@ -178,46 +188,99 @@ def perturbation(fs: FrontSet) -> float:
 # the quadratic potential
 
 
-def _is_shock(wave: Wave) -> bool:
-    return wave.kind in SHOCK_KINDS
+def _sequential_sum(terms: Array) -> float:
+    """The terms added one at a time from 0.0, in order, as a Python loop
+    adds them. np.add.accumulate is strictly sequential; np.sum adds
+    pairwise and would change the last bits."""
+    if not len(terms):
+        return 0.0
+    return 0.0 + float(np.add.accumulate(terms)[-1])
 
 
-def _approaching(left: Wave, right: Wave) -> bool:
-    if left.family != right.family:
-        return left.family > right.family
-    return _is_shock(left) or _is_shock(right)
+def _approaching_products(waves) -> tuple:
+    """(upper, family, approaching, product) of position-ordered waves.
+
+    upper is the n-by-n mask of the pairs a < b and family holds each
+    wave's family; approaching and product run over the pairs flattened
+    row-major: (0, 1), (0, 2), ..., (1, 2), ...
+
+    Waves of different families approach when the left one has the larger
+    family; waves of one family approach when either is a shock. product
+    is |s_a|*|s_b| on approaching pairs and 0.0 on the others."""
+    n = len(waves)
+    upper = np.less.outer(np.arange(n), np.arange(n))
+    family = np.array([wv.family for wv in waves], dtype=np.int8)
+    shock = np.array([wv.kind in SHOCK_KINDS for wv in waves], dtype=bool)
+    size = np.array([abs(wv.strength) for wv in waves], dtype=float)
+    approaching = np.where(np.not_equal.outer(family, family),
+                           np.greater.outer(family, family),
+                           np.logical_or.outer(shock, shock))[upper]
+    product = np.multiply.outer(size, size)[upper]
+    product[~approaching] = 0.0
+    return upper, family, approaching, product
 
 
-def _potential_over(items: list, cc_index: int) -> tuple:
-    """(Q0, Q1) over position-ordered (wave, speed) pairs.
+@dataclasses.dataclass(frozen=True)
+class PairTerms:
+    """The potential's terms over every pair of a wave sequence, in the
+    row-major pair order of _approaching_products.
 
-    Q0 collects approaching pairs with neither wave in the designated
-    family, unweighted; Q1 collects pairs touching that family, strong
-    fronts included, with the positive part of the speed gap as
-    weight."""
-    q0 = 0.0
-    q1 = 0.0
-    for a in range(len(items)):
-        wa, va = items[a]
-        for b in range(a + 1, len(items)):
-            wb, vb = items[b]
-            if not _approaching(wa, wb):
-                continue
-            p = abs(wa.strength) * abs(wb.strength)
-            if wa.family != cc_index and wb.family != cc_index:
-                q0 += p
-            else:
-                q1 += max(va - vb, 0.0) * p
-    return q0, q1
+    q0 holds the approaching product of pairs with neither wave in the
+    designated family; q1 holds it, weighted by the positive part of the
+    speed gap, on pairs touching that family, strong fronts included.
+    Every other entry is 0.0, which leaves a sum unchanged."""
+
+    n: int
+    approaching: Array
+    product: Array
+    q0: Array
+    q1: Array
+
+    def totals(self) -> tuple:
+        """(Q0, Q1) over all pairs."""
+        return _sequential_sum(self.q0), _sequential_sum(self.q1)
+
+    def block(self, lo: int, k: int) -> tuple:
+        """(Q0, Q1, approaching product) over the pairs inside waves
+        lo..lo+k-1, added in row-major order. A block is a collision's few
+        waves, where numpy's per-call cost would exceed these sums."""
+        q0 = q1 = product = 0.0
+        last = lo + k - 1
+        for a in range(lo, last):
+            start = a * (2 * self.n - a - 1) // 2  # the pair (a, a + 1)
+            stop = start + last - a
+            for t0, t1, p in zip(self.q0[start:stop].tolist(),
+                                 self.q1[start:stop].tolist(),
+                                 self.product[start:stop].tolist()):
+                q0 += t0
+                q1 += t1
+                product += p
+        return q0, q1, product
 
 
-def _items(fronts) -> list:
-    """(wave, assigned speed) pairs of the fronts, in their order."""
-    return [(f.wave, f.assigned_speed) for f in fronts]
+def pair_terms(waves, speeds, cc_index: int) -> PairTerms:
+    """The pair terms of position-ordered waves moving at the given
+    speeds, in one array pass."""
+    upper, family, approaching, product = _approaching_products(waves)
+    designated = family == cc_index
+    touch = np.logical_or.outer(designated, designated)[upper]
+    speed = np.array(speeds, dtype=float)
+    q1 = np.subtract.outer(speed, speed)[upper]
+    np.maximum(q1, 0.0, out=q1)
+    q1 *= product
+    q1[~touch] = 0.0
+    return PairTerms(n=len(family), approaching=approaching, product=product,
+                     q0=np.where(touch, 0.0, product), q1=q1)
+
+
+def _front_terms(model: FluxModel, fronts) -> PairTerms:
+    return pair_terms([f.wave for f in fronts],
+                      [f.assigned_speed for f in fronts], model.cc_index)
 
 
 def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
-    return _potential_over(_items(fs.fronts), model.cc_index)
+    """(Q0, Q1): the unweighted sum and the speed-gap weighted sum."""
+    return _front_terms(model, fs.fronts).totals()
 
 
 def interaction_potential(model: FluxModel, fs: FrontSet) -> float:
@@ -240,6 +303,9 @@ class DiagnosticsSnapshot:
     eps: float
     lyapunov: float
     strong_wave_state: Optional[dict]
+    # the set's pair terms, read by the replay of the next event only
+    terms: Optional[PairTerms] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     def csv_row(self) -> tuple:
         return (self.t, self.V_L, self.V_M, self.V_R, self.W, self.Q,
@@ -278,13 +344,22 @@ def strong_wave_state(fs: FrontSet) -> Optional[dict]:
 
 def snapshot(model: FluxModel, fs: FrontSet,
              w: Weights) -> DiagnosticsSnapshot:
+    """W, Q, eps and W+K*Q of one front set.
+
+    Q is one array pass over all pairs of fronts (pair_terms). Its two
+    sums accumulate the pair terms strictly in row-major order, the order
+    of a double loop over the pairs, so Q has that loop's bits. The
+    snapshot carries the pair terms for event_delta."""
     v_l, v_m, v_r, total = functionals(model, fs, w)
-    q = interaction_potential(model, fs)
+    terms = _front_terms(model, fs.fronts)
+    q0, q1 = terms.totals()
+    q = q0 + q1
     eps = perturbation(fs)
     return DiagnosticsSnapshot(
         t=fs.time, V_L=v_l, V_M=v_m, V_R=v_r, W=total, Q=q, eps=eps,
         lyapunov=total + w.K * q,
         strong_wave_state=strong_wave_state(fs),
+        terms=terms,
     )
 
 
@@ -359,55 +434,60 @@ def glimm_residual(ev: InteractionEvent) -> tuple:
     incoming waves and the outgoing fan; the product sums |strength|
     products over approaching incoming pairs."""
     residual = _additivity_residual(ev.incoming, ev.outgoing.waves)
-    product = 0.0
-    for a in range(len(ev.incoming)):
-        for b in range(a + 1, len(ev.incoming)):
-            if _approaching(ev.incoming[a], ev.incoming[b]):
-                product += abs(ev.incoming[a].strength) * \
-                    abs(ev.incoming[b].strength)
-    return residual, product
+    _, _, _, product = _approaching_products(ev.incoming)
+    return residual, _sequential_sum(product)
 
 
 def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
-                pre_lyapunov: float) -> dict:
-    """Replay one event against the functionals, given W+K*Q just before it.
+                pre: DiagnosticsSnapshot) -> tuple:
+    """Replay one event, given the snapshot of the front set just before
+    it; returns (row, snapshot of ev.post).
 
-    W+K*Q does not depend on front positions, so pre_lyapunov is exactly
-    the value after the previous event, or of the initial front set for
-    the first one. q_cluster_pre is the potential stored in the colliding
-    cluster itself; placement orders outgoing waves by speed, so the
-    cluster part of Q can only be released, never created."""
-    post_snap = snapshot(model, ev.post, w)
-    q0_pre, q1_pre = _potential_over(_items(ev.cluster), model.cc_index)
-    q0_post, q1_post = _potential_over(_items(ev.placed), model.cc_index)
-    residual, product = glimm_residual(ev)
-    delta = post_snap.lyapunov - pre_lyapunov
+    W+K*Q does not depend on front positions, so the set just before an
+    event evaluates exactly as the set after the previous event, or as the
+    initial set for the first one. The colliding cluster sits at ev.index
+    in that set and the placed fronts sit at ev.index in ev.post, so the
+    potential stored in the cluster (q_cluster_pre), the one left in the
+    placed fronts (q_cluster_post) and the Glimm product are blocks of
+    the two snapshots' pair terms, summed in the order the pairs come.
+    Placement orders outgoing waves by speed, so the cluster part of Q can
+    only be released, never created."""
+    post = snapshot(model, ev.post, w)
+    q0_pre, q1_pre, product = pre.terms.block(ev.index, len(ev.cluster))
+    q0_post, q1_post, _ = post.terms.block(ev.index, len(ev.placed))
+    residual = _additivity_residual(ev.incoming, ev.outgoing.waves)
+    delta = post.lyapunov - pre.lyapunov
     tag, sub = classify_case(ev)
     return {
         "t": ev.time,
         "case": tag,
         "sub": sub,
-        "pre_lyapunov": pre_lyapunov,
-        "post_lyapunov": post_snap.lyapunov,
+        "pre_lyapunov": pre.lyapunov,
+        "post_lyapunov": post.lyapunov,
         "delta": delta,
-        "flagged": delta > LYAPUNOV_TOL * max(1.0, pre_lyapunov),
+        "flagged": delta > LYAPUNOV_TOL * max(1.0, pre.lyapunov),
         "residual": residual,
         "product": product,
         "q_cluster_pre": q0_pre + q1_pre,
         "q_cluster_post": q0_post + q1_post,
-    }
+    }, post
 
 
 def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
     """Time series of W+K*Q plus the per-event replay, one event_delta
     row per event, each carrying its case tag. snapshots[0] must be the
-    front set the events start from."""
+    front set the events start from.
+
+    Each event's post-event snapshot is the next event's pre-event one, so
+    pair terms live until the next event; the returned series keeps
+    none."""
     series = [snapshot(model, fs, w) for fs in snapshots]
+    pre = series[0]
+    series = [dataclasses.replace(s, terms=None) for s in series]
     rows = []
-    lyapunov = series[0].lyapunov
     for ev in events:
-        rows.append(event_delta(model, ev, w, lyapunov))
-        lyapunov = rows[-1]["post_lyapunov"]
+        row, pre = event_delta(model, ev, w, pre)
+        rows.append(row)
     max_delta = max((r["delta"] for r in rows), default=0.0)
     return {
         "series": series,
@@ -824,7 +904,8 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
                 n_skip += 1
                 continue
             uc, w2, v2 = second
-            if not _approaching(w1, w2) or v1 <= v2 + 1e-10:
+            pre = pair_terms((w1, w2), (v1, v2), i)
+            if not pre.approaching[0] or v1 <= v2 + 1e-10:
                 n_skip += 1
                 continue
             fan = riemann.solve_riemann(model, kin, u0, uc)
@@ -845,10 +926,11 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
-        q0_pre, q1_pre = _potential_over([(w1, v1), (w2, v2)], i)
+        q0_pre, q1_pre = pre.totals()
         q_pre = q0_pre + q1_pre
-        out_items = [(wv, _wave_chord(model, wv)) for wv in fan.waves]
-        q0_post, q1_post = _potential_over(out_items, i)
+        q0_post, q1_post = pair_terms(
+            fan.waves, [_wave_chord(model, wv) for wv in fan.waves],
+            i).totals()
         d_q = (q0_post + q1_post) - q_pre
         if d_w > 1e-13:
             if d_q < -STRENGTH_FLOOR:

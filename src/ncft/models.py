@@ -238,47 +238,10 @@ def m_value(model: FluxModel, u, family: Optional[int] = None) -> float:
     return float((lp - lm) / (2 * step))
 
 
-def m_grad_along_r(model: FluxModel, u, family: Optional[int] = None) -> float:
-    """Directional derivative of m_j along r_j (transversality measure)."""
-    a = as_state(model, u)
-    j = model.cc_index if family is None else family
-    _, R, _ = eigen(model, a)
-    r = R[:, j]
-    step = FD_STEP / max(1.0, float(np.linalg.norm(r)))
-    return float(
-        (m_value(model, a + step * r, j) - m_value(model, a - step * r, j)) / (2 * step)
-    )
-
-
 def entropy_pair(model: FluxModel, u) -> tuple:
     a = as_state(model, u)
     U, F = model.entropy(a)
     return float(U), float(F)
-
-
-def entropy_gradients(model: FluxModel, u) -> tuple:
-    a = as_state(model, u)
-    if model.entropy_grad is not None:
-        gU, gF = model.entropy_grad(a)
-        return np.asarray(gU, float), np.asarray(gF, float)
-    gU = np.empty(model.N)
-    gF = np.empty(model.N)
-    for k in range(model.N):
-        e = np.zeros(model.N)
-        e[k] = FD_STEP
-        Up, Fp = model.entropy(a + e)
-        Um, Fm = model.entropy(a - e)
-        gU[k] = (Up - Um) / (2 * FD_STEP)
-        gF[k] = (Fp - Fm) / (2 * FD_STEP)
-    return gU, gF
-
-
-def compatibility_residual(model: FluxModel, u) -> float:
-    """Max-norm defect of grad(F)^T = grad(U)^T Df at u."""
-    a = as_state(model, u)
-    gU, gF = entropy_gradients(model, a)
-    A = np.asarray(model.jacobian(a), dtype=float)
-    return float(np.max(np.abs(gF - gU @ A)))
 
 
 def sample_ball(model: FluxModel, n: int, rng: np.random.Generator,
@@ -291,59 +254,6 @@ def sample_ball(model: FluxModel, n: int, rng: np.random.Generator,
         v /= np.linalg.norm(v)
         out.append(v * r * rng.uniform() ** (1.0 / model.N))
     return out
-
-
-def model_self_check(model: FluxModel, n_samples: int = 1000, seed: int = 0) -> dict:
-    """Sampled structural checks: hyperbolicity gap, entropy compatibility,
-    convexity, and the sign/transversality structure of the cc family."""
-    rng = np.random.default_rng(seed)
-    states = sample_ball(model, n_samples, rng)
-    min_gap = np.inf
-    max_compat = 0.0
-    min_hess_eig = np.inf
-    sign_ok = True
-    min_m_slope = np.inf
-    for a in states:
-        lams, R, L = eigen(model, a)
-        if model.N > 1:
-            min_gap = min(min_gap, float(np.min(np.diff(lams))))
-        max_compat = max(max_compat, compatibility_residual(model, a))
-        if model.entropy_hessian is not None:
-            H = np.asarray(model.entropy_hessian(a), dtype=float)
-        else:
-            H = _fd_entropy_hessian(model, a)
-        min_hess_eig = min(min_hess_eig, float(np.min(np.linalg.eigvalsh(H))))
-        muv = mu(model, a)
-        mv = m_value(model, a)
-        if abs(muv) > 1e-8 and np.sign(mv) != np.sign(muv):
-            sign_ok = False
-        min_m_slope = min(min_m_slope, m_grad_along_r(model, a))
-    return {
-        "n_samples": n_samples,
-        "min_eigen_gap": None if model.N == 1 else min_gap,
-        "max_compatibility_residual": max_compat,
-        "min_entropy_hessian_eigenvalue": min_hess_eig,
-        "cc_sign_agreement": sign_ok,
-        "min_m_slope_along_r": min_m_slope,
-    }
-
-
-def _fd_entropy_hessian(model: FluxModel, a: Array) -> Array:
-    h = 1e-4
-    H = np.empty((model.N, model.N))
-    for i in range(model.N):
-        for j in range(model.N):
-            ei = np.zeros(model.N)
-            ej = np.zeros(model.N)
-            ei[i] = h
-            ej[j] = h
-            H[i, j] = (
-                model.entropy(a + ei + ej)[0]
-                - model.entropy(a + ei - ej)[0]
-                - model.entropy(a - ei + ej)[0]
-                + model.entropy(a - ei - ej)[0]
-            ) / (4 * h * h)
-    return H
 
 
 # ---------------------------------------------------------------------------

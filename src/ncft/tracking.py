@@ -129,10 +129,13 @@ class FrontSet:
 @dataclasses.dataclass
 class InteractionEvent:
     """One collision: the colliding cluster as it met, the fronts placed
-    in its stead, and the whole front set right after (never mutated)."""
+    in its stead, and the whole front set right after (never mutated).
+    The cluster started at `index` in the front set before the event; the
+    placed fronts start there in `post`."""
 
     time: float
     position: float
+    index: int
     cluster: tuple
     placed: tuple
     outgoing: WaveFan
@@ -397,7 +400,7 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     post_moment = _moment(placed)
     correction = pre_moment - post_moment
     cur.check()
-    ev = InteractionEvent(t, x_star, cluster, tuple(placed), fan,
+    ev = InteractionEvent(t, x_star, lo, cluster, tuple(placed), fan,
                           incoming_roles, outgoing_roles, cur, correction)
     return cur, ev
 

@@ -461,6 +461,29 @@ def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):
                for e in manifest["checks"].values())
 
 
+def test_cli_config_prints_conformance_coverage(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(base_cfg(calibration={"n": 4,
+                                                  "scales": [0.05]})))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out)])
+    assert result.exit_code == 0, result.output
+    conformance = json.loads((out / "conformance.json").read_text())
+    grid = conformance["grid"]
+    verdict = "pass" if conformance["passed"] else "fail"
+    want = (f"conformance: {verdict}, {grid['n_usable']} of "
+            f"{grid['n_samples']} samples usable, "
+            f"{grid['n_skipped_ball']} skipped outside the ball")
+    lines = result.output.splitlines()
+    assert lines.count(want) == 1
+    # next to the check statuses, before the closing line
+    before = lines[:lines.index(want)]
+    assert before and all(ln[0] == "c" and ln[1:3].isdigit() for ln in before)
+    assert lines[-1].startswith("artifacts written: ")
+    assert grid["n_usable"] <= grid["n_samples"]
+
+
 def _stub_acceptance(monkeypatch, results):
     import ncft
     stub = types.ModuleType("ncft.acceptance")

@@ -149,6 +149,111 @@ def test_functionals_missing_strong_identity():
         dg.functionals(CUBIC, fs, W)
 
 
+# reference: the pair double loop that the array evaluation replaced; the
+# array evaluation must give its bits exactly
+
+
+def _ref_approaching(left, right):
+    if left.family != right.family:
+        return left.family > right.family
+    return left.kind in dg.SHOCK_KINDS or right.kind in dg.SHOCK_KINDS
+
+
+def _ref_potential(items, cc_index):
+    """(Q0, Q1) over position-ordered (wave, speed) pairs."""
+    q0 = 0.0
+    q1 = 0.0
+    for a in range(len(items)):
+        wa, va = items[a]
+        for b in range(a + 1, len(items)):
+            wb, vb = items[b]
+            if not _ref_approaching(wa, wb):
+                continue
+            p = abs(wa.strength) * abs(wb.strength)
+            if wa.family != cc_index and wb.family != cc_index:
+                q0 += p
+            else:
+                q1 += max(va - vb, 0.0) * p
+    return q0, q1
+
+
+def _ref_product(waves):
+    product = 0.0
+    for a in range(len(waves)):
+        for b in range(a + 1, len(waves)):
+            if _ref_approaching(waves[a], waves[b]):
+                product += abs(waves[a].strength) * abs(waves[b].strength)
+    return product
+
+
+def _items(fronts):
+    return [(f.wave, f.assigned_speed) for f in fronts]
+
+
+def _assert_blocks_match(model, fronts):
+    # every contiguous run of fronts, as a collision's cluster or its
+    # placed fronts would be
+    items = _items(fronts)
+    terms = dg.pair_terms([wv for wv, _ in items], [v for _, v in items],
+                          model.cc_index)
+    for lo in range(len(fronts) + 1):
+        for k in range(len(fronts) - lo + 1):
+            q0, q1, product = terms.block(lo, k)
+            assert (q0, q1) == _ref_potential(items[lo:lo + k],
+                                              model.cc_index)
+            assert product == _ref_product([wv for wv, _ in
+                                            items[lo:lo + k]])
+
+
+def _piece(x, v, strength, uid, family):
+    state = [0.0, 0.5]
+    return _front(x, v, strength, uid, kind=KIND_PIECE, family=family,
+                  left=state, right=state)
+
+
+def _shock(x, v, strength, uid, family):
+    state = [0.0, 0.5]
+    return _front(x, v, strength, uid, family=family, left=state,
+                  right=state)
+
+
+HAND_SETS = {
+    "no-fronts": (CUBIC, []),
+    "one-front": (CUBIC, [_front(0.0, 0.9, -0.01, uid=1)]),
+    "equal-speeds": (CUBIC, [_front(0.0, 0.5, -0.01, uid=1),
+                             _front(1.0, 0.5, -0.02, uid=2),
+                             _front(2.0, 0.5, 0.03, uid=3)]),
+    "zero-strength": (CUBIC, [_front(0.0, 0.9, 0.0, uid=1),
+                              _front(1.0, 0.5, -0.02, uid=2),
+                              _front(2.0, 0.1, 0.0, uid=3,
+                                     kind=KIND_PIECE)]),
+    "strong-front": (CUBIC, [_front(-1.0, 0.9, -0.01, uid=11),
+                             _front(0.0, 0.767, -0.632, uid=10,
+                                    kind=KIND_NONCLASSICAL),
+                             _front(1.0, 0.3, 0.013, uid=12,
+                                    kind=KIND_PIECE),
+                             _front(2.0, 0.2, -0.007, uid=13)]),
+    "one-family-pieces": (ELAS, [_piece(0.0, -1.0, 0.01, 1, 0),
+                                 _piece(0.1, -0.9, 0.02, 2, 0),
+                                 _piece(0.2, 0.9, 0.015, 3, 1),
+                                 _piece(0.3, 1.0, 0.005, 4, 1)]),
+    "both-families": (ELAS, [_shock(0.0, 1.1, -0.01, 1, 1),
+                             _piece(0.1, -0.9, 0.02, 2, 0),
+                             _shock(0.2, -1.2, -0.03, 3, 0),
+                             _piece(0.3, 1.0, 0.005, 4, 1),
+                             _shock(0.4, 0.8, -0.004, 5, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_SETS))
+def test_potential_matches_double_loop_hand_sets(name):
+    model, fronts = HAND_SETS[name]
+    fs = _fs(fronts)
+    assert dg.potential_parts(model, fs) == _ref_potential(
+        _items(fronts), model.cc_index)
+    _assert_blocks_match(model, fronts)
+
+
 def test_potential_speed_gap_weight():
     fs = _fs([_front(0.0, 0.9, -0.01, uid=1), _front(1.0, 0.5, -0.02, uid=2)])
     assert dg.interaction_potential(CUBIC, fs) == pytest.approx(
@@ -317,6 +422,48 @@ def test_lyapunov_series_matches_full_recomputation(name):
     assert [(r["pre_lyapunov"], r["post_lyapunov"]) for r in rows] == full
 
 
+def _cubic_load_run():
+    # the strong jump of the benchmark's load with fewer weak jumps
+    rng = np.random.default_rng(0)
+    states = [1.0, -0.368]
+    for d in rng.uniform(-0.004, 0.004, 40):
+        states.append(states[-1] + d)
+    positions = [0.0] + [0.05 + 0.02 * k for k in range(40)]
+    fs = init_fronts(CUBIC, KIN, states, positions, h=0.002,
+                     strong_jumps=[0])
+    return CUBIC, run(CUBIC, KIN, fs, t_end=2.0)
+
+
+def _oracle_run(name):
+    model, kin, states, positions, h, t_end, conv = ORACLE_RUNS[name]
+    fs = init_fronts(model, kin, states, positions, h=h, convention=conv)
+    return model, run(model, kin, fs, t_end=t_end, convention=conv)
+
+
+@pytest.mark.parametrize("make_run", [
+    _cubic_load_run,
+    lambda: _oracle_run("p-system-char-left"),
+], ids=["cubic-load", "p-system-char-left"])
+def test_potential_matches_double_loop_on_runs(make_run):
+    model, res = make_run()
+    cc = model.cc_index
+    sets = [res.initial] + [ev.post for ev in res.events] + [res.final]
+    assert len(res.events) >= 10
+    for fs in sets:
+        assert dg.potential_parts(model, fs) == _ref_potential(
+            _items(fs.fronts), cc)
+    rows = dg.lyapunov_series(model, res.events, res.snapshots, W)["events"]
+    for ev, row in zip(res.events, rows):
+        q0, q1 = _ref_potential(_items(ev.cluster), cc)
+        assert row["q_cluster_pre"] == q0 + q1
+        q0, q1 = _ref_potential(_items(ev.placed), cc)
+        assert row["q_cluster_post"] == q0 + q1
+        assert row["product"] == _ref_product(ev.incoming)
+        assert dg.glimm_residual(ev)[1] == row["product"]
+    _assert_blocks_match(model, max(sets, key=lambda fs: len(fs.fronts))
+                         .fronts[:24])
+
+
 def test_lyapunov_series_merge_run(merge_run_g0):
     rep = dg.lyapunov_series(CUBIC, merge_run_g0.events,
                              merge_run_g0.snapshots, W)
@@ -408,6 +555,7 @@ def test_snapshot_invariants_synthetic(rows):
             x, v, s, uid=k, kind=KIND_CLASSICAL if shock else KIND_PIECE))
     fs = _fs(fronts)
     snap = dg.snapshot(CUBIC, fs, W)
+    assert dg.potential_parts(CUBIC, fs) == _ref_potential(_items(fronts), 0)
     assert snap.V_L >= 0.0 and snap.V_M >= 0.0 and snap.V_R >= 0.0
     assert snap.W == snap.V_L + snap.V_M + snap.V_R
     assert snap.Q >= 0.0
