@@ -13,8 +13,11 @@ are indexed by the parameter value m of the state reached. A curve point
 comes from the model's closed-form hook when it has one (hugoniot_fn,
 integral_curve_fn), from the parameter inversion on scalar models, and
 otherwise from continuation and RK4; tests hold each path against the
-other. All critical-map root-finding is generic (bracketing plus polishing
-on exact identities).
+other. A Hugoniot curve evaluates the model at its base state once, when
+it is built, and the scalar parameter inversion iterates on a Python
+float, so a scalar point costs its arithmetic and a few model calls. All
+critical-map root-finding is generic (bracketing plus polishing on exact
+identities).
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ class HugoniotCurve:
     the nearest anchor. The scalar case needs no continuation: every state
     is on the locus and the chord formula gives the speed. A model's
     hugoniot_fn, when present, answers point queries in place of both.
+
+    The base state's characteristic speed lam0, entropy pair (U0, F0) and,
+    on scalar models, flux value f0 are Python floats computed once per
+    curve; point and dissipation queries read them instead of evaluating
+    the model at u_minus again.
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
@@ -94,6 +102,8 @@ class HugoniotCurve:
         self.mu0 = float(model.family_parameter(self.u_minus, family))
         lam0 = float(eigen(model, self.u_minus)[0][family])
         self.lam0 = lam0
+        self.U0, self.F0 = models.entropy_pair(model, self.u_minus)
+        self.f0 = float(model.flux(self.u_minus)[0]) if model.N == 1 else None
         self._up = [(self.mu0, self.u_minus.copy(), lam0)]
         self._down = [(self.mu0, self.u_minus.copy(), lam0)]
 
@@ -142,9 +152,7 @@ class HugoniotCurve:
         du_state = float(u[0] - self.u_minus[0])
         if abs(du_state) < STATE_COINCIDENCE:
             return CurvePoint(u, m, self.lam0)
-        lam = float(
-            (model.flux(u)[0] - model.flux(self.u_minus)[0]) / du_state
-        )
+        lam = float((model.flux(u)[0] - self.f0) / du_state)
         return CurvePoint(u, m, lam)
 
     def _advance(self, u_base, lam_base, m_base, m_target, step):
@@ -215,13 +223,20 @@ def _scalar_state(model: FluxModel, u_minus: Array, family: int,
                   m: float) -> Array:
     """The scalar state with family parameter m, by Newton from u_minus.
     It lies on both wave curves: every scalar state is Hugoniot-compatible
-    and on the one integral curve."""
-    u = u_minus.copy()
+    and on the one integral curve. The iterate is a Python float; the
+    model's hooks see it as a fresh 1-element vector."""
+    grad = model.family_parameter_grad
+    x = float(u_minus[0])
+    u = u_minus
     for _ in range(60):
         val = model.family_parameter(u, family)
-        g = models.family_parameter_grad(model, u, family)[0]
+        if grad is not None:
+            g = grad(u, family)[0]
+        else:
+            g = models.family_parameter_grad(model, u, family)[0]
         du = (m - val) / g
-        u = u + np.array([du])
+        x = x + du
+        u = np.array([x])
         if abs(du) < 1e-15:
             break
     return u
@@ -311,9 +326,8 @@ def entropy_dissipation(model: FluxModel, u_minus, u_plus) -> float:
 
 def _dissipation_at(model: FluxModel, curve: HugoniotCurve, m: float) -> float:
     pt = curve.point(m)
-    U_m, F_m = models.entropy_pair(model, curve.u_minus)
     U_p, F_p = models.entropy_pair(model, pt.state)
-    return -pt.speed * (U_p - U_m) + (F_p - F_m)
+    return -pt.speed * (U_p - curve.U0) + (F_p - curve.F0)
 
 
 def _memoized(name: str):

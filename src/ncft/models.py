@@ -94,9 +94,9 @@ class FluxModel:
     m_j = grad(lambda_j) . r_j the derivative of lambda_j in that
     parameter.
 
-    The analytic hooks (eigen_fn, family_parameter_grad, m_fn,
-    entropy_grad, entropy_hessian) are optional; finite differences with
-    step FD_STEP fill in for any that are absent.
+    The analytic hooks (eigen_fn, family_parameter_grad, m_fn) are
+    optional; finite differences with step FD_STEP fill in for any that
+    are absent.
 
     The curve hooks are optional closed forms of the wave curves through
     u_minus, indexed by the family parameter m of the state reached:
@@ -125,8 +125,6 @@ class FluxModel:
     family_parameter_grad: Optional[Callable[[Array, int], Array]] = None
     eigen_fn: Optional[Callable[[Array], tuple]] = None
     m_fn: Optional[Callable[[Array, int], float]] = None
-    entropy_grad: Optional[Callable[[Array], tuple]] = None
-    entropy_hessian: Optional[Callable[[Array], Array]] = None
     hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
     integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
     cache: Memo = dataclasses.field(default_factory=Memo, init=False,
@@ -145,16 +143,23 @@ class FluxModel:
 
 
 def as_state(model: FluxModel, u) -> Array:
-    """Coerce scalars / sequences to a float vector of length model.N."""
+    """Coerce scalars / sequences to a float vector of length model.N. A
+    float64 vector of that shape comes back as is, not copied."""
+    if (type(u) is np.ndarray and u.dtype == np.float64
+            and u.shape == (model.N,)):
+        return u
     a = np.atleast_1d(np.asarray(u, dtype=float))
     if a.shape != (model.N,):
         raise ValueError(f"state must have {model.N} components, got shape {a.shape}")
     return a
 
 
-def in_ball(model: FluxModel, u, radius: str = "delta1", tol: float = BALL_TOL) -> bool:
+def in_ball(model: FluxModel, u: Array, radius: str = "delta1",
+            tol: float = BALL_TOL) -> bool:
+    """Whether the state vector u lies in the ball; its norm is the one
+    np.linalg.norm takes of a 1-D float vector, sqrt(u . u)."""
     r = model.delta1 if radius == "delta1" else model.delta0
-    return float(np.linalg.norm(np.atleast_1d(u))) <= r + tol
+    return math.sqrt(float(u.dot(u))) <= r + tol
 
 
 def require_in_ball(model: FluxModel, u, radius: str = "delta1") -> Array:
@@ -292,12 +297,6 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def m_fn(u, j):
         return 6.0 * u[0]
 
-    def entropy_grad(u):
-        return np.array([2.0 * u[0]]), np.array([6.0 * u[0] ** 3])
-
-    def entropy_hessian(u):
-        return np.array([[2.0]])
-
     return FluxModel(
         name="cubic",
         N=1,
@@ -312,8 +311,6 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         family_parameter_grad=family_parameter_grad_,
         eigen_fn=eigen_fn,
         m_fn=m_fn,
-        entropy_grad=entropy_grad,
-        entropy_hessian=entropy_hessian,
     )
 
 
@@ -362,13 +359,6 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         # d lambda_j / d parameter_j along the integral curve, both families.
         return 3.0 * u[1] / np.sqrt(sigma_p(u[1]))
 
-    def entropy_grad(u):
-        v, w = u
-        return np.array([v, sigma(w)]), np.array([-sigma(w), -v * sigma_p(w)])
-
-    def entropy_hessian(u):
-        return np.array([[1.0, 0.0], [0.0, sigma_p(u[1])]])
-
     # Curves through (v-, w-) reach w+ = m on family 1 and w+ = -m on
     # family 0, where the parameter is -w.
     def hugoniot_fn(u, j, m):
@@ -404,8 +394,6 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         family_parameter_grad=family_parameter_grad_,
         eigen_fn=eigen_fn,
         m_fn=m_fn,
-        entropy_grad=entropy_grad,
-        entropy_hessian=entropy_hessian,
         hugoniot_fn=hugoniot_fn,
         integral_curve_fn=integral_curve_fn,
     )

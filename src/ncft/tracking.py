@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -109,15 +110,21 @@ class FrontSet:
                         self.y_id, self.z_id, self.h, self.ids)
 
     def check(self):
-        for a, b in zip(self.fronts, self.fronts[1:]):
-            if not a.position < b.position:
-                raise TrackingError(
-                    f"front positions not strictly ordered at t={self.time}"
-                )
-            if not np.array_equal(a.wave.right, b.wave.left):
-                raise TrackingError("front states do not chain")
+        """Positions strictly increase, each front's right state is the
+        next one's left state, and every strong id names a front; each
+        condition is checked over the whole set at once."""
+        fronts = self.fronts
+        xs = [f.position for f in fronts]
+        if not all(map(operator.lt, xs, xs[1:])):
+            raise TrackingError(
+                f"front positions not strictly ordered at t={self.time}"
+            )
+        if not np.array_equal([f.wave.right for f in fronts[:-1]],
+                              [f.wave.left for f in fronts[1:]]):
+            raise TrackingError("front states do not chain")
+        ids = {f.id for f in fronts}
         for sid in self.strong_ids:
-            if self.find(sid) is None:
+            if sid not in ids:
                 raise TrackingError(f"strong id {sid} references no front")
         return self
 

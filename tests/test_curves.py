@@ -122,6 +122,125 @@ def test_hugoniot_ball_exit():
         hugoniot_point(CUBIC, 1.0, 0, 2.5)
 
 
+# -- Scalar curve points against the reference evaluation -------------------
+# The reference below evaluates each scalar point on arrays and the model at
+# the base state on every query, as the curve layer once did; the curve
+# layer must agree with it bit for bit.
+
+def _ref_in_ball(model, u):
+    return float(np.linalg.norm(np.atleast_1d(u))) <= model.delta0 + models.BALL_TOL
+
+
+def _ref_scalar_state(model, u_minus, family, m):
+    u = u_minus.copy()
+    for _ in range(60):
+        val = model.family_parameter(u, family)
+        g = models.family_parameter_grad(model, u, family)[0]
+        du = (m - val) / g
+        u = u + np.array([du])
+        if abs(du) < 1e-15:
+            break
+    return u
+
+
+def _ref_point_scalar(model, u_minus, m):
+    lam0 = float(models.eigen(model, u_minus)[0][0])
+    u = _ref_scalar_state(model, u_minus, 0, m)
+    if not _ref_in_ball(model, u):
+        raise BallExit(f"outside the outer ball at {u.tolist()}")
+    du_state = float(u[0] - u_minus[0])
+    if abs(du_state) < curves.STATE_COINCIDENCE:
+        return u, lam0
+    lam = float((model.flux(u)[0] - model.flux(u_minus)[0]) / du_state)
+    return u, lam
+
+
+def _ref_point(model, u_minus, m):
+    mu0 = float(model.family_parameter(u_minus, 0))
+    if abs(m - mu0) < curves.STATE_COINCIDENCE:
+        return u_minus.copy(), float(models.eigen(model, u_minus)[0][0])
+    return _ref_point_scalar(model, u_minus, m)
+
+
+def _ref_dissipation(model, u_minus, m):
+    u, lam = _ref_point(model, u_minus, m)
+    U_m, F_m = models.entropy_pair(model, u_minus)
+    U_p, F_p = models.entropy_pair(model, u)
+    return -lam * (U_p - U_m) + (F_p - F_m)
+
+
+SCALAR_BASES = (-1.9, -1.0, -0.37, 0.0, 1e-7, 0.4, 1.0, 1.5, 1.99)
+
+
+def _scalar_queries(u):
+    ms = list(np.linspace(-1.95, 1.95, 27))
+    ms += [0.0, -u, 2.0 * -u, u + 5e-14, u - 5e-14, u + 9.9e-14, u - 2e-13,
+           2.0 - 1e-13, -2.0 + 1e-13, 2.0 + 1e-9, -2.0 - 1e-9, 2.5, -3.0]
+    return [float(m) for m in ms]
+
+
+@pytest.mark.parametrize("model", [
+    CUBIC, dataclasses.replace(CUBIC, family_parameter_grad=None)],
+    ids=["hook", "fd-fallback"])
+def test_scalar_points_match_the_reference_bit_for_bit(model):
+    n_exits = 0
+    for u in SCALAR_BASES:
+        a = np.array([u])
+        curve = curves.HugoniotCurve(model, a, 0)
+        for m in _scalar_queries(u):
+            assert np.array_equal(curves._scalar_state(model, a, 0, m),
+                                  _ref_scalar_state(model, a, 0, m)), (u, m)
+            try:
+                want = _ref_point(model, a, m)
+            except BallExit:
+                n_exits += 1
+                with pytest.raises(BallExit):
+                    curve.point(m)
+                with pytest.raises(BallExit):
+                    curve._point_scalar(m)
+                with pytest.raises(BallExit):
+                    curves._dissipation_at(model, curve, m)
+                continue
+            pt = curve.point(m)
+            assert np.array_equal(pt.state, want[0]), (u, m)
+            assert pt.speed == want[1], (u, m)
+            assert curve.speed_at(m) == want[1], (u, m)
+            direct = curve._point_scalar(m)
+            ref_u, ref_lam = _ref_point_scalar(model, a, m)
+            assert np.array_equal(direct.state, ref_u), (u, m)
+            assert direct.speed == ref_lam, (u, m)
+            assert (curves._dissipation_at(model, curve, m)
+                    == _ref_dissipation(model, a, m)), (u, m)
+    assert n_exits >= 4 * len(SCALAR_BASES)
+
+
+def test_in_ball_matches_the_vector_norm():
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).smallest_subnormal
+    vecs = []
+    for n, model in ((1, CUBIC), (2, ELAS)):
+        for _ in range(300):
+            v = rng.normal(size=n)
+            # put half of the samples within a few ulps of a ball's edge
+            if rng.uniform() < 0.5:
+                edge = rng.choice([model.delta0, model.delta1,
+                                   model.delta0 + models.BALL_TOL,
+                                   model.delta1 + models.BALL_TOL])
+                v *= (edge + rng.integers(-3, 4) * 4.4e-16) / np.linalg.norm(v)
+            vecs.append((model, v))
+        vecs.append((model, np.full(n, tiny)))
+        vecs.append((model, np.full(n, 5e-310)))
+        vecs.append((model, np.zeros(n)))
+    vecs.append((ELAS, np.array([tiny, 1.0])))
+    vecs.append((ELAS, np.array([ELAS.delta0, -3 * tiny])))
+    for model, v in vecs:
+        for radius in ("delta0", "delta1"):
+            r = model.delta1 if radius == "delta1" else model.delta0
+            for tol in (models.BALL_TOL, 0.0):
+                want = bool(np.linalg.norm(v) <= r + tol)
+                assert models.in_ball(model, v, radius, tol) == want, (v, radius)
+
+
 # -- Entropy dissipation ----------------------------------------------------
 
 def test_entropy_dissipation_oracles():

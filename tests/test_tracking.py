@@ -119,6 +119,48 @@ def test_next_collision_tie_leftmost():
     assert pair == (1, 2)
 
 
+def _chained_front(x, left, right, uid):
+    w = Wave(0, KIND_CLASSICAL, np.array([left]), np.array([right]), 0.0,
+             0.1, uid)
+    return tracking.Front(x, w, 0.0)
+
+
+def test_check_accepts_a_chained_set():
+    fronts = [_chained_front(0.0, 1.0, 0.5, 1),
+              _chained_front(1.0, 0.5, 0.2, 2)]
+    fs = FrontSet(0.0, fronts, 2, None, 0.01)
+    assert fs.check() is fs
+
+
+def test_check_rejects_unordered_positions():
+    fronts = [_chained_front(0.0, 1.0, 0.5, 1),
+              _chained_front(1.0, 0.5, 0.2, 2),
+              _chained_front(1.0, 0.2, 0.1, 3)]
+    fs = FrontSet(0.25, fronts, None, None, 0.01)
+    with pytest.raises(tracking.TrackingError,
+                       match=r"^front positions not strictly ordered at t=0\.25$"):
+        fs.check()
+
+
+def test_check_rejects_a_broken_state_chain():
+    fronts = [_chained_front(0.0, 1.0, 0.5, 1),
+              _chained_front(1.0, 0.5, 0.2, 2),
+              _chained_front(2.0, 0.3, 0.1, 3)]
+    fs = FrontSet(0.0, fronts, None, None, 0.01)
+    with pytest.raises(tracking.TrackingError,
+                       match=r"^front states do not chain$"):
+        fs.check()
+
+
+def test_check_rejects_a_strong_id_with_no_front():
+    fronts = [_chained_front(0.0, 1.0, 0.5, 1),
+              _chained_front(1.0, 0.5, 0.2, 2)]
+    fs = FrontSet(0.0, fronts, 2, 7, 0.01)
+    with pytest.raises(tracking.TrackingError,
+                       match=r"^strong id 7 references no front$"):
+        fs.check()
+
+
 def test_resolve_weak_absorption_keeps_token():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.368, -0.373], [0.0, 0.05], h=0.01)
     assert fs.y_id is not None
