@@ -114,9 +114,8 @@ def check_c03():
                           curves.entropy_dissipation(model, w.left, w.right))
             if w.kind == KIND_NONCLASSICAL:
                 n_nc += 1
-                lams_l = models.eigen(model, w.left)[0]
-                lams_r = models.eigen(model, w.right)[0]
-                gap = max(lams_r[0] - w.speed, w.speed - lams_l[0])
+                gap = max(models.char_speed(model, w.right, 0) - w.speed,
+                          w.speed - models.char_speed(model, w.left, 0))
                 min_lax_gap = min(min_lax_gap, gap)
                 target = kin_mod.mu_flat(model, kin, w.left)
                 worst_kin = max(worst_kin,

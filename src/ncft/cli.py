@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 from typing import Optional
@@ -86,31 +87,35 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_number(v) -> bool:
+    """Whether v is a finite JSON number: an int or float, not a bool,
+    NaN or an infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _number(obj: dict, key: str, where: str, positive: bool = False) -> float:
     if key not in obj:
         raise ConfigError(f"{where}.{key} is required")
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if positive and not v > 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {v}")
-    return float(v)
+    return _as_float(obj[key], f"{where}.{key}", positive)
 
 
-def _as_float(value, where: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
-    return out
+def _as_float(value, where: str, positive: bool = False) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value}")
+    return float(value)
 
 
 def _state_delta(raw, where: str) -> list:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_number(raw):
         return [float(raw)]
-    if (isinstance(raw, list) and raw and
-            all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in raw)):
+    if isinstance(raw, list) and raw and all(_is_number(x) for x in raw):
         return [float(x) for x in raw]
     raise ConfigError(f"{where} must be a number or a list of numbers")
 
@@ -118,10 +123,8 @@ def _state_delta(raw, where: str) -> list:
 def _jump(raw, where: str) -> tuple:
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ConfigError(f"{where} must be a [x, delta] pair")
-    x = raw[0]
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(f"{where}[0] must be a number")
-    return float(x), _state_delta(raw[1], f"{where}[1]")
+    return (_as_float(raw[0], f"{where}[0]"),
+            _state_delta(raw[1], f"{where}[1]"))
 
 
 def load_config(path: str) -> dict:
@@ -253,9 +256,7 @@ def validate_config(raw: dict) -> dict:
     }
 
     cfg["stability_kappa"] = _as_float(raw.get("stability_kappa", 0.25),
-                                       "stability_kappa")
-    if cfg["stability_kappa"] <= 0:
-        raise ConfigError("stability_kappa must be positive")
+                                       "stability_kappa", positive=True)
 
     cal_raw = raw.get("calibration", {})
     _check_keys(cal_raw, _CALIBRATION_KEYS, "calibration")
@@ -267,7 +268,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("calibration.scales must be a nonempty list")
     cfg["calibration"] = {
         "n": cal_n,
-        "scales": [_as_float(s, "calibration.scales") for s in scales],
+        "scales": [_as_float(s, "calibration.scales", positive=True)
+                   for s in scales],
     }
 
     if raw.get("snapshot_dt") is not None:

@@ -13,11 +13,14 @@ are indexed by the parameter value m of the state reached. A curve point
 comes from the model's closed-form hook when it has one (hugoniot_fn,
 integral_curve_fn), from the parameter inversion on scalar models, and
 otherwise from continuation and RK4; tests hold each path against the
-other. A Hugoniot curve evaluates the model at its base state once, when
-it is built, and the scalar parameter inversion iterates on a Python
-float, so a scalar point costs its arithmetic and a few model calls. All
-critical-map root-finding is generic (bracketing plus polishing on exact
-identities).
+other. The critical maps read a Hugoniot point as a plain (state, speed)
+pair from HugoniotCurve.state_speed; only HugoniotCurve.point and
+rarefaction_point wrap one in a CurvePoint, for the Riemann solver and the
+tracker. A scalar curve evaluates its base state once, when it is built,
+and its points take the same floating-point operations, in the same
+order, as a point evaluated from scratch on state vectors, so every
+artifact keeps its bits. All critical-map root-finding is generic
+(bracketing plus polishing on exact identities).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from ncft import models
-from ncft.models import FluxModel, as_state, eigen, mu
+from ncft.models import FluxModel, as_state, char_speed, eigen, mu
 
 Array = np.ndarray
 
@@ -81,18 +84,24 @@ class CurvePoint:
 
 
 class HugoniotCurve:
-    """Predictor-corrector continuation of one Hugoniot locus.
+    """One Hugoniot locus, queried by the parameter m of the state reached.
 
-    Anchors are stored at parameter steps of CONT_STEP out from the base
-    state in both directions; point queries run a corrector Newton from
-    the nearest anchor. The scalar case needs no continuation: every state
-    is on the locus and the chord formula gives the speed. A model's
-    hugoniot_fn, when present, answers point queries in place of both.
+    state_speed(m) returns the point as a (state, shock speed) pair; point
+    wraps that pair in a CurvePoint. A model's hugoniot_fn, when present,
+    answers every query. A scalar model needs no continuation: every state
+    is on the locus, the parameter inversion (_scalar_state) finds it and
+    the chord formula gives the speed. Otherwise predictor-corrector
+    continuation stores anchors at parameter steps of CONT_STEP out from
+    the base state in both directions, and a query runs a corrector Newton
+    from the nearest anchor.
 
-    The base state's characteristic speed lam0, entropy pair (U0, F0) and,
-    on scalar models, flux value f0 are Python floats computed once per
-    curve; point and dissipation queries read them instead of evaluating
-    the model at u_minus again.
+    The base state's characteristic speed lam0 and entropy pair (U0, F0)
+    are Python floats computed once per curve. On scalar models without
+    hugoniot_fn, so are its value x0, flux value f0 and parameter slope g0,
+    and the outer ball's radius plus BALL_TOL. A query puts them where a
+    point evaluated from scratch evaluates the model at u_minus (the first
+    Newton step of the inversion, the chord), so it computes the same
+    doubles.
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
@@ -100,23 +109,51 @@ class HugoniotCurve:
         self.family = family
         self.u_minus = as_state(model, u_minus)
         self.mu0 = float(model.family_parameter(self.u_minus, family))
-        lam0 = float(eigen(model, self.u_minus)[0][family])
+        lam0 = char_speed(model, self.u_minus, family)
         self.lam0 = lam0
         self.U0, self.F0 = models.entropy_pair(model, self.u_minus)
-        self.f0 = float(model.flux(self.u_minus)[0]) if model.N == 1 else None
+        self._x0 = None
+        if model.N == 1 and model.hugoniot_fn is None:
+            self._x0 = float(self.u_minus[0])
+            self._f0 = float(model.flux(self.u_minus)[0])
+            self._g0 = float(
+                models.family_parameter_grad(model, self.u_minus, family)[0])
+            self._outer = model.delta0 + models.BALL_TOL
         self._up = [(self.mu0, self.u_minus.copy(), lam0)]
         self._down = [(self.mu0, self.u_minus.copy(), lam0)]
 
     def point(self, m) -> CurvePoint:
         m = float(m)
+        u, lam = self.state_speed(m)
+        return CurvePoint(u, m, lam)
+
+    def speed_at(self, m) -> float:
+        return self.state_speed(m)[1]
+
+    def state_speed(self, m) -> tuple:
+        """(state, shock speed) of the point with parameter m."""
+        m = float(m)
         if abs(m - self.mu0) < STATE_COINCIDENCE:
-            return CurvePoint(self.u_minus.copy(), self.mu0, self.lam0)
+            return self.u_minus.copy(), self.lam0
+        x0 = self._x0
+        if x0 is not None:
+            # every scalar state is Hugoniot-compatible: invert the
+            # parameter and take the chord slope
+            u = _scalar_state(self.model, self.family, m, x0, self.mu0,
+                              self._g0)
+            x = u[0]
+            if not _within(x, self._outer):
+                raise BallExit(
+                    f"Hugoniot continuation left the outer ball at {u.tolist()}"
+                )
+            dx = float(x - x0)
+            if abs(dx) < STATE_COINCIDENCE:
+                return u, self.lam0
+            return u, float((self.model.flux(u)[0] - self._f0) / dx)
         if self.model.hugoniot_fn is not None:
             u, lam = self.model.hugoniot_fn(self.u_minus, self.family, m)
             self._require_outer_ball(u)
-            return CurvePoint(u, m, float(lam))
-        if self.model.N == 1:
-            return self._point_scalar(m)
+            return u, float(lam)
         anchors = self._up if m > self.mu0 else self._down
         sgn = 1.0 if m > self.mu0 else -1.0
         while sgn * (m - anchors[-1][0]) > CONT_STEP:
@@ -132,28 +169,13 @@ class HugoniotCurve:
             u_base, lam_base, m_base, m, max(abs(m - m_base), CONT_MIN_STEP)
         )
         self._require_outer_ball(u)
-        return CurvePoint(u, m, lam)
-
-    def speed_at(self, m) -> float:
-        return self.point(m).speed
+        return u, lam
 
     def _require_outer_ball(self, u):
         if not models.in_ball(self.model, u, "delta0"):
             raise BallExit(
                 f"Hugoniot continuation left the outer ball at {u.tolist()}"
             )
-
-    def _point_scalar(self, m: float) -> CurvePoint:
-        # Every scalar state is Hugoniot-compatible; solve the parameter
-        # equation and use the chord slope.
-        model = self.model
-        u = _scalar_state(model, self.u_minus, self.family, m)
-        self._require_outer_ball(u)
-        du_state = float(u[0] - self.u_minus[0])
-        if abs(du_state) < STATE_COINCIDENCE:
-            return CurvePoint(u, m, self.lam0)
-        lam = float((model.flux(u)[0] - self.f0) / du_state)
-        return CurvePoint(u, m, lam)
 
     def _advance(self, u_base, lam_base, m_base, m_target, step):
         if abs(m_target - m_base) < STATE_COINCIDENCE:
@@ -219,16 +241,32 @@ class HugoniotCurve:
         raise ContinuationError(f"corrector stalled at m = {m}")
 
 
-def _scalar_state(model: FluxModel, u_minus: Array, family: int,
-                  m: float) -> Array:
-    """The scalar state with family parameter m, by Newton from u_minus.
-    It lies on both wave curves: every scalar state is Hugoniot-compatible
-    and on the one integral curve. The iterate is a Python float; the
-    model's hooks see it as a fresh 1-element vector."""
+def _within(x: float, radius: float) -> bool:
+    """models.in_ball for the scalar state [x], on floats: sqrt(x * x) is
+    the norm np.linalg.norm takes of that vector."""
+    return math.sqrt(x * x) <= radius
+
+
+def _scalar_state(model: FluxModel, family: int, m: float, x0: float,
+                  mu0: float, g0: float) -> Array:
+    """The scalar state with family parameter m, by Newton from the state
+    [x0], whose parameter is mu0 and parameter slope g0. It lies on both
+    wave curves: every scalar state is Hugoniot-compatible and on the one
+    integral curve.
+
+    The first step is (m - mu0) / g0, the step a Newton iteration that
+    evaluates the model at [x0] takes, so a curve that keeps mu0 and g0
+    gets the same state, bit for bit, as an inversion from scratch. The
+    iterate is a scalar; each later step gives the model's hooks the
+    iterate as a fresh 1-element vector, as an inversion from scratch
+    does."""
     grad = model.family_parameter_grad
-    x = float(u_minus[0])
-    u = u_minus
-    for _ in range(60):
+    du = (m - mu0) / g0
+    x = x0 + du
+    u = np.array([x])
+    for _ in range(59):
+        if abs(du) < 1e-15:
+            break
         val = model.family_parameter(u, family)
         if grad is not None:
             g = grad(u, family)[0]
@@ -237,8 +275,6 @@ def _scalar_state(model: FluxModel, u_minus: Array, family: int,
         du = (m - val) / g
         x = x + du
         u = np.array([x])
-        if abs(du) < 1e-15:
-            break
     return u
 
 
@@ -279,7 +315,9 @@ def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Curve
     if model.integral_curve_fn is not None:
         return CurvePoint(checked(model.integral_curve_fn(a, family, m)), m, None)
     if model.N == 1:
-        return CurvePoint(checked(_scalar_state(model, a, family, m)), m, None)
+        g0 = float(models.family_parameter_grad(model, a, family)[0])
+        u = _scalar_state(model, family, m, float(a[0]), mu0, g0)
+        return CurvePoint(checked(u), m, None)
     n_steps = max(8, int(math.ceil(abs(dm) / 0.002)))
     h = dm / n_steps
 
@@ -305,7 +343,7 @@ def shock_speed(model: FluxModel, u_minus, u_plus,
     du = b - a
     if float(np.max(np.abs(du))) < STATE_COINCIDENCE:
         fam = model.cc_index if family is None else family
-        return float(eigen(model, a)[0][fam])
+        return char_speed(model, a, fam)
     df = model.flux(b) - model.flux(a)
     lam = float(du @ df) / float(du @ du)
     resid = float(np.max(np.abs(df - lam * du)))
@@ -325,9 +363,9 @@ def entropy_dissipation(model: FluxModel, u_minus, u_plus) -> float:
 
 
 def _dissipation_at(model: FluxModel, curve: HugoniotCurve, m: float) -> float:
-    pt = curve.point(m)
-    U_p, F_p = models.entropy_pair(model, pt.state)
-    return -pt.speed * (U_p - curve.U0) + (F_p - curve.F0)
+    u, lam = curve.state_speed(m)
+    U_p, F_p = model.entropy(u)
+    return -lam * (float(U_p) - curve.U0) + (float(F_p) - curve.F0)
 
 
 def _memoized(name: str):
@@ -394,8 +432,8 @@ def mu_natural(model: FluxModel, a: Array) -> float:
     # Tangency identity lam_bar(m) = lambda(state(m)); its sign flips
     # exactly at the chord-speed minimizer.
     def tangency(m):
-        pt = curve.point(m)
-        return pt.speed - float(eigen(model, pt.state)[0][model.cc_index])
+        u, lam = curve.state_speed(m)
+        return lam - char_speed(model, u, model.cc_index)
 
     m_star = None
     try:
@@ -595,8 +633,8 @@ def classify_shock(model: FluxModel, u_minus, u_plus, family: Optional[int] = No
     characteristic speeds on both sides. Ties go to Lax."""
     fam = model.cc_index if family is None else family
     lam = shock_speed(model, u_minus, u_plus, family=fam)
-    lam_l = float(eigen(model, u_minus)[0][fam])
-    lam_r = float(eigen(model, u_plus)[0][fam])
+    lam_l = char_speed(model, u_minus, fam)
+    lam_r = char_speed(model, u_plus, fam)
     above_right = lam - lam_r   # >= 0 when the shock outruns the right state
     below_left = lam_l - lam    # >= 0 when the left state outruns the shock
     if above_right >= -CLASSIFY_TOL and below_left >= -CLASSIFY_TOL:

@@ -223,6 +223,15 @@ def eigen(model: FluxModel, u) -> tuple:
     return lams, R, L
 
 
+def char_speed(model: FluxModel, u, j: int) -> float:
+    """Characteristic speed lambda_j at u: eigen(model, u)[0][j], read
+    straight from the eigen_fn hook's eigenvalues when the model has one."""
+    a = as_state(model, u)
+    if model.eigen_fn is not None:
+        return float(model.eigen_fn(a)[0][j])
+    return float(eigen(model, a)[0][j])
+
+
 def mu(model: FluxModel, u) -> float:
     """Global parameter of the designated concave-convex family."""
     a = as_state(model, u)

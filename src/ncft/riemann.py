@@ -157,8 +157,8 @@ def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
 
 def _mk_rarefaction(model: FluxModel, family: int, left: Array, right: Array,
                     ids: IdGen, with_strength: bool = True) -> Wave:
-    lam_l = float(models.eigen(model, left)[0][family])
-    lam_r = float(models.eigen(model, right)[0][family])
+    lam_l = models.char_speed(model, left, family)
+    lam_r = models.char_speed(model, right, family)
     if lam_r < lam_l - 1e-10:
         raise SolverError(
             f"rarefaction with decreasing characteristic speed on family {family}"
@@ -304,7 +304,7 @@ def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:
         raise SolverError(f"fan endpoint off by {gap:.3e}")
     if last.kind == KIND_RAREFACTION:
         lam_l = last.speed[0]
-        lam_r = float(models.eigen(model, u_r)[0][last.family])
+        lam_r = models.char_speed(model, u_r, last.family)
         speed = (lam_l, lam_r)
     else:
         speed = last.speed

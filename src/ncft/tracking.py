@@ -162,7 +162,7 @@ def _chord_speed(model: FluxModel, left: Array, right: Array) -> float:
     du = right - left
     nn = float(du @ du)
     if nn == 0.0:
-        return float(models.eigen(model, left)[0][0])
+        return models.char_speed(model, left, 0)
     df = model.flux(right) - model.flux(left)
     return float(df @ du) / nn
 
@@ -199,9 +199,9 @@ def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen,
         if w.kind == KIND_RAREFACTION:
             for p in _split_rarefaction(model, w, h, ids):
                 if convention == "char_left":
-                    sp = float(models.eigen(model, p.left)[0][p.family])
+                    sp = models.char_speed(model, p.left, p.family)
                 elif convention == "char_right":
-                    sp = float(models.eigen(model, p.right)[0][p.family])
+                    sp = models.char_speed(model, p.right, p.family)
                 else:
                     sp = float(p.speed)
                 out.append((p, sp))

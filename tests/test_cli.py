@@ -162,6 +162,38 @@ def test_nonnumeric_values_rejected():
         validated(T=0.0)
 
 
+@pytest.mark.parametrize("path, value, match", [
+    (("weights", "zeta"), "0.02", "weights.zeta"),
+    (("weights", "zeta"), "nan", "weights.zeta"),
+    (("weights", "zeta"), float("nan"), "weights.zeta"),
+    (("weights", "K"), True, "weights.K"),
+    (("initial", "scale"), "nan", "initial.scale"),
+    (("initial", "scale"), float("inf"), "initial.scale"),
+    (("initial", "main"), [0.0, [float("nan")]], r"initial.main\[1\]"),
+    (("initial", "jumps"), [[float("inf"), [-0.02]]],
+     r"initial.jumps\[0\]\[0\]"),
+    (("stability_kappa",), "inf", "stability_kappa"),
+    (("stability_kappa",), float("inf"), "stability_kappa"),
+    (("T",), float("inf"), "config.T"),
+    (("h",), float("inf"), "config.h"),
+    (("h",), float("nan"), "config.h"),
+    (("h",), 10 ** 400, "config.h"),
+    (("kinetics", "theta"), float("nan"), "kinetics.theta"),
+    (("calibration", "scales"), [0.0], "calibration.scales"),
+    (("calibration", "scales"), [0.05, -0.02], "calibration.scales"),
+    (("calibration", "scales"), [False], "calibration.scales"),
+    (("sweep",), {"h": [float("nan")]}, "sweep.h"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v)[:20])
+def test_numbers_must_be_finite_and_scales_positive(path, value, match):
+    raw = base_cfg()
+    obj = raw
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.validate_config(raw)
+
+
 def test_defaults_filled_and_plain_json():
     raw = base_cfg()
     del raw["calibration"]

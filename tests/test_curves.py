@@ -179,6 +179,11 @@ def _scalar_queries(u):
     return [float(m) for m in ms]
 
 
+def _ref_tangency(model, u_minus, m):
+    u, lam = _ref_point(model, u_minus, m)
+    return lam - float(models.eigen(model, u)[0][model.cc_index])
+
+
 @pytest.mark.parametrize("model", [
     CUBIC, dataclasses.replace(CUBIC, family_parameter_grad=None)],
     ids=["hook", "fd-fallback"])
@@ -187,8 +192,9 @@ def test_scalar_points_match_the_reference_bit_for_bit(model):
     for u in SCALAR_BASES:
         a = np.array([u])
         curve = curves.HugoniotCurve(model, a, 0)
+        g0 = float(models.family_parameter_grad(model, a, 0)[0])
         for m in _scalar_queries(u):
-            assert np.array_equal(curves._scalar_state(model, a, 0, m),
+            assert np.array_equal(curves._scalar_state(model, 0, m, u, u, g0),
                                   _ref_scalar_state(model, a, 0, m)), (u, m)
             try:
                 want = _ref_point(model, a, m)
@@ -197,7 +203,7 @@ def test_scalar_points_match_the_reference_bit_for_bit(model):
                 with pytest.raises(BallExit):
                     curve.point(m)
                 with pytest.raises(BallExit):
-                    curve._point_scalar(m)
+                    curve.state_speed(m)
                 with pytest.raises(BallExit):
                     curves._dissipation_at(model, curve, m)
                 continue
@@ -205,13 +211,57 @@ def test_scalar_points_match_the_reference_bit_for_bit(model):
             assert np.array_equal(pt.state, want[0]), (u, m)
             assert pt.speed == want[1], (u, m)
             assert curve.speed_at(m) == want[1], (u, m)
-            direct = curve._point_scalar(m)
-            ref_u, ref_lam = _ref_point_scalar(model, a, m)
-            assert np.array_equal(direct.state, ref_u), (u, m)
-            assert direct.speed == ref_lam, (u, m)
+            state, speed = curve.state_speed(m)
+            assert np.array_equal(state, want[0]), (u, m)
+            assert speed == want[1], (u, m)
             assert (curves._dissipation_at(model, curve, m)
                     == _ref_dissipation(model, a, m)), (u, m)
+            lam = models.char_speed(model, state, model.cc_index)
+            assert speed - lam == _ref_tangency(model, a, m), (u, m)
     assert n_exits >= 4 * len(SCALAR_BASES)
+
+
+# mu_natural, mu_minus_natural, mu_flat_zero, mu_sharp_zero and
+# companion_parameter(u, -0.75 u) on the cubic model, as float.hex, recorded
+# from the evaluation of every curve point on state vectors from scratch
+CRITICAL_GOLDEN = (
+    (-1.7, ('0x1.b333333333287p-1', None, '0x1.b333333333332p+0', '-0x1.42064d7950000p-53', '0x1.b3333333333d7p-2')),
+    (-1.2, ('0x1.33333333333fap-1', None, '0x1.3333333333333p+0', '0x1.0340c279c0000p-56', '0x1.33333333333a7p-2')),
+    (-0.8, ('0x1.9999999999aa4p-2', '0x1.999999999999ap+0', '0x1.9999999999999p-1', '0x1.1863f043f8000p-53', '0x1.9999999999a2bp-3')),
+    (-0.45, ('0x1.ccccccccccdf7p-3', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-2', '-0x1.0aa11b9270000p-55', '0x1.ccccccccccd74p-4')),
+    (-0.1, ('0x1.9999999999aa4p-5', '0x1.999999999999ap-3', '0x1.9999999999999p-4', '0x1.1863f043f8000p-56', '0x1.9999999999a2bp-6')),
+    (3e-06, ('-0x1.92a737110e454p-20', '-0x1.92a737110e454p-18', '-0x1.92a737110e454p-19', '0x0.0p+0', '-0x1.92a737110e454p-21')),
+    (0.02, ('-0x1.47ae147ae154fp-7', '-0x1.47ae147ae1488p-5', '-0x1.47ae147ae147bp-6', '0x1.3796211380000p-61', '-0x1.47ae147ae1500p-8')),
+    (0.3, ('-0x1.33333333333fap-3', '-0x1.3333333333334p-1', '-0x1.3333333333333p-2', '-0x1.0340c279c0000p-58', '-0x1.33333333333a7p-4')),
+    (0.55, ('-0x1.1999999999a50p-2', '-0x1.199999999999ap+0', '-0x1.199999999999ap-1', '-0x1.ece9536df0000p-55', '-0x1.1999999999a05p-3')),
+    (0.9, ('-0x1.ccccccccccdf7p-2', '-0x1.ccccccccccccdp+0', '-0x1.ccccccccccccdp-1', '0x1.0aa11b9270000p-54', '-0x1.ccccccccccd74p-3')),
+    (1.0, ('-0x1.00000000000a6p-1', '-0x1.000000000002ap+1', '-0x1.0000000000000p+0', '0x1.3ce2a04e00000p-54', '-0x1.0000000000063p-2')),
+    (1.368, ('-0x1.5e353f7ced835p-1', None, '-0x1.5e353f7ced917p+0', '0x1.e4728709d0000p-54', '-0x1.5e353f7ced9a2p-2')),
+    (1.85, ('-0x1.d999999999907p-1', None, '-0x1.d99999999999ap+0', '0x1.487c6b6e80000p-56', '-0x1.d999999999a4fp-2')),
+)
+
+
+@pytest.mark.parametrize("u, want", CRITICAL_GOLDEN)
+def test_critical_maps_match_the_golden_bits(u, want):
+    model = cubic_model()
+    got = (mu_natural(model, u), mu_minus_natural(model, u),
+           mu_flat_zero(model, u), mu_sharp_zero(model, u),
+           companion_parameter(model, u, -0.75 * u))
+    assert tuple(None if v is None else float(v).hex() for v in got) == want
+
+
+@pytest.mark.parametrize("model", [
+    CUBIC, ELAS, dataclasses.replace(CUBIC, eigen_fn=None),
+    dataclasses.replace(ELAS, eigen_fn=None)],
+    ids=["cubic", "elasticity", "cubic-no-eigen-fn", "elasticity-no-eigen-fn"])
+def test_char_speed_is_the_eigen_eigenvalue(model):
+    rng = np.random.default_rng(3)
+    for u in models.sample_ball(model, 40, rng, radius="delta0"):
+        lams = models.eigen(model, u)[0]
+        for j in range(model.N):
+            got = models.char_speed(model, u, j)
+            assert type(got) is float
+            assert got == lams[j], (u, j)
 
 
 def test_in_ball_matches_the_vector_norm():
@@ -239,6 +289,10 @@ def test_in_ball_matches_the_vector_norm():
             for tol in (models.BALL_TOL, 0.0):
                 want = bool(np.linalg.norm(v) <= r + tol)
                 assert models.in_ball(model, v, radius, tol) == want, (v, radius)
+                if model.N == 1:
+                    # the scalar curve's ball test, on floats
+                    assert curves._within(float(v[0]), r + tol) == want, (
+                        v, radius)
 
 
 # -- Entropy dissipation ----------------------------------------------------
