@@ -3,6 +3,7 @@ interaction estimates, and full tracked runs, each reporting pass/fail
 with the measured numbers. `run_all` never raises; a crashed check is a
 failure with the exception in its detail string."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -44,6 +45,12 @@ def _elasticity():
     return models.elasticity_model(delta0=4.0, delta1=2.0)
 
 
+def _searching(model):
+    """The model without its closed-form critical maps: the curve layer's
+    root searches, the oracle the closed forms are held against."""
+    return dataclasses.replace(model, critical_fn=None)
+
+
 def _kin(theta=0.5, gamma=0.5):
     return KineticFunction(theta=theta, nucleation_gamma=gamma)
 
@@ -61,42 +68,61 @@ def _cubic_fan_sample():
 
 
 def check_c01():
-    model = _wide_cubic()
+    maps = (curves.mu_natural, curves.mu_minus_natural, curves.mu_flat_zero,
+            curves.mu_sharp_zero)
     worst = 0.0
-    for u in GRID:
-        u0 = np.array([u])
-        worst = max(worst, abs(curves.mu_natural(model, u0) + 0.5 * u))
-        mm = curves.mu_minus_natural(model, u0)
-        if mm is None:
-            return False, f"no double-contact parameter at u={u}"
-        worst = max(worst, abs(mm + 2.0 * u))
-        worst = max(worst, abs(curves.mu_flat_zero(model, u0) + u))
-        worst = max(worst, abs(curves.mu_sharp_zero(model, u0)))
+    n_states = n_contact = 0
+    # p-system states with |w| >= 0.05, where the searches keep 1e-10
+    elasticity_states = [np.array([v, s * w]) for v in (-0.5, 0.5)
+                         for s in (-1.0, 1.0)
+                         for w in np.linspace(0.05, 1.0, 10)]
+    cases = ((_wide_cubic(), [np.array([u]) for u in GRID]),
+             (_elasticity(), elasticity_states))
+    for model, states in cases:
+        search = _searching(model)
+        for u0 in states:
+            n_states += 1
+            for f in maps:
+                got, want = f(model, u0), f(search, u0)
+                if (got is None) != (want is None):
+                    return False, (f"{f.__name__} at {u0.tolist()}: closed "
+                                   f"form {got}, search {want}")
+                if got is not None:
+                    worst = max(worst, abs(got - want))
+            n_contact += curves.mu_minus_natural(model, u0) is not None
     return worst <= 1e-10, (
-        f"four critical maps vs closed forms on {len(GRID)} states: "
-        f"max error {worst:.3e} (tol 1e-10)")
+        f"four closed-form critical maps vs the root searches on "
+        f"{n_states} cubic and p-system states ({n_contact} with a left "
+        f"contact): max error {worst:.3e} (tol 1e-10)")
 
 
 def check_c02():
-    model, kin = _cubic(), _kin()
-    worst_inv = worst_speed = 0.0
+    kin = _kin()
+    pair = (_cubic(), _searching(_cubic()))
+    worst_inv = worst_speed = worst_pair = 0.0
     for u in GRID:
         u0 = np.array([u])
-        s1 = curves.hugoniot_point(model, u0, 0,
-                                   curves.mu_flat_zero(model, u0)).state
-        s2 = curves.hugoniot_point(model, s1, 0,
-                                   curves.mu_flat_zero(model, s1)).state
-        worst_inv = max(worst_inv,
-                        abs(models.mu(model, s2) - models.mu(model, u0)))
-        fl = kin_mod.phi_flat(model, kin, u0)
-        sh = kin_mod.phi_sharp(model, kin, u0)
-        worst_speed = max(worst_speed,
-                          abs(curves.shock_speed(model, u0, fl) -
-                              curves.shock_speed(model, u0, sh)))
-    passed = worst_inv <= 1e-10 and worst_speed <= 1e-10
+        images = []
+        for model in pair:
+            s1 = curves.hugoniot_point(model, u0, 0,
+                                       curves.mu_flat_zero(model, u0)).state
+            s2 = curves.hugoniot_point(model, s1, 0,
+                                       curves.mu_flat_zero(model, s1)).state
+            worst_inv = max(worst_inv,
+                            abs(models.mu(model, s2) - models.mu(model, u0)))
+            fl = kin_mod.phi_flat(model, kin, u0)
+            sh = kin_mod.phi_sharp(model, kin, u0)
+            worst_speed = max(worst_speed,
+                              abs(curves.shock_speed(model, u0, fl) -
+                                  curves.shock_speed(model, u0, sh)))
+            images.append(np.concatenate([s1, s2, fl, sh]))
+        worst_pair = max(worst_pair,
+                         float(np.max(np.abs(images[0] - images[1]))))
+    passed = max(worst_inv, worst_speed, worst_pair) <= 1e-10
     return passed, (
-        f"involution round trip max {worst_inv:.3e}, companion speed "
-        f"mismatch max {worst_speed:.3e} (tol 1e-10)")
+        f"closed forms and root searches: involution round trip max "
+        f"{worst_inv:.3e}, companion speed mismatch max {worst_speed:.3e}, "
+        f"closed form vs search images max {worst_pair:.3e} (tol 1e-10)")
 
 
 def check_c03():

@@ -19,8 +19,15 @@ rarefaction_point wrap one in a CurvePoint, for the Riemann solver and the
 tracker. A scalar curve evaluates its base state once, when it is built,
 and its points take the same floating-point operations, in the same
 order, as a point evaluated from scratch on state vectors, so every
-artifact keeps its bits. All critical-map root-finding is generic
-(bracketing plus polishing on exact identities).
+artifact keeps its bits.
+
+The critical maps answer from the model's critical_fn hook when it has
+one: the tangency and zero-dissipation parameters come from the hook, and
+the left contact and the equal-speed companions from its symmetry rule,
+companion(m) = 2 m_nat - m. Every parameter they return is checked against
+the outer ball through the Hugoniot point it names. Models without the hook
+get generic root-finding (bracketing plus polishing on exact identities);
+only these searches load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from ncft import models
 from ncft.models import FluxModel, as_state, char_speed, eigen, mu
@@ -95,6 +102,10 @@ class HugoniotCurve:
     the base state in both directions, and a query runs a corrector Newton
     from the nearest anchor.
 
+    The curve holds its model weakly: the model's memo holds the curve,
+    and a strong reference back would keep every dropped model alive
+    until a cyclic garbage collection.
+
     The base state's characteristic speed lam0 and entropy pair (U0, F0)
     are Python floats computed once per curve. On scalar models without
     hugoniot_fn, so are its value x0, flux value f0 and parameter slope g0,
@@ -105,7 +116,7 @@ class HugoniotCurve:
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
-        self.model = model
+        self._model = weakref.ref(model)
         self.family = family
         self.u_minus = as_state(model, u_minus)
         self.mu0 = float(model.family_parameter(self.u_minus, family))
@@ -121,6 +132,10 @@ class HugoniotCurve:
             self._outer = model.delta0 + models.BALL_TOL
         self._up = [(self.mu0, self.u_minus.copy(), lam0)]
         self._down = [(self.mu0, self.u_minus.copy(), lam0)]
+
+    @property
+    def model(self) -> FluxModel:
+        return self._model()
 
     def point(self, m) -> CurvePoint:
         m = float(m)
@@ -368,6 +383,13 @@ def _dissipation_at(model: FluxModel, curve: HugoniotCurve, m: float) -> float:
     return -lam * (float(U_p) - curve.U0) + (float(F_p) - curve.F0)
 
 
+def _in_ball(curve: HugoniotCurve, m) -> float:
+    """m, once the state of its point on curve is known to lie in the
+    outer ball; BallExit otherwise."""
+    curve.state_speed(m)
+    return float(m)
+
+
 def _memoized(name: str):
     """Serve a critical map of u_minus from the model's memo under name.
     The map's body receives the state checked against the outer ball."""
@@ -386,15 +408,24 @@ def mu_natural(model: FluxModel, a: Array) -> float:
     speed along the Hugoniot, where the shock speed meets the
     characteristic speed of the right state.
 
-    Located by a walking bracket on the chord speed, then a root solve on
-    the exact tangency identity, whose sign flips at the minimizer; a
+    Read from the model's critical_fn when it has one. Otherwise located
+    by a walking bracket on the chord speed, then a root solve on the
+    exact tangency identity, whose sign flips at the minimizer; a
     golden-section search with a Newton polish covers the rare bracket
     where the identity fails to change sign."""
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
         return -0.5 * mu0
-    s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
+    if model.critical_fn is not None:
+        m_nat = model.critical_fn(a)[0]
+        # as for the search, the minimum is interior only if the chord
+        # speed rises past it inside the ball, up to the search's bracket
+        # end a quarter of |mu| beyond it (BallExit otherwise)
+        curve.state_speed(m_nat - 0.25 * mu0)
+        return _in_ball(curve, m_nat)
+    from scipy.optimize import brentq, minimize_scalar
+    s = 1.0 if mu0 > 0 else -1.0
     step = 0.25 * abs(mu0)
     ms = [mu0]
     vals = [curve.lam0]
@@ -476,14 +507,21 @@ def mu_natural(model: FluxModel, a: Array) -> float:
 def mu_minus_natural(model: FluxModel, a: Array) -> Optional[float]:
     """Parameter of the left contact: the root beyond the tangency point
     where the chord speed climbs back to the characteristic speed of the
-    base state. None when the root lies outside the ball."""
+    base state. None when the root lies outside the ball. With the
+    model's critical_fn it is the base state's companion, 2 m_nat - mu."""
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
         return -2.0 * mu0
-    s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
-    lam_target = curve.lam0
     m_nat = mu_natural(model, a)
+    if model.critical_fn is not None:
+        try:
+            return _in_ball(curve, 2.0 * m_nat - mu0)
+        except BallExit:
+            return None
+    from scipy.optimize import brentq
+    s = 1.0 if mu0 > 0 else -1.0
+    lam_target = curve.lam0
 
     def g(m):
         return curve.speed_at(m) - lam_target
@@ -521,13 +559,18 @@ def mu_flat_zero(model: FluxModel, a: Array) -> float:
     """Parameter of the zero-dissipation point: the interior root of the
     entropy dissipation along the Hugoniot, between the left contact and
     the tangency point. Applying the map from the reached state returns
-    the start (involution)."""
+    the start (involution). Read from the model's critical_fn when it has
+    one."""
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
         return -mu0
-    s = 1.0 if mu0 > 0 else -1.0
     curve = hugoniot_curve(model, a)
+    # with the hook too: where the tangency point fails, so does this map
     m_nat = mu_natural(model, a)
+    if model.critical_fn is not None:
+        return _in_ball(curve, model.critical_fn(a)[1])
+    from scipy.optimize import brentq
+    s = 1.0 if mu0 > 0 else -1.0
 
     def E(m):
         return _dissipation_at(model, curve, m)
@@ -584,7 +627,8 @@ def mu_flat_zero(model: FluxModel, a: Array) -> float:
 
 def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
     """Equal-shock-speed companion of m_ref on the other side of the
-    tangency point, on the Hugoniot of u_minus."""
+    tangency point, on the Hugoniot of u_minus: 2 m_nat - m_ref with the
+    model's critical_fn, a root search otherwise."""
     a = models.require_in_ball(model, u_minus, "delta0")
     mu0 = mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
@@ -605,6 +649,9 @@ def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
         )
     if curve.lam0 - lam_ref < 0:
         raise BracketFailure("no equal-speed companion before the base state")
+    if model.critical_fn is not None:
+        return _in_ball(curve, 2.0 * m_nat - m_ref)
+    from scipy.optimize import brentq
     root = brentq(h, *sorted((m_nat, mu0)), xtol=1e-13, rtol=8.9e-16)
     return float(root)
 

@@ -105,6 +105,17 @@ class FluxModel:
     integral curve of r_j. Without them the curve layer runs
     predictor-corrector continuation and fixed-step RK4.
 
+    The critical hook critical_fn(u) is an optional closed form of the
+    critical maps of the designated family at u: it returns the pair
+    (tangency parameter, zero-dissipation parameter). A model that fills
+    it also promises that the chord speed along the Hugoniot locus of u
+    is symmetric about the tangency parameter m_nat, so that the
+    equal-speed companion of m is 2 m_nat - m; the left contact and the
+    zero-dissipation companion follow from that rule. Without it the
+    curve layer finds the maps by bracketing root searches. Either way
+    a returned parameter whose Hugoniot state leaves the outer ball is
+    an error (or, for the left contact, None).
+
     cache is the model's Memo: one entry per Hugoniot curve through a
     state and one per state for all its critical and kinetic values,
     cleared whole once it holds more than Memo.LIMIT entries. The curve
@@ -127,6 +138,7 @@ class FluxModel:
     m_fn: Optional[Callable[[Array, int], float]] = None
     hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
     integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
+    critical_fn: Optional[Callable[[Array], tuple]] = None
     cache: Memo = dataclasses.field(default_factory=Memo, init=False,
                                     repr=False, compare=False)
 
@@ -296,15 +308,16 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def family_parameter_grad_(u, j):
         return np.array([1.0])
 
+    # plain tuples: eigen() makes the arrays, char_speed reads lambda alone
     def eigen_fn(u):
-        return (
-            np.array([3.0 * u[0] ** 2]),
-            np.array([[1.0]]),
-            np.array([[1.0]]),
-        )
+        return (3.0 * u[0] ** 2,), ((1.0,),), ((1.0,),)
 
     def m_fn(u, j):
         return 6.0 * u[0]
+
+    # the chord speed u^2 + u m + m^2 is symmetric about m = -u/2
+    def critical_fn(u):
+        return -0.5 * u[0], -u[0]
 
     return FluxModel(
         name="cubic",
@@ -320,6 +333,7 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         family_parameter_grad=family_parameter_grad_,
         eigen_fn=eigen_fn,
         m_fn=m_fn,
+        critical_fn=critical_fn,
     )
 
 
@@ -358,11 +372,9 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
 
     def eigen_fn(u):
         s = np.sqrt(sigma_p(u[1]))
-        lams = np.array([-s, s])
-        # Columns normalized so grad(parameter_j) . r_j = 1.
-        R = np.array([[-s, -s], [-1.0, 1.0]])
-        L = np.array([[-0.5 / s, -0.5], [-0.5 / s, 0.5]])
-        return lams, R, L
+        # Columns of R normalized so grad(parameter_j) . r_j = 1.
+        return ((-s, s), ((-s, -s), (-1.0, 1.0)),
+                ((-0.5 / s, -0.5), (-0.5 / s, 0.5)))
 
     def m_fn(u, j):
         # d lambda_j / d parameter_j along the integral curve, both families.
@@ -389,6 +401,11 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         dv = sqrt_sigma_p_integral(w_p) - sqrt_sigma_p_integral(float(u[1]))
         return np.array([u[0] - dv if j == 1 else u[0] + dv, w_p])
 
+    # s^2 = w+^2 + w+ w- + w-^2 + 1 on the designated family: the cubic's
+    # chord algebra in w
+    def critical_fn(u):
+        return -0.5 * u[1], -u[1]
+
     return FluxModel(
         name="elasticity",
         N=2,
@@ -405,6 +422,7 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         m_fn=m_fn,
         hugoniot_fn=hugoniot_fn,
         integral_curve_fn=integral_curve_fn,
+        critical_fn=critical_fn,
     )
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 import types
 from importlib.resources import files
@@ -59,6 +60,29 @@ def test_bundled_configs_validate():
         cfg = cli.validate_config(json.loads(cfg_dir.joinpath(name).read_text()))
         assert cfg["schema_version"] == 1
         json.dumps(cfg)
+
+
+def test_bundled_run_leaves_scipy_optimize_unloaded(tmp_path):
+    # both shipped models answer the critical maps in closed form, so only
+    # a hook-free model pays for importing the root searches
+    code = (
+        "import json, sys\n"
+        "from importlib.resources import files\n"
+        "from ncft import cli\n"
+        "text = files('ncft').joinpath('configs', 'cubic-baseline.json')"
+        ".read_text()\n"
+        "cli.run_experiment(cli.validate_config(json.loads(text)), sys.argv[1])\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+    assert (tmp_path / "MANIFEST.json").exists()
 
 
 def test_unknown_top_level_key_rejected():

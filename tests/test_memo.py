@@ -1,11 +1,15 @@
 """The per-model memo of Hugoniot curves and critical and kinetic values."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ncft import curves
 from ncft.kinetics import KineticFunction, mu_flat, mu_nucleation, mu_sharp
-from ncft.models import cubic_model
+from ncft.models import cubic_model, elasticity_model
+from ncft.riemann import solve_riemann
 
 KIN = KineticFunction(theta=0.5, nucleation_gamma=0.5)
 
@@ -67,7 +71,7 @@ def test_memo_keeps_a_missing_left_contact(monkeypatch):
     # the left contact -2u = -3 lies outside the outer ball of radius 2
     u = np.array([1.5])
     assert curves.mu_minus_natural(model, u) is None
-    # None is served from the memo: the walk to the ball edge runs once
+    # None is served from the memo: the search for it runs once
     _forbid(monkeypatch, "mu", "hugoniot_curve", "mu_natural")
     assert curves.mu_minus_natural(model, u) is None
 
@@ -97,3 +101,23 @@ def test_memo_clears_whole_past_its_limit():
     assert after == before
     assert len(memo) == fresh
     assert memo.value("filler", np.array([10.0]), lambda: -1) == -1
+
+
+@pytest.mark.parametrize("factory, left, right", [
+    (cubic_model, [1.0], [-0.3]),
+    (elasticity_model, [0.0, 0.8], [0.0, -0.5])], ids=["cubic", "elasticity"])
+def test_a_dropped_model_is_freed_without_the_cycle_collector(factory, left,
+                                                              right):
+    model = factory()
+    solve_riemann(model, KIN, left, right)
+    assert len(model.cache) > 0
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the memo's curves must not hold their model alive in a cycle
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
