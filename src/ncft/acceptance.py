@@ -76,9 +76,11 @@ def check_c01():
     elasticity_states = [np.array([v, s * w]) for v in (-0.5, 0.5)
                          for s in (-1.0, 1.0)
                          for w in np.linspace(0.05, 1.0, 10)]
-    cases = ((_wide_cubic(), [np.array([u]) for u in GRID]),
-             (_elasticity(), elasticity_states))
-    for model, states in cases:
+    # every cubic left contact, -2u, lies inside the wide ball; p-system
+    # left contacts may leave it, on both paths alike
+    cases = ((_wide_cubic(), [np.array([u]) for u in GRID], True),
+             (_elasticity(), elasticity_states, False))
+    for model, states, contact_required in cases:
         search = _searching(model)
         for u0 in states:
             n_states += 1
@@ -89,7 +91,10 @@ def check_c01():
                                    f"form {got}, search {want}")
                 if got is not None:
                     worst = max(worst, abs(got - want))
-            n_contact += curves.mu_minus_natural(model, u0) is not None
+            has_contact = curves.mu_minus_natural(model, u0) is not None
+            if contact_required and not has_contact:
+                return False, f"no double-contact parameter at {u0.tolist()}"
+            n_contact += has_contact
     return worst <= 1e-10, (
         f"four closed-form critical maps vs the root searches on "
         f"{n_states} cubic and p-system states ({n_contact} with a left "

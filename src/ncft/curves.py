@@ -135,7 +135,12 @@ class HugoniotCurve:
 
     @property
     def model(self) -> FluxModel:
-        return self._model()
+        model = self._model()
+        if model is None:
+            raise ReferenceError(
+                "the model of this Hugoniot curve has been freed; keep the "
+                "model alive while its curves are in use")
+        return model
 
     def point(self, m) -> CurvePoint:
         m = float(m)
@@ -294,6 +299,9 @@ def _scalar_state(model: FluxModel, family: int, m: float, x0: float,
 
 
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
+    """The model's memoized Hugoniot curve through u_minus. The curve
+    holds the model weakly: keep the model alive while using the curve,
+    whose queries raise ReferenceError once the model is freed."""
     fam = model.cc_index if family is None else family
     a = as_state(model, u_minus)
     return model.cache.curve(fam, a, lambda: HugoniotCurve(model, a, fam))
@@ -418,7 +426,7 @@ def mu_natural(model: FluxModel, a: Array) -> float:
         return -0.5 * mu0
     curve = hugoniot_curve(model, a)
     if model.critical_fn is not None:
-        m_nat = model.critical_fn(a)[0]
+        m_nat = model.critical_fn(a, mu0)[0]
         # as for the search, the minimum is interior only if the chord
         # speed rises past it inside the ball, up to the search's bracket
         # end a quarter of |mu| beyond it (BallExit otherwise)
@@ -568,7 +576,7 @@ def mu_flat_zero(model: FluxModel, a: Array) -> float:
     # with the hook too: where the tangency point fails, so does this map
     m_nat = mu_natural(model, a)
     if model.critical_fn is not None:
-        return _in_ball(curve, model.critical_fn(a)[1])
+        return _in_ball(curve, model.critical_fn(a, mu0)[1])
     from scipy.optimize import brentq
     s = 1.0 if mu0 > 0 else -1.0
 

@@ -105,11 +105,11 @@ class FluxModel:
     integral curve of r_j. Without them the curve layer runs
     predictor-corrector continuation and fixed-step RK4.
 
-    The critical hook critical_fn(u) is an optional closed form of the
-    critical maps of the designated family at u: it returns the pair
-    (tangency parameter, zero-dissipation parameter). A model that fills
-    it also promises that the chord speed along the Hugoniot locus of u
-    is symmetric about the tangency parameter m_nat, so that the
+    The critical hook critical_fn(u, mu0) is an optional closed form of
+    the critical maps of the designated family at u, whose parameter in
+    that family is mu0: it returns the pair (tangency parameter,
+    zero-dissipation parameter). A model that fills it also promises
+    that the chord speed along the Hugoniot locus of u is symmetric about the tangency parameter m_nat, so that the
     equal-speed companion of m is 2 m_nat - m; the left contact and the
     zero-dissipation companion follow from that rule. Without it the
     curve layer finds the maps by bracketing root searches. Either way
@@ -138,7 +138,7 @@ class FluxModel:
     m_fn: Optional[Callable[[Array, int], float]] = None
     hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
     integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
-    critical_fn: Optional[Callable[[Array], tuple]] = None
+    critical_fn: Optional[Callable[[Array, float], tuple]] = None
     cache: Memo = dataclasses.field(default_factory=Memo, init=False,
                                     repr=False, compare=False)
 
@@ -316,8 +316,8 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         return 6.0 * u[0]
 
     # the chord speed u^2 + u m + m^2 is symmetric about m = -u/2
-    def critical_fn(u):
-        return -0.5 * u[0], -u[0]
+    def critical_fn(u, mu0):
+        return -0.5 * mu0, -mu0
 
     return FluxModel(
         name="cubic",
@@ -401,10 +401,10 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         dv = sqrt_sigma_p_integral(w_p) - sqrt_sigma_p_integral(float(u[1]))
         return np.array([u[0] - dv if j == 1 else u[0] + dv, w_p])
 
-    # s^2 = w+^2 + w+ w- + w-^2 + 1 on the designated family: the cubic's
-    # chord algebra in w
-    def critical_fn(u):
-        return -0.5 * u[1], -u[1]
+    # s^2 = m^2 + m mu0 + mu0^2 + 1 on either family, whose parameters
+    # are w and -w: the cubic's chord algebra in the family parameter
+    def critical_fn(u, mu0):
+        return -0.5 * mu0, -mu0
 
     return FluxModel(
         name="elasticity",

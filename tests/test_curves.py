@@ -305,6 +305,23 @@ def test_critical_hook_matches_generic_search(model, search, n_values,
     assert n_compared >= n_values and n_edge >= 50
 
 
+@pytest.mark.parametrize("cc_index", [0, 1])
+def test_critical_hook_reads_the_family_parameter(cc_index):
+    """On both p-system families, whose parameters are -w and w, the
+    hook's tangency and zero-dissipation parameters meet their exact
+    identities on the designated family's Hugoniot locus."""
+    model = dataclasses.replace(ELAS, cc_index=cc_index)
+    for u in ([0.0, -0.5], [0.2, 0.4], [-0.1, 0.3]):
+        u = np.array(u)
+        curve = curves.hugoniot_curve(model, u)
+        m_nat = mu_natural(model, u)
+        state, lam = curve.state_speed(m_nat)
+        assert abs(lam - models.char_speed(model, state, cc_index)) <= 1e-12
+        m_flat = mu_flat_zero(model, u)
+        assert m_flat != models.mu(model, u)
+        assert abs(curves._dissipation_at(model, curve, m_flat)) <= 1e-12
+
+
 @pytest.mark.parametrize("model", [
     CUBIC, ELAS, dataclasses.replace(CUBIC, eigen_fn=None),
     dataclasses.replace(ELAS, eigen_fn=None)],

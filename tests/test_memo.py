@@ -121,3 +121,13 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector(factory, left,
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_curve_of_a_freed_model_says_so():
+    model = cubic_model()
+    curve = curves.hugoniot_curve(model, [1.0])
+    assert curve.point(-0.5).state[0] == -0.5
+    del model
+    gc.collect()
+    with pytest.raises(ReferenceError, match="freed"):
+        curve.point(-0.5)
