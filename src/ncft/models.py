@@ -109,8 +109,9 @@ class FluxModel:
     the critical maps of the designated family at u, whose parameter in
     that family is mu0: it returns the pair (tangency parameter,
     zero-dissipation parameter). A model that fills it also promises
-    that the chord speed along the Hugoniot locus of u is symmetric about the tangency parameter m_nat, so that the
-    equal-speed companion of m is 2 m_nat - m; the left contact and the
+    that the chord speed along the Hugoniot locus of u is symmetric
+    about the tangency parameter m_nat, so that the equal-speed
+    companion of m is 2 m_nat - m; the left contact and the
     zero-dissipation companion follow from that rule. Without it the
     curve layer finds the maps by bracketing root searches. Either way
     a returned parameter whose Hugoniot state leaves the outer ball is
