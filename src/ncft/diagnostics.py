@@ -65,10 +65,6 @@ CYCLE_DROP_FLOOR = 1e-3
 
 CSV_HEADER = ("t", "V_L", "V_M", "V_R", "W", "Q", "eps", "lyapunov")
 
-CASE_TAGS = ("Case1", "Case2", "Case3", "Case4", "Case5", "Case6", "Case7",
-             "WeakWeak", "Other")
-
-
 class DiagnosticsError(ValueError):
     pass
 

@@ -1,15 +1,18 @@
 """Flux models for 1-D systems of conservation laws.
 
-A FluxModel bundles the flux, its Jacobian, a strictly convex entropy pair,
-and the per-family structure the wave machinery needs: a smooth scalar
-parameter for every characteristic family and the index of the designated
+A FluxModel bundles the flux, a strictly convex entropy pair, and the
+per-family structure the wave machinery needs: a smooth scalar parameter
+for every characteristic family and the index of the designated
 concave-convex family, whose genuine-nonlinearity measure m changes sign
 across a manifold that the family's integral curves cross transversally.
+Every model supplies its eigenstructure, its wave curves and its critical
+maps in closed form, as required hooks; the package has no numerical
+fallback for any of them.
 
 States are numpy vectors of length N. Solver-facing entry points check
 inputs against the inner working ball (radius delta1); the curve layer
 accepts the outer ball (radius delta0), because critical-point
-compositions and continuation legitimately roam beyond the inner one.
+compositions legitimately roam beyond the inner one.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 Array = np.ndarray
-
-# Central-difference step for all fallback gradients.
-FD_STEP = 1e-6
-
-# Eigenvalues closer than this trip the strict-hyperbolicity guard.
-EIGEN_GAP_TOL = 1e-10
 
 BALL_TOL = 1e-12
 
@@ -75,47 +72,43 @@ class BallViolation(ValueError):
     """State outside the working ball."""
 
 
-class HyperbolicityError(ValueError):
-    """Eigenvalue collision within tolerance."""
-
-
 @dataclasses.dataclass(frozen=True)
 class FluxModel:
     """A hyperbolic system with entropy pair and family parameters.
 
-    flux, jacobian, entropy are functions of the state vector; entropy
-    returns the pair (U, F). family_parameter(u, j) is the scalar
-    parameter of family j, strictly monotone along the family's integral
-    curves; for the designated concave-convex family (cc_index) it is the
-    global parameter mu with mu = 0 exactly on the sign-change manifold
-    of m. Eigenvectors are normalized so the directional derivative of
-    the family parameter along r_j equals 1, which makes the parameter
-    the natural arclength for rarefaction integration and makes
-    m_j = grad(lambda_j) . r_j the derivative of lambda_j in that
+    flux and entropy are functions of the state vector; entropy returns
+    the pair (U, F). family_parameter(u, j) is the scalar parameter of
+    family j, strictly monotone along the family's integral curves; for
+    the designated concave-convex family (cc_index) it is the global
+    parameter mu with mu = 0 exactly on the sign-change manifold of m.
+
+    The five hooks are required closed forms; the package has no
+    numerical fallback for any of them, and leaving one out is a
+    TypeError.
+
+    eigen_fn(u) returns (lambdas, R, L): eigenvalues ascending, columns
+    of R the right eigenvectors normalized so the directional derivative
+    of the family parameter along r_j equals 1, rows of L the
+    biorthonormal left eigenvectors. The normalization makes the
+    parameter the natural arclength along integral curves and makes
+    m_fn(u, j) = grad(lambda_j) . r_j the derivative of lambda_j in that
     parameter.
 
-    The analytic hooks (eigen_fn, family_parameter_grad, m_fn) are
-    optional; finite differences with step FD_STEP fill in for any that
-    are absent.
+    The curve hooks give the wave curves through u_minus, indexed by the
+    family parameter m of the state reached: hugoniot_fn(u_minus, j, m)
+    returns (state, shock speed) on the Hugoniot locus,
+    integral_curve_fn(u_minus, j, m) the state on the integral curve of
+    r_j.
 
-    The curve hooks are optional closed forms of the wave curves through
-    u_minus, indexed by the family parameter m of the state reached:
-    hugoniot_fn(u_minus, j, m) returns (state, shock speed) on the
-    Hugoniot locus, integral_curve_fn(u_minus, j, m) the state on the
-    integral curve of r_j. Without them the curve layer runs
-    predictor-corrector continuation and fixed-step RK4.
-
-    The critical hook critical_fn(u, mu0) is an optional closed form of
-    the critical maps of the designated family at u, whose parameter in
-    that family is mu0: it returns the pair (tangency parameter,
-    zero-dissipation parameter). A model that fills it also promises
-    that the chord speed along the Hugoniot locus of u is symmetric
-    about the tangency parameter m_nat, so that the equal-speed
-    companion of m is 2 m_nat - m; the left contact and the
-    zero-dissipation companion follow from that rule. Without it the
-    curve layer finds the maps by bracketing root searches. Either way
-    a returned parameter whose Hugoniot state leaves the outer ball is
-    an error (or, for the left contact, None).
+    The critical hook critical_fn(u, mu0) gives the critical maps of the
+    designated family at u, whose parameter in that family is mu0: it
+    returns the pair (tangency parameter, zero-dissipation parameter).
+    The model also promises that the chord speed along the Hugoniot
+    locus of u is symmetric about the tangency parameter m_nat, so that
+    the equal-speed companion of m is 2 m_nat - m; the left contact and
+    the zero-dissipation companion follow from that rule. A returned
+    parameter whose Hugoniot state leaves the outer ball is an error
+    (or, for the left contact, None).
 
     cache is the model's Memo: one entry per Hugoniot curve through a
     state and one per state for all its critical and kinetic values,
@@ -127,19 +120,17 @@ class FluxModel:
     name: str
     N: int
     flux: Callable[[Array], Array]
-    jacobian: Callable[[Array], Array]
     entropy: Callable[[Array], tuple]
     field_kinds: tuple
     delta0: float
     delta1: float
     cc_index: int
     family_parameter: Callable[[Array, int], float]
-    family_parameter_grad: Optional[Callable[[Array, int], Array]] = None
-    eigen_fn: Optional[Callable[[Array], tuple]] = None
-    m_fn: Optional[Callable[[Array, int], float]] = None
-    hugoniot_fn: Optional[Callable[[Array, int, float], tuple]] = None
-    integral_curve_fn: Optional[Callable[[Array, int, float], Array]] = None
-    critical_fn: Optional[Callable[[Array, float], tuple]] = None
+    eigen_fn: Callable[[Array], tuple]
+    m_fn: Callable[[Array, int], float]
+    hugoniot_fn: Callable[[Array, int, float], tuple]
+    integral_curve_fn: Callable[[Array, int, float], Array]
+    critical_fn: Callable[[Array, float], tuple]
     cache: Memo = dataclasses.field(default_factory=Memo, init=False,
                                     repr=False, compare=False)
 
@@ -185,64 +176,21 @@ def require_in_ball(model: FluxModel, u, radius: str = "delta1") -> Array:
     return a
 
 
-def family_parameter_grad(model: FluxModel, u: Array, family: int) -> Array:
-    if model.family_parameter_grad is not None:
-        return np.asarray(model.family_parameter_grad(u, family), dtype=float)
-    g = np.empty(model.N)
-    for k in range(model.N):
-        e = np.zeros(model.N)
-        e[k] = FD_STEP
-        g[k] = (
-            model.family_parameter(u + e, family)
-            - model.family_parameter(u - e, family)
-        ) / (2 * FD_STEP)
-    return g
-
-
 def eigen(model: FluxModel, u) -> tuple:
-    """Eigenstructure (lambdas, R, L) at u.
+    """Eigenstructure (lambdas, R, L) at u, from the model's eigen_fn.
 
     Eigenvalues ascending; columns of R are right eigenvectors normalized
     so grad(family_parameter_j) . r_j = 1; rows of L are the biorthonormal
     left eigenvectors (L = R^-1, so l_j . r_k = delta_jk).
     """
-    a = as_state(model, u)
-    if model.eigen_fn is not None:
-        lams, R, L = model.eigen_fn(a)
-        return np.asarray(lams, float), np.asarray(R, float), np.asarray(L, float)
-    A = np.asarray(model.jacobian(a), dtype=float)
-    lams, vecs = np.linalg.eig(A)
-    if np.max(np.abs(lams.imag)) > 1e-10:
-        raise HyperbolicityError(f"complex eigenvalues at {a.tolist()}")
-    lams = lams.real
-    order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs.real[:, order]
-    gaps = np.diff(lams)
-    if model.N > 1 and np.min(gaps) < EIGEN_GAP_TOL:
-        raise HyperbolicityError(
-            f"eigenvalue gap {np.min(gaps):.3e} below tolerance at {a.tolist()}"
-        )
-    R = np.empty_like(vecs)
-    for j in range(model.N):
-        g = family_parameter_grad(model, a, j)
-        scale = float(g @ vecs[:, j])
-        if abs(scale) < 1e-12:
-            raise ValueError(
-                f"family parameter {j} not transversal to its eigenvector at {a.tolist()}"
-            )
-        R[:, j] = vecs[:, j] / scale
-    L = np.linalg.inv(R)
-    return lams, R, L
+    lams, R, L = model.eigen_fn(as_state(model, u))
+    return np.asarray(lams, float), np.asarray(R, float), np.asarray(L, float)
 
 
 def char_speed(model: FluxModel, u, j: int) -> float:
     """Characteristic speed lambda_j at u: eigen(model, u)[0][j], read
-    straight from the eigen_fn hook's eigenvalues when the model has one."""
-    a = as_state(model, u)
-    if model.eigen_fn is not None:
-        return float(model.eigen_fn(a)[0][j])
-    return float(eigen(model, a)[0][j])
+    straight from the eigen_fn hook's eigenvalues."""
+    return float(model.eigen_fn(as_state(model, u))[0][j])
 
 
 def mu(model: FluxModel, u) -> float:
@@ -253,16 +201,8 @@ def mu(model: FluxModel, u) -> float:
 
 def m_value(model: FluxModel, u, family: Optional[int] = None) -> float:
     """Genuine-nonlinearity measure m_j = grad(lambda_j) . r_j."""
-    a = as_state(model, u)
     j = model.cc_index if family is None else family
-    if model.m_fn is not None:
-        return float(model.m_fn(a, j))
-    _, R, _ = eigen(model, a)
-    r = R[:, j]
-    step = FD_STEP / max(1.0, float(np.linalg.norm(r)))
-    lp = eigen(model, a + step * r)[0][j]
-    lm = eigen(model, a - step * r)[0][j]
-    return float((lp - lm) / (2 * step))
+    return float(model.m_fn(as_state(model, u), j))
 
 
 def entropy_pair(model: FluxModel, u) -> tuple:
@@ -297,17 +237,11 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def flux(u):
         return np.array([u[0] ** 3])
 
-    def jacobian(u):
-        return np.array([[3.0 * u[0] ** 2]])
-
     def entropy(u):
         return u[0] ** 2, 1.5 * u[0] ** 4
 
     def family_parameter(u, j):
         return float(u[0])
-
-    def family_parameter_grad_(u, j):
-        return np.array([1.0])
 
     # plain tuples: eigen() makes the arrays, char_speed reads lambda alone
     def eigen_fn(u):
@@ -315,6 +249,15 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
 
     def m_fn(u, j):
         return 6.0 * u[0]
+
+    # every scalar state is on both wave curves; the one with parameter m
+    # is [m], and the shock speed is the chord slope of the flux
+    def hugoniot_fn(u, j, m):
+        x0 = u[0]
+        return np.array([m]), (m ** 3 - x0 ** 3) / (m - x0)
+
+    def integral_curve_fn(u, j, m):
+        return np.array([m])
 
     # the chord speed u^2 + u m + m^2 is symmetric about m = -u/2
     def critical_fn(u, mu0):
@@ -324,16 +267,16 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         name="cubic",
         N=1,
         flux=flux,
-        jacobian=jacobian,
         entropy=entropy,
         field_kinds=("cc",),
         delta0=delta0,
         delta1=delta1,
         cc_index=0,
         family_parameter=family_parameter,
-        family_parameter_grad=family_parameter_grad_,
         eigen_fn=eigen_fn,
         m_fn=m_fn,
+        hugoniot_fn=hugoniot_fn,
+        integral_curve_fn=integral_curve_fn,
         critical_fn=critical_fn,
     )
 
@@ -358,18 +301,12 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def flux(u):
         return np.array([-sigma(u[1]), -u[0]])
 
-    def jacobian(u):
-        return np.array([[0.0, -sigma_p(u[1])], [-1.0, 0.0]])
-
     def entropy(u):
         v, w = u
         return v * v / 2 + w ** 4 / 4 + w * w / 2, -v * sigma(w)
 
     def family_parameter(u, j):
         return float(-u[1] if j == 0 else u[1])
-
-    def family_parameter_grad_(u, j):
-        return np.array([0.0, -1.0]) if j == 0 else np.array([0.0, 1.0])
 
     def eigen_fn(u):
         s = np.sqrt(sigma_p(u[1]))
@@ -411,14 +348,12 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         name="elasticity",
         N=2,
         flux=flux,
-        jacobian=jacobian,
         entropy=entropy,
         field_kinds=("cc", "cc"),
         delta0=delta0,
         delta1=delta1,
         cc_index=1,
         family_parameter=family_parameter,
-        family_parameter_grad=family_parameter_grad_,
         eigen_fn=eigen_fn,
         m_fn=m_fn,
         hugoniot_fn=hugoniot_fn,

@@ -372,8 +372,7 @@ def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
             # one undamped step past the tolerance lands the fan on the
-            # roundoff floor; kept only when it helps, as in the Hugoniot
-            # corrector
+            # roundoff floor; kept only when it helps
             try:
                 trial = targets + _newton_step(residual, targets, r)
                 polished = float(np.max(np.abs(residual(trial))))

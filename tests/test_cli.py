@@ -63,8 +63,8 @@ def test_bundled_configs_validate():
 
 
 def test_bundled_run_leaves_scipy_optimize_unloaded(tmp_path):
-    # both shipped models answer the critical maps in closed form, so only
-    # a hook-free model pays for importing the root searches
+    # the critical maps are closed forms; only the release checks' oracle
+    # in acceptance.py imports scipy.optimize
     code = (
         "import json, sys\n"
         "from importlib.resources import files\n"

@@ -13,6 +13,96 @@ ELAS = elasticity_model()
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
 
+# Central-difference step of the finite-difference references below.
+FD_STEP = 1e-6
+# Eigenvalues closer than this fail the eig reference's hyperbolicity guard.
+EIGEN_GAP_TOL = 1e-10
+
+
+# Analytic flux Jacobians and family-parameter gradients of the shipped
+# models, keyed by model name; no part of the package reads them.
+
+
+def _cubic_jacobian(u):
+    return np.array([[3.0 * u[0] ** 2]])
+
+
+def _elasticity_jacobian(u):
+    return np.array([[0.0, -(3.0 * u[1] ** 2 + 1.0)], [-1.0, 0.0]])
+
+
+def _cubic_parameter_grad(u, j):
+    return np.array([1.0])
+
+
+def _elasticity_parameter_grad(u, j):
+    return np.array([0.0, -1.0]) if j == 0 else np.array([0.0, 1.0])
+
+
+JACOBIAN = {"cubic": _cubic_jacobian, "elasticity": _elasticity_jacobian}
+PARAMETER_GRAD = {"cubic": _cubic_parameter_grad,
+                  "elasticity": _elasticity_parameter_grad}
+
+
+# Generic references for the eigen_fn and m_fn hooks: np.linalg.eig of the
+# Jacobian, normalized by central-difference parameter gradients, and the
+# central difference of lambda_j along r_j.
+
+
+def fd_parameter_grad(model, u, family: int):
+    g = np.empty(model.N)
+    for k in range(model.N):
+        e = np.zeros(model.N)
+        e[k] = FD_STEP
+        g[k] = (
+            model.family_parameter(u + e, family)
+            - model.family_parameter(u - e, family)
+        ) / (2 * FD_STEP)
+    return g
+
+
+def eig_eigen(model, u) -> tuple:
+    """(lambdas, R, L) at u from np.linalg.eig of the analytic Jacobian,
+    with R normalized so the finite-difference parameter gradient of
+    family j has unit derivative along r_j."""
+    a = models.as_state(model, u)
+    A = np.asarray(JACOBIAN[model.name](a), dtype=float)
+    lams, vecs = np.linalg.eig(A)
+    if np.max(np.abs(lams.imag)) > 1e-10:
+        raise ValueError(f"complex eigenvalues at {a.tolist()}")
+    lams = lams.real
+    order = np.argsort(lams)
+    lams = lams[order]
+    vecs = vecs.real[:, order]
+    gaps = np.diff(lams)
+    if model.N > 1 and np.min(gaps) < EIGEN_GAP_TOL:
+        raise ValueError(
+            f"eigenvalue gap {np.min(gaps):.3e} below tolerance at {a.tolist()}"
+        )
+    R = np.empty_like(vecs)
+    for j in range(model.N):
+        g = fd_parameter_grad(model, a, j)
+        scale = float(g @ vecs[:, j])
+        if abs(scale) < 1e-12:
+            raise ValueError(
+                f"family parameter {j} not transversal to its eigenvector at {a.tolist()}"
+            )
+        R[:, j] = vecs[:, j] / scale
+    L = np.linalg.inv(R)
+    return lams, R, L
+
+
+def fd_m_value(model, u, family=None) -> float:
+    """m_j = grad(lambda_j) . r_j by central differences on eig_eigen."""
+    a = models.as_state(model, u)
+    j = model.cc_index if family is None else family
+    _, R, _ = eig_eigen(model, a)
+    r = R[:, j]
+    step = FD_STEP / max(1.0, float(np.linalg.norm(r)))
+    lp = eig_eigen(model, a + step * r)[0][j]
+    lm = eig_eigen(model, a - step * r)[0][j]
+    return float((lp - lm) / (2 * step))
+
 
 def test_cubic_eigenvalue_at_one():
     lams, R, L = models.eigen(CUBIC, 1.0)
@@ -41,7 +131,7 @@ def test_elasticity_eigenvalues():
     assert L @ R == pytest.approx(np.eye(2), abs=1e-13)
     # parameter-normalized orientation: grad(param_j) . r_j = 1
     for j in range(2):
-        g = models.family_parameter_grad(ELAS, np.array([0.0, 1.0]), j)
+        g = PARAMETER_GRAD["elasticity"](np.array([0.0, 1.0]), j)
         assert g @ R[:, j] == pytest.approx(1.0, abs=1e-13)
 
 
@@ -70,6 +160,18 @@ def test_field_kind_validation():
         dataclasses.replace(CUBIC, delta1=3.0)  # delta1 <= delta0
 
 
+HOOKS = ("eigen_fn", "m_fn", "hugoniot_fn", "integral_curve_fn", "critical_fn")
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+def test_every_hook_is_required(hook):
+    fields = {f.name: getattr(CUBIC, f.name)
+              for f in dataclasses.fields(CUBIC) if f.init}
+    del fields[hook]
+    with pytest.raises(TypeError, match=hook):
+        models.FluxModel(**fields)
+
+
 def test_make_model_dispatch():
     m = make_model("cubic", {"delta0": 4.0, "delta1": 3.0})
     assert m.delta0 == 4.0 and m.delta1 == 3.0
@@ -88,7 +190,7 @@ def m_grad_along_r(model, u, family=None) -> float:
     j = model.cc_index if family is None else family
     _, R, _ = models.eigen(model, a)
     r = R[:, j]
-    step = models.FD_STEP / max(1.0, float(np.linalg.norm(r)))
+    step = FD_STEP / max(1.0, float(np.linalg.norm(r)))
     return float(
         (models.m_value(model, a + step * r, j)
          - models.m_value(model, a - step * r, j)) / (2 * step)
@@ -134,11 +236,11 @@ def entropy_gradients(model, u, analytic: bool = True) -> tuple:
     gF = np.empty(model.N)
     for k in range(model.N):
         e = np.zeros(model.N)
-        e[k] = models.FD_STEP
+        e[k] = FD_STEP
         Up, Fp = model.entropy(a + e)
         Um, Fm = model.entropy(a - e)
-        gU[k] = (Up - Um) / (2 * models.FD_STEP)
-        gF[k] = (Fp - Fm) / (2 * models.FD_STEP)
+        gU[k] = (Up - Um) / (2 * FD_STEP)
+        gF[k] = (Fp - Fm) / (2 * FD_STEP)
     return gU, gF
 
 
@@ -146,7 +248,7 @@ def compatibility_residual(model, u, analytic: bool = True) -> float:
     """Max-norm defect of grad(F)^T = grad(U)^T Df at u."""
     a = models.as_state(model, u)
     gU, gF = entropy_gradients(model, a, analytic)
-    A = np.asarray(model.jacobian(a), dtype=float)
+    A = np.asarray(JACOBIAN[model.name](a), dtype=float)
     return float(np.max(np.abs(gF - gU @ A)))
 
 
@@ -224,23 +326,20 @@ def test_eigen_gap_floor_thousand_samples():
 
 
 def test_generic_fallbacks_match_analytic():
-    plain = dataclasses.replace(
-        ELAS,
-        eigen_fn=None,
-        m_fn=None,
-        family_parameter_grad=None,
-    )
-    rng = np.random.default_rng(7)
-    for a in models.sample_ball(ELAS, 25, rng):
-        lams_a, R_a, _ = models.eigen(ELAS, a)
-        lams_g, R_g, L_g = models.eigen(plain, a)
-        assert lams_g == pytest.approx(lams_a, abs=1e-10)
-        assert R_g == pytest.approx(R_a, abs=1e-6)
-        assert L_g @ R_g == pytest.approx(np.eye(2), abs=1e-10)
-        assert models.m_value(plain, a) == pytest.approx(
-            models.m_value(ELAS, a), abs=1e-5
-        )
-        assert compatibility_residual(plain, a, analytic=False) <= 1e-8
+    # the eigen_fn and m_fn hooks against the eig and finite-difference
+    # references, and the entropy pair against the Jacobian by differences
+    for seed, model in ((7, ELAS), (8, CUBIC)):
+        rng = np.random.default_rng(seed)
+        for a in models.sample_ball(model, 25, rng):
+            lams_a, R_a, _ = models.eigen(model, a)
+            lams_g, R_g, L_g = eig_eigen(model, a)
+            assert lams_g == pytest.approx(lams_a, abs=1e-10)
+            assert R_g == pytest.approx(R_a, abs=1e-6)
+            assert L_g @ R_g == pytest.approx(np.eye(model.N), abs=1e-10)
+            assert fd_m_value(model, a) == pytest.approx(
+                models.m_value(model, a), abs=1e-5
+            )
+            assert compatibility_residual(model, a, analytic=False) <= 1e-8
 
 
 def test_elasticity_m_formula():
@@ -268,6 +367,6 @@ def test_elasticity_frame_properties(v, w):
     lams, R, L = models.eigen(ELAS, a)
     assert lams[0] < 0 < lams[1]
     assert L @ R == pytest.approx(np.eye(2), abs=1e-12)
-    A = ELAS.jacobian(a)
+    A = JACOBIAN["elasticity"](a)
     for j in range(2):
         assert A @ R[:, j] == pytest.approx(lams[j] * R[:, j], abs=1e-12)
