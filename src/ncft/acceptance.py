@@ -530,10 +530,12 @@ def check_c07():
 
 @functools.lru_cache(maxsize=None)
 def _baseline_manifest():
+    """The MANIFEST dict of the bundled baseline run; its artifacts go to a
+    temporary directory that is removed once the run returns."""
     cfg_text = files("ncft").joinpath("configs/cubic-baseline.json").read_text()
     cfg = cli.validate_config(json.loads(cfg_text))
-    out = tempfile.mkdtemp(prefix="ncft-accept-baseline-")
-    return cli.run_experiment(cfg, out)
+    with tempfile.TemporaryDirectory(prefix="ncft-accept-baseline-") as out:
+        return cli.run_experiment(cfg, out)
 
 
 def check_c08():

@@ -65,14 +65,9 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"name", "params"}
 _KINETICS_KEYS = {"theta", "gamma"}
 _INITIAL_KEYS = {"u_star", "main", "jumps", "scale"}
-_WEIGHTS_KEYS = {"mode", "zeta", "K", "values"}
-_FLAG_KEYS = {"rarefaction_speed_convention", "stability_check"}
+_WEIGHTS_KEYS = {"zeta", "K"}
+_FLAG_KEYS = {"stability_check"}
 _CALIBRATION_KEYS = {"n", "scales"}
-
-_WEIGHT_VALUE_KEYS = {
-    "kL", "kM", "kR", "kL_less", "kM_less", "kR_less",
-    "kL_grt", "kM_grt", "kR_grt", "K", "zeta",
-}
 
 
 class ConfigError(ValueError):
@@ -165,9 +160,8 @@ def validate_config(raw: dict) -> dict:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    kin_raw = raw.get("kinetics")
-    _check_keys(kin_raw if kin_raw is not None else {}, _KINETICS_KEYS,
-                "kinetics")
+    kin_raw = raw.get("kinetics", {})
+    _check_keys(kin_raw, _KINETICS_KEYS, "kinetics")
     theta = _number(kin_raw, "theta", "kinetics")
     if not (0.0 <= theta < 1.0):
         raise ConfigError(
@@ -182,18 +176,20 @@ def validate_config(raw: dict) -> dict:
     cfg["h"] = _number(raw, "h", "config", positive=True)
     cfg["T"] = _number(raw, "T", "config", positive=True)
 
-    init_raw = raw.get("initial")
-    _check_keys(init_raw if init_raw is not None else {}, _INITIAL_KEYS,
-                "initial")
+    init_raw = raw.get("initial", {})
+    _check_keys(init_raw, _INITIAL_KEYS, "initial")
     if "u_star" not in init_raw:
         raise ConfigError("initial.u_star is required")
     u_star = _state_delta(init_raw["u_star"], "initial.u_star")
     if "main" not in init_raw:
         raise ConfigError("initial.main ([x, delta]) is required")
     main = _jump(init_raw["main"], "initial.main")
+    jumps_raw = init_raw.get("jumps", [])
+    if not isinstance(jumps_raw, list):
+        raise ConfigError("initial.jumps must be a list of [x, delta] pairs")
     jumps = [
         _jump(j, f"initial.jumps[{k}]")
-        for k, j in enumerate(init_raw.get("jumps", []))
+        for k, j in enumerate(jumps_raw)
     ]
     scale = _as_float(init_raw.get("scale", 1.0), "initial.scale")
     if scale < 0:
@@ -210,32 +206,12 @@ def validate_config(raw: dict) -> dict:
         "scale": scale,
     }
 
-    w_raw = raw.get("weights", {"mode": "lemma"})
+    w_raw = raw.get("weights", {})
     _check_keys(w_raw, _WEIGHTS_KEYS, "weights")
-    mode = w_raw.get("mode", "lemma")
-    if mode == "lemma":
-        cfg["weights"] = {
-            "mode": "lemma",
-            "zeta": _as_float(w_raw.get("zeta", 0.1), "weights.zeta"),
-            "K": _as_float(w_raw.get("K", 1.0), "weights.K"),
-        }
-    elif mode == "explicit":
-        values = w_raw.get("values")
-        if not isinstance(values, dict):
-            raise ConfigError("weights.values is required in explicit mode")
-        _check_keys(values, _WEIGHT_VALUE_KEYS, "weights.values")
-        missing = sorted(_WEIGHT_VALUE_KEYS - set(values))
-        if missing:
-            raise ConfigError(
-                f"weights.values missing: {', '.join(missing)}"
-            )
-        cfg["weights"] = {
-            "mode": "explicit",
-            "values": {k: _as_float(values[k], f"weights.values.{k}")
-                       for k in _WEIGHT_VALUE_KEYS},
-        }
-    else:
-        raise ConfigError(f"weights.mode must be lemma or explicit, got {mode!r}")
+    cfg["weights"] = {
+        "zeta": _as_float(w_raw.get("zeta", 0.1), "weights.zeta"),
+        "K": _as_float(w_raw.get("K", 1.0), "weights.K"),
+    }
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -244,16 +220,11 @@ def validate_config(raw: dict) -> dict:
 
     flags_raw = raw.get("flags", {})
     _check_keys(flags_raw, _FLAG_KEYS, "flags")
-    convention = flags_raw.get("rarefaction_speed_convention", "rh")
-    if convention not in tracking.SPEED_CONVENTIONS:
-        raise ConfigError(
-            f"flags.rarefaction_speed_convention must be one of "
-            f"{tracking.SPEED_CONVENTIONS}, got {convention!r}"
-        )
-    cfg["flags"] = {
-        "rarefaction_speed_convention": convention,
-        "stability_check": bool(flags_raw.get("stability_check", True)),
-    }
+    stability_check = flags_raw.get("stability_check", True)
+    if not isinstance(stability_check, bool):
+        raise ConfigError(f"flags.stability_check must be true or false, "
+                          f"got {stability_check!r}")
+    cfg["flags"] = {"stability_check": stability_check}
 
     cfg["stability_kappa"] = _as_float(raw.get("stability_kappa", 0.25),
                                        "stability_kappa", positive=True)
@@ -352,10 +323,8 @@ def stability_report(model: FluxModel, kin: KineticFunction,
 
 
 def _weights_for(cfg: dict, cff: float) -> dg.Weights:
-    spec = cfg["weights"]
-    if spec["mode"] == "explicit":
-        return dg.Weights(**spec["values"])
-    return dg.lemma_weights(cff, zeta=spec["zeta"], K=spec["K"])
+    return dg.lemma_weights(cff, zeta=cfg["weights"]["zeta"],
+                            K=cfg["weights"]["K"])
 
 
 def _manifest_skeleton() -> dict:
@@ -416,16 +385,11 @@ def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
            weights: dg.Weights, cff: float) -> tuple:
     """(run result, Lyapunov series, cycle audit, conservation report):
     the initial fronts of the config tracked to T, then replayed once."""
-    flags = cfg["flags"]
     states, positions = initial_profile(cfg)
-    fronts0 = tracking.init_fronts(
-        model, kin, states, positions, h=cfg["h"], strong_jumps=[0],
-        convention=flags["rarefaction_speed_convention"],
-    )
-    result = tracking.run(
-        model, kin, fronts0, t_end=cfg["T"], snapshot_dt=cfg["snapshot_dt"],
-        convention=flags["rarefaction_speed_convention"],
-    )
+    fronts0 = tracking.init_fronts(model, kin, states, positions, h=cfg["h"],
+                                   strong_jumps=[0])
+    result = tracking.run(model, kin, fronts0, t_end=cfg["T"],
+                          snapshot_dt=cfg["snapshot_dt"])
     series = dg.lyapunov_series(model, result.events, result.snapshots,
                                 weights)
     audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
@@ -468,8 +432,7 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
                 calibration.to_json_dict())
 
     constraints = dg.validate_constraints(
-        weights, cff, measured={"k_floor": calibration.k_floor},
-        eps_bound=perturbation_tv(cfg))
+        weights, cff, measured={"k_floor": calibration.k_floor})
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

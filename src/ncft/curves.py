@@ -52,6 +52,8 @@ NEAR_MANIFOLD = 1e-5
 CLASSIFY_TOL = 1e-9
 
 STATE_COINCIDENCE = 1e-13
+# largest flux residual |[f] - lambda [u]| that shock_speed accepts
+RH_TOL = 1e-8
 
 
 class CurveError(ValueError):
@@ -165,9 +167,9 @@ def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Curve
 
 
 def shock_speed(model: FluxModel, u_minus, u_plus,
-                family: Optional[int] = None, tol: float = 1e-8) -> float:
+                family: Optional[int] = None) -> float:
     """Rankine-Hugoniot speed of the jump; raises if the states are not
-    Hugoniot-compatible to within tol."""
+    Hugoniot-compatible to within RH_TOL."""
     a = as_state(model, u_minus)
     b = as_state(model, u_plus)
     du = b - a
@@ -177,7 +179,7 @@ def shock_speed(model: FluxModel, u_minus, u_plus,
     df = model.flux(b) - model.flux(a)
     lam = float(du @ df) / float(du @ du)
     resid = float(np.max(np.abs(df - lam * du)))
-    if resid > tol:
+    if resid > RH_TOL:
         raise RHInconsistency(
             f"states not Rankine-Hugoniot compatible: residual {resid:.3e}"
         )

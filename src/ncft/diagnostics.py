@@ -74,7 +74,7 @@ class Weights:
     """Nine region/family weights plus the potential weight K.
 
     zeta is the asymmetry knob of the lemma instance; its (0, 0.5) range
-    is advisory and checked by validate_constraints, not here, so that
+    is a row of validate_constraints, not checked here, so that
     out-of-range instances can still be built and inspected.
     """
 
@@ -498,15 +498,11 @@ def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
 
 
 def validate_constraints(w: Weights, cff: float,
-                         measured: Optional[dict] = None,
-                         eps_bound: Optional[float] = None,
-                         strong: Optional[dict] = None,
-                         p_const: float = 1.0) -> dict:
+                         measured: Optional[dict] = None) -> dict:
     """Report on the weight inequalities and the potential-weight floor.
 
-    measured carries the calibration output (k_floor at least); strong
-    maps wave labels to |strength| for the perturbation-size rows. All
-    rows are report-only: nothing raises."""
+    measured carries the calibration output (k_floor at least). All rows
+    are report-only: nothing raises."""
     rows = {}
     rows["W1"] = {
         "passed": w.kL > (1.0 + cff) * w.kM,
@@ -533,24 +529,10 @@ def validate_constraints(w: Weights, cff: float,
         }
     else:
         rows["Q1"] = {"passed": None, "margin": None, "floor": None}
-    advisory = {}
-    if eps_bound is not None and strong:
-        for label, mag in strong.items():
-            advisory[f"eps_vs_{label}"] = {
-                "passed": eps_bound <= p_const * abs(mag),
-                "eps": eps_bound,
-                "bound": p_const * abs(mag),
-            }
-        advisory["eps_vs_unit"] = {
-            "passed": eps_bound <= p_const,
-            "eps": eps_bound,
-            "bound": p_const,
-        }
     hard = [r["passed"] for r in rows.values() if r["passed"] is not None]
     return {
         "passed": all(hard),
         "constraints": rows,
-        "advisory": advisory,
         "cff": cff,
     }
 

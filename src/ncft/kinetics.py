@@ -2,9 +2,8 @@
 
 The kinetic function picks, for each left state, the parameter value of
 the admissible nonclassical jump inside the band between the
-zero-dissipation point (excluded) and the tangency point (included). The
-default one-parameter family interpolates linearly between these two ends
-in parameter coordinates; a user-supplied table can replace it. The
+zero-dissipation point (excluded) and the tangency point (included), by
+linear interpolation between these two ends in parameter coordinates. The
 nucleation threshold interpolates between the tangency point and the
 equal-speed companion of the kinetic value, controlled by a second weight.
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,17 +37,15 @@ ARC_SPAN = 0.2
 class KineticFunction:
     """theta in [0, 1]: kinetic interpolation weight (0 gives the classical
     limit at the tangency point, 1 degenerates onto the open band end and
-    fails conformance); table: optional override mapping (model, state) to
-    the kinetic parameter value; nucleation_gamma in [0, 1]: nucleation
+    fails conformance); nucleation_gamma in [0, 1]: nucleation
     interpolation weight (0 disables nucleation). Frozen, so its value
     keys the per-state memo of kinetic parameters."""
 
     theta: float = 0.5
-    table: Optional[Callable[[FluxModel, Array], float]] = None
     nucleation_gamma: float = 0.0
 
     def __post_init__(self):
-        if self.table is None and not (0.0 <= self.theta <= 1.0):
+        if not (0.0 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [0, 1]")
         if not (0.0 <= self.nucleation_gamma <= 1.0):
             raise ValueError("nucleation_gamma must lie in [0, 1]")
@@ -73,22 +70,11 @@ def _memoized(name: str):
 
 @_memoized("flat")
 def mu_flat(model: FluxModel, kin: KineticFunction, a: Array) -> float:
-    """Kinetic parameter value for left state u."""
+    """Kinetic parameter value for left state u: theta of the way from
+    the tangency parameter to the zero-dissipation one."""
     m_nat = curves.mu_natural(model, a)
     m_b0 = curves.mu_flat_zero(model, a)
-    if kin.table is not None:
-        val = float(kin.table(model, a))
-        s = 1.0 if models.mu(model, a) > 0 else -1.0
-        # reject values outside the closed band; the open-end boundary
-        # itself is judged by check_hypotheses, not here
-        if s * val < s * m_b0 - 1e-12 or s * val > s * m_nat + 1e-12:
-            raise ValueError(
-                f"kinetic table value {val} outside the band "
-                f"[{m_b0}, {m_nat}] at state {a.tolist()}"
-            )
-    else:
-        val = (1.0 - kin.theta) * m_nat + kin.theta * m_b0
-    return float(val)
+    return float((1.0 - kin.theta) * m_nat + kin.theta * m_b0)
 
 
 def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
@@ -256,7 +242,7 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         except curves.CurveError:
             continue
         diffs = np.diff(vals)
-        if kin.theta > 1e-12 or kin.table is not None:
+        if kin.theta > 1e-12:
             if not np.all(diffs < 1e-12):
                 arcs_ok = False
                 arc_witness = a.tolist()

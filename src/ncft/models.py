@@ -81,6 +81,9 @@ class FluxModel:
     family j, strictly monotone along the family's integral curves; for
     the designated concave-convex family (cc_index) it is the global
     parameter mu with mu = 0 exactly on the sign-change manifold of m.
+    cc_index names one of the N families; every other family is solved
+    with a single classical shock or rarefaction, away from its own
+    sign-change manifold, and no family has contact discontinuities.
 
     The five hooks are required closed forms; the package has no
     numerical fallback for any of them, and leaving one out is a
@@ -121,7 +124,6 @@ class FluxModel:
     N: int
     flux: Callable[[Array], Array]
     entropy: Callable[[Array], tuple]
-    field_kinds: tuple
     delta0: float
     delta1: float
     cc_index: int
@@ -137,13 +139,9 @@ class FluxModel:
     def __post_init__(self):
         if not (0 < self.delta1 <= self.delta0):
             raise ValueError("ball radii must satisfy 0 < delta1 <= delta0")
-        if len(self.field_kinds) != self.N:
-            raise ValueError("field_kinds must have one tag per family")
-        if self.field_kinds[self.cc_index] != "cc":
-            raise ValueError("cc_index must point at a cc family")
-        for kind in self.field_kinds:
-            if kind not in ("gnl", "ld", "cc"):
-                raise ValueError(f"unknown field kind {kind!r}")
+        if not (0 <= self.cc_index < self.N):
+            raise ValueError(f"cc_index must name one of the {self.N} "
+                             f"families, got {self.cc_index}")
 
 
 def as_state(model: FluxModel, u) -> Array:
@@ -268,7 +266,6 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         N=1,
         flux=flux,
         entropy=entropy,
-        field_kinds=("cc",),
         delta0=delta0,
         delta1=delta1,
         cc_index=0,
@@ -349,7 +346,6 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
         N=2,
         flux=flux,
         entropy=entropy,
-        field_kinds=("cc", "cc"),
         delta0=delta0,
         delta1=delta1,
         cc_index=1,

@@ -1,8 +1,8 @@
-"""Riemann solvers: classical composite curves for the ordinary families
-and the multi-branch nonclassical curve, with kinetics and nucleation,
-for the designated concave-convex family. The nucleation weight alone
-sets the threshold; weight zero puts it on the companion, which turns
-nucleation off.
+"""Riemann solvers: a single classical shock or rarefaction for every
+other family, and the multi-branch nonclassical curve, with kinetics and
+nucleation, for the designated concave-convex family. The nucleation
+weight alone sets the threshold; weight zero puts it on the companion,
+which turns nucleation off. No family has contact discontinuities.
 
 The nonclassical curve for a left state on the positive parameter side
 (mirrored otherwise): rarefactions beyond the base parameter; a single
@@ -33,7 +33,6 @@ Array = np.ndarray
 KIND_CLASSICAL = "ClassicalShock"
 KIND_NONCLASSICAL = "NonclassicalShock"
 KIND_RAREFACTION = "Rarefaction"
-KIND_CONTACT = "Contact"
 KIND_PIECE = "RarefactionShockPiece"
 
 RESIDUAL_TOL = 1e-11
@@ -41,6 +40,7 @@ FD_STRENGTH = 1e-7
 MAX_ITER = 60
 ENTROPY_TOL = 1e-9
 KINETIC_TOL = 1e-10
+FAN_SPEED_TOL = 1e-9
 # Threshold parameters come out of iterative root solves, so a target that
 # ties with one mathematically can land on either side by roundoff; ties
 # must still take the classical branch.
@@ -53,8 +53,10 @@ class SolverError(ValueError):
 
 class NoSolutionGap(SolverError):
     """Target parameter falls in the uncovered interval between the
-    nucleation threshold and the companion; only reachable with a
-    pathological kinetic table."""
+    nucleation threshold and the companion. The threshold lies between
+    the tangency parameter and the companion, so a target beyond it is
+    never beyond the companion and no solve raises this; it stays as a
+    guard."""
 
 
 class IdGen:
@@ -106,11 +108,13 @@ class WaveFan:
     def right_state(self) -> Optional[Array]:
         return self.waves[-1].right if self.waves else None
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
+        """States chain bit for bit, and each wave is no slower than the
+        one before it, within FAN_SPEED_TOL."""
         for a, b in zip(self.waves, self.waves[1:]):
             if not np.array_equal(a.right, b.left):
                 raise SolverError("fan states do not chain")
-            if b.speed_lo < a.speed_hi - tol:
+            if b.speed_lo < a.speed_hi - FAN_SPEED_TOL:
                 raise SolverError(
                     f"fan speeds out of order: {a.speed_hi} then {b.speed_lo}"
                 )
@@ -124,31 +128,30 @@ def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
                       speed: float, ids: IdGen,
                       kin: Optional[KineticFunction] = None,
                       with_strength: bool = True) -> Wave:
-    """Build a shock/contact wave, derive its kind from the classification,
-    and enforce the admissibility invariants."""
-    if model.field_kinds[family] == "ld":
-        kind = KIND_CONTACT
+    """Build a shock wave, derive its kind (classical or nonclassical)
+    from the classification, and enforce the admissibility invariants:
+    no expansive shock, no positive entropy dissipation, and with kin
+    given, the kinetic relation on a nonclassical jump."""
+    cls = curves.classify_shock(model, left, right, family)
+    if cls == "Lax":
+        kind = KIND_CLASSICAL
+    elif cls in ("SlowUndercompressive", "FastUndercompressive"):
+        kind = KIND_NONCLASSICAL
     else:
-        cls = curves.classify_shock(model, left, right, family)
-        if cls == "Lax":
-            kind = KIND_CLASSICAL
-        elif cls in ("SlowUndercompressive", "FastUndercompressive"):
-            kind = KIND_NONCLASSICAL
-        else:
+        raise SolverError(
+            f"inadmissible expansive shock emitted on family {family}"
+        )
+    E = curves.entropy_dissipation(model, left, right)
+    if E > ENTROPY_TOL:
+        raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
+    if kind == KIND_NONCLASSICAL and kin is not None:
+        want = kin_mod.mu_flat(model, kin, left)
+        got = float(model.family_parameter(right, family))
+        if abs(got - want) > KINETIC_TOL:
             raise SolverError(
-                f"inadmissible expansive shock emitted on family {family}"
+                f"nonclassical jump violates the kinetic relation: "
+                f"{got} vs {want}"
             )
-        E = curves.entropy_dissipation(model, left, right)
-        if E > ENTROPY_TOL:
-            raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
-        if kind == KIND_NONCLASSICAL and kin is not None:
-            want = kin_mod.mu_flat(model, kin, left)
-            got = float(model.family_parameter(right, family))
-            if abs(got - want) > KINETIC_TOL:
-                raise SolverError(
-                    f"nonclassical jump violates the kinetic relation: "
-                    f"{got} vs {want}"
-                )
     strength = (curves.generalized_strength(model, left, right, family)
                 if with_strength else 0.0)
     return Wave(family, kind, left.copy(), right.copy(), float(speed),
@@ -183,11 +186,6 @@ def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: in
     m = float(m)
     if abs(m - mu0) < 1e-14:
         return a.copy(), []
-    if model.field_kinds[family] == "ld":
-        pt = curves.hugoniot_point(model, a, family, m)
-        return pt.state, [_mk_discontinuity(model, family, a, pt.state,
-                                            pt.speed, ids,
-                                            with_strength=with_strengths)]
     if family != model.cc_index:
         return _classical_point(model, a, family, m, ids, with_strengths)
     return _nonclassical_point(model, kin, a, family, m, ids, with_strengths)

@@ -48,8 +48,6 @@ DROP_FACTOR = 1e-2
 DEFAULT_MAX_FRONTS = 20000
 DEFAULT_MAX_EVENTS = 100000
 
-SPEED_CONVENTIONS = ("rh", "char_left", "char_right")
-
 
 class TrackingError(RuntimeError):
     pass
@@ -192,32 +190,22 @@ def _split_rarefaction(model: FluxModel, wave: Wave, h: float,
     return pieces
 
 
-def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen,
-            convention: str) -> list:
+def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen) -> list:
+    """The fan's waves, each rarefaction cut into its pieces."""
     out = []
     for w in fan_waves:
         if w.kind == KIND_RAREFACTION:
-            for p in _split_rarefaction(model, w, h, ids):
-                if convention == "char_left":
-                    sp = models.char_speed(model, p.left, p.family)
-                elif convention == "char_right":
-                    sp = models.char_speed(model, p.right, p.family)
-                else:
-                    sp = float(p.speed)
-                out.append((p, sp))
+            out.extend(_split_rarefaction(model, w, h, ids))
         else:
-            out.append((w, float(w.speed)))
+            out.append(w)
     return out
 
 
 def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
-                h: float, strong_jumps: Optional[list] = None,
-                convention: str = "rh") -> FrontSet:
+                h: float, strong_jumps: Optional[list] = None) -> FrontSet:
     """Piecewise-constant data: states[j] left of positions[j], states[-1]
     beyond. Each jump is replaced by its Riemann fan. Jumps listed in
     strong_jumps (default: those at x=0) contribute the strong tokens."""
-    if convention not in SPEED_CONVENTIONS:
-        raise ValueError(f"unknown speed convention {convention!r}")
     if len(states) != len(positions) + 1:
         raise ValueError("need exactly one more state than jump positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
@@ -228,8 +216,7 @@ def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
     for j, x in enumerate(positions):
         fan = riemann.solve_riemann(model, kin, states[j], states[j + 1],
                                     fs.ids)
-        placed = _place(model, fs, None, float(x), fan.waves, convention,
-                        fold=False)
+        placed = _place(model, fs, None, float(x), fan.waves, fold=False)
         if j in strong_jumps:
             _tag_initial_strong(model, fs, placed)
     return fs.check()
@@ -308,16 +295,17 @@ def _ladder(x_star: float, n: int, width: float) -> list:
 
 
 def _place(model: FluxModel, fs: FrontSet, span: Optional[tuple], x_star: float,
-           fan_waves, convention: str, fold: bool = True) -> list:
+           fan_waves, fold: bool = True) -> list:
     """Replace fs.fronts[span] (or append at x_star when span is None)
     with the expanded fan, folding sub-threshold waves into their largest
-    neighbor. Returns the placed fronts."""
-    expanded = _expand(model, fan_waves, fs.h, fs.ids, convention)
+    neighbor. Every front moves at its wave's speed. Returns the placed
+    fronts."""
+    expanded = _expand(model, fan_waves, fs.h, fs.ids)
     if fold and len(expanded) > 1:
         expanded = _fold_small(model, expanded, fs.h)
     width = 0.5 * CLUSTER_REL * max(1.0, abs(x_star))
     xs = _ladder(x_star, len(expanded), width)
-    placed = [Front(x, w, sp) for x, (w, sp) in zip(xs, expanded)]
+    placed = [Front(x, w, float(w.speed)) for x, w in zip(xs, expanded)]
     if span is None:
         lo = len(fs.fronts)
         fs.fronts.extend(placed)
@@ -343,29 +331,28 @@ def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
     changed = True
     while changed and len(out) > 1:
         changed = False
-        for k, (w, _) in enumerate(out):
+        for k, w in enumerate(out):
             if abs(w.strength) >= thresh:
                 continue
             nbr = None
             if k > 0:
                 nbr = k - 1
             if k + 1 < len(out):
-                if nbr is None or abs(out[k + 1][0].strength) > \
-                        abs(out[nbr][0].strength):
+                if nbr is None or abs(out[k + 1].strength) > \
+                        abs(out[nbr].strength):
                     nbr = k + 1
             if nbr is None:
                 break
-            wn, _ = out[nbr]
+            wn = out[nbr]
             if nbr < k:
                 left, right = wn.left, w.right
             else:
                 left, right = w.left, wn.right
             strength = curves.generalized_strength(model, left, right,
                                                    wn.family)
-            speed = _chord_speed(model, left, right)
-            merged = Wave(wn.family, wn.kind, left.copy(), right.copy(),
-                          speed, float(strength), wn.id)
-            out[nbr] = (merged, speed)
+            out[nbr] = Wave(wn.family, wn.kind, left.copy(), right.copy(),
+                            _chord_speed(model, left, right),
+                            float(strength), wn.id)
             del out[k]
             changed = True
             break
@@ -383,7 +370,7 @@ def _moment(fronts) -> Array:
 
 
 def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
-                        collision: tuple, convention: str = "rh") -> tuple:
+                        collision: tuple) -> tuple:
     """Advance to the collision time and replace the colliding cluster by
     the Riemann fan of its outer states. Returns (new FrontSet, event)."""
     t, pair = collision
@@ -402,7 +389,7 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     u_r = cluster[-1].wave.right
     fan = riemann.solve_riemann(model, kin, u_l, u_r, cur.ids)
     pre_moment = _moment(cluster)
-    placed = _place(model, cur, (lo, hi), x_star, fan.waves, convention)
+    placed = _place(model, cur, (lo, hi), x_star, fan.waves)
     outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
     post_moment = _moment(placed)
     correction = pre_moment - post_moment
@@ -469,8 +456,7 @@ class RunResult:
 
 
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
-        t_end: float, snapshot_dt: Optional[float] = None,
-        convention: str = "rh") -> RunResult:
+        t_end: float, snapshot_dt: Optional[float] = None) -> RunResult:
     fs = fronts0
     snapshots = [fronts0]
     events = []
@@ -489,7 +475,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             next_snap += snapshot_dt
         if col is None:
             break
-        fs, ev = resolve_interaction(model, kin, fs, col, convention)
+        fs, ev = resolve_interaction(model, kin, fs, col)
         events.append(ev)
         if len(events) > DEFAULT_MAX_EVENTS:
             raise TrackingError(f"event count exceeded {DEFAULT_MAX_EVENTS}")

@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 
 from ncft import acceptance
@@ -6,8 +8,18 @@ from ncft.cli import CRITERIA
 
 @pytest.fixture(scope="module")
 def results():
-    # one shared pass over all thirteen release checks; several minutes
+    # one shared pass over all thirteen release checks; about half a
+    # minute on two cores
     return acceptance.run_all()
+
+
+def test_baseline_run_leaves_no_directory(tmp_path, monkeypatch):
+    # the baseline's artifacts go to a temporary directory that is removed
+    # once its MANIFEST dict is read
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    manifest = acceptance._baseline_manifest.__wrapped__()
+    assert manifest["checks"]["c08"]["status"] == "pass"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _verdict(results, key):

@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import io
 import json
 import os
 import subprocess
@@ -31,7 +30,7 @@ def base_cfg(**over):
             "jumps": [[0.05, [-0.02]]],
             "scale": 1.0,
         },
-        "weights": {"mode": "lemma", "zeta": 0.1, "K": 1.0},
+        "weights": {"zeta": 0.1, "K": 1.0},
         "seed": 0,
         "calibration": {"n": 16, "scales": [0.05, 0.02]},
         "snapshot_dt": 0.1,
@@ -94,7 +93,7 @@ def test_unknown_nested_keys_rejected():
     with pytest.raises(cli.ConfigError, match="flags.*extra"):
         validated(flags={"extra": True})
     with pytest.raises(cli.ConfigError, match="weights.*plot"):
-        validated(weights={"mode": "lemma", "plot": True})
+        validated(weights={"zeta": 0.1, "plot": True})
     with pytest.raises(cli.ConfigError, match="sweep.*T"):
         validated(sweep={"T": [0.1]})
 
@@ -104,11 +103,15 @@ def test_unknown_nested_keys_rejected():
     ("calibration", "zero_fraction", 0.1),
     ("calibration", "cross_family", True),
     ("flags", "q_weak_only", False),
+    ("flags", "rarefaction_speed_convention", "rh"),
+    ("weights", "mode", "lemma"),
+    ("weights", "values", {}),
 ])
 def test_removed_settings_rejected(section, key, value):
     # nucleation is set by kinetics.gamma alone, the calibration mix is
-    # fixed and Q always counts strong fronts, so these keys are unknown
-    # like any other
+    # fixed, Q always counts strong fronts, every front moves at its
+    # wave's speed and the weights are always the lemma's, so these keys
+    # are unknown like any other
     raw = base_cfg()
     raw.setdefault(section, {})[key] = value
     with pytest.raises(cli.ConfigError, match=f"{section}.*{key}"):
@@ -149,31 +152,14 @@ def test_positions_strictly_increasing():
         cli.validate_config(bad)
 
 
-def test_explicit_weights_require_all_values():
-    with pytest.raises(cli.ConfigError, match="values"):
-        validated(weights={"mode": "explicit"})
-    vals = {"kL": 1.85, "kM": 1.0, "kR": 1.0,
-            "kL_less": 0.9, "kM_less": 1.0, "kR_less": 1.1,
-            "kL_grt": 1.1, "kM_grt": 1.0, "kR_grt": 0.9,
-            "K": 1.0, "zeta": 0.1}
-    cfg = validated(weights={"mode": "explicit", "values": vals})
-    assert cfg["weights"]["values"]["kL"] == 1.85
-    partial = dict(vals)
-    del partial["kR_grt"]
-    with pytest.raises(cli.ConfigError, match="kR_grt"):
-        validated(weights={"mode": "explicit", "values": partial})
-
-
 def test_bad_convention_and_seed():
-    with pytest.raises(cli.ConfigError, match="rarefaction_speed_convention"):
-        validated(flags={"rarefaction_speed_convention": "fastest"})
     with pytest.raises(cli.ConfigError, match="seed"):
         validated(seed="7")
 
 
 def test_nonnumeric_values_rejected():
     with pytest.raises(cli.ConfigError, match="weights.zeta"):
-        validated(weights={"mode": "lemma", "zeta": "x"})
+        validated(weights={"zeta": "x"})
     with pytest.raises(cli.ConfigError, match="sweep.h"):
         validated(sweep={"h": ["x"]})
     with pytest.raises(cli.ConfigError, match="calibration.scales"):
@@ -186,7 +172,18 @@ def test_nonnumeric_values_rejected():
         validated(T=0.0)
 
 
+# a path whose last key is deleted rather than set
+ABSENT = object()
+
+
 @pytest.mark.parametrize("path, value, match", [
+    pytest.param(("kinetics",), ABSENT, "kinetics.theta",
+                 id="kinetics-absent"),
+    pytest.param(("initial",), ABSENT, "initial.u_star", id="initial-absent"),
+    (("initial", "jumps"), 0.05, "initial.jumps"),
+    (("initial", "jumps"), None, "initial.jumps"),
+    (("flags", "stability_check"), "no", "flags.stability_check"),
+    (("flags", "stability_check"), 0, "flags.stability_check"),
     (("weights", "zeta"), "0.02", "weights.zeta"),
     (("weights", "zeta"), "nan", "weights.zeta"),
     (("weights", "zeta"), float("nan"), "weights.zeta"),
@@ -212,8 +209,11 @@ def test_numbers_must_be_finite_and_scales_positive(path, value, match):
     raw = base_cfg()
     obj = raw
     for key in path[:-1]:
-        obj = obj[key]
-    obj[path[-1]] = value
+        obj = obj.setdefault(key, {})
+    if value is ABSENT:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
     with pytest.raises(cli.ConfigError, match=match):
         cli.validate_config(raw)
 
@@ -228,8 +228,7 @@ def test_defaults_filled_and_plain_json():
     assert cfg["initial"]["main"][1] == [-1.368]
     assert cfg["initial"]["jumps"] == []
     assert cfg["initial"]["scale"] == 1.0
-    assert cfg["flags"] == {"rarefaction_speed_convention": "rh",
-                            "stability_check": True}
+    assert cfg["flags"] == {"stability_check": True}
     assert cfg["stability_kappa"] == 0.25
     assert cfg["calibration"]["n"] == 400
     assert cfg["snapshot_dt"] is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncft import curves, kinetics, models
+from ncft import curves, kinetics
 from ncft.kinetics import (
     KineticFunction,
     check_hypotheses,
@@ -107,14 +107,6 @@ def test_check_hypotheses_elasticity():
     # the contraction constant transfers through the shared parameter algebra
     assert rep.measured_Cff == pytest.approx(0.75, abs=1e-6)
     assert rep.grid["n_contraction_evaluated"] > 20
-
-
-def test_user_table():
-    table = KineticFunction(table=lambda model, u: -0.8 * float(u[0]))
-    assert mu_flat(CUBIC, table, 1.0) == pytest.approx(-0.8, abs=1e-12)
-    bad = KineticFunction(table=lambda model, u: -1.2 * float(u[0]))
-    with pytest.raises(ValueError):
-        mu_flat(CUBIC, bad, 1.0)
 
 
 def test_identity_at_manifold():

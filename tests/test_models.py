@@ -154,8 +154,11 @@ def test_ball_rejection():
 
 
 def test_field_kind_validation():
-    with pytest.raises(ValueError):
-        dataclasses.replace(CUBIC, field_kinds=("gnl",))  # cc_index must be cc
+    # cc_index must name one of the N families
+    for model in (CUBIC, ELAS):
+        for bad in (-1, model.N):
+            with pytest.raises(ValueError, match="cc_index"):
+                dataclasses.replace(model, cc_index=bad)
     with pytest.raises(ValueError):
         dataclasses.replace(CUBIC, delta1=3.0)  # delta1 <= delta0
 

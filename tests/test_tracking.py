@@ -83,17 +83,6 @@ def test_init_three_state_pattern_tags():
     assert c.assigned_speed == pytest.approx(0.984375, abs=1e-11)
 
 
-def test_speed_convention_switch():
-    left = init_fronts(CUBIC, KIN, [1.0, 1.2], [0.0], h=0.05,
-                       convention="char_left")
-    assert left.fronts[0].assigned_speed == pytest.approx(3.0, abs=1e-12)
-    right = init_fronts(CUBIC, KIN, [1.0, 1.2], [0.0], h=0.05,
-                        convention="char_right")
-    assert right.fronts[-1].assigned_speed == pytest.approx(4.32, abs=1e-12)
-    with pytest.raises(ValueError):
-        init_fronts(CUBIC, KIN, [1.0, 1.2], [0.0], h=0.05, convention="exact")
-
-
 def _dummy_front(x, v, uid):
     w = Wave(0, KIND_CLASSICAL, np.array([0.0]), np.array([0.0]), v, 0.1, uid)
     return tracking.Front(x, w, v)
@@ -269,11 +258,11 @@ def test_fold_absorbs_tiny_waves():
     mid, frag = tracking.riemann.wave_curve_point(
         CUBIC, KIN, 1.0, 0, -0.75 - 1e-8, ids=IdGen()
     )
-    expanded = tracking._expand(CUBIC, frag, 0.01, IdGen(), "rh")
+    expanded = tracking._expand(CUBIC, frag, 0.01, IdGen())
     assert len(expanded) == 2
     folded = tracking._fold_small(CUBIC, expanded, 0.01)
     assert len(folded) == 1
-    w, sp = folded[0]
+    (w,) = folded
     assert w.kind == KIND_NONCLASSICAL
     assert w.right[0] == pytest.approx(-0.75 - 1e-8, abs=1e-14)
 
