@@ -156,7 +156,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("model.params must be an object")
     cfg["model"] = {"name": model_raw["name"], "params": dict(params)}
     try:
-        models.make_model(cfg["model"]["name"], cfg["model"]["params"])
+        model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -199,12 +199,24 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(
             "jump positions must be strictly increasing, main first"
         )
+    # each state of the profile, keyed by the value that makes it
+    deltas = [("initial.u_star", u_star), ("initial.main[1]", main[1])] + [
+        (f"initial.jumps[{k}][1]", d) for k, (_, d) in enumerate(jumps)]
+    for where, delta in deltas:
+        if len(delta) != model.N:
+            raise ConfigError(f"{where} must have {model.N} component(s), "
+                              f"got {len(delta)}")
     cfg["initial"] = {
         "u_star": u_star,
         "main": [main[0], main[1]],
         "jumps": [[x, d] for x, d in jumps],
         "scale": scale,
     }
+    for (where, _), state in zip(deltas, initial_profile(cfg)[0]):
+        if not models.in_ball(model, state):
+            raise ConfigError(
+                f"{where}: state {state.tolist()} lies outside the working "
+                f"ball of radius {model.delta1}")
 
     w_raw = raw.get("weights", {})
     _check_keys(w_raw, _WEIGHTS_KEYS, "weights")

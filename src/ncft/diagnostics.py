@@ -13,19 +13,29 @@ Everything here is replay: pure functions over the immutable event and
 snapshot logs a run leaves behind. W, Q and the perturbation size depend
 only on the order of the fronts, their strengths, their assigned speeds
 and which fronts are strong, never on positions. Between events none of
-these change, so the value just before an event is, bit for bit, the
-value just after the previous one (or of the initial front set), and the
-replay evaluates one full front set per event.
+these change, so the value just before an event is the value just after
+the previous one (or of the initial front set).
 
-Q over a front set is one numpy pass: per-front arrays of |strength|,
-family, shock flag and assigned speed, broadcast to every pair a < b in
-row-major order. Pairs that do not approach, or belong to the other sum,
-hold 0.0, which leaves a sum unchanged. Each sum is the last entry of
-np.add.accumulate, which adds strictly left to right, so Q has the same
-bits as a double loop over the pairs; np.sum, which adds pairwise, would
-not. The pair terms of a set also give the potential inside a colliding
-cluster and inside the fronts placed in its stead, since both are
-contiguous runs of fronts.
+A snapshot is the full evaluation of one front set. Q is one numpy pass:
+per-front arrays of |strength|, family, shock flag and assigned speed,
+broadcast to every pair a < b in row-major order. Pairs that do not
+approach, or belong to the other sum, hold 0.0, which leaves a sum
+unchanged. Each sum is the last entry of np.add.accumulate, which adds
+strictly left to right, so Q has the same bits as a double loop over the
+pairs; np.sum, which adds pairwise, would not.
+
+The per-event replay never evaluates the potential of a whole set. It
+keeps the set as per-front arrays with its W and Q, and an event only
+changes the terms that touch its cluster: Q changes by the potential
+inside the placed fronts less the one inside the cluster, plus the placed
+fronts' cross terms with the rest of the set less the cluster's, and W by
+the weighted strengths of the placed fronts less the cluster's. The other
+fronts keep their regions, unless the set gains its first strong front or
+loses its last one; then W is summed over the set again. Since the terms
+add in another order than the full evaluation's, the running W+K*Q
+agrees with a snapshot of the same set to rounding (1e-12 relative, held
+by the tests), not bit for bit; the potentials inside the cluster and the
+placed fronts do keep the double loop's bits.
 """
 
 from __future__ import annotations
@@ -137,29 +147,44 @@ def _strong_indices(fs: FrontSet) -> tuple:
     return iy, iz
 
 
-def _region_labels(fs: FrontSet) -> list:
-    """Per-front labels: L/M/R for weak fronts, S for the strong ones.
+def _label(k: int, iy: Optional[int], iz: Optional[int]) -> str:
+    """The label of front k given the strong fronts' indices (None where
+    absent): L/M/R for weak fronts, S for the strong ones.
 
     With a single strong front the middle region is empty; with none,
     every weak wave counts as middle."""
-    iy, iz = _strong_indices(fs)
     if iy is None and iz is None:
-        return ["M"] * len(fs.fronts)
+        return "M"
     if iy is None:
         iy = iz
     if iz is None:
         iz = iy
-    labels = []
-    for k in range(len(fs.fronts)):
-        if k == iy or k == iz:
-            labels.append("S")
-        elif k < iy:
-            labels.append("L")
-        elif k > iz:
-            labels.append("R")
-        else:
-            labels.append("M")
-    return labels
+    if k == iy or k == iz:
+        return "S"
+    if k < iy:
+        return "L"
+    if k > iz:
+        return "R"
+    return "M"
+
+
+def _region_labels(fs: FrontSet) -> list:
+    iy, iz = _strong_indices(fs)
+    return [_label(k, iy, iz) for k in range(len(fs.fronts))]
+
+
+def _weighted_strength(w: Weights, cc_index: int, families, sizes,
+                       start: int, iy: Optional[int],
+                       iz: Optional[int]) -> float:
+    """The weak fronts' share of W among the fronts start, start+1, ... of
+    a set whose strong fronts sit at iy and iz; families and sizes are
+    those fronts' families and |strength|."""
+    total = 0.0
+    for k, (fam, size) in enumerate(zip(families, sizes), start):
+        lab = _label(k, iy, iz)
+        if lab != "S":
+            total += w.row(fam, cc_index)["LMR".index(lab)] * size
+    return total
 
 
 def functionals(model: FluxModel, fs: FrontSet, w: Weights) -> tuple:
@@ -226,32 +251,13 @@ class PairTerms:
     speed gap, on pairs touching that family, strong fronts included.
     Every other entry is 0.0, which leaves a sum unchanged."""
 
-    n: int
     approaching: Array
-    product: Array
     q0: Array
     q1: Array
 
     def totals(self) -> tuple:
         """(Q0, Q1) over all pairs."""
         return _sequential_sum(self.q0), _sequential_sum(self.q1)
-
-    def block(self, lo: int, k: int) -> tuple:
-        """(Q0, Q1, approaching product) over the pairs inside waves
-        lo..lo+k-1, added in row-major order. A block is a collision's few
-        waves, where numpy's per-call cost would exceed these sums."""
-        q0 = q1 = product = 0.0
-        last = lo + k - 1
-        for a in range(lo, last):
-            start = a * (2 * self.n - a - 1) // 2  # the pair (a, a + 1)
-            stop = start + last - a
-            for t0, t1, p in zip(self.q0[start:stop].tolist(),
-                                 self.q1[start:stop].tolist(),
-                                 self.product[start:stop].tolist()):
-                q0 += t0
-                q1 += t1
-                product += p
-        return q0, q1, product
 
 
 def pair_terms(waves, speeds, cc_index: int) -> PairTerms:
@@ -265,18 +271,40 @@ def pair_terms(waves, speeds, cc_index: int) -> PairTerms:
     np.maximum(q1, 0.0, out=q1)
     q1 *= product
     q1[~touch] = 0.0
-    return PairTerms(n=len(family), approaching=approaching, product=product,
+    return PairTerms(approaching=approaching,
                      q0=np.where(touch, 0.0, product), q1=q1)
 
 
-def _front_terms(model: FluxModel, fronts) -> PairTerms:
-    return pair_terms([f.wave for f in fronts],
-                      [f.assigned_speed for f in fronts], model.cc_index)
+def cluster_terms(fronts, cc_index: int) -> tuple:
+    """(Q0, Q1, approaching product) over the pairs inside a few
+    position-ordered fronts, a collision's cluster or the fronts placed in
+    its stead, where numpy's per-call cost would exceed the sums. Each sum
+    adds its pairs' terms in row-major order, so it has the bits of the
+    array pass over the same fronts."""
+    q0 = q1 = product = 0.0
+    for a, fa in enumerate(fronts):
+        wa = fa.wave
+        for fb in fronts[a + 1:]:
+            wb = fb.wave
+            if wa.family != wb.family:
+                if wa.family < wb.family:
+                    continue
+            elif wa.kind not in SHOCK_KINDS and wb.kind not in SHOCK_KINDS:
+                continue
+            p = abs(wa.strength) * abs(wb.strength)
+            product += p
+            if wa.family == cc_index or wb.family == cc_index:
+                q1 += max(fa.assigned_speed - fb.assigned_speed, 0.0) * p
+            else:
+                q0 += p
+    return q0, q1, product
 
 
 def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
     """(Q0, Q1): the unweighted sum and the speed-gap weighted sum."""
-    return _front_terms(model, fs.fronts).totals()
+    return pair_terms([f.wave for f in fs.fronts],
+                      [f.assigned_speed for f in fs.fronts],
+                      model.cc_index).totals()
 
 
 def interaction_potential(model: FluxModel, fs: FrontSet) -> float:
@@ -299,9 +327,6 @@ class DiagnosticsSnapshot:
     eps: float
     lyapunov: float
     strong_wave_state: Optional[dict]
-    # the set's pair terms, read by the replay of the next event only
-    terms: Optional[PairTerms] = dataclasses.field(
-        default=None, repr=False, compare=False)
 
     def csv_row(self) -> tuple:
         return (self.t, self.V_L, self.V_M, self.V_R, self.W, self.Q,
@@ -340,22 +365,19 @@ def strong_wave_state(fs: FrontSet) -> Optional[dict]:
 
 def snapshot(model: FluxModel, fs: FrontSet,
              w: Weights) -> DiagnosticsSnapshot:
-    """W, Q, eps and W+K*Q of one front set.
+    """W, Q, eps and W+K*Q of one front set, evaluated in full.
 
     Q is one array pass over all pairs of fronts (pair_terms). Its two
     sums accumulate the pair terms strictly in row-major order, the order
-    of a double loop over the pairs, so Q has that loop's bits. The
-    snapshot carries the pair terms for event_delta."""
+    of a double loop over the pairs, so Q has that loop's bits."""
     v_l, v_m, v_r, total = functionals(model, fs, w)
-    terms = _front_terms(model, fs.fronts)
-    q0, q1 = terms.totals()
+    q0, q1 = potential_parts(model, fs)
     q = q0 + q1
     eps = perturbation(fs)
     return DiagnosticsSnapshot(
         t=fs.time, V_L=v_l, V_M=v_m, V_R=v_r, W=total, Q=q, eps=eps,
         lyapunov=total + w.K * q,
         strong_wave_state=strong_wave_state(fs),
-        terms=terms,
     )
 
 
@@ -434,35 +456,147 @@ def glimm_residual(ev: InteractionEvent) -> tuple:
     return residual, _sequential_sum(product)
 
 
-def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
-                pre: DiagnosticsSnapshot) -> tuple:
-    """Replay one event, given the snapshot of the front set just before
-    it; returns (row, snapshot of ev.post).
+# ---------------------------------------------------------------------------
+# the per-event replay
 
-    W+K*Q does not depend on front positions, so the set just before an
-    event evaluates exactly as the set after the previous event, or as the
-    initial set for the first one. The colliding cluster sits at ev.index
-    in that set and the placed fronts sit at ev.index in ev.post, so the
-    potential stored in the cluster (q_cluster_pre), the one left in the
-    placed fronts (q_cluster_post) and the Glimm product are blocks of
-    the two snapshots' pair terms, summed in the order the pairs come.
-    Placement orders outgoing waves by speed, so the cluster part of Q can
-    only be released, never created."""
-    post = snapshot(model, ev.post, w)
-    q0_pre, q1_pre, product = pre.terms.block(ev.index, len(ev.cluster))
-    q0_post, q1_post, _ = post.terms.block(ev.index, len(ev.placed))
-    residual = _additivity_residual(ev.incoming, ev.outgoing.waves)
-    delta = post.lyapunov - pre.lyapunov
+
+@dataclasses.dataclass(frozen=True)
+class ReplayState:
+    """A front set between two events as the replay keeps it: per-front
+    arrays in position order (family, shock flag, |strength|, assigned
+    speed, id), the strong fronts' indices in those arrays, and the set's
+    W, Q and W+K*Q."""
+
+    family: Array
+    shock: Array
+    size: Array
+    speed: Array
+    ids: Array
+    iy: Optional[int]
+    iz: Optional[int]
+    W: float
+    Q: float
+    lyapunov: float
+
+    @classmethod
+    def of(cls, fs: FrontSet, snap: DiagnosticsSnapshot) -> "ReplayState":
+        """The state of fs, whose full evaluation is snap."""
+        family, shock, size, speed, ids = _front_arrays(fs.fronts)
+        return cls(family=family, shock=shock, size=size, speed=speed,
+                   ids=ids, iy=_index_of(ids, fs.y_id, "y"),
+                   iz=_index_of(ids, fs.z_id, "z"),
+                   W=snap.W, Q=snap.Q, lyapunov=snap.lyapunov)
+
+
+def _front_arrays(fronts) -> tuple:
+    """(family, shock, size, speed, ids) of position-ordered fronts."""
+    return (np.array([f.wave.family for f in fronts], dtype=np.int64),
+            np.array([f.wave.kind in SHOCK_KINDS for f in fronts],
+                     dtype=bool),
+            np.array([abs(f.wave.strength) for f in fronts], dtype=float),
+            np.array([f.assigned_speed for f in fronts], dtype=float),
+            np.array([f.id for f in fronts], dtype=np.int64))
+
+
+def _index_of(ids: Array, front_id: Optional[int],
+              role: str) -> Optional[int]:
+    if front_id is None:
+        return None
+    hit = np.flatnonzero(ids == front_id)
+    if not len(hit):
+        raise DiagnosticsError(f"{role} identity references no front")
+    return int(hit[0])
+
+
+def _cross_potential(st: ReplayState, lo: int, hi: int, rows: tuple,
+                     cc_index: int) -> float:
+    """The potential between the fronts in rows (family, shock, signed
+    size, speed), standing where st's fronts lo..hi-1 stand, and every
+    front of st outside lo..hi-1, in one array pass; each row's terms
+    count with the sign of its size."""
+    family, shock, size, speed = rows
+    # row-minus-set differences, negated where the set's front is the
+    # pair's left wave, so that both read left minus right
+    gap = speed[:, None] - st.speed
+    gap[:, :lo] *= -1.0
+    np.maximum(gap, 0.0, out=gap)
+    fam_gap = family[:, None] - st.family
+    fam_gap[:, :lo] *= -1
+    approaching = np.where(fam_gap != 0, fam_gap > 0,
+                           shock[:, None] | st.shock)
+    touch = (family == cc_index)[:, None] | (st.family == cc_index)
+    weight = np.where(touch, gap, 1.0)
+    weight *= approaching
+    weight[:, lo:hi] = 0.0
+    return float(size @ weight @ st.size)
+
+
+def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
+                state: ReplayState) -> tuple:
+    """Replay one event from the state of the front set just before it;
+    returns (row, state just after).
+
+    The colliding cluster must sit at ev.index in the state; the placed
+    fronts take its place. The potential stored in the cluster
+    (q_cluster_pre), the one left in the placed fronts (q_cluster_post)
+    and the Glimm product are cluster_terms, with the double loop's bits.
+    Q changes by q_cluster_post - q_cluster_pre plus the placed fronts'
+    cross terms with the rest of the set less the cluster's, W by the
+    weighted strengths of the placed fronts less the cluster's. The rest
+    keeps its regions unless the set gains its first strong front or
+    loses its last, when all of W is evaluated again. The post-event
+    W+K*Q agrees with a full snapshot of ev.post to 1e-12 relative.
+    Placement orders outgoing waves by speed, so the cluster part of Q
+    can only be released, never created."""
+    cc = model.cc_index
+    lo, hi = ev.index, ev.index + len(ev.cluster)
+    if state.ids[lo:hi].tolist() != [f.id for f in ev.cluster]:
+        raise DiagnosticsError(
+            f"the cluster of the event at t={ev.time} does not sit at "
+            f"index {lo} of the replayed front set")
+    q0_pre, q1_pre, product = cluster_terms(ev.cluster, cc)
+    q0_post, q1_post, _ = cluster_terms(ev.placed, cc)
+    family, shock, size, speed, ids = _front_arrays(ev.placed)
+    rows = tuple(np.concatenate(pair) for pair in (
+        (state.family[lo:hi], family), (state.shock[lo:hi], shock),
+        (-state.size[lo:hi], size), (state.speed[lo:hi], speed)))
+    q = (state.Q + ((q0_post + q1_post) - (q0_pre + q1_pre))
+         + _cross_potential(state, lo, hi, rows, cc))
+
+    def spliced(old, new):
+        return np.concatenate((old[:lo], new, old[hi:]))
+
+    post_ids = spliced(state.ids, ids)
+    iy = _index_of(post_ids, ev.post.y_id, "y")
+    iz = _index_of(post_ids, ev.post.z_id, "z")
+    post_family = spliced(state.family, family)
+    post_size = spliced(state.size, size)
+    if (state.iy is None and state.iz is None) == (iy is None and iz is None):
+        total = state.W + (
+            _weighted_strength(w, cc, family.tolist(), size.tolist(), lo,
+                               iy, iz)
+            - _weighted_strength(w, cc, state.family[lo:hi].tolist(),
+                                 state.size[lo:hi].tolist(), lo,
+                                 state.iy, state.iz))
+    else:
+        total = _weighted_strength(w, cc, post_family.tolist(),
+                                   post_size.tolist(), 0, iy, iz)
+    post = ReplayState(
+        family=post_family, shock=spliced(state.shock, shock),
+        size=post_size, speed=spliced(state.speed, speed), ids=post_ids,
+        iy=iy, iz=iz,
+        W=total, Q=q, lyapunov=total + w.K * q)
+    delta = post.lyapunov - state.lyapunov
     tag, sub = classify_case(ev)
     return {
         "t": ev.time,
         "case": tag,
         "sub": sub,
-        "pre_lyapunov": pre.lyapunov,
+        "pre_lyapunov": state.lyapunov,
         "post_lyapunov": post.lyapunov,
         "delta": delta,
-        "flagged": delta > LYAPUNOV_TOL * max(1.0, pre.lyapunov),
-        "residual": residual,
+        "flagged": delta > LYAPUNOV_TOL * max(1.0, state.lyapunov),
+        "residual": _additivity_residual(ev.incoming, ev.outgoing.waves),
         "product": product,
         "q_cluster_pre": q0_pre + q1_pre,
         "q_cluster_post": q0_post + q1_post,
@@ -474,15 +608,15 @@ def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
     row per event, each carrying its case tag. snapshots[0] must be the
     front set the events start from.
 
-    Each event's post-event snapshot is the next event's pre-event one, so
-    pair terms live until the next event; the returned series keeps
-    none."""
+    Each snapshot is evaluated in full. The replay starts from the first
+    snapshot's values and carries its state from event to event, so each
+    row's pre_lyapunov is the previous row's post_lyapunov bit for bit,
+    and the first is the initial snapshot's."""
     series = [snapshot(model, fs, w) for fs in snapshots]
-    pre = series[0]
-    series = [dataclasses.replace(s, terms=None) for s in series]
+    state = ReplayState.of(snapshots[0], series[0])
     rows = []
     for ev in events:
-        row, pre = event_delta(model, ev, w, pre)
+        row, state = event_delta(model, ev, w, state)
         rows.append(row)
     max_delta = max((r["delta"] for r in rows), default=0.0)
     return {

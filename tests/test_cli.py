@@ -204,6 +204,16 @@ ABSENT = object()
     (("calibration", "scales"), [0.05, -0.02], "calibration.scales"),
     (("calibration", "scales"), [False], "calibration.scales"),
     (("sweep",), {"h": [float("nan")]}, "sweep.h"),
+    # states of the wrong length for the cubic, or outside its ball of
+    # radius 1.5
+    (("initial", "u_star"), [1.0, 0.0], "initial.u_star"),
+    (("initial", "main"), [0.0, [-1.368, 0.0]], r"initial.main\[1\]"),
+    (("initial", "jumps"), [[0.05, [-0.02, 0.0]]],
+     r"initial.jumps\[0\]\[1\]"),
+    (("initial", "u_star"), [1.7], "initial.u_star"),
+    (("initial", "main"), [0.0, [-2.6]], r"initial.main\[1\]"),
+    (("initial", "jumps"), [[0.05, [-0.02]], [0.1, [-1.2]]],
+     r"initial.jumps\[1\]\[1\]"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v)[:20])
 def test_numbers_must_be_finite_and_scales_positive(path, value, match):
     raw = base_cfg()

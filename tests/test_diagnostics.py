@@ -7,6 +7,7 @@ gamma=0.5) has N at 0.8125, trailing classical at 0.984375, companion
 -0.25, threshold -0.375, gap 0.125.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -183,11 +184,10 @@ def _assert_blocks_match(model, fronts):
     # every contiguous run of fronts, as a collision's cluster or its
     # placed fronts would be
     items = _items(fronts)
-    terms = dg.pair_terms([wv for wv, _ in items], [v for _, v in items],
-                          model.cc_index)
     for lo in range(len(fronts) + 1):
         for k in range(len(fronts) - lo + 1):
-            q0, q1, product = terms.block(lo, k)
+            q0, q1, product = dg.cluster_terms(fronts[lo:lo + k],
+                                               model.cc_index)
             assert (q0, q1) == _ref_potential(items[lo:lo + k],
                                               model.cc_index)
             assert product == _ref_product([wv for wv, _ in
@@ -353,8 +353,8 @@ def test_event_deltas_monotone(split_run, monkeypatch):
 
     monkeypatch.setattr(dg, "snapshot", counted)
     rep = dg.lyapunov_series(CUBIC, split_run.events, split_run.snapshots, W)
-    # one full evaluation per snapshot and per event, none for pre-event sets
-    assert len(evaluated) == len(split_run.snapshots) + len(split_run.events)
+    # one full evaluation per snapshot and none per event
+    assert len(evaluated) == len(split_run.snapshots)
     assert rep["n_flagged"] == 0
     assert rep["max_delta"] <= dg.LYAPUNOV_TOL
     for row in rep["events"]:
@@ -378,12 +378,23 @@ def _weak_pressure_jumps(n=6, seed=0):
     return states, [-1.0 + 2.0 * k / n for k in range(n)]
 
 
-# (model, kinetics, states, positions, h, T)
+def _cubic_load_jumps(n=40):
+    # the strong jump of the benchmark's load with fewer weak jumps
+    rng = np.random.default_rng(0)
+    states = [1.0, -0.368]
+    for d in rng.uniform(-0.004, 0.004, n):
+        states.append(states[-1] + d)
+    return states, [0.0] + [0.05 + 0.02 * k for k in range(n)]
+
+
+# (model, kinetics, states, positions, h, T); the strong jump is the one
+# at x = 0
 ORACLE_RUNS = {
     "cubic-split": (CUBIC, KIN, [1.0, -0.368, -0.388], [0.0, 0.05],
                     0.005, 0.5),
     "cubic-merge-gamma0": (CUBIC, KIN_G0, [1.0, -0.24, -0.28, -0.24],
                            [0.0, 0.05, 0.1], 0.005, 1.0),
+    "cubic-load": (CUBIC, KIN, *_cubic_load_jumps(), 0.002, 2.0),
     "p-system": (ELAS, KIN, *_weak_pressure_jumps(), 0.01, 1.0),
 }
 
@@ -391,7 +402,8 @@ ORACLE_RUNS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
 def test_lyapunov_series_matches_full_recomputation(name):
     # the oracle evaluates the whole front set before and after every
-    # event; the series chains one evaluation per event
+    # event; the replay updates its running W+K*Q from each cluster, so
+    # it agrees to rounding
     model, kin, states, positions, h, t_end = ORACLE_RUNS[name]
     fs = init_fronts(model, kin, states, positions, h=h)
     full = []
@@ -406,19 +418,11 @@ def test_lyapunov_series_matches_full_recomputation(name):
     res = run(model, kin, fs0, t_end=t_end)
     rows = dg.lyapunov_series(model, res.events, res.snapshots, W)["events"]
     assert len(full) >= 4
-    assert [(r["pre_lyapunov"], r["post_lyapunov"]) for r in rows] == full
-
-
-def _cubic_load_run():
-    # the strong jump of the benchmark's load with fewer weak jumps
-    rng = np.random.default_rng(0)
-    states = [1.0, -0.368]
-    for d in rng.uniform(-0.004, 0.004, 40):
-        states.append(states[-1] + d)
-    positions = [0.0] + [0.05 + 0.02 * k for k in range(40)]
-    fs = init_fronts(CUBIC, KIN, states, positions, h=0.002,
-                     strong_jumps=[0])
-    return CUBIC, run(CUBIC, KIN, fs, t_end=2.0)
+    assert len(rows) == len(full)
+    for row, (pre, post) in zip(rows, full):
+        assert abs(row["pre_lyapunov"] - pre) <= 1e-12 * max(1.0, abs(pre))
+        assert abs(row["post_lyapunov"] - post) <= 1e-12 * max(1.0,
+                                                                abs(post))
 
 
 def _oracle_run(name):
@@ -427,12 +431,62 @@ def _oracle_run(name):
     return model, run(model, kin, fs, t_end=t_end)
 
 
-@pytest.mark.parametrize("make_run", [
-    _cubic_load_run,
-    lambda: _oracle_run("p-system"),
-], ids=["cubic-load", "p-system"])
-def test_potential_matches_double_loop_on_runs(make_run):
-    model, res = make_run()
+def test_replay_state_must_match_the_event(split_run):
+    events = split_run.events
+    state = dg.ReplayState.of(split_run.initial,
+                              dg.snapshot(CUBIC, split_run.initial, W))
+    _, after_first = dg.event_delta(CUBIC, events[0], W, state)
+    # the cluster's ids do not sit at the event's index
+    shifted = dataclasses.replace(events[1], index=events[1].index + 1)
+    with pytest.raises(dg.DiagnosticsError, match="does not sit"):
+        dg.event_delta(CUBIC, shifted, W, after_first)
+    # the same event replayed twice: its cluster has left the set
+    with pytest.raises(dg.DiagnosticsError, match="does not sit"):
+        dg.event_delta(CUBIC, events[0], W, after_first)
+    # a strong id after the event that names no front
+    ghost = dataclasses.replace(
+        events[1], post=dataclasses.replace(events[1].post, y_id=10 ** 9))
+    with pytest.raises(dg.DiagnosticsError, match="references no front"):
+        dg.event_delta(CUBIC, ghost, W, after_first)
+    with pytest.raises(dg.DiagnosticsError, match="references no front"):
+        dg.ReplayState.of(_fs([_front(0.0, 0.9, -0.01, uid=1)], y_id=999),
+                          dg.snapshot(CUBIC, _fs([]), W))
+
+
+def test_replay_relabels_when_strong_fronts_appear_or_vanish():
+    # the tracker never mints the first token or retires the last, so the
+    # strong ids are edited: weak fronts that were all middle become left
+    # and right of a strong front, and back
+    model, kin, states, positions, h, _ = ORACLE_RUNS["p-system"]
+    fs = init_fronts(model, kin, states, positions, h=h, strong_jumps=[])
+    _, ev = tracking.resolve_interaction(model, kin, fs,
+                                         tracking.next_collision(fs))
+    assert 0 < ev.index and ev.index + len(ev.cluster) < len(fs.fronts)
+
+    def replayed(event, pre, post):
+        state = dg.ReplayState.of(pre, dg.snapshot(model, pre, W))
+        row, _ = dg.event_delta(model, event, W, state)
+        full = dg.snapshot(model, post, W)
+        assert abs(row["post_lyapunov"] - full.lyapunov) <= 1e-12
+        return full
+
+    post = dataclasses.replace(ev.post, y_id=ev.placed[0].id)
+    gained = replayed(dataclasses.replace(ev, post=post), fs, post)
+    assert gained.V_L > 0.0 and gained.V_R > 0.0
+    lost = replayed(ev, dataclasses.replace(fs, y_id=ev.cluster[0].id),
+                    ev.post)
+    assert lost.V_L == 0.0 and lost.V_R == 0.0
+
+
+def test_oracle_runs_split_and_merge():
+    cases = {dg.classify_case(ev)[0] for name in ORACLE_RUNS
+             for ev in _oracle_run(name)[1].events}
+    assert {"Case1", "Case2"} <= cases
+
+
+@pytest.mark.parametrize("name", ["cubic-load", "p-system"])
+def test_potential_matches_double_loop_on_runs(name):
+    model, res = _oracle_run(name)
     cc = model.cc_index
     sets = [res.initial] + [ev.post for ev in res.events] + [res.final]
     assert len(res.events) >= 10
