@@ -134,12 +134,8 @@ def lemma_weights(cff: float, zeta: float = 0.1, K: float = 1.0) -> Weights:
 
 
 def _strong_indices(fs: FrontSet) -> tuple:
-    iy = iz = None
-    for k, f in enumerate(fs.fronts):
-        if fs.y_id is not None and f.id == fs.y_id:
-            iy = k
-        if fs.z_id is not None and f.id == fs.z_id:
-            iz = k
+    iy = None if fs.y_id is None else fs.index(fs.y_id)
+    iz = None if fs.z_id is None else fs.index(fs.z_id)
     if fs.y_id is not None and iy is None:
         raise DiagnosticsError("y identity references no front")
     if fs.z_id is not None and iz is None:
@@ -170,7 +166,7 @@ def _label(k: int, iy: Optional[int], iz: Optional[int]) -> str:
 
 def _region_labels(fs: FrontSet) -> list:
     iy, iz = _strong_indices(fs)
-    return [_label(k, iy, iz) for k in range(len(fs.fronts))]
+    return [_label(k, iy, iz) for k in range(len(fs.waves))]
 
 
 def _weighted_strength(w: Weights, cc_index: int, families, sizes,
@@ -191,18 +187,18 @@ def functionals(model: FluxModel, fs: FrontSet, w: Weights) -> tuple:
     """(V_L, V_M, V_R, W) over the weak waves; strong fronts excluded."""
     i = model.cc_index
     sums = {"L": 0.0, "M": 0.0, "R": 0.0}
-    for f, lab in zip(fs.fronts, _region_labels(fs)):
+    for wave, lab in zip(fs.waves, _region_labels(fs)):
         if lab == "S":
             continue
-        row = w.row(f.wave.family, i)
-        sums[lab] += row["LMR".index(lab)] * abs(f.wave.strength)
+        row = w.row(wave.family, i)
+        sums[lab] += row["LMR".index(lab)] * abs(wave.strength)
     return sums["L"], sums["M"], sums["R"], sums["L"] + sums["M"] + sums["R"]
 
 
 def perturbation(fs: FrontSet) -> float:
     """Total strength of everything that is not a strong front."""
     strong = set(fs.strong_ids)
-    return sum(abs(f.wave.strength) for f in fs.fronts if f.id not in strong)
+    return sum(abs(w.strength) for w in fs.waves if w.id not in strong)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +298,7 @@ def cluster_terms(fronts, cc_index: int) -> tuple:
 
 def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
     """(Q0, Q1): the unweighted sum and the speed-gap weighted sum."""
-    return pair_terms([f.wave for f in fs.fronts],
-                      [f.assigned_speed for f in fs.fronts],
-                      model.cc_index).totals()
+    return pair_terms(fs.waves, fs.speeds, model.cc_index).totals()
 
 
 def interaction_potential(model: FluxModel, fs: FrontSet) -> float:

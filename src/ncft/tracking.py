@@ -7,6 +7,13 @@ assigned speed; at the earliest adjacent crossing the colliding fronts
 outer states. Rarefactions are discretized into jumps of parameter
 increment at most h travelling at their own chord speed.
 
+A front set holds its fronts as a list of waves beside float64 arrays of
+positions, speeds and wave ids, so moving every front, finding the next
+crossing and checking the order are each one array pass, and an event
+splices its cluster out of those arrays. `Front` objects are built only
+where someone reads them: an event's cluster and placed fronts, and a
+set's `fronts`.
+
 The strong-wave bookkeeping follows the splitting-merging pattern: at
 most two strong fronts exist, identified by propagated tokens y (the
 nonclassical or lone classical wave) and z (the trailing classical
@@ -21,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import Optional
 
 import numpy as np
@@ -45,8 +51,8 @@ CLUSTER_REL = 1e-12
 SPEED_TIE = 1e-11
 TIME_TIE = 1e-12
 DROP_FACTOR = 1e-2
-DEFAULT_MAX_FRONTS = 20000
-DEFAULT_MAX_EVENTS = 100000
+MAX_FRONTS = 20000
+MAX_EVENTS = 100000
 
 
 class TrackingError(RuntimeError):
@@ -67,10 +73,6 @@ class Front:
     def id(self) -> int:
         return self.wave.id
 
-    def moved(self, dt: float) -> "Front":
-        return Front(self.position + self.assigned_speed * dt, self.wave,
-                     self.assigned_speed)
-
     def to_json_dict(self) -> dict:
         d = self.wave.to_json_dict()
         d["x"] = self.position
@@ -78,10 +80,37 @@ class Front:
         return d
 
 
-@dataclasses.dataclass
+class _Fronts:
+    """The `fronts` field of a FrontSet. Setting it stores the fronts'
+    waves and their position, speed and id arrays; reading it builds a
+    new list of Fronts from those. Read on the class it raises
+    AttributeError, so the dataclass gives the field no default."""
+
+    def __get__(self, fs, owner=None):
+        if fs is None:
+            raise AttributeError("FrontSet.fronts has no default")
+        return fs.fronts_in(0, len(fs.waves))
+
+    def __set__(self, fs, fronts):
+        fs.waves = [f.wave for f in fronts]
+        fs.xs = np.array([f.position for f in fronts], dtype=float)
+        fs.speeds = np.array([f.assigned_speed for f in fronts], dtype=float)
+        fs.wave_ids = np.array([w.id for w in fs.waves], dtype=np.int64)
+
+
+@dataclasses.dataclass(eq=False)
 class FrontSet:
+    """Fronts in position order with the strong tokens y and z.
+
+    The fronts live in `waves` and the float64 arrays `xs` (positions)
+    and `speeds`, with the waves' ids in `wave_ids`. None of the four is
+    ever changed in place: moving the set or splicing an event makes new
+    ones, so a set kept by an event or a snapshot stays as it was, and
+    sets may share them. `fronts` builds the Front objects on each read.
+    """
+
     time: float
-    fronts: list
+    fronts: list = _Fronts()
     y_id: Optional[int]
     z_id: Optional[int]
     h: float
@@ -96,33 +125,54 @@ class FrontSet:
             out.append(self.z_id)
         return tuple(out)
 
+    def fronts_in(self, lo: int, hi: int) -> list:
+        """Fronts lo..hi-1 as new Front objects with float fields."""
+        return [Front(x, w, v) for x, w, v in
+                zip(self.xs[lo:hi].tolist(), self.waves[lo:hi],
+                    self.speeds[lo:hi].tolist())]
+
+    def index(self, front_id: int) -> Optional[int]:
+        """Position in the set of the front with this id, None if absent."""
+        (k,) = (self.wave_ids == front_id).nonzero()
+        return int(k[0]) if k.size else None
+
     def find(self, front_id: int) -> Optional[Front]:
-        for f in self.fronts:
-            if f.id == front_id:
-                return f
-        return None
+        k = self.index(front_id)
+        return None if k is None else self.fronts_in(k, k + 1)[0]
 
     def advanced(self, t: float) -> "FrontSet":
-        dt = t - self.time
-        return FrontSet(t, [f.moved(dt) for f in self.fronts],
-                        self.y_id, self.z_id, self.h, self.ids)
+        """The set at time t: a shallow copy, every position moved at its
+        front's speed."""
+        moved = object.__new__(FrontSet)
+        vars(moved).update(vars(self), time=t,
+                           xs=self.xs + self.speeds * (t - self.time))
+        return moved
 
-    def check(self):
-        """Positions strictly increase, each front's right state is the
-        next one's left state, and every strong id names a front; each
-        condition is checked over the whole set at once."""
-        fronts = self.fronts
-        xs = [f.position for f in fronts]
-        if not all(map(operator.lt, xs, xs[1:])):
+    def splice(self, lo: int, hi: int, waves: list, xs: Array,
+               speeds: Array):
+        """Replace fronts lo..hi-1 by waves at xs moving at speeds."""
+        self.waves = self.waves[:lo] + waves + self.waves[hi:]
+        self.xs = np.concatenate((self.xs[:lo], xs, self.xs[hi:]))
+        self.speeds = np.concatenate((self.speeds[:lo], speeds,
+                                      self.speeds[hi:]))
+        self.wave_ids = np.concatenate((
+            self.wave_ids[:lo], np.array([w.id for w in waves], dtype=np.int64),
+            self.wave_ids[hi:]))
+
+    def check(self, lo: int = 0, hi: Optional[int] = None):
+        """Positions strictly increase over the whole set, each front's
+        right state is the next one's left state among fronts lo..hi-1
+        (all of them by default), and every strong id names a front."""
+        if not (self.xs[:-1] < self.xs[1:]).all():
             raise TrackingError(
                 f"front positions not strictly ordered at t={self.time}"
             )
-        if not np.array_equal([f.wave.right for f in fronts[:-1]],
-                              [f.wave.left for f in fronts[1:]]):
+        waves = self.waves[lo:hi]
+        if [w.right.tolist() for w in waves[:-1]] != \
+                [w.left.tolist() for w in waves[1:]]:
             raise TrackingError("front states do not chain")
-        ids = {f.id for f in fronts}
         for sid in self.strong_ids:
-            if sid not in ids:
+            if sid not in self.wave_ids:
                 raise TrackingError(f"strong id {sid} references no front")
         return self
 
@@ -134,9 +184,10 @@ class FrontSet:
 @dataclasses.dataclass
 class InteractionEvent:
     """One collision: the colliding cluster as it met, the fronts placed
-    in its stead, and the whole front set right after (never mutated).
-    The cluster started at `index` in the front set before the event; the
-    placed fronts start there in `post`."""
+    in its stead, and the whole front set right after (never mutated;
+    its fronts are built when read). The cluster started at `index` in
+    the front set before the event; the placed fronts start there in
+    `post`."""
 
     time: float
     position: float
@@ -216,7 +267,8 @@ def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
     for j, x in enumerate(positions):
         fan = riemann.solve_riemann(model, kin, states[j], states[j + 1],
                                     fs.ids)
-        placed = _place(model, fs, None, float(x), fan.waves, fold=False)
+        end = len(fs.waves)
+        placed = _place(model, fs, end, end, float(x), fan.waves, fold=False)
         if j in strong_jumps:
             _tag_initial_strong(model, fs, placed)
     return fs.check()
@@ -246,35 +298,43 @@ def _tag_initial_strong(model: FluxModel, fs: FrontSet, placed: list):
 
 def next_collision(fs: FrontSet) -> Optional[tuple]:
     """Earliest adjacent crossing: (absolute time, (left id, right id)),
-    ties within TIME_TIE broken leftmost. None when all gaps open."""
-    best_t = None
-    best_pair = None
-    for a, b in zip(fs.fronts, fs.fronts[1:]):
-        dv = a.assigned_speed - b.assigned_speed
-        if dv <= SPEED_TIE:
-            continue
-        t = fs.time + (b.position - a.position) / dv
-        if best_t is None or t < best_t - TIME_TIE:
-            best_t, best_pair = t, (a.id, b.id)
-    if best_t is None:
+    ties within TIME_TIE broken leftmost. None when all gaps open.
+
+    Scanning the closing gaps left to right, a gap takes the lead when it
+    closes more than TIME_TIE before the current leader. A gap that takes
+    the lead closes strictly before every gap left of it, so only the
+    gaps that close no later than any gap left of them are scanned; the
+    outcome is that of the full scan."""
+    dv = fs.speeds[:-1] - fs.speeds[1:]
+    closing = dv > SPEED_TIE
+    wait = np.divide(fs.xs[1:] - fs.xs[:-1], dv,
+                     out=np.full(dv.shape, np.inf), where=closing)
+    (lead,) = ((wait <= np.minimum.accumulate(wait)) & closing).nonzero()
+    if not lead.size:
         return None
-    return best_t, best_pair
+    best_t, best = None, None
+    for k, wk in zip(lead.tolist(), wait[lead].tolist()):
+        t = fs.time + wk
+        if best_t is None or t < best_t - TIME_TIE:
+            best_t, best = t, k
+    return best_t, (fs.waves[best].id, fs.waves[best + 1].id)
 
 
 def _cluster_slice(fs: FrontSet, pair: tuple) -> tuple:
-    idx = {f.id: k for k, f in enumerate(fs.fronts)}
-    i = idx[pair[0]]
-    j = idx[pair[1]]
-    if j != i + 1:
+    """(lo, hi, x_star, width): the colliding fronts lo..hi-1, the pair
+    widened by its neighbours within width of the meeting point x_star."""
+    i = fs.index(pair[0])
+    if i is None or i + 1 == len(fs.waves) or fs.waves[i + 1].id != pair[1]:
         raise TrackingError("colliding fronts are not adjacent")
-    x_star = 0.5 * (fs.fronts[i].position + fs.fronts[j].position)
+    j = i + 1
+    xs = fs.xs
+    x_star = 0.5 * (xs[i] + xs[j]).item()
     w = CLUSTER_REL * max(1.0, abs(x_star))
     lo = i
-    while lo > 0 and abs(fs.fronts[lo - 1].position - x_star) <= w:
+    while lo > 0 and abs(xs[lo - 1] - x_star) <= w:
         lo -= 1
-    hi = j
-    while hi + 1 < len(fs.fronts) and \
-            abs(fs.fronts[hi + 1].position - x_star) <= w:
+    hi = j + 1
+    while hi < len(xs) and abs(xs[hi] - x_star) <= w:
         hi += 1
     return lo, hi, x_star, w
 
@@ -282,7 +342,7 @@ def _cluster_slice(fs: FrontSet, pair: tuple) -> tuple:
 def _ladder(x_star: float, n: int, width: float) -> list:
     if n == 0:
         return []
-    step = max(width / max(n, 1), 8.0 * np.finfo(float).eps * max(1.0, abs(x_star)))
+    step = max(width / n, 8.0 * np.finfo(float).eps * max(1.0, abs(x_star)))
     xs = []
     x = x_star
     for _ in range(n):
@@ -294,32 +354,20 @@ def _ladder(x_star: float, n: int, width: float) -> list:
     return xs
 
 
-def _place(model: FluxModel, fs: FrontSet, span: Optional[tuple], x_star: float,
+def _place(model: FluxModel, fs: FrontSet, lo: int, hi: int, x_star: float,
            fan_waves, fold: bool = True) -> list:
-    """Replace fs.fronts[span] (or append at x_star when span is None)
-    with the expanded fan, folding sub-threshold waves into their largest
-    neighbor. Every front moves at its wave's speed. Returns the placed
-    fronts."""
+    """Replace fronts lo..hi-1 of fs with the expanded fan, laddered from
+    x_star, folding sub-threshold waves into their largest neighbor.
+    Every front moves at its wave's speed. Returns the placed fronts."""
     expanded = _expand(model, fan_waves, fs.h, fs.ids)
     if fold and len(expanded) > 1:
         expanded = _fold_small(model, expanded, fs.h)
     width = 0.5 * CLUSTER_REL * max(1.0, abs(x_star))
-    xs = _ladder(x_star, len(expanded), width)
-    placed = [Front(x, w, float(w.speed)) for x, w in zip(xs, expanded)]
-    if span is None:
-        lo = len(fs.fronts)
-        fs.fronts.extend(placed)
-    else:
-        lo, hi = span
-        fs.fronts[lo:hi + 1] = placed
-    if placed:
-        if lo > 0 and not fs.fronts[lo - 1].position < placed[0].position:
-            raise TrackingError("no room to place fronts left of the cluster")
-        last = lo + len(placed)
-        if last < len(fs.fronts) and \
-                not placed[-1].position < fs.fronts[last].position:
-            raise TrackingError("no room to place fronts right of the cluster")
-    return placed
+    xs = np.array(_ladder(x_star, len(expanded), width), dtype=float)
+    speeds = np.array([w.speed for w in expanded], dtype=float)
+    fs.splice(lo, hi, expanded, xs, speeds)
+    return [Front(x, w, v) for x, w, v in
+            zip(xs.tolist(), expanded, speeds.tolist())]
 
 
 def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
@@ -363,7 +411,7 @@ def _moment(fronts) -> Array:
     """Position-weighted jump sum; its decrease is exactly the mass gained."""
     if not fronts:
         return np.zeros(1)
-    acc = np.zeros_like(fronts[0].wave.left, dtype=float)
+    acc = np.zeros(fronts[0].wave.left.shape)
     for f in fronts:
         acc = acc + f.position * (f.wave.right - f.wave.left)
     return acc
@@ -372,11 +420,13 @@ def _moment(fronts) -> Array:
 def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
                         collision: tuple) -> tuple:
     """Advance to the collision time and replace the colliding cluster by
-    the Riemann fan of its outer states. Returns (new FrontSet, event)."""
+    the Riemann fan of its outer states. Returns (new FrontSet, event).
+    The new set is checked for order everywhere and for chaining where
+    the fan was spliced in."""
     t, pair = collision
     cur = fs.advanced(t)
     lo, hi, x_star, w = _cluster_slice(cur, pair)
-    cluster = tuple(cur.fronts[lo:hi + 1])
+    cluster = tuple(cur.fronts_in(lo, hi))
     if len(cluster) < 2:
         raise TrackingError("interaction needs at least two incoming fronts")
     incoming_roles = {}
@@ -389,11 +439,11 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     u_r = cluster[-1].wave.right
     fan = riemann.solve_riemann(model, kin, u_l, u_r, cur.ids)
     pre_moment = _moment(cluster)
-    placed = _place(model, cur, (lo, hi), x_star, fan.waves)
+    placed = _place(model, cur, lo, hi, x_star, fan.waves)
     outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
     post_moment = _moment(placed)
     correction = pre_moment - post_moment
-    cur.check()
+    cur.check(max(lo - 1, 0), lo + len(placed) + 1)
     ev = InteractionEvent(t, x_star, lo, cluster, tuple(placed), fan,
                           incoming_roles, outgoing_roles, cur, correction)
     return cur, ev
@@ -477,10 +527,10 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             break
         fs, ev = resolve_interaction(model, kin, fs, col)
         events.append(ev)
-        if len(events) > DEFAULT_MAX_EVENTS:
-            raise TrackingError(f"event count exceeded {DEFAULT_MAX_EVENTS}")
-        if len(fs.fronts) > DEFAULT_MAX_FRONTS:
-            raise TrackingError(f"front count exceeded {DEFAULT_MAX_FRONTS}")
+        if len(events) > MAX_EVENTS:
+            raise TrackingError(f"event count exceeded {MAX_EVENTS}")
+        if len(fs.waves) > MAX_FRONTS:
+            raise TrackingError(f"front count exceeded {MAX_FRONTS}")
     final = fs.advanced(t_end)
     if not snapshots or snapshots[-1].time != t_end:
         snapshots.append(final)
@@ -490,15 +540,13 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
 def mass(fs: FrontSet, x_lo: float, x_hi: float) -> Array:
     """Integral of the piecewise profile over [x_lo, x_hi]; the window
     must contain every front."""
-    if fs.fronts:
-        if fs.fronts[0].position < x_lo or fs.fronts[-1].position > x_hi:
-            raise ValueError("window does not contain all fronts")
-        u = fs.fronts[0].wave.left
-    else:
+    if not fs.waves:
         raise ValueError("empty front set has no reference state")
-    acc = u * (x_hi - x_lo)
-    for f in fs.fronts:
-        acc = acc + (x_hi - f.position) * (f.wave.right - f.wave.left)
+    if fs.xs[0] < x_lo or fs.xs[-1] > x_hi:
+        raise ValueError("window does not contain all fronts")
+    acc = fs.waves[0].left * (x_hi - x_lo)
+    for x, w in zip(fs.xs.tolist(), fs.waves):
+        acc = acc + (x_hi - x) * (w.right - w.left)
     return acc
 
 
@@ -506,15 +554,15 @@ def conservation_report(model: FluxModel, result: RunResult) -> dict:
     """Raw drift vs the far-field flux transport, the exact per-event
     ledger correction, and the fold budget."""
     init, final = result.initial, result.final
-    xs = [f.position for f in init.fronts] + [f.position for f in final.fronts]
-    if not xs:
+    xs = np.concatenate((init.xs, final.xs))
+    if not xs.size:
         return {"raw": 0.0, "corrected": 0.0, "budget": 0.0, "window": None}
-    x_lo, x_hi = min(xs) - 1.0, max(xs) + 1.0
+    x_lo, x_hi = xs.min().item() - 1.0, xs.max().item() + 1.0
     m0 = mass(init, x_lo, x_hi)
     m1 = mass(final, x_lo, x_hi)
     dt = final.time - init.time
-    u_l = init.fronts[0].wave.left
-    u_r = init.fronts[-1].wave.right
+    u_l = init.waves[0].left
+    u_r = init.waves[-1].right
     transport = dt * (model.flux(u_l) - model.flux(u_r))
     raw = m1 - m0 - transport
     ledger = np.zeros_like(raw)

@@ -6,6 +6,8 @@ come from the nucleation threshold arithmetic at u_l = 1.
 """
 
 import dataclasses
+import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +110,89 @@ def test_next_collision_tie_leftmost():
     assert pair == (1, 2)
 
 
+def _next_collision_reference(fs):
+    # the scalar scan over every gap that the array pass replaced
+    best_t = None
+    best_pair = None
+    fronts = fs.fronts
+    for a, b in zip(fronts, fronts[1:]):
+        dv = a.assigned_speed - b.assigned_speed
+        if dv <= tracking.SPEED_TIE:
+            continue
+        t = fs.time + (b.position - a.position) / dv
+        if best_t is None or t < best_t - tracking.TIME_TIE:
+            best_t, best_pair = t, (a.id, b.id)
+    if best_t is None:
+        return None
+    return best_t, best_pair
+
+
+def _moving_set(xs, speeds, time=0.0):
+    fronts = [_dummy_front(float(x), float(v), k)
+              for k, (x, v) in enumerate(zip(xs, speeds))]
+    return FrontSet(time, fronts, None, None, 0.01)
+
+
+def _assert_matches_reference(fs):
+    got = next_collision(fs)
+    assert got == _next_collision_reference(fs)
+    if got is not None:
+        assert type(got[0]) is float
+    return got
+
+
+def test_next_collision_matches_the_scalar_scan_on_random_sets():
+    rng = np.random.default_rng(15)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+        # few distinct speeds give exact ties in speed and in time
+        speeds = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n)
+        found += _assert_matches_reference(
+            _moving_set(xs, speeds, float(rng.uniform(0, 3)))) is not None
+    for _ in range(300):
+        # every gap closes at speed difference 1, within a few TIME_TIE
+        # of time 1: chains of near ties
+        n = int(rng.integers(2, 30))
+        gaps = 1.0 + 0.4e-12 * rng.integers(-4, 5, n - 1)
+        xs = np.concatenate(([0.0], np.cumsum(gaps)))
+        speeds = np.arange(n, 0, -1, dtype=float)
+        found += _assert_matches_reference(_moving_set(xs, speeds)) is not None
+    assert found > 400
+
+
+def test_next_collision_follows_the_leader_through_a_near_tie_chain():
+    # gap times 1, 1 - 0.6e-12, 1 - 1.2e-12: the second gap is within
+    # TIME_TIE of the first, the third is not, so the scan moves to the
+    # third; the leftmost gap within TIME_TIE of the minimum is the second
+    fs = _moving_set([0.0, 1.0, 2.0 - 0.6e-12, 3.0 - 1.8e-12],
+                     [3.0, 2.0, 1.0, 0.0])
+    t, pair = _assert_matches_reference(fs)
+    assert pair == (2, 3)
+    assert t == pytest.approx(1.0 - 1.2e-12, abs=1e-15)
+    # the second gap closes first, but within TIME_TIE of the first
+    fs = _moving_set([0.0, 1.0, 2.0 - 0.5e-12], [2.0, 1.0, 0.0])
+    t, pair = _assert_matches_reference(fs)
+    assert pair == (0, 1)
+    assert t == 1.0
+
+
+def test_next_collision_skips_gaps_closing_within_the_speed_tie():
+    tie = tracking.SPEED_TIE
+    # speed differences: exactly SPEED_TIE at the first gap, twice it at
+    # the second
+    fs = _moving_set([0.0, 1e-12, 1.0], [tie, 0.0, -2 * tie])
+    t, pair = _assert_matches_reference(fs)
+    assert pair == (1, 2)
+    for speeds in ([tie, 0.0, -tie], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]):
+        fs = _moving_set([0.0, 1.0, 2.0], speeds)
+        assert next_collision(fs) is None
+        assert _assert_matches_reference(fs) is None
+    assert _assert_matches_reference(_moving_set([0.0], [1.0])) is None
+    assert _assert_matches_reference(_moving_set([], [])) is None
+
+
 def _chained_front(x, left, right, uid):
     w = Wave(0, KIND_CLASSICAL, np.array([left]), np.array([right]), 0.0,
              0.1, uid)
@@ -119,6 +204,8 @@ def test_check_accepts_a_chained_set():
               _chained_front(1.0, 0.5, 0.2, 2)]
     fs = FrontSet(0.0, fronts, 2, None, 0.01)
     assert fs.check() is fs
+    copy = dataclasses.replace(fs, y_id=1).check()
+    assert [(f.position, f.id) for f in copy.fronts] == [(0.0, 1), (1.0, 2)]
 
 
 def test_check_rejects_unordered_positions():
@@ -167,6 +254,85 @@ def test_resolve_weak_absorption_keeps_token():
     assert ev.post is fs2
     with pytest.raises(dataclasses.FrozenInstanceError):
         fs2.fronts[0].position = 0.0
+
+
+def _absorption_with_a_right_neighbour():
+    # y (id 0) meets the weak piece right of it (id 2) first; the shock
+    # at x = 1 (id 3) stays right of the placed front
+    fs = init_fronts(CUBIC, KIN, [1.0, -0.368, -0.373, -0.36],
+                     [0.0, 0.05, 1.0], h=0.01)
+    col = next_collision(fs)
+    assert col[1] == (fs.y_id, 2)
+    return fs, col
+
+
+def test_resolve_checks_the_chain_where_it_spliced():
+    fs, col = _absorption_with_a_right_neighbour()
+    solve = tracking.riemann.solve_riemann
+
+    def off_by_one_ulp(*args):
+        fan = solve(*args)
+        last = fan.waves[-1]
+        right = np.nextafter(last.right, np.inf)
+        return tracking.WaveFan(fan.waves[:-1] + (
+            dataclasses.replace(last, right=right),))
+
+    with mock.patch.object(tracking.riemann, "solve_riemann", off_by_one_ulp):
+        with pytest.raises(tracking.TrackingError,
+                           match=r"^front states do not chain$"):
+            resolve_interaction(CUBIC, KIN, fs, col)
+
+
+def test_resolve_checks_the_order_of_the_whole_set():
+    fs, col = _absorption_with_a_right_neighbour()
+
+    def past_the_neighbour(x_star, n, width):
+        return [x_star + 10.0 + k for k in range(n)]
+
+    with mock.patch.object(tracking, "_ladder", past_the_neighbour):
+        with pytest.raises(tracking.TrackingError,
+                           match=r"^front positions not strictly ordered"):
+            resolve_interaction(CUBIC, KIN, fs, col)
+
+
+def test_resolve_checks_that_strong_ids_survive_the_splice():
+    fs, col = _absorption_with_a_right_neighbour()
+    y_id = fs.y_id
+
+    def tokens_left_behind(model, fs, incoming_roles, placed):
+        return {}
+
+    with mock.patch.object(tracking, "_propagate_tokens", tokens_left_behind):
+        with pytest.raises(tracking.TrackingError,
+                           match=rf"^strong id {y_id} references no front$"):
+            resolve_interaction(CUBIC, KIN, fs, col)
+    # unpatched, the same event passes its checks
+    fs2, ev = resolve_interaction(CUBIC, KIN, fs, col)
+    assert fs2.y_id == ev.placed[0].id
+    assert [f.id for f in fs2.fronts] == [ev.placed[0].id, 3]
+
+
+def test_resolve_rejects_a_pair_that_does_not_meet():
+    fs, (t, _) = _absorption_with_a_right_neighbour()
+    for pair in ((0, 3), (3, 0), (999, 2), (3, 999)):
+        with pytest.raises(tracking.TrackingError,
+                           match=r"^colliding fronts are not adjacent$"):
+            resolve_interaction(CUBIC, KIN, fs, (t, pair))
+
+
+def test_fronts_read_from_the_arrays_hold_python_floats():
+    states, positions = _cubic_load(n=8)
+    fs = init_fronts(CUBIC, KIN, states, positions, h=0.002, strong_jumps=[0])
+    res = run(CUBIC, KIN, fs, t_end=2.0, snapshot_dt=0.5)
+    assert res.events
+    sets = [ev.post for ev in res.events] + res.snapshots + [res.final]
+    fronts = [f for s in sets for f in s.fronts]
+    fronts += [f for ev in res.events for f in ev.cluster + ev.placed]
+    for f in fronts:
+        assert type(f.position) is float
+        assert type(f.assigned_speed) is float
+    for ev in res.events:
+        assert type(ev.time) is float and type(ev.position) is float
 
 
 def test_split_run_event_sequence():
@@ -300,3 +466,39 @@ def test_run_invariants_random_data(ur, width):
         assert fz.wave.kind == KIND_CLASSICAL
     rep = conservation_report(CUBIC, res)
     assert rep["corrected"] <= 1e-8
+
+
+def _cubic_load(n=40, seed=5):
+    # the benchmark's load data with fewer weak jumps
+    rng = np.random.default_rng(seed)
+    states = [1.0, -0.368]
+    for d in rng.uniform(-0.004, 0.004, n):
+        states.append(states[-1] + d)
+    return states, [0.0] + [0.05 + 0.02 * k for k in range(n)]
+
+
+def _run_digest(res) -> str:
+    h = hashlib.sha256()
+    for ev in res.events:
+        row = [ev.time.hex(), ev.position.hex(), ev.index,
+               [f.id for f in ev.cluster], [f.id for f in ev.placed],
+               ev.post.y_id, ev.post.z_id]
+        h.update(repr(row).encode())
+    h.update(repr([f.position.hex() for f in res.final.fronts]).encode())
+    return h.hexdigest()
+
+
+# recorded before the front set was held in arrays
+LOAD_EVENTS = 51
+LOAD_DIGEST = ("aa714781ac62496d7afbb4766a339ed6"
+               "13daf37197bc51f4b29b1b1de6c27dcd")
+
+
+def test_load_run_keeps_its_bits():
+    # digest of every event's time, position, index, cluster and placed
+    # ids and strong ids after it, and of the final positions
+    states, positions = _cubic_load()
+    fs = init_fronts(CUBIC, KIN, states, positions, h=0.002, strong_jumps=[0])
+    res = run(CUBIC, KIN, fs, t_end=6.0)
+    assert len(res.events) == LOAD_EVENTS
+    assert _run_digest(res) == LOAD_DIGEST
