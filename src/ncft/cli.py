@@ -382,7 +382,13 @@ def _prepare(cfg: dict, gate: bool = True) -> tuple:
     model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
     kin = KineticFunction(theta=cfg["kinetics"]["theta"],
                           nucleation_gamma=cfg["kinetics"]["gamma"])
-    stability = stability_report(model, kin, cfg)
+    try:
+        stability = stability_report(model, kin, cfg)
+    except curves.CurveError as exc:
+        raise ConfigError(
+            f"initial.u_star {cfg['initial']['u_star']}: the stability "
+            f"report needs Phi_sharp(u_star), which cannot be evaluated: "
+            f"{exc}") from exc
     if gate and stability["enabled"] and not stability["within_bound"]:
         raise ConfigError(
             f"perturbation total variation {stability['tv']} exceeds the "
@@ -443,8 +449,7 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
     _write_json(os.path.join(out_dir, "calibration.json"),
                 calibration.to_json_dict())
 
-    constraints = dg.validate_constraints(
-        weights, cff, measured={"k_floor": calibration.k_floor})
+    constraints = dg.validate_constraints(weights, cff, calibration.k_floor)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

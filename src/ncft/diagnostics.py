@@ -113,9 +113,6 @@ class Weights:
             return (self.kL_less, self.kM_less, self.kR_less)
         return (self.kL_grt, self.kM_grt, self.kR_grt)
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def lemma_weights(cff: float, zeta: float = 0.1, K: float = 1.0) -> Weights:
     """The explicit weight choice built from the measured contraction."""
@@ -133,14 +130,20 @@ def lemma_weights(cff: float, zeta: float = 0.1, K: float = 1.0) -> Weights:
 # region assignment and the linear functionals
 
 
-def _strong_indices(fs: FrontSet) -> tuple:
-    iy = None if fs.y_id is None else fs.index(fs.y_id)
-    iz = None if fs.z_id is None else fs.index(fs.z_id)
-    if fs.y_id is not None and iy is None:
-        raise DiagnosticsError("y identity references no front")
-    if fs.z_id is not None and iz is None:
-        raise DiagnosticsError("z identity references no front")
-    return iy, iz
+def _strong_indices(ids: Array, y_id: Optional[int],
+                    z_id: Optional[int]) -> tuple:
+    """(iy, iz): where the strong fronts y and z sit among fronts whose
+    ids are ids, None for an absent token."""
+    out = []
+    for role, front_id in (("y", y_id), ("z", z_id)):
+        if front_id is None:
+            out.append(None)
+            continue
+        (hit,) = (ids == front_id).nonzero()
+        if not hit.size:
+            raise DiagnosticsError(f"{role} identity references no front")
+        out.append(int(hit[0]))
+    return tuple(out)
 
 
 def _label(k: int, iy: Optional[int], iz: Optional[int]) -> str:
@@ -165,7 +168,7 @@ def _label(k: int, iy: Optional[int], iz: Optional[int]) -> str:
 
 
 def _region_labels(fs: FrontSet) -> list:
-    iy, iz = _strong_indices(fs)
+    iy, iz = _strong_indices(fs.wave_ids, fs.y_id, fs.z_id)
     return [_label(k, iy, iz) for k in range(len(fs.waves))]
 
 
@@ -214,6 +217,13 @@ def _sequential_sum(terms: Array) -> float:
     return 0.0 + float(np.add.accumulate(terms)[-1])
 
 
+def _wave_arrays(waves) -> tuple:
+    """(family, shock flag, |strength|) arrays of a wave sequence."""
+    return (np.array([wv.family for wv in waves], dtype=np.int64),
+            np.array([wv.kind in SHOCK_KINDS for wv in waves], dtype=bool),
+            np.array([abs(wv.strength) for wv in waves], dtype=float))
+
+
 def _approaching_products(waves) -> tuple:
     """(upper, family, approaching, product) of position-ordered waves.
 
@@ -226,9 +236,7 @@ def _approaching_products(waves) -> tuple:
     is |s_a|*|s_b| on approaching pairs and 0.0 on the others."""
     n = len(waves)
     upper = np.less.outer(np.arange(n), np.arange(n))
-    family = np.array([wv.family for wv in waves], dtype=np.int8)
-    shock = np.array([wv.kind in SHOCK_KINDS for wv in waves], dtype=bool)
-    size = np.array([abs(wv.strength) for wv in waves], dtype=float)
+    family, shock, size = _wave_arrays(waves)
     approaching = np.where(np.not_equal.outer(family, family),
                            np.greater.outer(family, family),
                            np.logical_or.outer(shock, shock))[upper]
@@ -301,11 +309,6 @@ def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
     return pair_terms(fs.waves, fs.speeds, model.cc_index).totals()
 
 
-def interaction_potential(model: FluxModel, fs: FrontSet) -> float:
-    q0, q1 = potential_parts(model, fs)
-    return q0 + q1
-
-
 # ---------------------------------------------------------------------------
 # snapshots
 
@@ -320,41 +323,10 @@ class DiagnosticsSnapshot:
     Q: float
     eps: float
     lyapunov: float
-    strong_wave_state: Optional[dict]
 
     def csv_row(self) -> tuple:
         return (self.t, self.V_L, self.V_M, self.V_R, self.W, self.Q,
                 self.eps, self.lyapunov)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t, "V_L": self.V_L, "V_M": self.V_M, "V_R": self.V_R,
-            "W": self.W, "Q": self.Q, "eps": self.eps,
-            "lyapunov": self.lyapunov,
-            "strong_wave_state": self.strong_wave_state,
-        }
-
-
-def strong_wave_state(fs: FrontSet) -> Optional[dict]:
-    fy = fs.find(fs.y_id) if fs.y_id is not None else None
-    fz = fs.find(fs.z_id) if fs.z_id is not None else None
-    if fy is None and fz is None:
-        return None
-    lead = fy if fy is not None else fz
-    tail = fz if fz is not None else fy
-    rec = {
-        "u_l": lead.wave.left.tolist(),
-        "u_m": lead.wave.right.tolist(),
-        "u_r": tail.wave.right.tolist(),
-        "strengths": [lead.wave.strength],
-        "speeds": [lead.assigned_speed],
-        "x": [lead.position],
-    }
-    if fz is not None and fy is not None:
-        rec["strengths"].append(fz.wave.strength)
-        rec["speeds"].append(fz.assigned_speed)
-        rec["x"].append(fz.position)
-    return rec
 
 
 def snapshot(model: FluxModel, fs: FrontSet,
@@ -371,7 +343,6 @@ def snapshot(model: FluxModel, fs: FrontSet,
     return DiagnosticsSnapshot(
         t=fs.time, V_L=v_l, V_M=v_m, V_R=v_r, W=total, Q=q, eps=eps,
         lyapunov=total + w.K * q,
-        strong_wave_state=strong_wave_state(fs),
     )
 
 
@@ -475,31 +446,11 @@ class ReplayState:
     @classmethod
     def of(cls, fs: FrontSet, snap: DiagnosticsSnapshot) -> "ReplayState":
         """The state of fs, whose full evaluation is snap."""
-        family, shock, size, speed, ids = _front_arrays(fs.fronts)
-        return cls(family=family, shock=shock, size=size, speed=speed,
-                   ids=ids, iy=_index_of(ids, fs.y_id, "y"),
-                   iz=_index_of(ids, fs.z_id, "z"),
+        family, shock, size = _wave_arrays(fs.waves)
+        iy, iz = _strong_indices(fs.wave_ids, fs.y_id, fs.z_id)
+        return cls(family=family, shock=shock, size=size, speed=fs.speeds,
+                   ids=fs.wave_ids, iy=iy, iz=iz,
                    W=snap.W, Q=snap.Q, lyapunov=snap.lyapunov)
-
-
-def _front_arrays(fronts) -> tuple:
-    """(family, shock, size, speed, ids) of position-ordered fronts."""
-    return (np.array([f.wave.family for f in fronts], dtype=np.int64),
-            np.array([f.wave.kind in SHOCK_KINDS for f in fronts],
-                     dtype=bool),
-            np.array([abs(f.wave.strength) for f in fronts], dtype=float),
-            np.array([f.assigned_speed for f in fronts], dtype=float),
-            np.array([f.id for f in fronts], dtype=np.int64))
-
-
-def _index_of(ids: Array, front_id: Optional[int],
-              role: str) -> Optional[int]:
-    if front_id is None:
-        return None
-    hit = np.flatnonzero(ids == front_id)
-    if not len(hit):
-        raise DiagnosticsError(f"{role} identity references no front")
-    return int(hit[0])
 
 
 def _cross_potential(st: ReplayState, lo: int, hi: int, rows: tuple,
@@ -550,7 +501,9 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
             f"index {lo} of the replayed front set")
     q0_pre, q1_pre, product = cluster_terms(ev.cluster, cc)
     q0_post, q1_post, _ = cluster_terms(ev.placed, cc)
-    family, shock, size, speed, ids = _front_arrays(ev.placed)
+    family, shock, size = _wave_arrays([f.wave for f in ev.placed])
+    speed = np.array([f.assigned_speed for f in ev.placed], dtype=float)
+    ids = np.array([f.id for f in ev.placed], dtype=np.int64)
     rows = tuple(np.concatenate(pair) for pair in (
         (state.family[lo:hi], family), (state.shock[lo:hi], shock),
         (-state.size[lo:hi], size), (state.speed[lo:hi], speed)))
@@ -561,8 +514,7 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
         return np.concatenate((old[:lo], new, old[hi:]))
 
     post_ids = spliced(state.ids, ids)
-    iy = _index_of(post_ids, ev.post.y_id, "y")
-    iz = _index_of(post_ids, ev.post.z_id, "z")
+    iy, iz = _strong_indices(post_ids, ev.post.y_id, ev.post.z_id)
     post_family = spliced(state.family, family)
     post_size = spliced(state.size, size)
     if (state.iy is None and state.iz is None) == (iy is None and iz is None):
@@ -625,12 +577,10 @@ def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
 # constraint validation
 
 
-def validate_constraints(w: Weights, cff: float,
-                         measured: Optional[dict] = None) -> dict:
-    """Report on the weight inequalities and the potential-weight floor.
-
-    measured carries the calibration output (k_floor at least). All rows
-    are report-only: nothing raises."""
+def validate_constraints(w: Weights, cff: float, k_floor: float) -> dict:
+    """Report on the weight inequalities and the potential-weight floor
+    k_floor that calibration measured. All rows are report-only: nothing
+    raises."""
     rows = {}
     rows["W1"] = {
         "passed": w.kL > (1.0 + cff) * w.kM,
@@ -648,18 +598,13 @@ def validate_constraints(w: Weights, cff: float,
         "passed": 0.0 < w.zeta < 0.5,
         "margin": min(w.zeta, 0.5 - w.zeta),
     }
-    if measured is not None and measured.get("k_floor") is not None:
-        floor = measured["k_floor"]
-        rows["Q1"] = {
-            "passed": w.K >= floor,
-            "margin": w.K - floor,
-            "floor": floor,
-        }
-    else:
-        rows["Q1"] = {"passed": None, "margin": None, "floor": None}
-    hard = [r["passed"] for r in rows.values() if r["passed"] is not None]
+    rows["Q1"] = {
+        "passed": w.K >= k_floor,
+        "margin": w.K - k_floor,
+        "floor": k_floor,
+    }
     return {
-        "passed": all(hard),
+        "passed": all(r["passed"] for r in rows.values()),
         "constraints": rows,
         "cff": cff,
     }
@@ -788,10 +733,10 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
         return snapshot(model, fs, w).lyapunov
 
     if initial.y_id is not None and initial.z_id is not None:
-        fy = initial.find(initial.y_id)
-        fz = initial.find(initial.z_id)
-        current = _OpenCycle(initial.time, fy.wave.left.tolist(),
-                             fz.wave.right.tolist(), lyapunov_of(initial),
+        wy = initial.waves[initial.index(initial.y_id)]
+        wz = initial.waves[initial.index(initial.z_id)]
+        current = _OpenCycle(initial.time, wy.left.tolist(),
+                             wz.right.tolist(), lyapunov_of(initial),
                              perturbation(initial))
 
     def close(ev):

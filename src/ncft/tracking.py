@@ -7,12 +7,12 @@ assigned speed; at the earliest adjacent crossing the colliding fronts
 outer states. Rarefactions are discretized into jumps of parameter
 increment at most h travelling at their own chord speed.
 
-A front set holds its fronts as a list of waves beside float64 arrays of
-positions, speeds and wave ids, so moving every front, finding the next
-crossing and checking the order are each one array pass, and an event
-splices its cluster out of those arrays. `Front` objects are built only
-where someone reads them: an event's cluster and placed fronts, and a
-set's `fronts`.
+A front set is a list of waves beside float64 arrays of positions and
+speeds and an int64 array of wave ids, so moving every front, finding the
+next crossing and checking the order are each one array pass, and an
+event splices its cluster out of those arrays. The initial set is built
+from all its jumps' fans at once. `Front` objects are views built on
+request: an event's cluster and placed fronts, and a set's `fronts`.
 
 The strong-wave bookkeeping follows the splitting-merging pattern: at
 most two strong fronts exist, identified by propagated tokens y (the
@@ -80,37 +80,22 @@ class Front:
         return d
 
 
-class _Fronts:
-    """The `fronts` field of a FrontSet. Setting it stores the fronts'
-    waves and their position, speed and id arrays; reading it builds a
-    new list of Fronts from those. Read on the class it raises
-    AttributeError, so the dataclass gives the field no default."""
-
-    def __get__(self, fs, owner=None):
-        if fs is None:
-            raise AttributeError("FrontSet.fronts has no default")
-        return fs.fronts_in(0, len(fs.waves))
-
-    def __set__(self, fs, fronts):
-        fs.waves = [f.wave for f in fronts]
-        fs.xs = np.array([f.position for f in fronts], dtype=float)
-        fs.speeds = np.array([f.assigned_speed for f in fronts], dtype=float)
-        fs.wave_ids = np.array([w.id for w in fs.waves], dtype=np.int64)
-
-
 @dataclasses.dataclass(eq=False)
 class FrontSet:
     """Fronts in position order with the strong tokens y and z.
 
-    The fronts live in `waves` and the float64 arrays `xs` (positions)
-    and `speeds`, with the waves' ids in `wave_ids`. None of the four is
-    ever changed in place: moving the set or splicing an event makes new
-    ones, so a set kept by an event or a snapshot stays as it was, and
-    sets may share them. `fronts` builds the Front objects on each read.
+    Front k is the wave waves[k] at position xs[k] moving at speeds[k];
+    wave_ids[k] is its wave's id. None of the four is ever changed in
+    place: moving the set or splicing an event makes new ones, so a set
+    kept by an event or a snapshot stays as it was, and sets may share
+    them. `fronts` builds the Front objects on each read.
     """
 
     time: float
-    fronts: list = _Fronts()
+    waves: list
+    xs: Array
+    speeds: Array
+    wave_ids: Array
     y_id: Optional[int]
     z_id: Optional[int]
     h: float
@@ -125,6 +110,11 @@ class FrontSet:
             out.append(self.z_id)
         return tuple(out)
 
+    @property
+    def fronts(self) -> list:
+        """Every front as a new Front object."""
+        return self.fronts_in(0, len(self.waves))
+
     def fronts_in(self, lo: int, hi: int) -> list:
         """Fronts lo..hi-1 as new Front objects with float fields."""
         return [Front(x, w, v) for x, w, v in
@@ -136,17 +126,11 @@ class FrontSet:
         (k,) = (self.wave_ids == front_id).nonzero()
         return int(k[0]) if k.size else None
 
-    def find(self, front_id: int) -> Optional[Front]:
-        k = self.index(front_id)
-        return None if k is None else self.fronts_in(k, k + 1)[0]
-
     def advanced(self, t: float) -> "FrontSet":
         """The set at time t: a shallow copy, every position moved at its
         front's speed."""
-        moved = object.__new__(FrontSet)
-        vars(moved).update(vars(self), time=t,
-                           xs=self.xs + self.speeds * (t - self.time))
-        return moved
+        return dataclasses.replace(
+            self, time=t, xs=self.xs + self.speeds * (t - self.time))
 
     def splice(self, lo: int, hi: int, waves: list, xs: Array,
                speeds: Array):
@@ -255,45 +239,46 @@ def _expand(model: FluxModel, fan_waves, h: float, ids: IdGen) -> list:
 def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
                 h: float, strong_jumps: Optional[list] = None) -> FrontSet:
     """Piecewise-constant data: states[j] left of positions[j], states[-1]
-    beyond. Each jump is replaced by its Riemann fan. Jumps listed in
-    strong_jumps (default: those at x=0) contribute the strong tokens."""
+    beyond. Each jump is replaced by its Riemann fan, rarefactions cut
+    into pieces and laddered from the jump. Jumps listed in strong_jumps
+    (default: those at x=0) contribute the strong tokens."""
     if len(states) != len(positions) + 1:
         raise ValueError("need exactly one more state than jump positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ValueError("jump positions must increase")
     if strong_jumps is None:
         strong_jumps = [j for j, x in enumerate(positions) if x == 0.0]
-    fs = FrontSet(0.0, [], None, None, h)
+    ids = IdGen()
+    waves, xs, strong = [], [], []
     for j, x in enumerate(positions):
-        fan = riemann.solve_riemann(model, kin, states[j], states[j + 1],
-                                    fs.ids)
-        end = len(fs.waves)
-        placed = _place(model, fs, end, end, float(x), fan.waves, fold=False)
+        fan = riemann.solve_riemann(model, kin, states[j], states[j + 1], ids)
+        expanded = _expand(model, fan.waves, h, ids)
+        x = float(x)
+        xs += _ladder(x, len(expanded), 0.5 * CLUSTER_REL * max(1.0, abs(x)))
+        waves += expanded
         if j in strong_jumps:
-            _tag_initial_strong(model, fs, placed)
-    return fs.check()
+            strong += [w for w in expanded if w.family == model.cc_index
+                       and w.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
+    y_id, z_id = _tag_initial_strong(strong)
+    return FrontSet(0.0, waves, np.array(xs, dtype=float),
+                    np.array([w.speed for w in waves], dtype=float),
+                    np.array([w.id for w in waves], dtype=np.int64),
+                    y_id, z_id, h, ids).check()
 
 
-def _tag_initial_strong(model: FluxModel, fs: FrontSet, placed: list):
-    for f in placed:
-        if f.wave.family != model.cc_index:
-            continue
-        if f.wave.kind == KIND_NONCLASSICAL:
-            if fs.y_id is not None:
-                raise PatternBroken("two nonclassical strong fronts in data")
-            fs.y_id = f.id
-        elif f.wave.kind == KIND_CLASSICAL:
-            if fs.y_id is None:
-                fs.y_id = f.id
-            elif fs.z_id is None:
-                fs.z_id = f.id
-            else:
-                raise PatternBroken("more than two strong fronts in data")
-    if fs.y_id is not None and fs.z_id is not None:
-        fy, fz = fs.find(fs.y_id), fs.find(fs.z_id)
-        if fy.position > fz.position or fy.wave.kind == KIND_CLASSICAL and \
-                fz.wave.kind == KIND_NONCLASSICAL:
-            fs.y_id, fs.z_id = fs.z_id, fs.y_id
+def _tag_initial_strong(strong: list) -> tuple:
+    """(y_id, z_id) of the data's strong waves in position order: the
+    first is y, a classical one right of it is z."""
+    kinds = [w.kind for w in strong]
+    if len(strong) > 2:
+        raise PatternBroken(
+            f"{len(strong)} strong fronts in data, the pattern has at most two")
+    if kinds.count(KIND_NONCLASSICAL) == 2:
+        raise PatternBroken("two nonclassical strong fronts in data")
+    if kinds == [KIND_CLASSICAL, KIND_NONCLASSICAL]:
+        raise PatternBroken(
+            "nonclassical strong front right of a classical one in data")
+    return tuple([w.id for w in strong] + [None] * (2 - len(strong)))
 
 
 def next_collision(fs: FrontSet) -> Optional[tuple]:
@@ -355,12 +340,12 @@ def _ladder(x_star: float, n: int, width: float) -> list:
 
 
 def _place(model: FluxModel, fs: FrontSet, lo: int, hi: int, x_star: float,
-           fan_waves, fold: bool = True) -> list:
+           fan_waves) -> list:
     """Replace fronts lo..hi-1 of fs with the expanded fan, laddered from
     x_star, folding sub-threshold waves into their largest neighbor.
     Every front moves at its wave's speed. Returns the placed fronts."""
     expanded = _expand(model, fan_waves, fs.h, fs.ids)
-    if fold and len(expanded) > 1:
+    if len(expanded) > 1:
         expanded = _fold_small(model, expanded, fs.h)
     width = 0.5 * CLUSTER_REL * max(1.0, abs(x_star))
     xs = np.array(_ladder(x_star, len(expanded), width), dtype=float)

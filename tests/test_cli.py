@@ -507,6 +507,26 @@ def test_cli_reports_validation_error(tmp_path):
     assert "(H1)" in result.output
 
 
+def test_cli_rejects_a_base_state_whose_companion_leaves_the_ball(tmp_path):
+    # on the p-system Phi_sharp(0, 0.8) lies outside the outer ball, so the
+    # stability report cannot be evaluated even with its gate off
+    cfg = base_cfg(model={"name": "elasticity", "params": {}},
+                   flags={"stability_check": False})
+    cfg["initial"].update(u_star=[0.0, 0.8], main=[0.0, [0.0, -0.1]],
+                          jumps=[])
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out)])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output.startswith("Error: initial.u_star [0.0, 0.8]: ")
+    assert "Phi_sharp(u_star)" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert os.listdir(out) == []
+
+
 def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):
     cfg = base_cfg()
     cfg["calibration"]["n"] = 8

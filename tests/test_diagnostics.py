@@ -40,7 +40,13 @@ def _front(x, v, strength, uid, kind=KIND_CLASSICAL, family=0,
 
 
 def _fs(fronts, y_id=None, z_id=None):
-    return FrontSet(0.0, fronts, y_id, z_id, 0.01)
+    # the set holding these fronts
+    waves = [f.wave for f in fronts]
+    return FrontSet(0.0, waves,
+                    np.array([f.position for f in fronts], dtype=float),
+                    np.array([f.assigned_speed for f in fronts], dtype=float),
+                    np.array([w.id for w in waves], dtype=np.int64),
+                    y_id, z_id, 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +74,10 @@ def test_lemma_weights_values():
     assert W.kM == 1.0 and W.kR == 1.0
     assert (W.kL_less, W.kM_less, W.kR_less) == pytest.approx((0.9, 1.0, 1.1))
     assert (W.kL_grt, W.kM_grt, W.kR_grt) == pytest.approx((1.1, 1.0, 0.9))
-    rep = dg.validate_constraints(W, cff=0.75)
+    rep = dg.validate_constraints(W, cff=0.75, k_floor=0.0)
     assert rep["passed"]
     assert rep["constraints"]["W1"]["margin"] == pytest.approx(0.1)
-    assert rep["constraints"]["Q1"]["passed"] is None
+    assert rep["constraints"]["Q1"]["passed"]
 
 
 def test_weights_positivity_enforced():
@@ -85,7 +91,7 @@ def test_weights_positivity_enforced():
 
 def test_validate_zeta_out_of_range_flagged():
     w = dg.lemma_weights(0.75, zeta=0.6)
-    rep = dg.validate_constraints(w, cff=0.75)
+    rep = dg.validate_constraints(w, cff=0.75, k_floor=0.0)
     # the ordering rows still hold, only the range row trips
     assert rep["constraints"]["W2"]["passed"]
     assert rep["constraints"]["W3"]["passed"]
@@ -94,11 +100,11 @@ def test_validate_zeta_out_of_range_flagged():
 
 
 def test_validate_q1_floor():
-    rep = dg.validate_constraints(W, cff=0.75, measured={"k_floor": 2.0})
+    rep = dg.validate_constraints(W, cff=0.75, k_floor=2.0)
     assert not rep["constraints"]["Q1"]["passed"]
     assert rep["constraints"]["Q1"]["margin"] == pytest.approx(-1.0)
     w2 = dg.lemma_weights(0.75, zeta=0.1, K=2.5)
-    rep2 = dg.validate_constraints(w2, cff=0.75, measured={"k_floor": 2.0})
+    rep2 = dg.validate_constraints(w2, cff=0.75, k_floor=2.0)
     assert rep2["constraints"]["Q1"]["passed"]
 
 
@@ -245,12 +251,12 @@ def test_potential_matches_double_loop_hand_sets(name):
 
 def test_potential_speed_gap_weight():
     fs = _fs([_front(0.0, 0.9, -0.01, uid=1), _front(1.0, 0.5, -0.02, uid=2)])
-    assert dg.interaction_potential(CUBIC, fs) == pytest.approx(
+    assert sum(dg.potential_parts(CUBIC, fs)) == pytest.approx(
         0.4 * 0.0002, abs=1e-15)
     # rarefaction pieces of one family never approach each other
     fs2 = _fs([_front(0.0, 0.9, 0.01, uid=1, kind=KIND_PIECE),
                _front(1.0, 0.5, 0.02, uid=2, kind=KIND_PIECE)])
-    assert dg.interaction_potential(CUBIC, fs2) == 0.0
+    assert sum(dg.potential_parts(CUBIC, fs2)) == 0.0
 
 
 def test_potential_first_sum_unweighted():
@@ -271,7 +277,7 @@ def test_potential_counts_strong_fronts():
     strong = _front(0.0, 0.767, -0.632, uid=10)
     weak = _front(-1.0, 0.9, -0.01, uid=11)
     fs = _fs([weak, strong], y_id=10)
-    full = dg.interaction_potential(CUBIC, fs)
+    full = sum(dg.potential_parts(CUBIC, fs))
     assert full == pytest.approx((0.9 - 0.767) * 0.632 * 0.01, abs=1e-15)
 
 
@@ -293,20 +299,20 @@ def test_snapshot_of_split_initial(split_run):
     assert snap.eps == pytest.approx(0.02, abs=1e-12)
     assert snap.Q > 0.0
     assert snap.lyapunov == pytest.approx(snap.W + W.K * snap.Q)
-    rec = snap.strong_wave_state
-    assert rec["u_l"] == [1.0]
-    assert len(rec["strengths"]) == 1
     assert len(snap.csv_row()) == len(dg.CSV_HEADER)
 
 
 def test_strong_record_three_state():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.75, -0.375], [0.0, 0.02],
                      h=0.01, strong_jumps=[0, 1])
-    rec = dg.strong_wave_state(fs)
-    assert rec["u_l"] == [1.0]
-    assert rec["u_m"][0] == pytest.approx(-0.75, abs=1e-11)
-    assert rec["u_r"][0] == pytest.approx(-0.375, abs=1e-12)
-    assert rec["speeds"] == pytest.approx([0.8125, 0.984375], abs=1e-11)
+    fronts = {f.id: f for f in fs.fronts}
+    fy, fz = fronts[fs.y_id], fronts[fs.z_id]
+    assert fy.wave.left.tolist() == [1.0]
+    assert fy.wave.right[0] == pytest.approx(-0.75, abs=1e-11)
+    assert np.array_equal(fz.wave.left, fy.wave.right)
+    assert fz.wave.right[0] == pytest.approx(-0.375, abs=1e-12)
+    assert [fy.assigned_speed, fz.assigned_speed] == pytest.approx(
+        [0.8125, 0.984375], abs=1e-11)
 
 
 def test_classify_split_run(split_run):
@@ -575,8 +581,7 @@ def test_calibrate_scalar():
 
 def test_calibrate_feeds_q1_row():
     rep = dg.calibrate(CUBIC, KIN, W, n=60, scales=(0.02,), seed=3)
-    out = dg.validate_constraints(W, cff=0.75,
-                                  measured={"k_floor": rep.k_floor})
+    out = dg.validate_constraints(W, cff=0.75, k_floor=rep.k_floor)
     assert out["constraints"]["Q1"]["passed"]
 
 

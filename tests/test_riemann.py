@@ -266,6 +266,21 @@ def test_elasticity_nonclassical_system_fan():
     fan.validate()
 
 
+@pytest.mark.parametrize("w, strength", [(0.3, -0.075), (0.5, -0.125)])
+def test_elasticity_fan_to_the_kinetic_state_has_no_null_wave(w, strength):
+    # family 0's target lands on its base state; the fan is the lone
+    # nonclassical jump, with no wave between equal states before it
+    u_l = np.array([0.0, w])
+    u_r = kin_mod.phi_flat(ELAS, KIN, u_l)
+    fan = solve_riemann(ELAS, KIN, u_l, u_r)
+    assert [(wv.family, wv.kind) for wv in fan.waves] == \
+        [(1, KIND_NONCLASSICAL)]
+    assert fan.waves[0].strength == pytest.approx(strength, abs=1e-12)
+    assert np.array_equal(fan.waves[0].left, u_l)
+    assert np.array_equal(fan.waves[0].right, u_r)
+    fan.validate()
+
+
 def test_wave_json_round_trip():
     fan = solve_riemann(CUBIC, KIN, 1.0, -0.45)
     d = fan.to_json_dict()

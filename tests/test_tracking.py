@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncft import tracking
 from ncft.kinetics import KineticFunction
-from ncft.models import cubic_model
+from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import (
     KIND_CLASSICAL,
     KIND_NONCLASSICAL,
@@ -85,26 +85,52 @@ def test_init_three_state_pattern_tags():
     assert c.assigned_speed == pytest.approx(0.984375, abs=1e-11)
 
 
+def test_init_names_the_strong_front_that_breaks_the_pattern():
+    # a classical shock at 0, then a nonclassical one at 0.1
+    with pytest.raises(PatternBroken, match=r"^nonclassical strong front "
+                       r"right of a classical one in data$"):
+        init_fronts(CUBIC, KIN, [1.0, 0.5, -1.0], [0.0, 0.1], h=0.01,
+                    strong_jumps=[0, 1])
+    # a classical shock, then a nonclassical and a classical one
+    with pytest.raises(PatternBroken, match=r"^3 strong fronts in data, "
+                       r"the pattern has at most two$"):
+        init_fronts(CUBIC, KIN, [1.0, 0.5, -0.25], [0.0, 0.1], h=0.01,
+                    strong_jumps=[0, 1])
+    # two single nonclassical jumps, the second to the kinetic state of -0.75
+    with pytest.raises(PatternBroken,
+                       match=r"^two nonclassical strong fronts in data$"):
+        init_fronts(CUBIC, KIN, [1.0, -0.75, 0.5625], [0.0, 0.1], h=0.01,
+                    strong_jumps=[0, 1])
+
+
 def _dummy_front(x, v, uid):
     w = Wave(0, KIND_CLASSICAL, np.array([0.0]), np.array([0.0]), v, 0.1, uid)
     return tracking.Front(x, w, v)
 
 
+def _fs(fronts, y_id=None, z_id=None, time=0.0):
+    # the set holding these fronts
+    waves = [f.wave for f in fronts]
+    return FrontSet(time, waves,
+                    np.array([f.position for f in fronts], dtype=float),
+                    np.array([f.assigned_speed for f in fronts], dtype=float),
+                    np.array([w.id for w in waves], dtype=np.int64),
+                    y_id, z_id, 0.01)
+
+
 def test_next_collision_kinematics():
-    fs = FrontSet(0.0, [_dummy_front(0.0, 2.0, 1), _dummy_front(1.0, 1.0, 2)],
-                  None, None, 0.01)
+    fs = _fs([_dummy_front(0.0, 2.0, 1), _dummy_front(1.0, 1.0, 2)])
     t, pair = next_collision(fs)
     assert t == pytest.approx(1.0, abs=1e-14)
     assert pair == (1, 2)
-    fs = FrontSet(0.0, [_dummy_front(0.0, 1.0, 1), _dummy_front(1.0, 2.0, 2)],
-                  None, None, 0.01)
+    fs = _fs([_dummy_front(0.0, 1.0, 1), _dummy_front(1.0, 2.0, 2)])
     assert next_collision(fs) is None
 
 
 def test_next_collision_tie_leftmost():
     fronts = [_dummy_front(0.0, 3.0, 1), _dummy_front(1.0, 1.0, 2),
               _dummy_front(2.0, -1.0, 3)]
-    fs = FrontSet(0.0, fronts, None, None, 0.01)
+    fs = _fs(fronts)
     t, pair = next_collision(fs)
     assert t == pytest.approx(0.5, abs=1e-14)
     assert pair == (1, 2)
@@ -130,7 +156,7 @@ def _next_collision_reference(fs):
 def _moving_set(xs, speeds, time=0.0):
     fronts = [_dummy_front(float(x), float(v), k)
               for k, (x, v) in enumerate(zip(xs, speeds))]
-    return FrontSet(time, fronts, None, None, 0.01)
+    return _fs(fronts, time=time)
 
 
 def _assert_matches_reference(fs):
@@ -202,7 +228,7 @@ def _chained_front(x, left, right, uid):
 def test_check_accepts_a_chained_set():
     fronts = [_chained_front(0.0, 1.0, 0.5, 1),
               _chained_front(1.0, 0.5, 0.2, 2)]
-    fs = FrontSet(0.0, fronts, 2, None, 0.01)
+    fs = _fs(fronts, y_id=2)
     assert fs.check() is fs
     copy = dataclasses.replace(fs, y_id=1).check()
     assert [(f.position, f.id) for f in copy.fronts] == [(0.0, 1), (1.0, 2)]
@@ -212,7 +238,7 @@ def test_check_rejects_unordered_positions():
     fronts = [_chained_front(0.0, 1.0, 0.5, 1),
               _chained_front(1.0, 0.5, 0.2, 2),
               _chained_front(1.0, 0.2, 0.1, 3)]
-    fs = FrontSet(0.25, fronts, None, None, 0.01)
+    fs = _fs(fronts, time=0.25)
     with pytest.raises(tracking.TrackingError,
                        match=r"^front positions not strictly ordered at t=0\.25$"):
         fs.check()
@@ -222,7 +248,7 @@ def test_check_rejects_a_broken_state_chain():
     fronts = [_chained_front(0.0, 1.0, 0.5, 1),
               _chained_front(1.0, 0.5, 0.2, 2),
               _chained_front(2.0, 0.3, 0.1, 3)]
-    fs = FrontSet(0.0, fronts, None, None, 0.01)
+    fs = _fs(fronts)
     with pytest.raises(tracking.TrackingError,
                        match=r"^front states do not chain$"):
         fs.check()
@@ -231,7 +257,7 @@ def test_check_rejects_a_broken_state_chain():
 def test_check_rejects_a_strong_id_with_no_front():
     fronts = [_chained_front(0.0, 1.0, 0.5, 1),
               _chained_front(1.0, 0.5, 0.2, 2)]
-    fs = FrontSet(0.0, fronts, 2, 7, 0.01)
+    fs = _fs(fronts, y_id=2, z_id=7)
     with pytest.raises(tracking.TrackingError,
                        match=r"^strong id 7 references no front$"):
         fs.check()
@@ -459,8 +485,8 @@ def test_run_invariants_random_data(ur, width):
         snap.check()
         assert len(snap.strong_ids) <= 2
     if res.final.y_id is not None and res.final.z_id is not None:
-        fy = res.final.find(res.final.y_id)
-        fz = res.final.find(res.final.z_id)
+        fronts = {f.id: f for f in res.final.fronts}
+        fy, fz = fronts[res.final.y_id], fronts[res.final.z_id]
         assert fy.position < fz.position
         assert fy.wave.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)
         assert fz.wave.kind == KIND_CLASSICAL
@@ -502,3 +528,50 @@ def test_load_run_keeps_its_bits():
     res = run(CUBIC, KIN, fs, t_end=6.0)
     assert len(res.events) == LOAD_EVENTS
     assert _run_digest(res) == LOAD_DIGEST
+
+
+def _pressure_jumps(n=6, seed=0):
+    # weak jumps of both components: pieces and shocks of both families
+    rng = np.random.default_rng(seed)
+    states = [np.array([0.0, 0.5])]
+    for d in rng.uniform(-0.03, 0.03, (n, 2)):
+        states.append(states[-1] + d)
+    return states, [-1.0 + 2.0 * k / n for k in range(n)]
+
+
+def _set_digest(fs) -> str:
+    h = hashlib.sha256()
+    h.update(repr([x.hex() for x in fs.xs.tolist()]).encode())
+    h.update(repr([v.hex() for v in fs.speeds.tolist()]).encode())
+    h.update(repr(fs.wave_ids.tolist()).encode())
+    h.update(repr((fs.y_id, fs.z_id)).encode())
+    return h.hexdigest()
+
+
+# (model, states and positions, h, strong jumps, front count, digest),
+# recorded while init_fronts still spliced each jump's fan into the set
+INITIAL_SETS = {
+    "cubic-load": (CUBIC, _cubic_load(), 0.002, [0], 52,
+                   "e8edbf088f2bbaab78e8c4fb5aa246be"
+                   "9fe0cc3f5d2ffc5fe81217ff8b1e57c7"),
+    "cubic-three-state": (CUBIC, ([1.0, -0.75, -0.375, -0.22],
+                                  [0.0, 0.02, 0.1]), 0.01, [0, 1], 3,
+                          "925a050e2cf415952ee2c0e8d3725a91"
+                          "5fa387b5ae8b2ac5b192d865e08a8b31"),
+    "p-system": (elasticity_model(), _pressure_jumps(), 0.01, None, 15,
+                 "72b8ad280ae5af43292991accde7edc0"
+                 "04a8115f562c04f258192b81955c4d35"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_SETS))
+def test_initial_set_keeps_its_bits(name):
+    # digest of the positions, speeds and ids of init_fronts' set and of
+    # its strong tokens
+    model, (states, positions), h, strong, n, digest = INITIAL_SETS[name]
+    fs = init_fronts(model, KIN, states, positions, h=h, strong_jumps=strong)
+    assert len(fs.waves) == n
+    if model is not CUBIC:
+        assert {w.family for w in fs.waves} == {0, 1}
+        assert {w.kind for w in fs.waves} == {KIND_CLASSICAL, KIND_PIECE}
+    assert _set_digest(fs) == digest
