@@ -11,31 +11,35 @@ the nucleation gap eta is positive.
 
 Everything here is replay: pure functions over the immutable event and
 snapshot logs a run leaves behind. W, Q and the perturbation size depend
-only on the order of the fronts, their strengths, their assigned speeds
-and which fronts are strong, never on positions. Between events none of
+only on the waves: their order, families, kinds, strengths and speeds,
+and which of them are strong, never on positions. Between events none of
 these change, so the value just before an event is the value just after
 the previous one (or of the initial front set).
 
-A snapshot is the full evaluation of one front set. Q is one numpy pass:
-per-front arrays of |strength|, family, shock flag and assigned speed,
-broadcast to every pair a < b in row-major order. Pairs that do not
-approach, or belong to the other sum, hold 0.0, which leaves a sum
+A snapshot is the full evaluation of one front set. Q is one numpy pass
+(pair_terms): per-wave arrays of |strength|, family, shock flag and
+speed, broadcast to every pair a < b in row-major order. Pairs that do
+not approach, or belong to the other sum, hold 0.0, which leaves a sum
 unchanged. Each sum is the last entry of np.add.accumulate, which adds
 strictly left to right, so Q has the same bits as a double loop over the
-pairs; np.sum, which adds pairwise, would not.
+pairs; np.sum, which adds pairwise, would not. A few waves, an event's
+incoming or placed waves or a calibration sample, are summed by that
+double loop itself (pair_sums), where numpy's per-call cost would exceed
+the sums.
 
 The per-event replay never evaluates the potential of a whole set. It
-keeps the set as per-front arrays with its W and Q, and an event only
-changes the terms that touch its cluster: Q changes by the potential
-inside the placed fronts less the one inside the cluster, plus the placed
-fronts' cross terms with the rest of the set less the cluster's, and W by
-the weighted strengths of the placed fronts less the cluster's. The other
-fronts keep their regions, unless the set gains its first strong front or
-loses its last one; then W is summed over the set again. Since the terms
-add in another order than the full evaluation's, the running W+K*Q
-agrees with a snapshot of the same set to rounding (1e-12 relative, held
-by the tests), not bit for bit; the potentials inside the cluster and the
-placed fronts do keep the double loop's bits.
+keeps the set as per-wave arrays with its W and Q, and an event only
+changes the terms that touch its incoming waves: Q changes by the
+potential among the placed waves less the one among the incoming waves,
+plus the placed waves' cross terms with the rest of the set less the
+incoming ones', and W by the weighted strengths of the placed waves less
+the incoming ones'. The other waves keep their regions, unless the set
+gains its first strong wave or loses its last one; then W is summed over
+the set again. Since the terms add in another order than the full
+evaluation's, the running W+K*Q agrees with a snapshot of the same set to
+rounding (1e-12 relative, held by the tests), not bit for bit; the
+potentials among the incoming and the placed waves do keep the double
+loop's bits.
 """
 
 from __future__ import annotations
@@ -224,16 +228,25 @@ def _wave_arrays(waves) -> tuple:
             np.array([abs(wv.strength) for wv in waves], dtype=float))
 
 
-def _approaching_products(waves) -> tuple:
-    """(upper, family, approaching, product) of position-ordered waves.
+def _approaches(left: Wave, right: Wave) -> bool:
+    """Whether two waves, left before right, approach: waves of different
+    families when the left one has the larger family, waves of one family
+    when either is a shock."""
+    if left.family != right.family:
+        return left.family > right.family
+    return left.kind in SHOCK_KINDS or right.kind in SHOCK_KINDS
 
-    upper is the n-by-n mask of the pairs a < b and family holds each
-    wave's family; approaching and product run over the pairs flattened
-    row-major: (0, 1), (0, 2), ..., (1, 2), ...
 
-    Waves of different families approach when the left one has the larger
-    family; waves of one family approach when either is a shock. product
-    is |s_a|*|s_b| on approaching pairs and 0.0 on the others."""
+def pair_terms(waves, speeds, cc_index: int) -> tuple:
+    """(Q0, Q1) of position-ordered waves moving at the given speeds, in
+    one array pass over the pairs a < b flattened row-major: (0, 1),
+    (0, 2), ..., (1, 2), ...
+
+    Q0 sums |s_a|*|s_b| over the approaching pairs with neither wave in
+    the designated family; Q1 sums it, weighted by the positive part of
+    the speed gap, over the approaching pairs touching that family,
+    strong waves included. Every other pair's term is 0.0, which leaves a
+    sum unchanged."""
     n = len(waves)
     upper = np.less.outer(np.arange(n), np.arange(n))
     family, shock, size = _wave_arrays(waves)
@@ -242,32 +255,6 @@ def _approaching_products(waves) -> tuple:
                            np.logical_or.outer(shock, shock))[upper]
     product = np.multiply.outer(size, size)[upper]
     product[~approaching] = 0.0
-    return upper, family, approaching, product
-
-
-@dataclasses.dataclass(frozen=True)
-class PairTerms:
-    """The potential's terms over every pair of a wave sequence, in the
-    row-major pair order of _approaching_products.
-
-    q0 holds the approaching product of pairs with neither wave in the
-    designated family; q1 holds it, weighted by the positive part of the
-    speed gap, on pairs touching that family, strong fronts included.
-    Every other entry is 0.0, which leaves a sum unchanged."""
-
-    approaching: Array
-    q0: Array
-    q1: Array
-
-    def totals(self) -> tuple:
-        """(Q0, Q1) over all pairs."""
-        return _sequential_sum(self.q0), _sequential_sum(self.q1)
-
-
-def pair_terms(waves, speeds, cc_index: int) -> PairTerms:
-    """The pair terms of position-ordered waves moving at the given
-    speeds, in one array pass."""
-    upper, family, approaching, product = _approaching_products(waves)
     designated = family == cc_index
     touch = np.logical_or.outer(designated, designated)[upper]
     speed = np.array(speeds, dtype=float)
@@ -275,38 +262,29 @@ def pair_terms(waves, speeds, cc_index: int) -> PairTerms:
     np.maximum(q1, 0.0, out=q1)
     q1 *= product
     q1[~touch] = 0.0
-    return PairTerms(approaching=approaching,
-                     q0=np.where(touch, 0.0, product), q1=q1)
+    return (_sequential_sum(np.where(touch, 0.0, product)),
+            _sequential_sum(q1))
 
 
-def cluster_terms(fronts, cc_index: int) -> tuple:
-    """(Q0, Q1, approaching product) over the pairs inside a few
-    position-ordered fronts, a collision's cluster or the fronts placed in
-    its stead, where numpy's per-call cost would exceed the sums. Each sum
-    adds its pairs' terms in row-major order, so it has the bits of the
-    array pass over the same fronts."""
+def pair_sums(waves, speeds, cc_index: int) -> tuple:
+    """(Q0, Q1, approaching product) over the pairs of a few
+    position-ordered waves moving at the given speeds, where numpy's
+    per-call cost would exceed the sums. Each sum adds its pairs' terms in
+    row-major order, so it has the bits of pair_terms over the same
+    waves."""
     q0 = q1 = product = 0.0
-    for a, fa in enumerate(fronts):
-        wa = fa.wave
-        for fb in fronts[a + 1:]:
-            wb = fb.wave
-            if wa.family != wb.family:
-                if wa.family < wb.family:
-                    continue
-            elif wa.kind not in SHOCK_KINDS and wb.kind not in SHOCK_KINDS:
+    for a, wa in enumerate(waves):
+        for b in range(a + 1, len(waves)):
+            wb = waves[b]
+            if not _approaches(wa, wb):
                 continue
             p = abs(wa.strength) * abs(wb.strength)
             product += p
             if wa.family == cc_index or wb.family == cc_index:
-                q1 += max(fa.assigned_speed - fb.assigned_speed, 0.0) * p
+                q1 += max(speeds[a] - speeds[b], 0.0) * p
             else:
                 q0 += p
     return q0, q1, product
-
-
-def potential_parts(model: FluxModel, fs: FrontSet) -> tuple:
-    """(Q0, Q1): the unweighted sum and the speed-gap weighted sum."""
-    return pair_terms(fs.waves, fs.speeds, model.cc_index).totals()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +315,7 @@ def snapshot(model: FluxModel, fs: FrontSet,
     sums accumulate the pair terms strictly in row-major order, the order
     of a double loop over the pairs, so Q has that loop's bits."""
     v_l, v_m, v_r, total = functionals(model, fs, w)
-    q0, q1 = potential_parts(model, fs)
+    q0, q1 = pair_terms(fs.waves, fs.speeds, model.cc_index)
     q = q0 + q1
     eps = perturbation(fs)
     return DiagnosticsSnapshot(
@@ -410,27 +388,16 @@ def _additivity_residual(incoming, outgoing) -> float:
     return residual
 
 
-def glimm_residual(ev: InteractionEvent) -> tuple:
-    """(residual, approaching product) of one interaction.
-
-    Residual is the per-family defect of strength additivity between the
-    incoming waves and the outgoing fan; the product sums |strength|
-    products over approaching incoming pairs."""
-    residual = _additivity_residual(ev.incoming, ev.outgoing.waves)
-    _, _, _, product = _approaching_products(ev.incoming)
-    return residual, _sequential_sum(product)
-
-
 # ---------------------------------------------------------------------------
 # the per-event replay
 
 
 @dataclasses.dataclass(frozen=True)
 class ReplayState:
-    """A front set between two events as the replay keeps it: per-front
-    arrays in position order (family, shock flag, |strength|, assigned
-    speed, id), the strong fronts' indices in those arrays, and the set's
-    W, Q and W+K*Q."""
+    """A front set between two events as the replay keeps it: per-wave
+    arrays in position order (family, shock flag, |strength|, speed, id),
+    the strong waves' indices in those arrays, and the set's W, Q and
+    W+K*Q."""
 
     family: Array
     shock: Array
@@ -481,29 +448,31 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
     """Replay one event from the state of the front set just before it;
     returns (row, state just after).
 
-    The colliding cluster must sit at ev.index in the state; the placed
-    fronts take its place. The potential stored in the cluster
-    (q_cluster_pre), the one left in the placed fronts (q_cluster_post)
-    and the Glimm product are cluster_terms, with the double loop's bits.
-    Q changes by q_cluster_post - q_cluster_pre plus the placed fronts'
-    cross terms with the rest of the set less the cluster's, W by the
-    weighted strengths of the placed fronts less the cluster's. The rest
-    keeps its regions unless the set gains its first strong front or
-    loses its last, when all of W is evaluated again. The post-event
-    W+K*Q agrees with a full snapshot of ev.post to 1e-12 relative.
-    Placement orders outgoing waves by speed, so the cluster part of Q
-    can only be released, never created."""
+    The incoming waves must sit at ev.index in the state; the placed
+    waves take their place. The potential among the incoming waves
+    (q_cluster_pre), the one left among the placed waves
+    (q_cluster_post) and the Glimm product are pair_sums, with the double
+    loop's bits. Q changes by q_cluster_post - q_cluster_pre plus the
+    placed waves' cross terms with the rest of the set less the incoming
+    ones', W by the weighted strengths of the placed waves less the
+    incoming ones'. The rest keeps its regions unless the set gains its
+    first strong wave or loses its last, when all of W is evaluated
+    again. The post-event W+K*Q agrees with a full snapshot of ev.post to
+    1e-12 relative. Placement orders outgoing waves by speed, so the
+    cluster part of Q can only be released, never created."""
     cc = model.cc_index
-    lo, hi = ev.index, ev.index + len(ev.cluster)
-    if state.ids[lo:hi].tolist() != [f.id for f in ev.cluster]:
+    lo, hi = ev.index, ev.index + len(ev.incoming)
+    if state.ids[lo:hi].tolist() != [wv.id for wv in ev.incoming]:
         raise DiagnosticsError(
             f"the cluster of the event at t={ev.time} does not sit at "
             f"index {lo} of the replayed front set")
-    q0_pre, q1_pre, product = cluster_terms(ev.cluster, cc)
-    q0_post, q1_post, _ = cluster_terms(ev.placed, cc)
-    family, shock, size = _wave_arrays([f.wave for f in ev.placed])
-    speed = np.array([f.assigned_speed for f in ev.placed], dtype=float)
-    ids = np.array([f.id for f in ev.placed], dtype=np.int64)
+    q0_pre, q1_pre, product = pair_sums(
+        ev.incoming, [wv.speed for wv in ev.incoming], cc)
+    placed_speeds = [wv.speed for wv in ev.placed]
+    q0_post, q1_post, _ = pair_sums(ev.placed, placed_speeds, cc)
+    family, shock, size = _wave_arrays(ev.placed)
+    speed = np.array(placed_speeds, dtype=float)
+    ids = np.array([wv.id for wv in ev.placed], dtype=np.int64)
     rows = tuple(np.concatenate(pair) for pair in (
         (state.family[lo:hi], family), (state.shock[lo:hi], shock),
         (-state.size[lo:hi], size), (state.speed[lo:hi], speed)))
@@ -681,28 +650,17 @@ class _OpenCycle:
         self.well_formed = True
 
 
-def _strong_in_wave(ev: InteractionEvent, role: str) -> Optional[Wave]:
-    for wv in ev.incoming:
-        if ev.incoming_roles.get(wv.id) == role:
+def _strong_wave(waves, roles: dict, role: str) -> Optional[Wave]:
+    """The wave among waves that holds role, None if none does."""
+    for wv in waves:
+        if roles.get(wv.id) == role:
             return wv
     return None
 
 
-def _strong_out_wave(ev: InteractionEvent, role: str) -> Optional[Wave]:
-    for f in ev.placed:
-        if ev.outgoing_roles.get(f.id) == role:
-            return f.wave
-    return None
-
-
-def _weak_in_strength(ev: InteractionEvent) -> float:
-    return sum(abs(wv.strength) for wv in ev.incoming
-               if wv.id not in ev.incoming_roles)
-
-
-def _weak_out_strength(ev: InteractionEvent) -> float:
-    return sum(abs(f.wave.strength) for f in ev.placed
-               if f.id not in ev.outgoing_roles)
+def _weak_strength(waves, roles: dict) -> float:
+    """Total |strength| of the waves that hold no role."""
+    return sum(abs(wv.strength) for wv in waves if wv.id not in roles)
 
 
 def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
@@ -741,8 +699,8 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
 
     def close(ev):
         nonlocal current
-        wy = _strong_in_wave(ev, "y")
-        wz = _strong_in_wave(ev, "z")
+        wy = _strong_wave(ev.incoming, ev.incoming_roles, "y")
+        wz = _strong_wave(ev.incoming, ev.incoming_roles, "z")
         u_lf = wy.left.tolist()
         u_rf = wz.right.tolist()
         if current.u_l0:
@@ -792,8 +750,8 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
                 # nested split never leaves the tracked pattern intact;
                 # keep the record but mark it
                 current.well_formed = False
-            wy = _strong_out_wave(ev, "y")
-            wz = _strong_out_wave(ev, "z")
+            wy = _strong_wave(ev.placed, ev.outgoing_roles, "y")
+            wz = _strong_wave(ev.placed, ev.outgoing_roles, "z")
             current = _OpenCycle(ev.time, wy.left.tolist(),
                                  wz.right.tolist(),
                                  lyapunov_of(before), perturbation(ev.post))
@@ -806,17 +764,19 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             close(ev)
         elif current is not None:
             led = current.ledgers
+            weak_in = _weak_strength(ev.incoming, ev.incoming_roles)
+            weak_out = _weak_strength(ev.placed, ev.outgoing_roles)
             if tag == "Case4":
-                led["alpha_L"] += _weak_in_strength(ev)
-                led["alpha_R_tilde"] += _weak_out_strength(ev)
+                led["alpha_L"] += weak_in
+                led["alpha_R_tilde"] += weak_out
             elif tag == "Case3":
-                led["alpha_R"] += _weak_in_strength(ev)
+                led["alpha_R"] += weak_in
             elif tag == "Case6":
-                led["beta_L"] += _weak_in_strength(ev)
-                led["beta_L_tilde"] += _weak_out_strength(ev)
+                led["beta_L"] += weak_in
+                led["beta_L_tilde"] += weak_out
             elif tag == "Case7":
-                led["beta_R"] += _weak_in_strength(ev)
-                led["beta_R_tilde"] += _weak_out_strength(ev)
+                led["beta_R"] += weak_in
+                led["beta_R_tilde"] += weak_out
             if tag in ("Case3", "Case4", "Case5", "Case6", "Case7"):
                 current.n_crossings += 1
         before = ev.post
@@ -955,8 +915,7 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
                 n_skip += 1
                 continue
             uc, w2, v2 = second
-            pre = pair_terms((w1, w2), (v1, v2), i)
-            if not pre.approaching[0] or v1 <= v2 + 1e-10:
+            if not _approaches(w1, w2) or v1 <= v2 + 1e-10:
                 n_skip += 1
                 continue
             fan = riemann.solve_riemann(model, kin, u0, uc)
@@ -965,7 +924,7 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
             continue
         n_eval += 1
         residual = _additivity_residual((w1, w2), fan.waves)
-        product = abs(w1.strength) * abs(w2.strength)
+        q0_pre, q1_pre, product = pair_sums((w1, w2), (v1, v2), i)
         max_residual = max(max_residual, residual)
         bucket = per_scale[scale]
         bucket["n"] += 1
@@ -977,12 +936,9 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
-        q0_pre, q1_pre = pre.totals()
-        q_pre = q0_pre + q1_pre
-        q0_post, q1_post = pair_terms(
-            fan.waves, [_wave_chord(model, wv) for wv in fan.waves],
-            i).totals()
-        d_q = (q0_post + q1_post) - q_pre
+        q0_post, q1_post, _ = pair_sums(
+            fan.waves, [_wave_chord(model, wv) for wv in fan.waves], i)
+        d_q = (q0_post + q1_post) - (q0_pre + q1_pre)
         if d_w > 1e-13:
             if d_q < -STRENGTH_FLOOR:
                 g_ratio = d_w / (-d_q)

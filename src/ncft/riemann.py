@@ -63,8 +63,8 @@ class IdGen:
     """Monotone id source; one per run keeps output ids deterministic.
     Solver calls given none number their waves from zero."""
 
-    def __init__(self, start: int = 0):
-        self._c = itertools.count(start)
+    def __init__(self):
+        self._c = itertools.count()
 
     def __call__(self) -> int:
         return next(self._c)
@@ -103,10 +103,6 @@ class Wave:
 @dataclasses.dataclass(frozen=True)
 class WaveFan:
     waves: tuple
-
-    @property
-    def right_state(self) -> Optional[Array]:
-        return self.waves[-1].right if self.waves else None
 
     def validate(self):
         """States chain bit for bit, and each wave is no slower than the

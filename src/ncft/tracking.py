@@ -1,18 +1,19 @@
 """Event-driven front tracking.
 
-A solution is a position-ordered list of fronts, each carrying one wave
-and one propagation speed. Between events every front translates at its
-assigned speed; at the earliest adjacent crossing the colliding fronts
-(grouped within a tiny window) are replaced by the Riemann fan of their
-outer states. Rarefactions are discretized into jumps of parameter
-increment at most h travelling at their own chord speed.
+A solution is a position-ordered list of fronts, each a wave at a
+position. Between events every front translates at its wave's speed; at
+the earliest adjacent crossing the colliding fronts (grouped within a
+tiny window) are replaced by the Riemann fan of their outer states.
+Rarefactions are discretized into jumps of parameter increment at most h
+travelling at their own chord speed.
 
 A front set is a list of waves beside float64 arrays of positions and
 speeds and an int64 array of wave ids, so moving every front, finding the
 next crossing and checking the order are each one array pass, and an
 event splices its cluster out of those arrays. The initial set is built
-from all its jumps' fans at once. `Front` objects are views built on
-request: an event's cluster and placed fronts, and a set's `fronts`.
+from all its jumps' fans at once. An event holds the waves that collided
+and the waves placed in their stead; `Front` objects, (position, wave)
+views, are built only when a set's `fronts` are read.
 
 The strong-wave bookkeeping follows the splitting-merging pattern: at
 most two strong fronts exist, identified by propagated tokens y (the
@@ -65,9 +66,10 @@ class PatternBroken(TrackingError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Front:
+    """A wave at a position; it moves at the wave's speed."""
+
     position: float
     wave: Wave
-    assigned_speed: float
 
     @property
     def id(self) -> int:
@@ -76,7 +78,6 @@ class Front:
     def to_json_dict(self) -> dict:
         d = self.wave.to_json_dict()
         d["x"] = self.position
-        d["speed"] = self.assigned_speed
         return d
 
 
@@ -84,11 +85,11 @@ class Front:
 class FrontSet:
     """Fronts in position order with the strong tokens y and z.
 
-    Front k is the wave waves[k] at position xs[k] moving at speeds[k];
-    wave_ids[k] is its wave's id. None of the four is ever changed in
-    place: moving the set or splicing an event makes new ones, so a set
-    kept by an event or a snapshot stays as it was, and sets may share
-    them. `fronts` builds the Front objects on each read.
+    Front k is the wave waves[k] at position xs[k]; speeds[k] and
+    wave_ids[k] are its wave's speed and id. None of the four is ever
+    changed in place: moving the set or splicing an event makes new ones,
+    so a set kept by an event or a snapshot stays as it was, and sets may
+    share them. `fronts` builds the Front objects on each read.
     """
 
     time: float
@@ -112,14 +113,8 @@ class FrontSet:
 
     @property
     def fronts(self) -> list:
-        """Every front as a new Front object."""
-        return self.fronts_in(0, len(self.waves))
-
-    def fronts_in(self, lo: int, hi: int) -> list:
-        """Fronts lo..hi-1 as new Front objects with float fields."""
-        return [Front(x, w, v) for x, w, v in
-                zip(self.xs[lo:hi].tolist(), self.waves[lo:hi],
-                    self.speeds[lo:hi].tolist())]
+        """Every front as a new Front object with a float position."""
+        return [Front(x, w) for x, w in zip(self.xs.tolist(), self.waves)]
 
     def index(self, front_id: int) -> Optional[int]:
         """Position in the set of the front with this id, None if absent."""
@@ -132,13 +127,13 @@ class FrontSet:
         return dataclasses.replace(
             self, time=t, xs=self.xs + self.speeds * (t - self.time))
 
-    def splice(self, lo: int, hi: int, waves: list, xs: Array,
-               speeds: Array):
-        """Replace fronts lo..hi-1 by waves at xs moving at speeds."""
+    def splice(self, lo: int, hi: int, waves: list, xs: Array):
+        """Replace fronts lo..hi-1 by waves at xs."""
         self.waves = self.waves[:lo] + waves + self.waves[hi:]
         self.xs = np.concatenate((self.xs[:lo], xs, self.xs[hi:]))
-        self.speeds = np.concatenate((self.speeds[:lo], speeds,
-                                      self.speeds[hi:]))
+        self.speeds = np.concatenate((
+            self.speeds[:lo], np.array([w.speed for w in waves], dtype=float),
+            self.speeds[hi:]))
         self.wave_ids = np.concatenate((
             self.wave_ids[:lo], np.array([w.id for w in waves], dtype=np.int64),
             self.wave_ids[hi:]))
@@ -167,26 +162,21 @@ class FrontSet:
 
 @dataclasses.dataclass
 class InteractionEvent:
-    """One collision: the colliding cluster as it met, the fronts placed
-    in its stead, and the whole front set right after (never mutated;
-    its fronts are built when read). The cluster started at `index` in
-    the front set before the event; the placed fronts start there in
-    `post`."""
+    """One collision: the waves that met, the waves placed in their
+    stead, and the whole front set right after (never mutated). The
+    incoming waves started at `index` in the front set before the event;
+    the placed waves start there in `post`."""
 
     time: float
     position: float
     index: int
-    cluster: tuple
+    incoming: tuple
     placed: tuple
     outgoing: WaveFan
     incoming_roles: dict
     outgoing_roles: dict
     post: FrontSet
     mass_correction: Array
-
-    @property
-    def incoming(self) -> tuple:
-        return tuple(f.wave for f in self.cluster)
 
 
 def _chord_speed(model: FluxModel, left: Array, right: Array) -> float:
@@ -282,8 +272,9 @@ def _tag_initial_strong(strong: list) -> tuple:
 
 
 def next_collision(fs: FrontSet) -> Optional[tuple]:
-    """Earliest adjacent crossing: (absolute time, (left id, right id)),
-    ties within TIME_TIE broken leftmost. None when all gaps open.
+    """Earliest adjacent crossing: (absolute time, k), fronts k and k+1
+    meeting, ties within TIME_TIE broken leftmost. None when all gaps
+    open.
 
     Scanning the closing gaps left to right, a gap takes the lead when it
     closes more than TIME_TIE before the current leader. A gap that takes
@@ -302,26 +293,23 @@ def next_collision(fs: FrontSet) -> Optional[tuple]:
         t = fs.time + wk
         if best_t is None or t < best_t - TIME_TIE:
             best_t, best = t, k
-    return best_t, (fs.waves[best].id, fs.waves[best + 1].id)
+    return best_t, best
 
 
-def _cluster_slice(fs: FrontSet, pair: tuple) -> tuple:
-    """(lo, hi, x_star, width): the colliding fronts lo..hi-1, the pair
-    widened by its neighbours within width of the meeting point x_star."""
-    i = fs.index(pair[0])
-    if i is None or i + 1 == len(fs.waves) or fs.waves[i + 1].id != pair[1]:
-        raise TrackingError("colliding fronts are not adjacent")
-    j = i + 1
+def _cluster_slice(fs: FrontSet, k: int) -> tuple:
+    """(lo, hi, x_star): the colliding fronts lo..hi-1, fronts k and k+1
+    widened by their neighbours within CLUSTER_REL of the meeting point
+    x_star."""
     xs = fs.xs
-    x_star = 0.5 * (xs[i] + xs[j]).item()
+    x_star = 0.5 * (xs[k] + xs[k + 1]).item()
     w = CLUSTER_REL * max(1.0, abs(x_star))
-    lo = i
+    lo = k
     while lo > 0 and abs(xs[lo - 1] - x_star) <= w:
         lo -= 1
-    hi = j + 1
+    hi = k + 2
     while hi < len(xs) and abs(xs[hi] - x_star) <= w:
         hi += 1
-    return lo, hi, x_star, w
+    return lo, hi, x_star
 
 
 def _ladder(x_star: float, n: int, width: float) -> list:
@@ -340,19 +328,17 @@ def _ladder(x_star: float, n: int, width: float) -> list:
 
 
 def _place(model: FluxModel, fs: FrontSet, lo: int, hi: int, x_star: float,
-           fan_waves) -> list:
+           fan_waves) -> tuple:
     """Replace fronts lo..hi-1 of fs with the expanded fan, laddered from
     x_star, folding sub-threshold waves into their largest neighbor.
-    Every front moves at its wave's speed. Returns the placed fronts."""
+    Returns the placed waves and their positions."""
     expanded = _expand(model, fan_waves, fs.h, fs.ids)
     if len(expanded) > 1:
         expanded = _fold_small(model, expanded, fs.h)
     width = 0.5 * CLUSTER_REL * max(1.0, abs(x_star))
     xs = np.array(_ladder(x_star, len(expanded), width), dtype=float)
-    speeds = np.array([w.speed for w in expanded], dtype=float)
-    fs.splice(lo, hi, expanded, xs, speeds)
-    return [Front(x, w, v) for x, w, v in
-            zip(xs.tolist(), expanded, speeds.tolist())]
+    fs.splice(lo, hi, expanded, xs)
+    return expanded, xs
 
 
 def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
@@ -392,13 +378,14 @@ def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
     return out
 
 
-def _moment(fronts) -> Array:
-    """Position-weighted jump sum; its decrease is exactly the mass gained."""
-    if not fronts:
+def _moment(xs: Array, waves) -> Array:
+    """Position-weighted jump sum of waves at xs; its decrease is exactly
+    the mass gained."""
+    if not waves:
         return np.zeros(1)
-    acc = np.zeros(fronts[0].wave.left.shape)
-    for f in fronts:
-        acc = acc + f.position * (f.wave.right - f.wave.left)
+    acc = np.zeros(waves[0].left.shape)
+    for x, w in zip(xs.tolist(), waves):
+        acc = acc + x * (w.right - w.left)
     return acc
 
 
@@ -408,28 +395,24 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     the Riemann fan of its outer states. Returns (new FrontSet, event).
     The new set is checked for order everywhere and for chaining where
     the fan was spliced in."""
-    t, pair = collision
+    t, k = collision
     cur = fs.advanced(t)
-    lo, hi, x_star, w = _cluster_slice(cur, pair)
-    cluster = tuple(cur.fronts_in(lo, hi))
-    if len(cluster) < 2:
-        raise TrackingError("interaction needs at least two incoming fronts")
+    lo, hi, x_star = _cluster_slice(cur, k)
+    incoming = tuple(cur.waves[lo:hi])
     incoming_roles = {}
-    for f in cluster:
-        if f.id == cur.y_id:
-            incoming_roles[f.id] = "y"
-        elif f.id == cur.z_id:
-            incoming_roles[f.id] = "z"
-    u_l = cluster[0].wave.left
-    u_r = cluster[-1].wave.right
-    fan = riemann.solve_riemann(model, kin, u_l, u_r, cur.ids)
-    pre_moment = _moment(cluster)
-    placed = _place(model, cur, lo, hi, x_star, fan.waves)
+    for wv in incoming:
+        if wv.id == cur.y_id:
+            incoming_roles[wv.id] = "y"
+        elif wv.id == cur.z_id:
+            incoming_roles[wv.id] = "z"
+    fan = riemann.solve_riemann(model, kin, incoming[0].left,
+                                incoming[-1].right, cur.ids)
+    pre_moment = _moment(cur.xs[lo:hi], incoming)
+    placed, xs = _place(model, cur, lo, hi, x_star, fan.waves)
     outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
-    post_moment = _moment(placed)
-    correction = pre_moment - post_moment
+    correction = pre_moment - _moment(xs, placed)
     cur.check(max(lo - 1, 0), lo + len(placed) + 1)
-    ev = InteractionEvent(t, x_star, lo, cluster, tuple(placed), fan,
+    ev = InteractionEvent(t, x_star, lo, incoming, tuple(placed), fan,
                           incoming_roles, outgoing_roles, cur, correction)
     return cur, ev
 
@@ -443,14 +426,13 @@ def _propagate_tokens(model: FluxModel, fs: FrontSet, incoming_roles: dict,
     had_z = "z" in incoming_roles.values()
     if not (had_y or had_z):
         return {}
-    strong_out = [f for f in placed
-                  if f.wave.family == model.cc_index and
-                  f.wave.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
+    strong_out = [w for w in placed
+                  if w.family == model.cc_index and
+                  w.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
     roles = {}
     if len(strong_out) == 2:
         first, second = strong_out
-        if first.wave.kind == KIND_CLASSICAL and \
-                second.wave.kind == KIND_NONCLASSICAL:
+        if first.kind == KIND_CLASSICAL and second.kind == KIND_NONCLASSICAL:
             raise PatternBroken("nonclassical wave right of its classical")
         if not had_y:
             raise PatternBroken("split without the y token incoming")
@@ -467,7 +449,7 @@ def _propagate_tokens(model: FluxModel, fs: FrontSet, incoming_roles: dict,
             roles[keep.id] = "y"
             if had_z:
                 fs.z_id = None  # merge retires z
-            elif keep.wave.kind == KIND_CLASSICAL and fs.z_id is not None:
+            elif keep.kind == KIND_CLASSICAL and fs.z_id is not None:
                 raise PatternBroken(
                     "nonclassical wave degenerated while z exists"
                 )
@@ -490,24 +472,35 @@ class RunResult:
     events: list
 
 
+def _snapshot_times(t0: float, t_end: float, snapshot_dt: Optional[float]):
+    """The grid times t0 + k*snapshot_dt, k >= 1, that lie more than
+    TIME_TIE*max(1, |t_end|) before t_end."""
+    if snapshot_dt is None:
+        return
+    cut = t_end - TIME_TIE * max(1.0, abs(t_end))
+    k = 1
+    while t0 + k * snapshot_dt < cut:
+        yield t0 + k * snapshot_dt
+        k += 1
+
+
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         t_end: float, snapshot_dt: Optional[float] = None) -> RunResult:
+    """Track fronts0 to t_end. The snapshots are fronts0, the set at each
+    grid time before t_end, and last the final set at t_end."""
     fs = fronts0
     snapshots = [fronts0]
     events = []
-    next_snap = None
-    if snapshot_dt is not None:
-        next_snap = fs.time + snapshot_dt
+    grid = _snapshot_times(fs.time, t_end, snapshot_dt)
+    next_snap = next(grid, None)
     while True:
         col = next_collision(fs)
         if col is not None and col[0] > t_end:
             col = None
-        while next_snap is not None and next_snap <= t_end + 1e-15 and \
-                (col is None or next_snap <= col[0]):
-            snap = fs.advanced(next_snap)
-            snapshots.append(snap)
-            fs = snap
-            next_snap += snapshot_dt
+        while next_snap is not None and (col is None or next_snap <= col[0]):
+            fs = fs.advanced(next_snap)
+            snapshots.append(fs)
+            next_snap = next(grid, None)
         if col is None:
             break
         fs, ev = resolve_interaction(model, kin, fs, col)
@@ -517,7 +510,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         if len(fs.waves) > MAX_FRONTS:
             raise TrackingError(f"front count exceeded {MAX_FRONTS}")
     final = fs.advanced(t_end)
-    if not snapshots or snapshots[-1].time != t_end:
+    if snapshots[-1].time != t_end:
         snapshots.append(final)
     return RunResult(fronts0, final, snapshots, events)
 

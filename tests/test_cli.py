@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,28 @@ def test_bundled_run_leaves_scipy_optimize_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "False"
     assert (tmp_path / "MANIFEST.json").exists()
+
+
+CONTRAST_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "scripts", "contrast_sha256.txt")
+
+
+def test_bundled_configs_keep_their_artifact_bytes(tmp_path):
+    # the sha256 of every artifact both bundled configs write, against
+    # the digests scripts/run_contrast.py --expect compares with
+    with open(CONTRAST_DIGESTS) as fh:
+        expected = {key: digest for digest, key in
+                    (line.split() for line in fh if line.strip())}
+    got = {}
+    cfg_dir = files("ncft").joinpath("configs")
+    for name in ("cubic-baseline", "cubic-no-nucleation"):
+        raw = json.loads(cfg_dir.joinpath(f"{name}.json").read_text())
+        out = tmp_path / name
+        cli.run_experiment(cli.validate_config(raw), str(out))
+        for path in out.iterdir():
+            got[f"{name}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert got == expected
 
 
 def test_unknown_top_level_key_rejected():

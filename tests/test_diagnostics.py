@@ -8,6 +8,7 @@ gamma=0.5) has N at 0.8125, trailing classical at 0.984375, companion
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ def _front(x, v, strength, uid, kind=KIND_CLASSICAL, family=0,
            left=0.0, right=0.0):
     w = Wave(family, kind, np.atleast_1d(np.asarray(left, dtype=float)),
              np.atleast_1d(np.asarray(right, dtype=float)), v, strength, uid)
-    return tracking.Front(x, w, v)
+    return tracking.Front(x, w)
 
 
 def _fs(fronts, y_id=None, z_id=None):
@@ -44,7 +45,7 @@ def _fs(fronts, y_id=None, z_id=None):
     waves = [f.wave for f in fronts]
     return FrontSet(0.0, waves,
                     np.array([f.position for f in fronts], dtype=float),
-                    np.array([f.assigned_speed for f in fronts], dtype=float),
+                    np.array([w.speed for w in waves], dtype=float),
                     np.array([w.id for w in waves], dtype=np.int64),
                     y_id, z_id, 0.01)
 
@@ -182,22 +183,26 @@ def _ref_product(waves):
     return product
 
 
-def _items(fronts):
-    return [(f.wave, f.assigned_speed) for f in fronts]
+def _items(waves):
+    return [(wv, wv.speed) for wv in waves]
 
 
-def _assert_blocks_match(model, fronts):
-    # every contiguous run of fronts, as a collision's cluster or its
-    # placed fronts would be
-    items = _items(fronts)
-    for lo in range(len(fronts) + 1):
-        for k in range(len(fronts) - lo + 1):
-            q0, q1, product = dg.cluster_terms(fronts[lo:lo + k],
-                                               model.cc_index)
+def _potential(model, fs):
+    return dg.pair_terms(fs.waves, fs.speeds, model.cc_index)
+
+
+def _assert_blocks_match(model, waves):
+    # every contiguous run of waves, as an event's incoming or placed
+    # waves would be
+    items = _items(waves)
+    for lo in range(len(waves) + 1):
+        for k in range(len(waves) - lo + 1):
+            block = waves[lo:lo + k]
+            q0, q1, product = dg.pair_sums(
+                block, [wv.speed for wv in block], model.cc_index)
             assert (q0, q1) == _ref_potential(items[lo:lo + k],
                                               model.cc_index)
-            assert product == _ref_product([wv for wv, _ in
-                                            items[lo:lo + k]])
+            assert product == _ref_product(block)
 
 
 def _piece(x, v, strength, uid, family):
@@ -244,19 +249,19 @@ HAND_SETS = {
 def test_potential_matches_double_loop_hand_sets(name):
     model, fronts = HAND_SETS[name]
     fs = _fs(fronts)
-    assert dg.potential_parts(model, fs) == _ref_potential(
-        _items(fronts), model.cc_index)
-    _assert_blocks_match(model, fronts)
+    assert _potential(model, fs) == _ref_potential(_items(fs.waves),
+                                                   model.cc_index)
+    _assert_blocks_match(model, fs.waves)
 
 
 def test_potential_speed_gap_weight():
     fs = _fs([_front(0.0, 0.9, -0.01, uid=1), _front(1.0, 0.5, -0.02, uid=2)])
-    assert sum(dg.potential_parts(CUBIC, fs)) == pytest.approx(
+    assert sum(_potential(CUBIC, fs)) == pytest.approx(
         0.4 * 0.0002, abs=1e-15)
     # rarefaction pieces of one family never approach each other
     fs2 = _fs([_front(0.0, 0.9, 0.01, uid=1, kind=KIND_PIECE),
                _front(1.0, 0.5, 0.02, uid=2, kind=KIND_PIECE)])
-    assert sum(dg.potential_parts(CUBIC, fs2)) == 0.0
+    assert sum(_potential(CUBIC, fs2)) == 0.0
 
 
 def test_potential_first_sum_unweighted():
@@ -268,7 +273,7 @@ def test_potential_first_sum_unweighted():
         _front(1.0, -1.2, 0.01, uid=2, family=0, kind=KIND_PIECE,
                left=[0.0, 0.5], right=[0.0, 0.5]),
     ])
-    q0, q1 = dg.potential_parts(ELAS, fs)
+    q0, q1 = _potential(ELAS, fs)
     assert q0 == pytest.approx(1e-4, abs=1e-18)
     assert q1 == 0.0
 
@@ -277,7 +282,7 @@ def test_potential_counts_strong_fronts():
     strong = _front(0.0, 0.767, -0.632, uid=10)
     weak = _front(-1.0, 0.9, -0.01, uid=11)
     fs = _fs([weak, strong], y_id=10)
-    full = sum(dg.potential_parts(CUBIC, fs))
+    full = sum(_potential(CUBIC, fs))
     assert full == pytest.approx((0.9 - 0.767) * 0.632 * 0.01, abs=1e-15)
 
 
@@ -311,7 +316,7 @@ def test_strong_record_three_state():
     assert fy.wave.right[0] == pytest.approx(-0.75, abs=1e-11)
     assert np.array_equal(fz.wave.left, fy.wave.right)
     assert fz.wave.right[0] == pytest.approx(-0.375, abs=1e-12)
-    assert [fy.assigned_speed, fz.assigned_speed] == pytest.approx(
+    assert [fy.wave.speed, fz.wave.speed] == pytest.approx(
         [0.8125, 0.984375], abs=1e-11)
 
 
@@ -335,18 +340,23 @@ def test_classify_weak_weak_and_residual():
     res = run(CUBIC, KIN, fs, t_end=2.0)
     assert len(res.events) == 1
     assert dg.classify_case(res.events[0]) == ("WeakWeak", None)
-    residual, product = dg.glimm_residual(res.events[0])
-    assert residual <= 1e-12
-    assert product == pytest.approx(0.0015, abs=1e-12)
+    (row,) = dg.lyapunov_series(CUBIC, res.events, res.snapshots,
+                                W)["events"]
+    assert row["residual"] <= 1e-12
+    assert row["product"] == pytest.approx(0.0015, abs=1e-12)
+    assert row["product"] == _ref_product(res.events[0].incoming)
 
 
 def test_glimm_residual_merge_exact(merge_run_three_state):
-    merges = [ev for ev in merge_run_three_state.events
-              if dg.classify_case(ev)[0] == "Case2"]
+    res = merge_run_three_state
+    rows = dg.lyapunov_series(CUBIC, res.events, res.snapshots, W)["events"]
+    merges = [(ev, row) for ev, row in zip(res.events, rows)
+              if row["case"] == "Case2"]
     assert len(merges) == 1
-    residual, product = dg.glimm_residual(merges[0])
-    assert residual <= 1e-10
-    assert product == pytest.approx(0.25 * 0.53, abs=1e-10)
+    ((ev, row),) = merges
+    assert row["residual"] <= 1e-10
+    assert row["product"] == pytest.approx(0.25 * 0.53, abs=1e-10)
+    assert row["product"] == _ref_product(ev.incoming)
 
 
 def test_event_deltas_monotone(split_run, monkeypatch):
@@ -442,11 +452,11 @@ def test_replay_state_must_match_the_event(split_run):
     state = dg.ReplayState.of(split_run.initial,
                               dg.snapshot(CUBIC, split_run.initial, W))
     _, after_first = dg.event_delta(CUBIC, events[0], W, state)
-    # the cluster's ids do not sit at the event's index
+    # the incoming waves' ids do not sit at the event's index
     shifted = dataclasses.replace(events[1], index=events[1].index + 1)
     with pytest.raises(dg.DiagnosticsError, match="does not sit"):
         dg.event_delta(CUBIC, shifted, W, after_first)
-    # the same event replayed twice: its cluster has left the set
+    # the same event replayed twice: its incoming waves have left the set
     with pytest.raises(dg.DiagnosticsError, match="does not sit"):
         dg.event_delta(CUBIC, events[0], W, after_first)
     # a strong id after the event that names no front
@@ -467,7 +477,7 @@ def test_replay_relabels_when_strong_fronts_appear_or_vanish():
     fs = init_fronts(model, kin, states, positions, h=h, strong_jumps=[])
     _, ev = tracking.resolve_interaction(model, kin, fs,
                                          tracking.next_collision(fs))
-    assert 0 < ev.index and ev.index + len(ev.cluster) < len(fs.fronts)
+    assert 0 < ev.index and ev.index + len(ev.incoming) < len(fs.fronts)
 
     def replayed(event, pre, post):
         state = dg.ReplayState.of(pre, dg.snapshot(model, pre, W))
@@ -479,7 +489,7 @@ def test_replay_relabels_when_strong_fronts_appear_or_vanish():
     post = dataclasses.replace(ev.post, y_id=ev.placed[0].id)
     gained = replayed(dataclasses.replace(ev, post=post), fs, post)
     assert gained.V_L > 0.0 and gained.V_R > 0.0
-    lost = replayed(ev, dataclasses.replace(fs, y_id=ev.cluster[0].id),
+    lost = replayed(ev, dataclasses.replace(fs, y_id=ev.incoming[0].id),
                     ev.post)
     assert lost.V_L == 0.0 and lost.V_R == 0.0
 
@@ -497,18 +507,16 @@ def test_potential_matches_double_loop_on_runs(name):
     sets = [res.initial] + [ev.post for ev in res.events] + [res.final]
     assert len(res.events) >= 10
     for fs in sets:
-        assert dg.potential_parts(model, fs) == _ref_potential(
-            _items(fs.fronts), cc)
+        assert _potential(model, fs) == _ref_potential(_items(fs.waves), cc)
     rows = dg.lyapunov_series(model, res.events, res.snapshots, W)["events"]
     for ev, row in zip(res.events, rows):
-        q0, q1 = _ref_potential(_items(ev.cluster), cc)
+        q0, q1 = _ref_potential(_items(ev.incoming), cc)
         assert row["q_cluster_pre"] == q0 + q1
         q0, q1 = _ref_potential(_items(ev.placed), cc)
         assert row["q_cluster_post"] == q0 + q1
         assert row["product"] == _ref_product(ev.incoming)
-        assert dg.glimm_residual(ev)[1] == row["product"]
-    _assert_blocks_match(model, max(sets, key=lambda fs: len(fs.fronts))
-                         .fronts[:24])
+    _assert_blocks_match(model, max(sets, key=lambda fs: len(fs.waves))
+                         .waves[:24])
 
 
 def test_lyapunov_series_merge_run(merge_run_g0):
@@ -585,6 +593,20 @@ def test_calibrate_feeds_q1_row():
     assert out["constraints"]["Q1"]["passed"]
 
 
+# sha256 of the report's JSON with sorted keys, recorded while calibration
+# summed its pairs with the array pass (pair_terms)
+P_SYSTEM_CALIBRATION = ("ed16ab46c8f5f7c04909471a48f035a2"
+                        "34b2b40098cdfcafaea06b3b7a2eb4e3")
+
+
+def test_p_system_calibration_keeps_its_bits():
+    # system samples: pairs of both families, fans with rarefactions
+    rep = dg.calibrate(ELAS, KIN, dg.lemma_weights(0.75), n=60, seed=3)
+    assert rep.n_evaluated == 60
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == P_SYSTEM_CALIBRATION
+
+
 @given(st.lists(
     st.tuples(st.floats(-4.0, 4.0), st.floats(-0.4, 0.4),
               st.floats(-1.0, 1.0), st.booleans()),
@@ -601,7 +623,7 @@ def test_snapshot_invariants_synthetic(rows):
             x, v, s, uid=k, kind=KIND_CLASSICAL if shock else KIND_PIECE))
     fs = _fs(fronts)
     snap = dg.snapshot(CUBIC, fs, W)
-    assert dg.potential_parts(CUBIC, fs) == _ref_potential(_items(fronts), 0)
+    assert _potential(CUBIC, fs) == _ref_potential(_items(fs.waves), 0)
     assert snap.V_L >= 0.0 and snap.V_M >= 0.0 and snap.V_R >= 0.0
     assert snap.W == snap.V_L + snap.V_M + snap.V_R
     assert snap.Q >= 0.0

@@ -42,7 +42,7 @@ def test_rarefaction_fan():
     assert w.speed[0] == pytest.approx(3.0, abs=1e-12)
     assert w.speed[1] == pytest.approx(4.32, abs=1e-12)
     assert w.strength == pytest.approx(0.2, abs=1e-12)
-    assert np.array_equal(fan.right_state, np.array([1.2]))
+    assert np.array_equal(fan.waves[-1].right, np.array([1.2]))
 
 
 def test_lax_fan():
@@ -237,7 +237,7 @@ def test_elasticity_weak_classical_pair():
     mid = fan.waves[0].right
     assert mid[0] == pytest.approx(v_mid, abs=1e-9)
     assert mid[1] == pytest.approx(w_mid, abs=1e-9)
-    assert np.max(np.abs(fan.right_state - np.array(u_r))) == 0.0
+    assert np.max(np.abs(fan.waves[-1].right - np.array(u_r))) == 0.0
     for w in fan.waves:
         if not isinstance(w.speed, tuple):
             E = curves.entropy_dissipation(ELAS, w.left, w.right)
@@ -262,7 +262,7 @@ def test_elasticity_nonclassical_system_fan():
     assert fan_kinds(fan) == [KIND_RAREFACTION, KIND_NONCLASSICAL, KIND_CLASSICAL]
     assert fan.waves[0].right[1] == pytest.approx(0.45, abs=1e-8)
     assert fan.waves[1].right[1] == pytest.approx(frag1[0].right[1], abs=1e-8)
-    assert np.max(np.abs(fan.right_state - end)) == 0.0
+    assert np.max(np.abs(fan.waves[-1].right - end)) == 0.0
     fan.validate()
 
 
@@ -341,7 +341,7 @@ def test_elasticity_weak_fan_invariants(vl, wl, dv, dw):
     fan = solve_riemann(ELAS, KIN, u_l, u_r)
     fan.validate()
     if fan.waves:
-        assert np.max(np.abs(fan.right_state - np.array(u_r))) == 0.0
+        assert np.max(np.abs(fan.waves[-1].right - np.array(u_r))) == 0.0
     for w in fan.waves:
         if not isinstance(w.speed, tuple):
             res = ELAS.flux(w.right) - ELAS.flux(w.left) - w.speed * (

@@ -46,7 +46,7 @@ def test_init_single_classical():
     assert len(fs.fronts) == 1
     f = fs.fronts[0]
     assert f.wave.kind == KIND_CLASSICAL
-    assert f.assigned_speed == pytest.approx(0.765625, abs=1e-12)
+    assert f.wave.speed == pytest.approx(0.765625, abs=1e-12)
     assert f.position == 0.0
     assert fs.y_id == f.id and fs.z_id is None
 
@@ -56,7 +56,7 @@ def test_init_rarefaction_discretized():
     assert len(fs.fronts) == 4
     for a, b in zip(fs.fronts, fs.fronts[1:]):
         assert np.array_equal(a.wave.right, b.wave.left)
-        assert a.assigned_speed < b.assigned_speed
+        assert a.wave.speed < b.wave.speed
         assert a.position < b.position
     for f in fs.fronts:
         assert f.wave.kind == KIND_PIECE
@@ -65,7 +65,7 @@ def test_init_rarefaction_discretized():
     assert np.array_equal(fs.fronts[-1].wave.right, np.array([1.2]))
     assert fs.strong_ids == ()
     # chord speed of the first piece sits between the edge characteristics
-    assert 3.0 < fs.fronts[0].assigned_speed < 3.3075 + 1e-12
+    assert 3.0 < fs.fronts[0].wave.speed < 3.3075 + 1e-12
 
 
 def test_init_equal_states_empty():
@@ -81,8 +81,8 @@ def test_init_three_state_pattern_tags():
     assert n.wave.kind == KIND_NONCLASSICAL
     assert c.wave.kind == KIND_CLASSICAL
     assert fs.y_id == n.id and fs.z_id == c.id
-    assert n.assigned_speed == pytest.approx(0.8125, abs=1e-11)
-    assert c.assigned_speed == pytest.approx(0.984375, abs=1e-11)
+    assert n.wave.speed == pytest.approx(0.8125, abs=1e-11)
+    assert c.wave.speed == pytest.approx(0.984375, abs=1e-11)
 
 
 def test_init_names_the_strong_front_that_breaks_the_pattern():
@@ -105,7 +105,7 @@ def test_init_names_the_strong_front_that_breaks_the_pattern():
 
 def _dummy_front(x, v, uid):
     w = Wave(0, KIND_CLASSICAL, np.array([0.0]), np.array([0.0]), v, 0.1, uid)
-    return tracking.Front(x, w, v)
+    return tracking.Front(x, w)
 
 
 def _fs(fronts, y_id=None, z_id=None, time=0.0):
@@ -113,16 +113,16 @@ def _fs(fronts, y_id=None, z_id=None, time=0.0):
     waves = [f.wave for f in fronts]
     return FrontSet(time, waves,
                     np.array([f.position for f in fronts], dtype=float),
-                    np.array([f.assigned_speed for f in fronts], dtype=float),
+                    np.array([w.speed for w in waves], dtype=float),
                     np.array([w.id for w in waves], dtype=np.int64),
                     y_id, z_id, 0.01)
 
 
 def test_next_collision_kinematics():
     fs = _fs([_dummy_front(0.0, 2.0, 1), _dummy_front(1.0, 1.0, 2)])
-    t, pair = next_collision(fs)
+    t, k = next_collision(fs)
     assert t == pytest.approx(1.0, abs=1e-14)
-    assert pair == (1, 2)
+    assert k == 0
     fs = _fs([_dummy_front(0.0, 1.0, 1), _dummy_front(1.0, 2.0, 2)])
     assert next_collision(fs) is None
 
@@ -131,26 +131,26 @@ def test_next_collision_tie_leftmost():
     fronts = [_dummy_front(0.0, 3.0, 1), _dummy_front(1.0, 1.0, 2),
               _dummy_front(2.0, -1.0, 3)]
     fs = _fs(fronts)
-    t, pair = next_collision(fs)
+    t, k = next_collision(fs)
     assert t == pytest.approx(0.5, abs=1e-14)
-    assert pair == (1, 2)
+    assert k == 0
 
 
 def _next_collision_reference(fs):
     # the scalar scan over every gap that the array pass replaced
     best_t = None
-    best_pair = None
+    best_k = None
     fronts = fs.fronts
-    for a, b in zip(fronts, fronts[1:]):
-        dv = a.assigned_speed - b.assigned_speed
+    for k, (a, b) in enumerate(zip(fronts, fronts[1:])):
+        dv = a.wave.speed - b.wave.speed
         if dv <= tracking.SPEED_TIE:
             continue
         t = fs.time + (b.position - a.position) / dv
         if best_t is None or t < best_t - tracking.TIME_TIE:
-            best_t, best_pair = t, (a.id, b.id)
+            best_t, best_k = t, k
     if best_t is None:
         return None
-    return best_t, best_pair
+    return best_t, best_k
 
 
 def _moving_set(xs, speeds, time=0.0):
@@ -194,13 +194,13 @@ def test_next_collision_follows_the_leader_through_a_near_tie_chain():
     # third; the leftmost gap within TIME_TIE of the minimum is the second
     fs = _moving_set([0.0, 1.0, 2.0 - 0.6e-12, 3.0 - 1.8e-12],
                      [3.0, 2.0, 1.0, 0.0])
-    t, pair = _assert_matches_reference(fs)
-    assert pair == (2, 3)
+    t, k = _assert_matches_reference(fs)
+    assert k == 2
     assert t == pytest.approx(1.0 - 1.2e-12, abs=1e-15)
     # the second gap closes first, but within TIME_TIE of the first
     fs = _moving_set([0.0, 1.0, 2.0 - 0.5e-12], [2.0, 1.0, 0.0])
-    t, pair = _assert_matches_reference(fs)
-    assert pair == (0, 1)
+    t, k = _assert_matches_reference(fs)
+    assert k == 0
     assert t == 1.0
 
 
@@ -209,8 +209,8 @@ def test_next_collision_skips_gaps_closing_within_the_speed_tie():
     # speed differences: exactly SPEED_TIE at the first gap, twice it at
     # the second
     fs = _moving_set([0.0, 1e-12, 1.0], [tie, 0.0, -2 * tie])
-    t, pair = _assert_matches_reference(fs)
-    assert pair == (1, 2)
+    t, k = _assert_matches_reference(fs)
+    assert k == 1
     for speeds in ([tie, 0.0, -tie], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]):
         fs = _moving_set([0.0, 1.0, 2.0], speeds)
         assert next_collision(fs) is None
@@ -222,7 +222,7 @@ def test_next_collision_skips_gaps_closing_within_the_speed_tie():
 def _chained_front(x, left, right, uid):
     w = Wave(0, KIND_CLASSICAL, np.array([left]), np.array([right]), 0.0,
              0.1, uid)
-    return tracking.Front(x, w, 0.0)
+    return tracking.Front(x, w)
 
 
 def test_check_accepts_a_chained_set():
@@ -288,7 +288,7 @@ def _absorption_with_a_right_neighbour():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.368, -0.373, -0.36],
                      [0.0, 0.05, 1.0], h=0.01)
     col = next_collision(fs)
-    assert col[1] == (fs.y_id, 2)
+    assert fs.wave_ids[col[1]:col[1] + 2].tolist() == [fs.y_id, 2]
     return fs, col
 
 
@@ -338,14 +338,6 @@ def test_resolve_checks_that_strong_ids_survive_the_splice():
     assert [f.id for f in fs2.fronts] == [ev.placed[0].id, 3]
 
 
-def test_resolve_rejects_a_pair_that_does_not_meet():
-    fs, (t, _) = _absorption_with_a_right_neighbour()
-    for pair in ((0, 3), (3, 0), (999, 2), (3, 999)):
-        with pytest.raises(tracking.TrackingError,
-                           match=r"^colliding fronts are not adjacent$"):
-            resolve_interaction(CUBIC, KIN, fs, (t, pair))
-
-
 def test_fronts_read_from_the_arrays_hold_python_floats():
     states, positions = _cubic_load(n=8)
     fs = init_fronts(CUBIC, KIN, states, positions, h=0.002, strong_jumps=[0])
@@ -353,12 +345,13 @@ def test_fronts_read_from_the_arrays_hold_python_floats():
     assert res.events
     sets = [ev.post for ev in res.events] + res.snapshots + [res.final]
     fronts = [f for s in sets for f in s.fronts]
-    fronts += [f for ev in res.events for f in ev.cluster + ev.placed]
     for f in fronts:
         assert type(f.position) is float
-        assert type(f.assigned_speed) is float
+        assert type(f.wave.speed) is float
     for ev in res.events:
         assert type(ev.time) is float and type(ev.position) is float
+        for wv in ev.incoming + ev.placed:
+            assert type(wv.speed) is float
 
 
 def test_split_run_event_sequence():
@@ -381,8 +374,8 @@ def test_split_run_event_sequence():
     assert n.wave.kind == KIND_NONCLASSICAL
     assert res.final.y_id == n.id and res.final.z_id == c.id
     assert n.position < c.position
-    assert n.assigned_speed == pytest.approx(0.8125, abs=1e-11)
-    assert c.assigned_speed == pytest.approx(1.004044, abs=1e-9)
+    assert n.wave.speed == pytest.approx(0.8125, abs=1e-11)
+    assert c.wave.speed == pytest.approx(1.004044, abs=1e-9)
     assert c.wave.right[0] == pytest.approx(-0.388, abs=1e-12)
 
 
@@ -415,7 +408,7 @@ def test_merge_cycle_completes():
     f = res.final.fronts[0]
     assert res.final.y_id == f.id
     assert f.wave.right[0] == pytest.approx(-0.24, abs=1e-12)
-    assert f.assigned_speed == pytest.approx(0.8176, abs=1e-11)
+    assert f.wave.speed == pytest.approx(0.8176, abs=1e-11)
     rep = conservation_report(CUBIC, res)
     assert rep["corrected"] <= 1e-8
 
@@ -428,7 +421,7 @@ def test_merge_cycle_gamma_half_from_three_state():
     merges = [ev for ev in res.events if len(ev.incoming_roles) == 2]
     assert len(merges) == 1
     assert len(res.final.fronts) == 1
-    assert res.final.fronts[0].assigned_speed == pytest.approx(
+    assert res.final.fronts[0].wave.speed == pytest.approx(
         1 - 0.22 + 0.0484, abs=1e-11
     )
     assert res.final.z_id is None
@@ -446,6 +439,22 @@ def test_transport_only_run_and_snapshots():
     assert d["fronts"][0]["kind"] == KIND_CLASSICAL
 
 
+@pytest.mark.parametrize("t_end, dt, count",
+                         [(0.3, 0.1, 4), (1.0, 0.1, 11), (0.6, 0.2, 4)])
+def test_snapshot_grid_ends_at_t_end(t_end, dt, count):
+    # k*dt drifts past t_end at k = t_end/dt for these pairs; the final
+    # set at t_end is the one snapshot there
+    fs = init_fronts(CUBIC, KIN, [1.0, -0.368, -0.388], [0.0, 0.05], h=0.005)
+    res = run(CUBIC, KIN, fs, t_end=t_end, snapshot_dt=dt)
+    times = [s.time for s in res.snapshots]
+    assert len(times) == count
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert max(times) <= t_end
+    assert times[-1] == t_end
+    assert res.snapshots[-1] is res.final
+    assert times[1:-1] == [k * dt for k in range(1, count - 1)]
+
+
 def test_fold_absorbs_tiny_waves():
     mid, frag = tracking.riemann.wave_curve_point(
         CUBIC, KIN, 1.0, 0, -0.75 - 1e-8, ids=IdGen()
@@ -461,9 +470,8 @@ def test_fold_absorbs_tiny_waves():
 
 def test_pattern_broken_guard():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.375], [0.0], h=0.01)
-    piece = tracking.Front(
-        0.1, Wave(0, KIND_PIECE, np.array([-0.375]), np.array([-0.38]),
-                  0.4, -0.005, 999), 0.4)
+    piece = Wave(0, KIND_PIECE, np.array([-0.375]), np.array([-0.38]),
+                 0.4, -0.005, 999)
     with pytest.raises(PatternBroken):
         tracking._propagate_tokens(CUBIC, fs, {fs.fronts[0].id: "y"}, [piece])
 
@@ -507,7 +515,7 @@ def _run_digest(res) -> str:
     h = hashlib.sha256()
     for ev in res.events:
         row = [ev.time.hex(), ev.position.hex(), ev.index,
-               [f.id for f in ev.cluster], [f.id for f in ev.placed],
+               [w.id for w in ev.incoming], [w.id for w in ev.placed],
                ev.post.y_id, ev.post.z_id]
         h.update(repr(row).encode())
     h.update(repr([f.position.hex() for f in res.final.fronts]).encode())
@@ -521,8 +529,8 @@ LOAD_DIGEST = ("aa714781ac62496d7afbb4766a339ed6"
 
 
 def test_load_run_keeps_its_bits():
-    # digest of every event's time, position, index, cluster and placed
-    # ids and strong ids after it, and of the final positions
+    # digest of every event's time, position, index, incoming and placed
+    # wave ids and strong ids after it, and of the final positions
     states, positions = _cubic_load()
     fs = init_fronts(CUBIC, KIN, states, positions, h=0.002, strong_jumps=[0])
     res = run(CUBIC, KIN, fs, t_end=6.0)
