@@ -384,7 +384,7 @@ def check_c02():
     worst_inv = worst_speed = worst_pair = 0.0
 
     def state(u0, m):
-        return curves.hugoniot_point(model, u0, 0, m).state
+        return curves.hugoniot_point(model, u0, 0, m)[0]
 
     for u in GRID:
         u0 = np.array([u])

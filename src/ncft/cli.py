@@ -220,9 +220,14 @@ def validate_config(raw: dict) -> dict:
 
     w_raw = raw.get("weights", {})
     _check_keys(w_raw, _WEIGHTS_KEYS, "weights")
+    zeta = _as_float(w_raw.get("zeta", 0.1), "weights.zeta")
+    # the lemma weights 1 - zeta and 1 + zeta must be positive; the
+    # narrower (0, 0.5) range is a reported constraint, not a config error
+    if not -1.0 < zeta < 1.0:
+        raise ConfigError(f"weights.zeta must lie in (-1, 1), got {zeta}")
     cfg["weights"] = {
-        "zeta": _as_float(w_raw.get("zeta", 0.1), "weights.zeta"),
-        "K": _as_float(w_raw.get("K", 1.0), "weights.K"),
+        "zeta": zeta,
+        "K": _as_float(w_raw.get("K", 1.0), "weights.K", positive=True),
     }
 
     seed = raw.get("seed", 0)

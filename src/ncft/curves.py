@@ -12,10 +12,8 @@ parameter advances at unit rate along integral curves, and Hugoniot points
 are indexed by the parameter value m of the state reached. Every curve
 point comes from the model's closed-form hooks (hugoniot_fn,
 integral_curve_fn), checked against the outer ball; there is no
-continuation or numerical integration. The critical maps read a Hugoniot
-point as a plain (state, speed) pair from HugoniotCurve.state_speed; only
-HugoniotCurve.point and rarefaction_point wrap one in a CurvePoint, for the
-Riemann solver and the tracker.
+continuation or numerical integration. A Hugoniot point is a plain
+(state, shock speed) pair and a rarefaction point a plain state.
 
 The critical maps answer from the model's critical_fn hook: the tangency
 and zero-dissipation parameters come from the hook, and the left contact
@@ -27,9 +25,7 @@ hold them against bracketing root searches (acceptance.py).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import weakref
 from typing import Optional
 
 import numpy as np
@@ -72,23 +68,17 @@ class BracketFailure(CurveError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class CurvePoint:
-    state: Array
-    m: float
-    speed: Optional[float]
-
-
 class HugoniotCurve:
     """One Hugoniot locus, queried by the parameter m of the state reached.
 
     state_speed(m) returns the point as a (state, shock speed) pair from
     the model's hugoniot_fn, once the state is known to lie in the outer
-    ball (BallExit otherwise); point wraps that pair in a CurvePoint.
+    ball (BallExit otherwise).
 
-    The curve holds its model weakly: the model's memo holds the curve,
-    and a strong reference back would keep every dropped model alive
-    until a cyclic garbage collection.
+    The curve keeps the model's hugoniot_fn and outer radius delta0, not
+    the model: the model's memo holds the curve, and a reference back
+    would keep every dropped model alive until a cyclic garbage
+    collection.
 
     The base state's characteristic speed lam0 and entropy pair (U0, F0)
     are Python floats computed once per curve; a query within
@@ -97,26 +87,13 @@ class HugoniotCurve:
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
-        self._model = weakref.ref(model)
+        self._hugoniot_fn = model.hugoniot_fn
+        self._delta0 = model.delta0
         self.family = family
         self.u_minus = as_state(model, u_minus)
         self.mu0 = float(model.family_parameter(self.u_minus, family))
         self.lam0 = char_speed(model, self.u_minus, family)
         self.U0, self.F0 = models.entropy_pair(model, self.u_minus)
-
-    @property
-    def model(self) -> FluxModel:
-        model = self._model()
-        if model is None:
-            raise ReferenceError(
-                "the model of this Hugoniot curve has been freed; keep the "
-                "model alive while its curves are in use")
-        return model
-
-    def point(self, m) -> CurvePoint:
-        m = float(m)
-        u, lam = self.state_speed(m)
-        return CurvePoint(u, m, lam)
 
     def speed_at(self, m) -> float:
         return self.state_speed(m)[1]
@@ -126,9 +103,8 @@ class HugoniotCurve:
         m = float(m)
         if abs(m - self.mu0) < STATE_COINCIDENCE:
             return self.u_minus.copy(), self.lam0
-        model = self.model
-        u, lam = model.hugoniot_fn(self.u_minus, self.family, m)
-        if not models.in_ball(model, u, "delta0"):
+        u, lam = self._hugoniot_fn(self.u_minus, self.family, m)
+        if not models.within(u, self._delta0):
             raise BallExit(
                 f"Hugoniot locus left the outer ball at {u.tolist()}"
             )
@@ -136,20 +112,20 @@ class HugoniotCurve:
 
 
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
-    """The model's memoized Hugoniot curve through u_minus. The curve
-    holds the model weakly: keep the model alive while using the curve,
-    whose queries raise ReferenceError once the model is freed."""
+    """The model's memoized Hugoniot curve through u_minus."""
     fam = model.cc_index if family is None else family
     a = as_state(model, u_minus)
     return model.cache.curve(fam, a, lambda: HugoniotCurve(model, a, fam))
 
 
-def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> CurvePoint:
+def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> tuple:
+    """(state, shock speed) of the point with parameter m on the Hugoniot
+    locus of u_minus."""
     models.require_in_ball(model, u_minus, "delta0")
-    return hugoniot_curve(model, u_minus, family).point(m)
+    return hugoniot_curve(model, u_minus, family).state_speed(m)
 
 
-def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> CurvePoint:
+def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Array:
     """State on the integral curve of r_family with parameter value m,
     from the model's integral_curve_fn; BallExit when it leaves the outer
     ball."""
@@ -157,13 +133,13 @@ def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Curve
     m = float(m)
     mu0 = float(model.family_parameter(a, family))
     if abs(m - mu0) < 1e-15:
-        return CurvePoint(a.copy(), mu0, None)
+        return a.copy()
     u = model.integral_curve_fn(a, family, m)
     if not models.in_ball(model, u, "delta0"):
         raise BallExit(
             f"rarefaction curve left the outer ball at {u.tolist()}"
         )
-    return CurvePoint(u, m, None)
+    return u
 
 
 def shock_speed(model: FluxModel, u_minus, u_plus,
@@ -184,6 +160,17 @@ def shock_speed(model: FluxModel, u_minus, u_plus,
             f"states not Rankine-Hugoniot compatible: residual {resid:.3e}"
         )
     return lam
+
+
+def chord_speed(model: FluxModel, left: Array, right: Array) -> float:
+    """Least-squares chord of the jump; exact Rankine-Hugoniot speed for
+    scalar models, best-fit for folded system fronts."""
+    du = right - left
+    nn = float(du @ du)
+    if nn == 0.0:
+        return char_speed(model, left, 0)
+    df = model.flux(right) - model.flux(left)
+    return float(df @ du) / nn
 
 
 def entropy_dissipation(model: FluxModel, u_minus, u_plus) -> float:

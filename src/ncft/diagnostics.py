@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from ncft import curves, kinetics as kin_mod, models, riemann, tracking
+from ncft import curves, kinetics as kin_mod, models, riemann
 from ncft.kinetics import KineticFunction
 from ncft.models import FluxModel
 from ncft.riemann import (
@@ -638,18 +638,6 @@ class CycleAudit:
         }
 
 
-class _OpenCycle:
-    def __init__(self, t0, u_l0, u_r0, lyapunov_before, eps0):
-        self.t0 = t0
-        self.u_l0 = u_l0
-        self.u_r0 = u_r0
-        self.L0 = lyapunov_before
-        self.eps0 = eps0
-        self.ledgers = {k: 0.0 for k in LEDGER_KEYS}
-        self.n_crossings = 0
-        self.well_formed = True
-
-
 def _strong_wave(waves, roles: dict, role: str) -> Optional[Wave]:
     """The wave among waves that holds role, None if none does."""
     for wv in waves:
@@ -684,18 +672,29 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
     # the previous event's front set: W+K*Q as just before the current one
     before = initial
     records = []
+    # the open cycle's record, and W+K*Q and the perturbation at its opening
     current = None
+    L0 = eps0 = None
     tol = 1e-12
 
     def lyapunov_of(fs):
         return snapshot(model, fs, w).lyapunov
 
+    def open_cycle(t0, u_l0, u_r0, fs_before, fs_after):
+        nonlocal current, L0, eps0
+        current = CycleRecord(
+            t0=t0, tf=None, u_l0=u_l0, u_r0=u_r0, u_lf=None, u_rf=None,
+            ledgers={k: 0.0 for k in LEDGER_KEYS}, eta=None,
+            signed_variation=None, lyapunov_drop=None, n_crossings=0,
+            checks={"well_formed": True})
+        L0 = lyapunov_of(fs_before)
+        eps0 = perturbation(fs_after)
+
     if initial.y_id is not None and initial.z_id is not None:
         wy = initial.waves[initial.index(initial.y_id)]
         wz = initial.waves[initial.index(initial.z_id)]
-        current = _OpenCycle(initial.time, wy.left.tolist(),
-                             wz.right.tolist(), lyapunov_of(initial),
-                             perturbation(initial))
+        open_cycle(initial.time, wy.left.tolist(), wz.right.tolist(),
+                   initial, initial)
 
     def close(ev):
         nonlocal current
@@ -718,11 +717,10 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             # orphan merge: the opening state was never seen
             eta = None
             sv = None
-        drop = current.L0 - lyapunov_of(ev.post)
-        allow = 1.0 + current.eps0
+        drop = L0 - lyapunov_of(ev.post)
+        allow = 1.0 + eps0
         led = current.ledgers
-        checks = {
-            "well_formed": current.well_formed,
+        current.checks.update({
             "eta_condition": (sv > eta) if eta is not None and eta > tol
             else None,
             "drop_nonnegative": drop >= -tol,
@@ -732,15 +730,11 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             <= led["beta_L"] * allow + tol,
             "crossing_beta_R": led["beta_R_tilde"]
             <= led["beta_R"] * allow + tol,
-        }
-        records.append(CycleRecord(
-            t0=current.t0, tf=ev.time,
-            u_l0=current.u_l0, u_r0=current.u_r0,
-            u_lf=u_lf, u_rf=u_rf,
-            ledgers=dict(led), eta=eta, signed_variation=sv,
-            lyapunov_drop=drop, n_crossings=current.n_crossings,
-            checks=checks,
-        ))
+        })
+        current.tf, current.u_lf, current.u_rf = ev.time, u_lf, u_rf
+        current.eta, current.signed_variation = eta, sv
+        current.lyapunov_drop = drop
+        records.append(current)
         current = None
 
     for ev in events:
@@ -749,18 +743,15 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
             if current is not None:
                 # nested split never leaves the tracked pattern intact;
                 # keep the record but mark it
-                current.well_formed = False
+                current.checks["well_formed"] = False
             wy = _strong_wave(ev.placed, ev.outgoing_roles, "y")
             wz = _strong_wave(ev.placed, ev.outgoing_roles, "z")
-            current = _OpenCycle(ev.time, wy.left.tolist(),
-                                 wz.right.tolist(),
-                                 lyapunov_of(before), perturbation(ev.post))
+            open_cycle(ev.time, wy.left.tolist(), wz.right.tolist(),
+                       before, ev.post)
         elif tag == "Case2":
             if current is None:
-                current = _OpenCycle(initial.time, [], [],
-                                     lyapunov_of(initial),
-                                     perturbation(initial))
-                current.well_formed = False
+                open_cycle(initial.time, [], [], initial, initial)
+                current.checks["well_formed"] = False
             close(ev)
         elif current is not None:
             led = current.ledgers
@@ -782,15 +773,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
         before = ev.post
 
     if current is not None:
-        records.append(CycleRecord(
-            t0=current.t0, tf=None,
-            u_l0=current.u_l0, u_r0=current.u_r0,
-            u_lf=None, u_rf=None,
-            ledgers=dict(current.ledgers), eta=None,
-            signed_variation=None, lyapunov_drop=None,
-            n_crossings=current.n_crossings,
-            checks={"well_formed": current.well_formed},
-        ))
+        records.append(current)
 
     completed = [r for r in records if not r.open]
     ratios = [r.lyapunov_drop / r.eta for r in completed
@@ -840,7 +823,7 @@ class CalibrationReport:
 
 def _wave_chord(model: FluxModel, wv: Wave) -> float:
     if isinstance(wv.speed, tuple):
-        return tracking._chord_speed(model, wv.left, wv.right)
+        return curves.chord_speed(model, wv.left, wv.right)
     return float(wv.speed)
 
 

@@ -79,7 +79,7 @@ def mu_flat(model: FluxModel, kin: KineticFunction, a: Array) -> float:
 
 def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
     a = models.as_state(model, u)
-    return curves.hugoniot_point(model, a, model.cc_index, mu_flat(model, kin, a)).state
+    return curves.hugoniot_point(model, a, model.cc_index, mu_flat(model, kin, a))[0]
 
 
 @_memoized("sharp")
@@ -90,7 +90,7 @@ def mu_sharp(model: FluxModel, kin: KineticFunction, a: Array) -> float:
 
 def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
     a = models.as_state(model, u)
-    return curves.hugoniot_point(model, a, model.cc_index, mu_sharp(model, kin, a)).state
+    return curves.hugoniot_point(model, a, model.cc_index, mu_sharp(model, kin, a))[0]
 
 
 @_memoized("nucl")
@@ -219,7 +219,7 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
     manifold_ok = True
     for a in states[: max(1, len(states) // 10)]:
         try:
-            proj = curves.rarefaction_point(model, a, model.cc_index, 0.0).state
+            proj = curves.rarefaction_point(model, a, model.cc_index, 0.0)
             if abs(mu_flat(model, kin, proj)) > 1e-9:
                 manifold_ok = False
                 break
@@ -237,21 +237,16 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         vals = []
         try:
             for m in grid:
-                st = curves.rarefaction_point(model, a, model.cc_index, m).state
+                st = curves.rarefaction_point(model, a, model.cc_index, m)
                 vals.append(mu_flat(model, kin, st))
         except curves.CurveError:
             continue
-        diffs = np.diff(vals)
-        if kin.theta > 1e-12:
-            if not np.all(diffs < 1e-12):
-                arcs_ok = False
-                arc_witness = a.tolist()
-                break
-        else:
-            if not np.all(diffs <= 1e-12):
-                arcs_ok = False
-                arc_witness = a.tolist()
-                break
+        # with theta = 0 a step may also equal the tolerance
+        decreasing = np.less if kin.theta > 1e-12 else np.less_equal
+        if not np.all(decreasing(np.diff(vals), 1e-12)):
+            arcs_ok = False
+            arc_witness = a.tolist()
+            break
     hyps["H3"] = {
         "passed": manifold_ok and arcs_ok,
         "identity_on_manifold": manifold_ok,

@@ -156,12 +156,17 @@ def as_state(model: FluxModel, u) -> Array:
     return a
 
 
+def within(u: Array, r: float, tol: float = BALL_TOL) -> bool:
+    """Whether the state vector u lies in the ball of radius r; its norm
+    is the one np.linalg.norm takes of a 1-D float vector, sqrt(u . u)."""
+    return math.sqrt(float(u.dot(u))) <= r + tol
+
+
 def in_ball(model: FluxModel, u: Array, radius: str = "delta1",
             tol: float = BALL_TOL) -> bool:
-    """Whether the state vector u lies in the ball; its norm is the one
-    np.linalg.norm takes of a 1-D float vector, sqrt(u . u)."""
+    """Whether the state vector u lies in the model's ball named radius."""
     r = model.delta1 if radius == "delta1" else model.delta0
-    return math.sqrt(float(u.dot(u))) <= r + tol
+    return within(u, r, tol)
 
 
 def require_in_ball(model: FluxModel, u, radius: str = "delta1") -> Array:

@@ -120,15 +120,16 @@ class WaveFan:
         return {"waves": [w.to_json_dict() for w in self.waves]}
 
 
-def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
-                      speed: float, ids: IdGen,
-                      kin: Optional[KineticFunction] = None,
-                      with_strength: bool = True) -> Wave:
-    """Build a shock wave, derive its kind (classical or nonclassical)
-    from the classification, and enforce the admissibility invariants:
-    no expansive shock, no positive entropy dissipation, and with kin
-    given, the kinetic relation on a nonclassical jump."""
-    cls = curves.classify_shock(model, left, right, family)
+def _shock(model: FluxModel, family: int, a: Array, m: float, ids: IdGen,
+           kin: Optional[KineticFunction] = None,
+           with_strength: bool = True) -> tuple:
+    """(state, wave): the shock from a to the Hugoniot point with parameter
+    m, its kind (classical or nonclassical) derived from the
+    classification. Enforces the admissibility invariants: no expansive
+    shock, no positive entropy dissipation, and with kin given, the
+    kinetic relation on a nonclassical jump."""
+    right, speed = curves.hugoniot_point(model, a, family, m)
+    cls = curves.classify_shock(model, a, right, family)
     if cls == "Lax":
         kind = KIND_CLASSICAL
     elif cls in ("SlowUndercompressive", "FastUndercompressive"):
@@ -137,35 +138,38 @@ def _mk_discontinuity(model: FluxModel, family: int, left: Array, right: Array,
         raise SolverError(
             f"inadmissible expansive shock emitted on family {family}"
         )
-    E = curves.entropy_dissipation(model, left, right)
+    E = curves.entropy_dissipation(model, a, right)
     if E > ENTROPY_TOL:
         raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
     if kind == KIND_NONCLASSICAL and kin is not None:
-        want = kin_mod.mu_flat(model, kin, left)
+        want = kin_mod.mu_flat(model, kin, a)
         got = float(model.family_parameter(right, family))
         if abs(got - want) > KINETIC_TOL:
             raise SolverError(
                 f"nonclassical jump violates the kinetic relation: "
                 f"{got} vs {want}"
             )
-    strength = (curves.generalized_strength(model, left, right, family)
+    strength = (curves.generalized_strength(model, a, right, family)
                 if with_strength else 0.0)
-    return Wave(family, kind, left.copy(), right.copy(), float(speed),
-                float(strength), ids())
+    return right, Wave(family, kind, a.copy(), right.copy(), float(speed),
+                       float(strength), ids())
 
 
-def _mk_rarefaction(model: FluxModel, family: int, left: Array, right: Array,
-                    ids: IdGen, with_strength: bool = True) -> Wave:
-    lam_l = models.char_speed(model, left, family)
+def _rarefaction(model: FluxModel, family: int, a: Array, m: float,
+                 ids: IdGen, with_strength: bool = True) -> tuple:
+    """(state, wave): the rarefaction from a to the integral-curve point
+    with parameter m; its characteristic speed must not decrease."""
+    right = curves.rarefaction_point(model, a, family, m)
+    lam_l = models.char_speed(model, a, family)
     lam_r = models.char_speed(model, right, family)
     if lam_r < lam_l - 1e-10:
         raise SolverError(
             f"rarefaction with decreasing characteristic speed on family {family}"
         )
-    strength = (curves.generalized_strength(model, left, right, family)
+    strength = (curves.generalized_strength(model, a, right, family)
                 if with_strength else 0.0)
-    return Wave(family, KIND_RAREFACTION, left.copy(), right.copy(),
-                (lam_l, lam_r), float(strength), ids())
+    return right, Wave(family, KIND_RAREFACTION, a.copy(), right.copy(),
+                       (lam_l, lam_r), float(strength), ids())
 
 
 def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: int,
@@ -200,67 +204,45 @@ def _classical_point(model: FluxModel, a: Array, family: int, m: float,
             "are only constructed for the designated family"
         )
     shock_side = (m < mu0) if m_loc > 0 else (m > mu0)
-    if shock_side:
-        pt = curves.hugoniot_point(model, a, family, m)
-        return pt.state, [_mk_discontinuity(model, family, a, pt.state,
-                                            pt.speed, ids,
-                                            with_strength=with_strengths)]
-    pt = curves.rarefaction_point(model, a, family, m)
-    return pt.state, [_mk_rarefaction(model, family, a, pt.state, ids,
-                                      with_strengths)]
+    build = _shock if shock_side else _rarefaction
+    state, w = build(model, family, a, m, ids, with_strength=with_strengths)
+    return state, [w]
 
 
 def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
                         family: int, m: float, ids: IdGen,
                         with_strengths: bool = True) -> tuple:
     mu0 = float(model.family_parameter(a, family))
-    if abs(mu0) < 1e-12:
-        # on the manifold the characteristic speed grows both ways
-        pt = curves.rarefaction_point(model, a, family, m)
-        return pt.state, [_mk_rarefaction(model, family, a, pt.state, ids,
-                                          with_strengths)]
     s = 1.0 if mu0 > 0 else -1.0
-    if s * (m - mu0) >= 0:
-        pt = curves.rarefaction_point(model, a, family, m)
-        return pt.state, [_mk_rarefaction(model, family, a, pt.state, ids,
-                                          with_strengths)]
-    if s * m >= 0:
-        # same-sign weak shock: inside the classical range for any
-        # admissible kinetics, so skip the critical-point machinery
-        pt = curves.hugoniot_point(model, a, family, m)
-        return pt.state, [_mk_discontinuity(model, family, a, pt.state,
-                                            pt.speed, ids, kin=kin,
-                                            with_strength=with_strengths)]
+    if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
+        # beyond the base parameter, and both ways on the manifold, the
+        # characteristic speed grows
+        state, w = _rarefaction(model, family, a, m, ids, with_strengths)
+        return state, [w]
+    # a same-sign weak shock lies inside the classical range for any
+    # admissible kinetics, so it skips the critical-point machinery;
+    # classical shocks are preferred throughout the overlap, ties also
+    if s * m >= 0 or (s * (m - kin_mod.mu_nucleation(model, kin, a))
+                      >= -THRESHOLD_TIE):
+        state, w = _shock(model, family, a, m, ids, kin, with_strengths)
+        return state, [w]
     m_sharp = kin_mod.mu_sharp(model, kin, a)
-    threshold = kin_mod.mu_nucleation(model, kin, a)
-    if s * (m - threshold) >= -THRESHOLD_TIE:
-        # classical shocks are preferred throughout the overlap, ties also
-        pt = curves.hugoniot_point(model, a, family, m)
-        return pt.state, [_mk_discontinuity(model, family, a, pt.state,
-                                            pt.speed, ids, kin=kin,
-                                            with_strength=with_strengths)]
     if s * (m - m_sharp) > 0:
         raise NoSolutionGap(
             f"target {m} between the companion {m_sharp} and the "
-            f"nucleation threshold {threshold}: uncovered by either branch"
+            f"nucleation threshold: uncovered by either branch"
         )
     m_flat = kin_mod.mu_flat(model, kin, a)
-    pt_flat = curves.hugoniot_point(model, a, family, m_flat)
-    leading = _mk_discontinuity(model, family, a, pt_flat.state,
-                                pt_flat.speed, ids, kin=kin,
-                                with_strength=with_strengths)
+    mid, leading = _shock(model, family, a, m_flat, ids, kin, with_strengths)
     if abs(m - m_flat) < 1e-14:
-        return pt_flat.state, [leading]
+        return mid, [leading]
     if s * (m - m_flat) > 0:
-        pt = curves.hugoniot_point(model, pt_flat.state, family, m)
-        trailing = _mk_discontinuity(model, family, pt_flat.state, pt.state,
-                                     pt.speed, ids, kin=kin,
-                                     with_strength=with_strengths)
+        state, trailing = _shock(model, family, mid, m, ids, kin,
+                                 with_strengths)
     else:
-        pt = curves.rarefaction_point(model, pt_flat.state, family, m)
-        trailing = _mk_rarefaction(model, family, pt_flat.state, pt.state, ids,
-                                   with_strengths)
-    return pt.state, [leading, trailing]
+        state, trailing = _rarefaction(model, family, mid, m, ids,
+                                       with_strengths)
+    return state, [leading, trailing]
 
 
 def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ncft import curves, models, riemann
+from ncft import curves, riemann
 from ncft.kinetics import KineticFunction
 from ncft.models import FluxModel
 from ncft.riemann import (
@@ -179,17 +179,6 @@ class InteractionEvent:
     mass_correction: Array
 
 
-def _chord_speed(model: FluxModel, left: Array, right: Array) -> float:
-    """Least-squares chord of the jump; exact Rankine-Hugoniot speed for
-    scalar models, best-fit for folded system fronts."""
-    du = right - left
-    nn = float(du @ du)
-    if nn == 0.0:
-        return models.char_speed(model, left, 0)
-    df = model.flux(right) - model.flux(left)
-    return float(df @ du) / nn
-
-
 def _split_rarefaction(model: FluxModel, wave: Wave, h: float,
                        ids: IdGen) -> list:
     """Cut a rarefaction into pieces of equal parameter increment <= h,
@@ -206,11 +195,11 @@ def _split_rarefaction(model: FluxModel, wave: Wave, h: float,
             nxt = wave.right
         else:
             target = mu_l + span * (k / n)
-            nxt = curves.rarefaction_point(model, state, fam, target).state
+            nxt = curves.rarefaction_point(model, state, fam, target)
         strength = curves.generalized_strength(model, state, nxt, fam)
         pieces.append(Wave(fam, KIND_PIECE, state.copy(), nxt.copy(),
-                           _chord_speed(model, state, nxt), float(strength),
-                           ids()))
+                           curves.chord_speed(model, state, nxt),
+                           float(strength), ids()))
         state = nxt
     return pieces
 
@@ -370,7 +359,7 @@ def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
             strength = curves.generalized_strength(model, left, right,
                                                    wn.family)
             out[nbr] = Wave(wn.family, wn.kind, left.copy(), right.copy(),
-                            _chord_speed(model, left, right),
+                            curves.chord_speed(model, left, right),
                             float(strength), wn.id)
             del out[k]
             changed = True

@@ -195,6 +195,19 @@ def test_nonnumeric_values_rejected():
         validated(T=0.0)
 
 
+
+def test_weights_that_make_a_lemma_weight_nonpositive_rejected():
+    # run_experiment would otherwise fail later, in Weights, with a bare
+    # ValueError
+    with pytest.raises(cli.ConfigError, match=r"weights\.zeta .*\(-1, 1\)"):
+        validated(weights={"zeta": 1.5})
+    for K in (0.0, -1.0):
+        with pytest.raises(cli.ConfigError, match="weights.K must be positive"):
+            validated(weights={"K": K})
+    # the (0, 0.5) zeta range is a reported constraint row, not an error
+    assert validated(weights={"zeta": 0.7})["weights"]["zeta"] == 0.7
+
+
 # a path whose last key is deleted rather than set
 ABSENT = object()
 

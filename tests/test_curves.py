@@ -171,9 +171,7 @@ class ContinuedHugoniot:
 def continued_point(model, u_minus, family, m):
     """hugoniot_point by continuation."""
     models.require_in_ball(model, u_minus, "delta0")
-    m = float(m)
-    u, lam = ContinuedHugoniot(model, u_minus, family).state_speed(m)
-    return curves.CurvePoint(u, m, lam)
+    return ContinuedHugoniot(model, u_minus, family).state_speed(float(m))
 
 
 def rk4_point(model, u_minus, family, m):
@@ -184,7 +182,7 @@ def rk4_point(model, u_minus, family, m):
     mu0 = float(model.family_parameter(a, family))
     dm = m - mu0
     if abs(dm) < 1e-15:
-        return curves.CurvePoint(a.copy(), mu0, None)
+        return a.copy()
 
     def checked(u):
         if not models.in_ball(model, u, "delta0"):
@@ -206,7 +204,7 @@ def rk4_point(model, u_minus, family, m):
         k3 = rhs(u + 0.5 * h * k2)
         k4 = rhs(u + h * k3)
         u = checked(u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return curves.CurvePoint(u, m, None)
+    return u
 
 
 # (Hugoniot point, rarefaction point): the hooks, then the references
@@ -217,42 +215,42 @@ CURVE_PATHS = ((hugoniot_point, rarefaction_point),
 # -- Hugoniot points and speeds ---------------------------------------------
 
 def test_cubic_hugoniot_point():
-    pt = hugoniot_point(CUBIC, 1.0, 0, -0.5)
-    assert pt.state[0] == pytest.approx(-0.5, abs=1e-14)
-    assert pt.speed == pytest.approx(0.75, abs=1e-14)
+    state, speed = hugoniot_point(CUBIC, 1.0, 0, -0.5)
+    assert state[0] == pytest.approx(-0.5, abs=1e-14)
+    assert speed == pytest.approx(0.75, abs=1e-14)
 
 
 def test_cubic_hugoniot_zero_strength_limit():
-    pt = hugoniot_point(CUBIC, 1.0, 0, 1.0)
-    assert pt.state[0] == 1.0
-    assert pt.speed == pytest.approx(3.0, abs=1e-14)
+    state, speed = hugoniot_point(CUBIC, 1.0, 0, 1.0)
+    assert state[0] == 1.0
+    assert speed == pytest.approx(3.0, abs=1e-14)
 
 
 def test_elasticity_hugoniot_point():
     # exact reduction: w+ = m, lam^2 = (sigma(w+)-sigma(w-))/(w+-w-)
     model = ELAS
     for hugoniot, _ in CURVE_PATHS:
-        pt = hugoniot(model, (0.0, 0.5), 1, -0.1)
-        assert pt.state[1] == pytest.approx(-0.1, abs=1e-12)
-        lam_sq = pt.speed ** 2
+        state, speed = hugoniot(model, (0.0, 0.5), 1, -0.1)
+        assert state[1] == pytest.approx(-0.1, abs=1e-12)
+        lam_sq = speed ** 2
         want = (-0.101 - 0.625) / (-0.6)
         assert lam_sq == pytest.approx(want, abs=1e-10)
-        assert pt.speed == pytest.approx(1.1, abs=1e-10)
-        assert pt.state[0] == pytest.approx(0.66, abs=1e-10)
+        assert speed == pytest.approx(1.1, abs=1e-10)
+        assert state[0] == pytest.approx(0.66, abs=1e-10)
         # residual of the Rankine-Hugoniot system itself
-        du = pt.state - np.array([0.0, 0.5])
-        df = model.flux(pt.state) - model.flux(np.array([0.0, 0.5]))
-        assert np.max(np.abs(df - pt.speed * du)) <= 1e-11
+        du = state - np.array([0.0, 0.5])
+        df = model.flux(state) - model.flux(np.array([0.0, 0.5]))
+        assert np.max(np.abs(df - speed * du)) <= 1e-11
 
 
 def test_elasticity_hugoniot_family0():
     for hugoniot, _ in CURVE_PATHS:
-        pt = hugoniot(ELAS, (0.0, 0.5), 0, -0.1)
+        state, speed = hugoniot(ELAS, (0.0, 0.5), 0, -0.1)
         # family-0 parameter is -w, so m=-0.1 lands at w=+0.1
-        assert pt.state[1] == pytest.approx(0.1, abs=1e-12)
-        assert pt.speed < 0
+        assert state[1] == pytest.approx(0.1, abs=1e-12)
+        assert speed < 0
         lam_sq = (0.101 - 0.625) / (0.1 - 0.5)
-        assert pt.speed == pytest.approx(-math.sqrt(lam_sq), abs=1e-10)
+        assert speed == pytest.approx(-math.sqrt(lam_sq), abs=1e-10)
 
 
 def test_elasticity_curve_hooks_match_generic_paths():
@@ -278,10 +276,11 @@ def test_elasticity_curve_hooks_match_generic_paths():
                         n_exit += 1
                         continue
                     n_compared += 1
-                    worst = max(worst, float(np.max(np.abs(
-                        hooked.state - generic.state))))
-                    if hooked.speed is not None:
-                        worst = max(worst, abs(hooked.speed - generic.speed))
+                    if isinstance(hooked, tuple):
+                        # a Hugoniot point: (state, speed)
+                        worst = max(worst, abs(hooked[1] - generic[1]))
+                        hooked, generic = hooked[0], generic[0]
+                    worst = max(worst, float(np.max(np.abs(hooked - generic))))
     assert worst <= 1e-12
     # 480 queries: both outcomes are exercised
     assert n_exit >= 100 and n_compared >= 100
@@ -387,8 +386,6 @@ def test_scalar_points_match_the_reference_bit_for_bit(model):
             except BallExit:
                 n_exits += 1
                 with pytest.raises(BallExit):
-                    curve.point(m)
-                with pytest.raises(BallExit):
                     curve.state_speed(m)
                 with pytest.raises(BallExit):
                     acceptance._dissipation_at(model, curve, m)
@@ -397,11 +394,8 @@ def test_scalar_points_match_the_reference_bit_for_bit(model):
                 continue
             # the one integral curve holds every scalar state, so the
             # rarefaction point is the reference inversion too
-            assert np.array_equal(rarefaction_point(model, a, 0, m).state,
+            assert np.array_equal(rarefaction_point(model, a, 0, m),
                                   _ref_rarefaction_state(model, a, m)), (u, m)
-            pt = curve.point(m)
-            assert np.array_equal(pt.state, want[0]), (u, m)
-            assert pt.speed == want[1], (u, m)
             assert curve.speed_at(m) == want[1], (u, m)
             state, speed = curve.state_speed(m)
             assert np.array_equal(state, want[0]), (u, m)
@@ -610,7 +604,7 @@ def test_mu_flat_zero_involution():
     for u in (1.0, 0.7, -0.45, 1.3):
         model = WIDE
         m1 = mu_flat_zero(model, u)
-        state1 = hugoniot_point(model, u, 0, m1).state
+        state1 = hugoniot_point(model, u, 0, m1)[0]
         m2 = mu_flat_zero(model, state1)
         assert m2 == pytest.approx(float(np.atleast_1d(u)[0]), abs=1e-10)
 
@@ -663,17 +657,15 @@ def test_companion_of_tangency_is_itself():
 def test_cubic_curves_share_the_parameter_inversion():
     for u in (1.0, 0.3, -0.7):
         for m in np.linspace(-1.9, 1.9, 39):
-            h = hugoniot_point(CUBIC, u, 0, m).state
-            r = rarefaction_point(CUBIC, u, 0, m).state
+            h = hugoniot_point(CUBIC, u, 0, m)[0]
+            r = rarefaction_point(CUBIC, u, 0, m)
             assert np.array_equal(h, r), (u, m)
 
 
 def test_cubic_rarefaction_is_identity_line():
-    pt = rarefaction_point(CUBIC, 1.0, 0, 1.2)
-    assert pt.state[0] == pytest.approx(1.2, abs=1e-13)
-    assert pt.speed is None
-    same = rarefaction_point(CUBIC, 0.8, 0, 0.8)
-    assert same.state[0] == 0.8
+    assert rarefaction_point(CUBIC, 1.0, 0, 1.2)[0] == pytest.approx(
+        1.2, abs=1e-13)
+    assert rarefaction_point(CUBIC, 0.8, 0, 0.8)[0] == 0.8
 
 
 def _elas_rarefaction_integral(s):
@@ -686,18 +678,18 @@ def _elas_rarefaction_integral(s):
 def test_elasticity_rarefaction_closed_form():
     want_v = -(_elas_rarefaction_integral(0.4) - _elas_rarefaction_integral(0.2))
     for _, rarefaction in CURVE_PATHS:
-        pt = rarefaction(ELAS, (0.0, 0.2), 1, 0.4)
-        assert pt.state[1] == pytest.approx(0.4, abs=1e-12)
-        assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
+        state = rarefaction(ELAS, (0.0, 0.2), 1, 0.4)
+        assert state[1] == pytest.approx(0.4, abs=1e-12)
+        assert state[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_elasticity_rarefaction_family0():
     # family-0 parameter -w: m=0.4 lands at w=-0.4, v integrates upward
     want_v = _elas_rarefaction_integral(-0.4) - _elas_rarefaction_integral(0.2)
     for _, rarefaction in CURVE_PATHS:
-        pt = rarefaction(ELAS, (0.0, 0.2), 0, 0.4)
-        assert pt.state[1] == pytest.approx(-0.4, abs=1e-12)
-        assert pt.state[0] == pytest.approx(want_v, abs=1e-9)
+        state = rarefaction(ELAS, (0.0, 0.2), 0, 0.4)
+        assert state[1] == pytest.approx(-0.4, abs=1e-12)
+        assert state[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_rarefaction_richardson():
@@ -706,7 +698,7 @@ def test_rarefaction_richardson():
     want_v = -(_elas_rarefaction_integral(0.9) - _elas_rarefaction_integral(0.1))
     for _, rarefaction in CURVE_PATHS:
         coarse = rarefaction(ELAS, (0.0, 0.1), 1, 0.9)
-        assert coarse.state[0] == pytest.approx(want_v, abs=1e-9)
+        assert coarse[0] == pytest.approx(want_v, abs=1e-9)
 
 
 def test_hugoniot_rarefaction_third_order_contact():
@@ -715,8 +707,8 @@ def test_hugoniot_rarefaction_third_order_contact():
         errs = []
         for dm in (0.1, 0.05, 0.025):
             m = 0.5 + dm
-            h = hugoniot(ELAS, u, 1, m).state
-            r = rarefaction(ELAS, u, 1, m).state
+            h = hugoniot(ELAS, u, 1, m)[0]
+            r = rarefaction(ELAS, u, 1, m)
             errs.append(float(np.linalg.norm(h - r)))
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.35)
         assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.35)
@@ -736,11 +728,9 @@ def test_tangency_sign_structure():
     # positive strictly between tangency and base, negative outside
     curve = curves.hugoniot_curve(CUBIC, 1.0)
     for m in (-0.3, 0.2, 0.9):
-        pt = curve.point(m)
-        assert pt.speed - 3 * m * m > 0
+        assert curve.speed_at(m) - 3 * m * m > 0
     for m in (-0.7, -1.5):
-        pt = curve.point(m)
-        assert pt.speed - 3 * m * m < 0
+        assert curve.speed_at(m) - 3 * m * m < 0
 
 
 # -- Classification ---------------------------------------------------------
@@ -772,7 +762,7 @@ def test_classify_interval_table():
         (-1.8, "SlowUndercompressive"),
         (1.2, "RarefactionShock"),
     ]:
-        u_plus = hugoniot_point(CUBIC, 1.0, 0, m).state
+        u_plus = hugoniot_point(CUBIC, 1.0, 0, m)[0]
         assert classify_shock(CUBIC, 1.0, u_plus) == want
 
 
@@ -840,7 +830,7 @@ def test_cubic_hugoniot_invariants(u, frac):
     # any target between the left contact and the base state stays on the
     # locus with consistent parameter and speed
     m = frac * u
-    pt = hugoniot_point(CUBIC, u, 0, m)
-    assert models.mu(CUBIC, pt.state) == pytest.approx(m, abs=1e-12)
-    lam = shock_speed(CUBIC, u, pt.state)
-    assert lam == pytest.approx(pt.speed, abs=1e-12)
+    state, speed = hugoniot_point(CUBIC, u, 0, m)
+    assert models.mu(CUBIC, state) == pytest.approx(m, abs=1e-12)
+    lam = shock_speed(CUBIC, u, state)
+    assert lam == pytest.approx(speed, abs=1e-12)

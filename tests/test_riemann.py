@@ -5,6 +5,9 @@ values; the elasticity solves are checked against a test-local shooting
 oracle built from the closed-form wave curves of that model.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +307,56 @@ def test_wave_ids_do_not_depend_on_earlier_calls():
     assert [w.id for w in solve_riemann(CUBIC, KIN, 1.0, -0.45,
                                         ids=ids).waves] == [2, 3]
 
+
+
+def _fan_digest(model, pairs):
+    # sha256 over each fan's JSON, or over the exception's class name when
+    # the solve fails; returns the digest and the failure count
+    h = hashlib.sha256()
+    failures = 0
+    for a, b in pairs:
+        try:
+            fan = solve_riemann(model, KIN, a, b)
+        except ValueError as exc:
+            failures += 1
+            h.update(type(exc).__name__.encode())
+            continue
+        h.update(json.dumps(fan.to_json_dict(), sort_keys=True).encode())
+    return h.hexdigest(), failures
+
+
+def _c13_pairs(n=300, seed=5):
+    # the first n weak problems of the c13 release check's draw
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        base_w = rng.uniform(0.25, 0.75) * rng.choice([-1.0, 1.0])
+        base = np.array([rng.uniform(-0.5, 0.5), base_w])
+        yield base, base + rng.uniform(-0.1, 0.1, size=2)
+
+
+def _uniform_pairs(n, lo, hi, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield rng.uniform(lo, hi, dim), rng.uniform(lo, hi, dim)
+
+
+# (model, problems, digest, failures), recorded before the wave builders
+# looked up their own curve points; the strong elasticity draw covers the
+# solver's failures (intersection stalls and ball exits) as well as its fans
+GOLDEN_FANS = [
+    (elasticity_model(delta0=4.0, delta1=2.0), _c13_pairs,
+     "df29e3173b7bab2c345d1964de6aa94ce8dd8c220dca9814bae82348a610627f", 0),
+    (ELAS, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
+     "b4832f6c090d1d493011d979d2c26e71007d311a08ee41cc1d3bffdd3d035283", 48),
+    (CUBIC, lambda: _uniform_pairs(300, -1.2, 1.2, 1),
+     "e467a3682d6b6a1c1e3b5ec22d8d5cf72a9b4602149def3837d802b15541915e", 0),
+]
+
+
+@pytest.mark.parametrize("model, pairs, digest, failures", GOLDEN_FANS,
+                         ids=["c13-draw", "elasticity-strong", "cubic"])
+def test_riemann_fans_keep_their_bits(model, pairs, digest, failures):
+    assert _fan_digest(model, pairs()) == (digest, failures)
 
 @given(
     ul=st.floats(-1.4, 1.4),
