@@ -77,8 +77,6 @@ CROSS_FAMILY_SHARE = 0.3
 # cycle audit: least fitted ratio of Lyapunov drop to nucleation gap
 CYCLE_DROP_FLOOR = 1e-3
 
-CSV_HEADER = ("t", "V_L", "V_M", "V_R", "W", "Q", "eps", "lyapunov")
-
 class DiagnosticsError(ValueError):
     pass
 
@@ -105,10 +103,9 @@ class Weights:
     zeta: float
 
     def __post_init__(self):
-        for name in ("kL", "kM", "kR", "kL_less", "kM_less", "kR_less",
-                     "kL_grt", "kM_grt", "kR_grt", "K"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"weight {name} must be positive")
+        for field in dataclasses.fields(self):
+            if field.name != "zeta" and not getattr(self, field.name) > 0.0:
+                raise ValueError(f"weight {field.name} must be positive")
 
     def row(self, family: int, cc_index: int) -> tuple:
         if family == cc_index:
@@ -150,62 +147,60 @@ def _strong_indices(ids: Array, y_id: Optional[int],
     return tuple(out)
 
 
-def _label(k: int, iy: Optional[int], iz: Optional[int]) -> str:
-    """The label of front k given the strong fronts' indices (None where
-    absent): L/M/R for weak fronts, S for the strong ones.
+def _region(k: int, iy: Optional[int], iz: Optional[int]) -> Optional[int]:
+    """The region of front k given the strong fronts' indices (None where
+    absent): 0, 1, 2 for a weak front left of y, between y and z, right of
+    z, None for a strong one.
 
     With a single strong front the middle region is empty; with none,
     every weak wave counts as middle."""
     if iy is None and iz is None:
-        return "M"
+        return 1
     if iy is None:
         iy = iz
     if iz is None:
         iz = iy
     if k == iy or k == iz:
-        return "S"
+        return None
     if k < iy:
-        return "L"
+        return 0
     if k > iz:
-        return "R"
-    return "M"
+        return 2
+    return 1
 
 
-def _region_labels(fs: FrontSet) -> list:
-    iy, iz = _strong_indices(fs.wave_ids, fs.y_id, fs.z_id)
-    return [_label(k, iy, iz) for k in range(len(fs.waves))]
+def _weighted_sums(w: Weights, cc_index: int, families, sizes, start: int,
+                   iy: Optional[int], iz: Optional[int]) -> tuple:
+    """(V_L, V_M, V_R, W) over the weak fronts among the fronts start,
+    start+1, ... of a set whose strong fronts sit at iy and iz; families
+    and sizes are those fronts' families and |strength|.
 
-
-def _weighted_strength(w: Weights, cc_index: int, families, sizes,
-                       start: int, iy: Optional[int],
-                       iz: Optional[int]) -> float:
-    """The weak fronts' share of W among the fronts start, start+1, ... of
-    a set whose strong fronts sit at iy and iz; families and sizes are
-    those fronts' families and |strength|."""
+    Each sum adds its terms in position order. W adds every term as it
+    comes, so it rounds apart from V_L + V_M + V_R."""
+    sums = [0.0, 0.0, 0.0]
     total = 0.0
     for k, (fam, size) in enumerate(zip(families, sizes), start):
-        lab = _label(k, iy, iz)
-        if lab != "S":
-            total += w.row(fam, cc_index)["LMR".index(lab)] * size
-    return total
+        region = _region(k, iy, iz)
+        if region is not None:
+            term = w.row(fam, cc_index)[region] * size
+            sums[region] += term
+            total += term
+    return (*sums, total)
 
 
 def functionals(model: FluxModel, fs: FrontSet, w: Weights) -> tuple:
-    """(V_L, V_M, V_R, W) over the weak waves; strong fronts excluded."""
-    i = model.cc_index
-    sums = {"L": 0.0, "M": 0.0, "R": 0.0}
-    for wave, lab in zip(fs.waves, _region_labels(fs)):
-        if lab == "S":
-            continue
-        row = w.row(wave.family, i)
-        sums[lab] += row["LMR".index(lab)] * abs(wave.strength)
-    return sums["L"], sums["M"], sums["R"], sums["L"] + sums["M"] + sums["R"]
+    """(V_L, V_M, V_R, their sum) over the weak waves; strong excluded."""
+    v_l, v_m, v_r, _ = _weighted_sums(
+        w, model.cc_index, [wv.family for wv in fs.waves],
+        [abs(wv.strength) for wv in fs.waves], 0,
+        *_strong_indices(fs.wave_ids, fs.y_id, fs.z_id))
+    return v_l, v_m, v_r, v_l + v_m + v_r
 
 
-def perturbation(fs: FrontSet) -> float:
-    """Total strength of everything that is not a strong front."""
-    strong = set(fs.strong_ids)
-    return sum(abs(w.strength) for w in fs.waves if w.id not in strong)
+def perturbation(waves, strong) -> float:
+    """Total |strength| of the waves whose id is not in strong, a tuple of
+    ids or a dict keyed by them."""
+    return sum(abs(wv.strength) for wv in waves if wv.id not in strong)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +298,10 @@ class DiagnosticsSnapshot:
     lyapunov: float
 
     def csv_row(self) -> tuple:
-        return (self.t, self.V_L, self.V_M, self.V_R, self.W, self.Q,
-                self.eps, self.lyapunov)
+        return dataclasses.astuple(self)
+
+
+CSV_HEADER = tuple(f.name for f in dataclasses.fields(DiagnosticsSnapshot))
 
 
 def snapshot(model: FluxModel, fs: FrontSet,
@@ -317,7 +314,7 @@ def snapshot(model: FluxModel, fs: FrontSet,
     v_l, v_m, v_r, total = functionals(model, fs, w)
     q0, q1 = pair_terms(fs.waves, fs.speeds, model.cc_index)
     q = q0 + q1
-    eps = perturbation(fs)
+    eps = perturbation(fs.waves, fs.strong_ids)
     return DiagnosticsSnapshot(
         t=fs.time, V_L=v_l, V_M=v_m, V_R=v_r, W=total, Q=q, eps=eps,
         lyapunov=total + w.K * q,
@@ -488,14 +485,14 @@ def event_delta(model: FluxModel, ev: InteractionEvent, w: Weights,
     post_size = spliced(state.size, size)
     if (state.iy is None and state.iz is None) == (iy is None and iz is None):
         total = state.W + (
-            _weighted_strength(w, cc, family.tolist(), size.tolist(), lo,
-                               iy, iz)
-            - _weighted_strength(w, cc, state.family[lo:hi].tolist(),
-                                 state.size[lo:hi].tolist(), lo,
-                                 state.iy, state.iz))
+            _weighted_sums(w, cc, family.tolist(), size.tolist(), lo,
+                           iy, iz)[3]
+            - _weighted_sums(w, cc, state.family[lo:hi].tolist(),
+                             state.size[lo:hi].tolist(), lo,
+                             state.iy, state.iz)[3])
     else:
-        total = _weighted_strength(w, cc, post_family.tolist(),
-                                   post_size.tolist(), 0, iy, iz)
+        total = _weighted_sums(w, cc, post_family.tolist(),
+                               post_size.tolist(), 0, iy, iz)[3]
     post = ReplayState(
         family=post_family, shock=spliced(state.shock, shock),
         size=post_size, speed=spliced(state.speed, speed), ids=post_ids,
@@ -603,19 +600,18 @@ class CycleRecord:
         return self.tf is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "t0": self.t0, "tf": self.tf, "open": self.open,
-            "u_l0": self.u_l0, "u_r0": self.u_r0,
-            "u_lf": self.u_lf, "u_rf": self.u_rf,
-            "ledgers": self.ledgers, "eta": self.eta,
-            "signed_variation": self.signed_variation,
-            "lyapunov_drop": self.lyapunov_drop,
-            "n_crossings": self.n_crossings, "checks": self.checks,
-        }
+        return {**dataclasses.asdict(self), "open": self.open}
 
 
-LEDGER_KEYS = ("alpha_L", "alpha_R", "alpha_R_tilde",
-               "beta_L", "beta_L_tilde", "beta_R", "beta_R_tilde")
+# per crossing case, the ledgers of its incoming and of its transmitted
+# weak strength (None: not kept)
+CROSSING_LEDGERS = {
+    "Case3": ("alpha_R", None),
+    "Case4": ("alpha_L", "alpha_R_tilde"),
+    "Case5": (None, None),
+    "Case6": ("beta_L", "beta_L_tilde"),
+    "Case7": ("beta_R", "beta_R_tilde"),
+}
 
 
 @dataclasses.dataclass
@@ -628,14 +624,8 @@ class CycleAudit:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "records": [r.to_json_dict() for r in self.records],
-            "fitted_c": self.fitted_c,
-            "n_completed": self.n_completed,
-            "n_open": self.n_open,
-            "cff": self.cff,
-            "passed": self.passed,
-        }
+        return {**dataclasses.asdict(self),
+                "records": [r.to_json_dict() for r in self.records]}
 
 
 def _strong_wave(waves, roles: dict, role: str) -> Optional[Wave]:
@@ -644,11 +634,6 @@ def _strong_wave(waves, roles: dict, role: str) -> Optional[Wave]:
         if roles.get(wv.id) == role:
             return wv
     return None
-
-
-def _weak_strength(waves, roles: dict) -> float:
-    """Total |strength| of the waves that hold no role."""
-    return sum(abs(wv.strength) for wv in waves if wv.id not in roles)
 
 
 def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
@@ -684,11 +669,12 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
         nonlocal current, L0, eps0
         current = CycleRecord(
             t0=t0, tf=None, u_l0=u_l0, u_r0=u_r0, u_lf=None, u_rf=None,
-            ledgers={k: 0.0 for k in LEDGER_KEYS}, eta=None,
+            ledgers={key: 0.0 for pair in CROSSING_LEDGERS.values()
+                     for key in pair if key}, eta=None,
             signed_variation=None, lyapunov_drop=None, n_crossings=0,
             checks={"well_formed": True})
         L0 = lyapunov_of(fs_before)
-        eps0 = perturbation(fs_after)
+        eps0 = perturbation(fs_after.waves, fs_after.strong_ids)
 
     if initial.y_id is not None and initial.z_id is not None:
         wy = initial.waves[initial.index(initial.y_id)]
@@ -744,6 +730,7 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
                 # nested split never leaves the tracked pattern intact;
                 # keep the record but mark it
                 current.checks["well_formed"] = False
+                records.append(current)
             wy = _strong_wave(ev.placed, ev.outgoing_roles, "y")
             wz = _strong_wave(ev.placed, ev.outgoing_roles, "z")
             open_cycle(ev.time, wy.left.tolist(), wz.right.tolist(),
@@ -753,23 +740,13 @@ def cycle_audit(model: FluxModel, kin: KineticFunction, events, snapshots,
                 open_cycle(initial.time, [], [], initial, initial)
                 current.checks["well_formed"] = False
             close(ev)
-        elif current is not None:
-            led = current.ledgers
-            weak_in = _weak_strength(ev.incoming, ev.incoming_roles)
-            weak_out = _weak_strength(ev.placed, ev.outgoing_roles)
-            if tag == "Case4":
-                led["alpha_L"] += weak_in
-                led["alpha_R_tilde"] += weak_out
-            elif tag == "Case3":
-                led["alpha_R"] += weak_in
-            elif tag == "Case6":
-                led["beta_L"] += weak_in
-                led["beta_L_tilde"] += weak_out
-            elif tag == "Case7":
-                led["beta_R"] += weak_in
-                led["beta_R_tilde"] += weak_out
-            if tag in ("Case3", "Case4", "Case5", "Case6", "Case7"):
-                current.n_crossings += 1
+        elif tag in CROSSING_LEDGERS and current is not None:
+            for key, waves, roles in zip(
+                    CROSSING_LEDGERS[tag], (ev.incoming, ev.placed),
+                    (ev.incoming_roles, ev.outgoing_roles)):
+                if key is not None:
+                    current.ledgers[key] += perturbation(waves, roles)
+            current.n_crossings += 1
         before = ev.post
 
     if current is not None:
@@ -816,9 +793,7 @@ class CalibrationReport:
     witnesses: list
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["scales"] = list(self.scales)
-        return d
+        return dataclasses.asdict(self)
 
 
 def _wave_chord(model: FluxModel, wv: Wave) -> float:
@@ -863,8 +838,6 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
     n_eval = 0
     n_skip = 0
     max_residual = 0.0
-    glimm_ratios = [0.0]
-    growth_ratios = [0.0]
     witnesses = []
     per_scale = {s: {"n": 0, "max_residual_ratio": 0.0,
                      "max_growth_ratio": 0.0} for s in scales}
@@ -912,10 +885,8 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         bucket = per_scale[scale]
         bucket["n"] += 1
         if product > STRENGTH_FLOOR:
-            ratio = residual / product
-            glimm_ratios.append(ratio)
             bucket["max_residual_ratio"] = max(
-                bucket["max_residual_ratio"], ratio)
+                bucket["max_residual_ratio"], residual / product)
         w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
@@ -924,10 +895,8 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         d_q = (q0_post + q1_post) - (q0_pre + q1_pre)
         if d_w > 1e-13:
             if d_q < -STRENGTH_FLOOR:
-                g_ratio = d_w / (-d_q)
-                growth_ratios.append(g_ratio)
                 bucket["max_growth_ratio"] = max(
-                    bucket["max_growth_ratio"], g_ratio)
+                    bucket["max_growth_ratio"], d_w / (-d_q))
             else:
                 # growth with no potential release: no K can compensate
                 witnesses.append({
@@ -967,12 +936,13 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         g = sum(wv.strength for wv in fan.waves if wv.family == i)
         max_zero_resid = max(max_zero_resid, abs(g - a))
 
-    growth = max(growth_ratios)
+    growth = max(b["max_growth_ratio"] for b in per_scale.values())
     k_floor = 3.0 * growth
     return CalibrationReport(
         n_requested=n, n_evaluated=n_eval, n_skipped=n_skip,
         scales=tuple(scales), seed=seed,
-        fitted_glimm_C=max(glimm_ratios),
+        fitted_glimm_C=max(b["max_residual_ratio"]
+                           for b in per_scale.values()),
         max_residual=max_residual,
         growth_coefficient=growth,
         k_floor_physical=growth,

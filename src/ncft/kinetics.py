@@ -148,13 +148,7 @@ class ConformanceReport:
     grid: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "hypotheses": self.hypotheses,
-            "measured_Cff": self.measured_Cff,
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "grid": self.grid,
-        }
+        return dataclasses.asdict(self)
 
 
 def check_hypotheses(model: FluxModel, kin: KineticFunction,

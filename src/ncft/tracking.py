@@ -236,13 +236,19 @@ def init_fronts(model: FluxModel, kin: KineticFunction, states, positions,
         xs += _ladder(x, len(expanded), 0.5 * CLUSTER_REL * max(1.0, abs(x)))
         waves += expanded
         if j in strong_jumps:
-            strong += [w for w in expanded if w.family == model.cc_index
-                       and w.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
+            strong += _strong_candidates(model, expanded)
     y_id, z_id = _tag_initial_strong(strong)
     return FrontSet(0.0, waves, np.array(xs, dtype=float),
                     np.array([w.speed for w in waves], dtype=float),
                     np.array([w.id for w in waves], dtype=np.int64),
                     y_id, z_id, h, ids).check()
+
+
+def _strong_candidates(model: FluxModel, waves) -> list:
+    """The waves that can hold a strong token: classical or nonclassical
+    shocks of the designated family."""
+    return [w for w in waves if w.family == model.cc_index
+            and w.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
 
 
 def _tag_initial_strong(strong: list) -> tuple:
@@ -415,9 +421,7 @@ def _propagate_tokens(model: FluxModel, fs: FrontSet, incoming_roles: dict,
     had_z = "z" in incoming_roles.values()
     if not (had_y or had_z):
         return {}
-    strong_out = [w for w in placed
-                  if w.family == model.cc_index and
-                  w.kind in (KIND_NONCLASSICAL, KIND_CLASSICAL)]
+    strong_out = _strong_candidates(model, placed)
     roles = {}
     if len(strong_out) == 2:
         first, second = strong_out

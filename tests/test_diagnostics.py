@@ -289,11 +289,11 @@ def test_potential_counts_strong_fronts():
 def test_perturbation_counts_weak_only():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.75, -0.375], [0.0, 0.02],
                      h=0.01, strong_jumps=[0, 1])
-    assert dg.perturbation(fs) == 0.0
+    assert dg.perturbation(fs.waves, fs.strong_ids) == 0.0
     strong = _front(0.0, 0.767, -0.632, uid=10)
     fs2 = _fs([strong, _front(1.0, 0.4, -0.01, uid=11),
                _front(2.0, 0.3, 0.02, uid=12)], y_id=10)
-    assert dg.perturbation(fs2) == pytest.approx(0.03)
+    assert dg.perturbation(fs2.waves, fs2.strong_ids) == pytest.approx(0.03)
 
 
 def test_snapshot_of_split_initial(split_run):
@@ -484,14 +484,55 @@ def test_replay_relabels_when_strong_fronts_appear_or_vanish():
         row, _ = dg.event_delta(model, event, W, state)
         full = dg.snapshot(model, post, W)
         assert abs(row["post_lyapunov"] - full.lyapunov) <= 1e-12
-        return full
+        return full, row["post_lyapunov"]
 
     post = dataclasses.replace(ev.post, y_id=ev.placed[0].id)
-    gained = replayed(dataclasses.replace(ev, post=post), fs, post)
+    gained, gained_bits = replayed(dataclasses.replace(ev, post=post), fs,
+                                   post)
     assert gained.V_L > 0.0 and gained.V_R > 0.0
-    lost = replayed(ev, dataclasses.replace(fs, y_id=ev.incoming[0].id),
-                    ev.post)
+    lost, lost_bits = replayed(
+        ev, dataclasses.replace(fs, y_id=ev.incoming[0].id), ev.post)
     assert lost.V_L == 0.0 and lost.V_R == 0.0
+    # the full-W branch's bits, recorded before W had one loop
+    assert gained_bits.hex() == "0x1.391ba03962709p-3"
+    assert lost_bits.hex() == "0x1.2495387c9c3ccp-3"
+
+
+# sha256 of each oracle run's replay (_replay_digest), recorded before W,
+# eps and the crossing ledgers each had one definition
+REPLAY_DIGESTS = {
+    "cubic-load":
+        "e760806d738304dcc76232d45bae0f8d77e176fb4443f73e4014e36a8372ba55",
+    "cubic-merge-gamma0":
+        "428cf36e26457f2605116479e520eeb3d5738f06a6373ab46ebac6f2920b93df",
+    "cubic-split":
+        "19e914150736ecc029baedfc85055d8fe1dc0444b79070f7018bb69a72dc3037",
+    "p-system":
+        "6ee0bb181d65447245ede3ba4f6644c9e4ff0314b7b9030cf66fd17e4a188d4d",
+}
+
+
+def _replay_digest(name):
+    """sha256 over the float.hex of every snapshot field, every event
+    row's numbers with its case, sub and flag, and the cycle audit's JSON
+    with sorted keys."""
+    model, res = _oracle_run(name)
+    kin = ORACLE_RUNS[name][1]
+    rep = dg.lyapunov_series(model, res.events, res.snapshots, W)
+    audit = dg.cycle_audit(model, kin, res.events, res.snapshots, W,
+                           cff=0.75)
+    parts = [float(v).hex() for snap in rep["series"]
+             for v in dataclasses.astuple(snap)]
+    for row in rep["events"]:
+        parts += [row["case"], str(row["sub"]), str(row["flagged"])]
+        parts += [v.hex() for v in row.values() if type(v) is float]
+    parts.append(json.dumps(audit.to_json_dict(), sort_keys=True))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_replay_keeps_its_bits(name):
+    assert _replay_digest(name) == REPLAY_DIGESTS[name]
 
 
 def test_oracle_runs_split_and_merge():
@@ -570,6 +611,17 @@ def test_cycle_audit_open_cycle(split_run):
     assert rec.n_crossings == 2
     assert audit.fitted_c is None
     assert audit.passed
+
+
+def test_cycle_audit_keeps_a_nested_split(split_run):
+    # a split while a cycle is open ends that cycle malformed and opens
+    # another; both stay in the audit
+    (split,) = [ev for ev in split_run.events
+                if dg.classify_case(ev)[0] == "Case1"]
+    audit = dg.cycle_audit(CUBIC, KIN, [split, split], split_run.snapshots,
+                           W, cff=0.75)
+    assert [r.checks["well_formed"] for r in audit.records] == [False, True]
+    assert audit.n_open == 2 and audit.n_completed == 0
 
 
 def test_calibrate_scalar():
