@@ -59,8 +59,8 @@ def _kin(theta=0.5, gamma=0.5):
 # model's critical_fn: the oracle c01, c02 and the tests hold the closed
 # forms against. Each takes (model, state), runs on the state's memoized
 # Hugoniot curve, keeps no memo of its own, and imports scipy.optimize
-# only when called. The near-manifold shortcuts of the curve layer come
-# first, as there.
+# only when called. A state within NEAR_MANIFOLD of the sign-change
+# manifold gets the map's leading-order normal form instead of a search.
 #
 # Known limits, which the states c01 and c02 sample stay clear of; they are
 # the searches' faults, not behaviour the closed forms should match:
@@ -76,14 +76,19 @@ def _kin(theta=0.5, gamma=0.5):
 
 # Finite-difference step for chord-speed and dissipation slopes.
 FD_M = 1e-6
+# below this parameter size the quartic-order dissipation drops under the
+# floating-point noise floor, so the searches return the normal forms
+# (exact for the bundled models)
+NEAR_MANIFOLD = 1e-5
 
 
 def _dissipation_at(model, curve, m: float) -> float:
     """Entropy dissipation of the jump from curve's base state to its
     point with parameter m."""
+    U0, F0 = models.entropy_pair(model, curve.u_minus)
     u, lam = curve.state_speed(m)
     U_p, F_p = model.entropy(u)
-    return -lam * (float(U_p) - curve.U0) + (float(F_p) - curve.F0)
+    return -lam * (float(U_p) - U0) + (float(F_p) - F0)
 
 
 def search_mu_natural(model, u) -> float:
@@ -94,7 +99,7 @@ def search_mu_natural(model, u) -> float:
     from scipy.optimize import brentq, minimize_scalar
     a = models.require_in_ball(model, u, "delta0")
     mu0 = models.mu(model, a)
-    if abs(mu0) < curves.NEAR_MANIFOLD:
+    if abs(mu0) < NEAR_MANIFOLD:
         return -0.5 * mu0
     curve = curves.hugoniot_curve(model, a)
     s = 1.0 if mu0 > 0 else -1.0
@@ -182,7 +187,7 @@ def search_mu_minus_natural(model, u):
     from scipy.optimize import brentq
     a = models.require_in_ball(model, u, "delta0")
     mu0 = models.mu(model, a)
-    if abs(mu0) < curves.NEAR_MANIFOLD:
+    if abs(mu0) < NEAR_MANIFOLD:
         return -2.0 * mu0
     curve = curves.hugoniot_curve(model, a)
     m_nat = search_mu_natural(model, a)
@@ -228,7 +233,7 @@ def search_mu_flat_zero(model, u) -> float:
     from scipy.optimize import brentq
     a = models.require_in_ball(model, u, "delta0")
     mu0 = models.mu(model, a)
-    if abs(mu0) < curves.NEAR_MANIFOLD:
+    if abs(mu0) < NEAR_MANIFOLD:
         return -mu0
     curve = curves.hugoniot_curve(model, a)
     m_nat = search_mu_natural(model, a)
@@ -293,7 +298,7 @@ def search_companion_parameter(model, u, m_ref: float) -> float:
     from scipy.optimize import brentq
     a = models.require_in_ball(model, u, "delta0")
     mu0 = models.mu(model, a)
-    if abs(mu0) < curves.NEAR_MANIFOLD:
+    if abs(mu0) < NEAR_MANIFOLD:
         return -mu0 - m_ref
     curve = curves.hugoniot_curve(model, a)
     m_nat = search_mu_natural(model, a)

@@ -50,24 +50,27 @@ CRITERIA = {
     "c13": "elasticity-weak-solver",
 }
 
-SWEEP_KEYS = ("h", "theta", "gamma", "eps0")
+# each sweep axis and the path of the config value it sets
+SWEEP_PATHS = {
+    "h": ("h",),
+    "theta": ("kinetics", "theta"),
+    "gamma": ("kinetics", "gamma"),
+    "eps0": ("initial", "scale"),
+}
+SWEEP_KEYS = tuple(SWEEP_PATHS)
 
-SWEEP_COLUMNS = (
-    "h", "theta", "gamma", "eps0", "status", "n_events", "cycle_records",
-    "completed_cycles", "min_cycle_drop", "fitted_c", "max_lyapunov_delta",
-    "conservation_raw", "conservation_corrected", "error",
+SWEEP_COLUMNS = SWEEP_KEYS + (
+    "status", "n_events", "cycle_records", "completed_cycles",
+    "min_cycle_drop", "fitted_c", "max_lyapunov_delta", "conservation_raw",
+    "conservation_corrected", "error",
 )
 
 _TOP_KEYS = {
     "schema_version", "model", "kinetics", "h", "T", "initial", "weights",
     "seed", "flags", "stability_kappa", "calibration", "snapshot_dt", "sweep",
 }
-_MODEL_KEYS = {"name", "params"}
-_KINETICS_KEYS = {"theta", "gamma"}
-_INITIAL_KEYS = {"u_star", "main", "jumps", "scale"}
-_WEIGHTS_KEYS = {"zeta", "K"}
-_FLAG_KEYS = {"stability_check"}
-_CALIBRATION_KEYS = {"n", "scales"}
+# the default of a section key that has none
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -80,6 +83,18 @@ def _check_keys(obj: dict, allowed: set, where: str):
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """Section name of raw, its absent keys filled from defaults; a key
+    not in defaults, or absent with the default _REQUIRED, is an error."""
+    obj = raw.get(name, {})
+    _check_keys(obj, set(defaults), name)
+    out = {**defaults, **obj}
+    for key, value in out.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"{name}.{key} is required")
+    return out
 
 
 def _is_number(v) -> bool:
@@ -146,29 +161,29 @@ def validate_config(raw: dict) -> dict:
         )
     cfg = {"schema_version": SCHEMA_VERSION}
 
-    model_raw = raw.get("model")
-    _check_keys(model_raw if model_raw is not None else {}, _MODEL_KEYS,
-                "model")
-    if not model_raw or not isinstance(model_raw.get("name"), str):
-        raise ConfigError("model.name is required")
-    params = model_raw.get("params", {})
+    model_raw = _section(raw, "model", {"name": _REQUIRED, "params": {}})
+    if not isinstance(model_raw["name"], str):
+        raise ConfigError("model.name must be a string")
+    params = model_raw["params"]
     if not isinstance(params, dict):
         raise ConfigError("model.params must be an object")
-    cfg["model"] = {"name": model_raw["name"], "params": dict(params)}
+    cfg["model"] = {"name": model_raw["name"], "params": {
+        key: _as_float(value, f"model.params.{key}")
+        for key, value in params.items()}}
     try:
         model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    kin_raw = raw.get("kinetics", {})
-    _check_keys(kin_raw, _KINETICS_KEYS, "kinetics")
-    theta = _number(kin_raw, "theta", "kinetics")
+    kin_raw = _section(raw, "kinetics",
+                       {"theta": _REQUIRED, "gamma": _REQUIRED})
+    theta = _as_float(kin_raw["theta"], "kinetics.theta")
     if not (0.0 <= theta < 1.0):
         raise ConfigError(
             f"kinetics.theta must lie in [0, 1) for the kinetic function "
             f"to satisfy (H1), got {theta}"
         )
-    gamma = _number(kin_raw, "gamma", "kinetics")
+    gamma = _as_float(kin_raw["gamma"], "kinetics.gamma")
     if not (0.0 <= gamma <= 1.0):
         raise ConfigError(f"kinetics.gamma must lie in [0, 1], got {gamma}")
     cfg["kinetics"] = {"theta": theta, "gamma": gamma}
@@ -176,22 +191,16 @@ def validate_config(raw: dict) -> dict:
     cfg["h"] = _number(raw, "h", "config", positive=True)
     cfg["T"] = _number(raw, "T", "config", positive=True)
 
-    init_raw = raw.get("initial", {})
-    _check_keys(init_raw, _INITIAL_KEYS, "initial")
-    if "u_star" not in init_raw:
-        raise ConfigError("initial.u_star is required")
+    init_raw = _section(raw, "initial", {"u_star": _REQUIRED,
+                                         "main": _REQUIRED, "jumps": [],
+                                         "scale": 1.0})
     u_star = _state_delta(init_raw["u_star"], "initial.u_star")
-    if "main" not in init_raw:
-        raise ConfigError("initial.main ([x, delta]) is required")
     main = _jump(init_raw["main"], "initial.main")
-    jumps_raw = init_raw.get("jumps", [])
-    if not isinstance(jumps_raw, list):
+    if not isinstance(init_raw["jumps"], list):
         raise ConfigError("initial.jumps must be a list of [x, delta] pairs")
-    jumps = [
-        _jump(j, f"initial.jumps[{k}]")
-        for k, j in enumerate(jumps_raw)
-    ]
-    scale = _as_float(init_raw.get("scale", 1.0), "initial.scale")
+    jumps = [_jump(j, f"initial.jumps[{k}]")
+             for k, j in enumerate(init_raw["jumps"])]
+    scale = _as_float(init_raw["scale"], "initial.scale")
     if scale < 0:
         raise ConfigError("initial.scale must be nonnegative")
     xs = [main[0]] + [x for x, _ in jumps]
@@ -218,26 +227,25 @@ def validate_config(raw: dict) -> dict:
                 f"{where}: state {state.tolist()} lies outside the working "
                 f"ball of radius {model.delta1}")
 
-    w_raw = raw.get("weights", {})
-    _check_keys(w_raw, _WEIGHTS_KEYS, "weights")
-    zeta = _as_float(w_raw.get("zeta", 0.1), "weights.zeta")
+    w_raw = _section(raw, "weights", {"zeta": 0.1, "K": 1.0})
+    zeta = _as_float(w_raw["zeta"], "weights.zeta")
     # the lemma weights 1 - zeta and 1 + zeta must be positive; the
     # narrower (0, 0.5) range is a reported constraint, not a config error
     if not -1.0 < zeta < 1.0:
         raise ConfigError(f"weights.zeta must lie in (-1, 1), got {zeta}")
     cfg["weights"] = {
         "zeta": zeta,
-        "K": _as_float(w_raw.get("K", 1.0), "weights.K", positive=True),
+        "K": _as_float(w_raw["K"], "weights.K", positive=True),
     }
 
+    # numpy's generators take no negative seed
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     cfg["seed"] = seed
 
-    flags_raw = raw.get("flags", {})
-    _check_keys(flags_raw, _FLAG_KEYS, "flags")
-    stability_check = flags_raw.get("stability_check", True)
+    flags_raw = _section(raw, "flags", {"stability_check": True})
+    stability_check = flags_raw["stability_check"]
     if not isinstance(stability_check, bool):
         raise ConfigError(f"flags.stability_check must be true or false, "
                           f"got {stability_check!r}")
@@ -246,12 +254,12 @@ def validate_config(raw: dict) -> dict:
     cfg["stability_kappa"] = _as_float(raw.get("stability_kappa", 0.25),
                                        "stability_kappa", positive=True)
 
-    cal_raw = raw.get("calibration", {})
-    _check_keys(cal_raw, _CALIBRATION_KEYS, "calibration")
-    cal_n = cal_raw.get("n", 400)
+    cal_raw = _section(raw, "calibration",
+                       {"n": 400, "scales": [0.05, 0.02, 0.005]})
+    cal_n = cal_raw["n"]
     if not isinstance(cal_n, int) or isinstance(cal_n, bool) or cal_n < 0:
         raise ConfigError("calibration.n must be a nonnegative integer")
-    scales = cal_raw.get("scales", [0.05, 0.02, 0.005])
+    scales = cal_raw["scales"]
     if not isinstance(scales, list) or not scales:
         raise ConfigError("calibration.scales must be a nonempty list")
     cfg["calibration"] = {
@@ -260,16 +268,13 @@ def validate_config(raw: dict) -> dict:
                    for s in scales],
     }
 
-    if raw.get("snapshot_dt") is not None:
-        cfg["snapshot_dt"] = _number(raw, "snapshot_dt", "config",
-                                     positive=True)
-    else:
-        cfg["snapshot_dt"] = None
+    dt = raw.get("snapshot_dt")
+    cfg["snapshot_dt"] = (None if dt is None else
+                          _as_float(dt, "config.snapshot_dt", positive=True))
 
     if "sweep" in raw:
         sweep_raw = raw["sweep"]
-        _check_keys(sweep_raw if sweep_raw is not None else {},
-                    set(SWEEP_KEYS), "sweep")
+        _check_keys(sweep_raw, set(SWEEP_KEYS), "sweep")
         sweep = {}
         for key in SWEEP_KEYS:
             if key in sweep_raw:
@@ -286,10 +291,13 @@ def _apply_env_seed(cfg: dict, environ=None) -> dict:
     raw = env.get("NCFT_SEED")
     if raw is None:
         return cfg
+    error = ConfigError(f"NCFT_SEED must be a nonnegative integer, got {raw!r}")
     try:
         seed = int(raw)
     except ValueError as exc:
-        raise ConfigError(f"NCFT_SEED must be an integer, got {raw!r}") from exc
+        raise error from exc
+    if seed < 0:
+        raise error
     out = copy.deepcopy(cfg)
     out["seed"] = seed
     return out
@@ -344,13 +352,6 @@ def _weights_for(cfg: dict, cff: float) -> dg.Weights:
                             K=cfg["weights"]["K"])
 
 
-def _manifest_skeleton() -> dict:
-    return {
-        key: {"name": name, "status": "not_evaluated"}
-        for key, name in CRITERIA.items()
-    }
-
-
 def _status(passed: bool) -> str:
     return "pass" if passed else "fail"
 
@@ -377,6 +378,14 @@ def _write_jsonl(path: str, rows):
     for row in rows:
         buf.write(json.dumps(row, sort_keys=True))
         buf.write("\n")
+    _write_atomic(path, buf.getvalue())
+
+
+def _write_csv(path: str, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     _write_atomic(path, buf.getvalue())
 
 
@@ -421,6 +430,24 @@ def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
     return result, series, audit, conservation
 
 
+def _summary(result, series: dict, audit, conservation: dict) -> dict:
+    """The MANIFEST summary of one tracked run, which the c09 entry and
+    the sweep rows read their figures from."""
+    return {
+        "n_events": len(result.events),
+        "n_fronts_final": len(result.final.fronts),
+        "t_final": result.final.time,
+        "cycle_records": len(audit.records),
+        "completed_cycles": audit.n_completed,
+        "open_cycles": audit.n_open,
+        "etas": [r.eta for r in audit.records
+                 if not r.open and r.eta is not None],
+        "fitted_c": audit.fitted_c,
+        "max_lyapunov_delta": series["max_delta"],
+        "conservation": conservation,
+    }
+
+
 def _event_row(ev, row: dict) -> dict:
     """The event's replay row with its position, waves, strong roles and
     mass correction added."""
@@ -459,7 +486,8 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
-        "checks": _manifest_skeleton(),
+        "checks": {key: {"name": name, "status": "not_evaluated"}
+                   for key, name in CRITERIA.items()},
         "conformance_passed": conformance.passed,
         "measured_cff": cff,
         "weight_constraints": constraints,
@@ -483,12 +511,8 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
     _write_jsonl(os.path.join(out_dir, "events.jsonl"),
                  (_event_row(ev, row)
                   for ev, row in zip(result.events, series["events"])))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(dg.CSV_HEADER)
-    for snap in series["series"]:
-        writer.writerow(snap.csv_row())
-    _write_atomic(os.path.join(out_dir, "functionals.csv"), buf.getvalue())
+    _write_csv(os.path.join(out_dir, "functionals.csv"), dg.CSV_HEADER,
+               (snap.csv_row() for snap in series["series"]))
     _write_json(os.path.join(out_dir, "cycles.json"), audit.to_json_dict())
 
     initial_l = series["series"][0].lyapunov if series["series"] else 0.0
@@ -501,35 +525,16 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
         "initial": initial_l,
         "final": final_l,
     })
-    etas = [r.eta for r in audit.records if not r.open and r.eta is not None]
-    checks["c09"].update({
-        "status": _status(audit.passed),
-        "cycle_records": len(audit.records),
-        "completed_cycles": audit.n_completed,
-        "fitted_c": audit.fitted_c,
-        "etas": etas,
-    })
-    checks["c11"].update({
-        "status": _status(
-            conservation["corrected"] <= 1e-8 and
-            conservation["raw"] <= conservation["budget"] + 1e-12),
-        "raw": conservation["raw"],
-        "corrected": conservation["corrected"],
-        "budget": conservation["budget"],
-    })
-
-    manifest["summary"] = {
-        "n_events": len(result.events),
-        "n_fronts_final": len(result.final.fronts),
-        "t_final": result.final.time,
-        "cycle_records": len(audit.records),
-        "completed_cycles": audit.n_completed,
-        "open_cycles": audit.n_open,
-        "etas": etas,
-        "fitted_c": audit.fitted_c,
-        "max_lyapunov_delta": series["max_delta"],
-        "conservation": conservation,
-    }
+    summary = manifest["summary"] = _summary(result, series, audit,
+                                             conservation)
+    checks["c09"].update(
+        {key: summary[key] for key in ("cycle_records", "completed_cycles",
+                                       "fitted_c", "etas")},
+        status=_status(audit.passed))
+    checks["c11"].update(
+        {key: conservation[key] for key in ("raw", "corrected", "budget")},
+        status=_status(conservation["corrected"] <= 1e-8 and
+                       conservation["raw"] <= conservation["budget"] + 1e-12))
     _write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
     return manifest
 
@@ -547,14 +552,12 @@ def _grid_rows(sweep: dict) -> list:
 def _row_config(cfg: dict, overrides: dict) -> dict:
     out = copy.deepcopy(cfg)
     out.pop("sweep", None)
-    if "h" in overrides:
-        out["h"] = overrides["h"]
-    if "theta" in overrides:
-        out["kinetics"]["theta"] = overrides["theta"]
-    if "gamma" in overrides:
-        out["kinetics"]["gamma"] = overrides["gamma"]
-    if "eps0" in overrides:
-        out["initial"]["scale"] = overrides["eps0"]
+    for key, value in overrides.items():
+        *parents, leaf = SWEEP_PATHS[key]
+        node = out
+        for parent in parents:
+            node = node[parent]
+        node[leaf] = value
     return out
 
 
@@ -566,39 +569,34 @@ def sweep_row(payload: tuple) -> dict:
     row = {key: overrides.get(key, "") for key in SWEEP_KEYS}
     row.update({col: "" for col in SWEEP_COLUMNS if col not in SWEEP_KEYS})
     try:
-        run_cfg = validate_config(_serialize_config(_row_config(cfg, overrides)))
+        run_cfg = validate_config(_row_config(cfg, overrides))
         model, kin, _, conformance = _prepare(run_cfg)
         cff = conformance.measured_Cff
         result, series, audit, conservation = _track(
             run_cfg, model, kin, _weights_for(run_cfg, cff), cff)
+        summary = _summary(result, series, audit, conservation)
         drops = [r.lyapunov_drop for r in audit.records
                  if not r.open and r.lyapunov_drop is not None]
-        row.update({
-            "status": "ok",
-            "n_events": len(result.events),
-            "cycle_records": len(audit.records),
-            "completed_cycles": audit.n_completed,
-            "min_cycle_drop": min(drops) if drops else "",
-            "fitted_c": audit.fitted_c if audit.fitted_c is not None else "",
-            "max_lyapunov_delta": series["max_delta"],
-            "conservation_raw": conservation["raw"],
-            "conservation_corrected": conservation["corrected"],
-        })
+        row.update(
+            {key: summary[key] for key in ("n_events", "cycle_records",
+                                           "completed_cycles",
+                                           "max_lyapunov_delta")},
+            status="ok",
+            min_cycle_drop=min(drops) if drops else "",
+            fitted_c="" if summary["fitted_c"] is None else summary["fitted_c"],
+            conservation_raw=conservation["raw"],
+            conservation_corrected=conservation["corrected"],
+        )
     except Exception as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def _serialize_config(cfg: dict) -> dict:
-    # round-trip through JSON so worker payloads carry no numpy scalars
-    return json.loads(json.dumps(cfg))
-
-
 def run_sweep(cfg: dict, out_dir: str, workers: int = 1) -> str:
     os.makedirs(out_dir, exist_ok=True)
     rows_spec = _grid_rows(cfg.get("sweep", {}))
-    payloads = [(_serialize_config(cfg), overrides) for overrides in rows_spec]
+    payloads = [(cfg, overrides) for overrides in rows_spec]
     if not payloads:
         results = []
     elif workers <= 1:
@@ -606,13 +604,9 @@ def run_sweep(cfg: dict, out_dir: str, workers: int = 1) -> str:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(sweep_row, payloads))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
-    writer.writeheader()
-    for row in results:
-        writer.writerow(row)
     path = os.path.join(out_dir, "sweep.csv")
-    _write_atomic(path, buf.getvalue())
+    _write_csv(path, SWEEP_COLUMNS,
+               ([row[col] for col in SWEEP_COLUMNS] for row in results))
     return path
 
 
@@ -682,12 +676,9 @@ def main(config_path: Optional[str], out_dir: str, workers: int,
         else:
             manifest = run_experiment(cfg, out_dir,
                                       calibrate_only=calibrate_only)
-            statuses = {key: entry["status"]
-                        for key, entry in manifest["checks"].items()
-                        if entry["status"] != "not_evaluated"} \
-                if "checks" in manifest else {}
-            for key in sorted(statuses):
-                click.echo(f"{key} {CRITERIA[key]}: {statuses[key]}")
+            for key, entry in sorted(manifest["checks"].items()):
+                if entry["status"] != "not_evaluated":
+                    click.echo(f"{key} {entry['name']}: {entry['status']}")
             click.echo(_coverage_line(out_dir))
             click.echo(f"artifacts written: {os.path.abspath(out_dir)}")
     except ConfigError as exc:

@@ -40,10 +40,6 @@ Array = np.ndarray
 
 # Tolerance in m for the critical-point maps.
 CRIT_TOL = 1e-10
-# below this parameter size the quartic-order dissipation drops under the
-# floating-point noise floor, so the critical maps switch to their
-# leading-order normal forms (exact for the bundled models)
-NEAR_MANIFOLD = 1e-5
 # Speed comparisons in classify_shock; ties go to the compressive class.
 CLASSIFY_TOL = 1e-9
 
@@ -80,10 +76,9 @@ class HugoniotCurve:
     would keep every dropped model alive until a cyclic garbage
     collection.
 
-    The base state's characteristic speed lam0 and entropy pair (U0, F0)
-    are Python floats computed once per curve; a query within
-    STATE_COINCIDENCE of the base parameter returns the base state and
-    lam0.
+    The base state's characteristic speed lam0 is a Python float computed
+    once per curve; a query within STATE_COINCIDENCE of the base parameter
+    returns the base state and lam0.
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
@@ -93,7 +88,6 @@ class HugoniotCurve:
         self.u_minus = as_state(model, u_minus)
         self.mu0 = float(model.family_parameter(self.u_minus, family))
         self.lam0 = char_speed(model, self.u_minus, family)
-        self.U0, self.F0 = models.entropy_pair(model, self.u_minus)
 
     def speed_at(self, m) -> float:
         return self.state_speed(m)[1]
@@ -207,8 +201,6 @@ def mu_natural(model: FluxModel, a: Array) -> float:
     characteristic speed of the right state. Read from the model's
     critical_fn."""
     mu0 = mu(model, a)
-    if abs(mu0) < NEAR_MANIFOLD:
-        return -0.5 * mu0
     curve = hugoniot_curve(model, a)
     m_nat = model.critical_fn(a, mu0)[0]
     # the minimum counts as interior only if the chord speed rises past it
@@ -225,8 +217,6 @@ def mu_minus_natural(model: FluxModel, a: Array) -> Optional[float]:
     base state, which is the base state's companion, 2 m_nat - mu. None
     when it lies outside the ball."""
     mu0 = mu(model, a)
-    if abs(mu0) < NEAR_MANIFOLD:
-        return -2.0 * mu0
     curve = hugoniot_curve(model, a)
     m_nat = mu_natural(model, a)
     try:
@@ -241,29 +231,20 @@ def mu_flat_zero(model: FluxModel, a: Array) -> float:
     entropy dissipation along the Hugoniot, between the left contact and
     the tangency point. Applying the map from the reached state returns
     the start (involution). Read from the model's critical_fn."""
-    mu0 = mu(model, a)
-    if abs(mu0) < NEAR_MANIFOLD:
-        return -mu0
     curve = hugoniot_curve(model, a)
     # where the tangency point fails, so does this map
     mu_natural(model, a)
-    return _in_ball(curve, model.critical_fn(a, mu0)[1])
+    return _in_ball(curve, model.critical_fn(a, mu(model, a))[1])
 
 
 def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
     """Equal-shock-speed companion of m_ref on the other side of the
     tangency point, on the Hugoniot of u_minus: 2 m_nat - m_ref."""
     a = models.require_in_ball(model, u_minus, "delta0")
-    mu0 = mu(model, a)
-    if abs(mu0) < NEAR_MANIFOLD:
-        return -mu0 - m_ref
     curve = hugoniot_curve(model, a)
     m_nat = mu_natural(model, a)
     lam_ref = curve.speed_at(m_ref)
-    h_nat = curve.speed_at(m_nat) - lam_ref
-    if abs(h_nat) < 1e-13:
-        return float(m_nat)
-    if h_nat > 0:
+    if curve.speed_at(m_nat) - lam_ref > 0:
         raise BracketFailure(
             "reference speed below the chord-speed minimum: no companion"
         )

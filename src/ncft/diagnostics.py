@@ -802,13 +802,20 @@ def _wave_chord(model: FluxModel, wv: Wave) -> float:
     return float(wv.speed)
 
 
-def _single_wave(model: FluxModel, kin: KineticFunction, u_from, fam: int,
-                 m: float) -> Optional[tuple]:
-    state, frag = riemann.wave_curve_point(model, kin, u_from, fam, m)
-    if len(frag) != 1:
-        return None
-    wv = frag[0]
-    return state, wv, _wave_chord(model, wv)
+def _wave_pair(model: FluxModel, kin: KineticFunction, u0, fam1: int,
+               d1: float, fam2: int, d2: float) -> Optional[tuple]:
+    """Two single waves chained off u0: family fam1 to its parameter at u0
+    plus d1, then family fam2 to its parameter there plus d2. Returns
+    (w1, v1, w2, v2, right state) with each wave's chord speed v, or None
+    when either step takes more than one wave."""
+    u, out = u0, []
+    for fam, d in ((fam1, d1), (fam2, d2)):
+        u, frag = riemann.wave_curve_point(
+            model, kin, u, fam, float(model.family_parameter(u, fam)) + d)
+        if len(frag) != 1:
+            return None
+        out += [frag[0], _wave_chord(model, frag[0])]
+    return (*out, u)
 
 
 def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
@@ -857,20 +864,11 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         d1 = scale * rng.uniform(0.25, 1.0) * (1 if rng.uniform() < 0.5 else -1)
         d2 = scale * rng.uniform(0.25, 1.0) * (1 if rng.uniform() < 0.5 else -1)
         try:
-            first = _single_wave(
-                model, kin, u0, fam1,
-                float(model.family_parameter(u0, fam1)) + d1)
-            if first is None:
+            pair = _wave_pair(model, kin, u0, fam1, d1, fam2, d2)
+            if pair is None:
                 n_skip += 1
                 continue
-            ub, w1, v1 = first
-            second = _single_wave(
-                model, kin, ub, fam2,
-                float(model.family_parameter(ub, fam2)) + d2)
-            if second is None:
-                n_skip += 1
-                continue
-            uc, w2, v2 = second
+            w1, v1, w2, v2, uc = pair
             if not _approaches(w1, w2) or v1 <= v2 + 1e-10:
                 n_skip += 1
                 continue
@@ -915,24 +913,21 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         u0 = base_state(i)
         if u0 is None:
             break
-        mu0 = float(model.family_parameter(u0, i))
-        s = 1.0 if mu0 > 0 else -1.0
+        s = 1.0 if model.family_parameter(u0, i) > 0 else -1.0
         d1 = s * scale * rng.uniform(0.25, 1.0)
         d2 = s * scale * rng.uniform(0.25, 1.0)
         try:
-            first = _single_wave(model, kin, u0, i, mu0 + d1)
-            if first is None or first[1].kind not in RAREFACTION_KINDS:
+            pair = _wave_pair(model, kin, u0, i, d1, i, d2)
+            if pair is None:
                 continue
-            ub = first[0]
-            second = _single_wave(model, kin, ub, i, mu0 + d1 + d2)
-            if second is None or second[1].kind not in RAREFACTION_KINDS:
+            w1, _, w2, _, uc = pair
+            if not all(wv.kind in RAREFACTION_KINDS for wv in (w1, w2)):
                 continue
-            uc = second[0]
             fan = riemann.solve_riemann(model, kin, u0, uc)
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             continue
         zero_done += 1
-        a = first[1].strength + second[1].strength
+        a = w1.strength + w2.strength
         g = sum(wv.strength for wv in fan.waves if wv.family == i)
         max_zero_resid = max(max_zero_resid, abs(g - a))
 

@@ -163,7 +163,8 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
 
     # H1: strict band membership, open at the zero-dissipation end,
     # closed at the tangency end. Samples whose curves leave the outer
-    # ball cannot be evaluated and are skipped, not failed.
+    # ball cannot be evaluated and are skipped, not failed. Each evaluated
+    # sample is kept as (mu, kinetic value, state).
     h1_witness = None
     reachable = []
     for a in usable:
@@ -176,30 +177,27 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         except curves.CurveError:
             n_skipped += 1
             continue
-        reachable.append(a)
+        reachable.append((muv, val, a))
         if h1_witness is None and not (
             s * val > s * m_b0 + 1e-12 * max(1.0, abs(muv))
             and s * val <= s * m_nat + 1e-12
         ):
             h1_witness = a.tolist()
-    usable = reachable
+    usable = [a for _, _, a in reachable]
     hyps["H1"] = {"passed": h1_witness is None, "witness": h1_witness}
 
     # H2: Lipschitz estimate along the parameter and injectivity of the
     # kinetic map on each side of the manifold.
     pairs = []
     for side in (1.0, -1.0):
-        side_states = sorted(
-            (a for a in usable if side * models.mu(model, a) > 0),
-            key=lambda a: models.mu(model, a),
-        )
-        vals = [mu_flat(model, kin, a) for a in side_states]
-        mus = [models.mu(model, a) for a in side_states]
-        for i in range(len(side_states) - 1):
-            dmu = mus[i + 1] - mus[i]
+        side_samples = sorted((r for r in reachable if side * r[0] > 0),
+                              key=lambda r: r[0])
+        for (mu0, val0, _), (mu1, val1, _) in zip(side_samples,
+                                                  side_samples[1:]):
+            dmu = mu1 - mu0
             if abs(dmu) < 1e-9:
                 continue
-            pairs.append((vals[i + 1] - vals[i]) / dmu)
+            pairs.append((val1 - val0) / dmu)
     lipschitz = max((abs(r) for r in pairs), default=None)
     injective = all(abs(r) > 1e-9 for r in pairs)
     hyps["H2"] = {

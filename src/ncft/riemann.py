@@ -41,7 +41,7 @@ MAX_ITER = 60
 ENTROPY_TOL = 1e-9
 KINETIC_TOL = 1e-10
 FAN_SPEED_TOL = 1e-9
-# Threshold parameters come out of iterative root solves, so a target that
+# Threshold parameters are closed forms that still round, so a target that
 # ties with one mathematically can land on either side by roundoff; ties
 # must still take the classical branch.
 THRESHOLD_TIE = 1e-12

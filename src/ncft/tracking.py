@@ -342,34 +342,24 @@ def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
     widened jump."""
     thresh = DROP_FACTOR * h * h
     out = list(expanded)
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        for k, w in enumerate(out):
-            if abs(w.strength) >= thresh:
-                continue
-            nbr = None
-            if k > 0:
-                nbr = k - 1
-            if k + 1 < len(out):
-                if nbr is None or abs(out[k + 1].strength) > \
-                        abs(out[nbr].strength):
-                    nbr = k + 1
-            if nbr is None:
-                break
-            wn = out[nbr]
-            if nbr < k:
-                left, right = wn.left, w.right
-            else:
-                left, right = w.left, wn.right
-            strength = curves.generalized_strength(model, left, right,
-                                                   wn.family)
-            out[nbr] = Wave(wn.family, wn.kind, left.copy(), right.copy(),
-                            curves.chord_speed(model, left, right),
-                            float(strength), wn.id)
-            del out[k]
-            changed = True
+    while len(out) > 1:
+        k = next((k for k, w in enumerate(out) if abs(w.strength) < thresh),
+                 None)
+        if k is None:
             break
+        # the stronger neighbor takes the jump, the left one on a tie
+        if k == 0 or (k + 1 < len(out) and abs(out[k + 1].strength) >
+                      abs(out[k - 1].strength)):
+            nbr = k + 1
+        else:
+            nbr = k - 1
+        w, wn = out[k], out[nbr]
+        left, right = (w.left, wn.right) if nbr > k else (wn.left, w.right)
+        strength = curves.generalized_strength(model, left, right, wn.family)
+        out[nbr] = Wave(wn.family, wn.kind, left.copy(), right.copy(),
+                        curves.chord_speed(model, left, right),
+                        float(strength), wn.id)
+        del out[k]
     return out
 
 

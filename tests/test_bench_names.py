@@ -47,3 +47,47 @@ def test_the_benchmark_finds_every_name_it_uses():
         if not hasattr(importlib.import_module(f"ncft.{mod}"), attr):
             missing.append(name)
     assert missing == []
+
+
+# the fields ncft_bench/workloads.py reads off run results, events, front
+# sets, fans and reports, by the class that carries them
+BENCH_FIELDS = {
+    "RunResult": ("initial", "final", "events", "snapshots"),
+    "InteractionEvent": ("post", "outgoing", "mass_correction"),
+    "FrontSet": ("y_id", "z_id", "fronts"),
+    "WaveFan": ("waves",),
+    "ConformanceReport": ("grid", "measured_Cff", "passed"),
+    "DiagnosticsSnapshot": ("lyapunov",),
+}
+
+
+def test_the_benchmark_finds_every_field_it_reads():
+    import numpy as np
+
+    from ncft import diagnostics, kinetics, models, tracking
+
+    model = models.cubic_model()
+    kin = kinetics.KineticFunction(theta=0.5, nucleation_gamma=0.5)
+    states = [np.array([1.0]), np.array([-0.368]), np.array([-0.388])]
+    fronts0 = tracking.init_fronts(model, kin, states, [0.0, 0.05], h=0.01,
+                                   strong_jumps=[0])
+    result = tracking.run(model, kin, fronts0, t_end=0.3)
+    assert result.events
+    report = kinetics.check_hypotheses(
+        model, kin, kinetics.default_samples(model, n=20))
+    series = diagnostics.lyapunov_series(
+        model, result.events, result.snapshots,
+        diagnostics.lemma_weights(report.measured_Cff))
+    found = {
+        "RunResult": result,
+        "InteractionEvent": result.events[0],
+        "FrontSet": result.final,
+        "WaveFan": result.events[0].outgoing,
+        "ConformanceReport": report,
+        "DiagnosticsSnapshot": series["series"][0],
+    }
+    assert {cls: type(obj).__name__ for cls, obj in found.items()} == \
+        {cls: cls for cls in BENCH_FIELDS}
+    missing = [f"{cls}.{field}" for cls, fields in BENCH_FIELDS.items()
+               for field in fields if not hasattr(found[cls], field)]
+    assert missing == []

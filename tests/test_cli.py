@@ -180,6 +180,27 @@ def test_bad_convention_and_seed():
         validated(seed="7")
 
 
+def test_negative_seed_rejected():
+    # numpy's generators take no negative seed: calibrate would die with a
+    # bare ValueError after conformance had run
+    with pytest.raises(cli.ConfigError, match="seed must be a nonnegative"):
+        validated(seed=-1)
+    with pytest.raises(cli.ConfigError, match="NCFT_SEED"):
+        cli._apply_env_seed(validated(), environ={"NCFT_SEED": "-1"})
+
+
+def test_null_sweep_rejected():
+    with pytest.raises(cli.ConfigError, match="sweep must be a JSON object"):
+        validated(sweep=None)
+
+
+@pytest.mark.parametrize("value", [True, "1.2", None, float("nan")])
+def test_model_params_must_be_numbers(value):
+    # True is no radius, though Python takes it for 1
+    with pytest.raises(cli.ConfigError, match="model.params.delta1 must be"):
+        validated(model={"name": "cubic", "params": {"delta1": value}})
+
+
 def test_nonnumeric_values_rejected():
     with pytest.raises(cli.ConfigError, match="weights.zeta"):
         validated(weights={"zeta": "x"})
@@ -516,6 +537,26 @@ def test_run_experiment_replays_each_event_once(tmp_path, monkeypatch):
     assert manifest["summary"]["n_events"] >= 1
     assert len(calls) == manifest["summary"]["n_events"]
     assert len({id(ev) for ev in calls}) == len(calls)
+
+
+# sha256 of the sweep.csv below: two ok rows, two rows refused by the
+# stability gate (eps0 = 10) and four ConfigError rows (h < 0)
+SWEEP_CSV_SHA256 = \
+    "ba69c1d47172d4e7ca90d351da757e1df56db665c738db647d2396ea32295e8b"
+
+
+def test_sweep_csv_keeps_its_bytes(tmp_path):
+    cfg = validated(sweep={"h": [0.01, -1.0], "theta": [0.5],
+                           "gamma": [0.5, 0.0], "eps0": [1.0, 10.0]})
+    path = cli.run_sweep(cfg, str(tmp_path), workers=1)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = list(csv.DictReader(data.decode().splitlines()))
+    assert [row["status"] for row in rows].count("ok") == 2
+    assert sum("stability bound" in row["error"] for row in rows) == 2
+    assert sum("config.h must be positive" in row["error"]
+               for row in rows) == 4
+    assert hashlib.sha256(data).hexdigest() == SWEEP_CSV_SHA256
 
 
 def test_sweep_empty_grid_writes_header_only(tmp_path):

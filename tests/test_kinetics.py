@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +95,31 @@ def test_check_hypotheses_pass():
         assert rep.hypotheses[name]["passed"], name
     d = rep.to_json_dict()
     assert d["grid"]["n_samples"] == 200
+
+
+# sha256 of the conformance report on the default samples, as JSON with
+# sorted keys, per (model, theta = gamma)
+CONFORMANCE_SHA256 = {
+    ("cubic", 0.5):
+        "0679f84537bc3bcdaf683e623179ce3c2f3b1f641a5d916c22b14677a5fde831",
+    ("cubic", 0.0):
+        "460e90913ac3a359b6b8f6eb0cd4216381856620a1a047e154f43a99f5da3790",
+    ("elasticity", 0.5):
+        "1969fae903114fdf067cc6e8d5d1c1b9a63875d6f8dee775612af81d84b9b883",
+    ("elasticity", 0.0):
+        "29b6395052c7b2b76f78897eeb3151012af5a88ec6595a1fca7cd0b455e42eb9",
+}
+
+
+@pytest.mark.parametrize("name, weight", sorted(CONFORMANCE_SHA256))
+def test_conformance_report_keeps_its_bits(name, weight):
+    model = {"cubic": CUBIC, "elasticity": ELAS}[name]
+    kin = KineticFunction(theta=weight, nucleation_gamma=weight)
+    report = check_hypotheses(model, kin)
+    assert report.passed
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CONFORMANCE_SHA256[name, weight]
 
 
 def test_check_hypotheses_theta_one_fails_band():
