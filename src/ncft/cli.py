@@ -257,8 +257,10 @@ def validate_config(raw: dict) -> dict:
     cal_raw = _section(raw, "calibration",
                        {"n": 400, "scales": [0.05, 0.02, 0.005]})
     cal_n = cal_raw["n"]
-    if not isinstance(cal_n, int) or isinstance(cal_n, bool) or cal_n < 0:
-        raise ConfigError("calibration.n must be a nonnegative integer")
+    # n = 0 would still draw one zero-product pair
+    if not isinstance(cal_n, int) or isinstance(cal_n, bool) or cal_n < 1:
+        raise ConfigError(f"calibration.n must be a positive integer, "
+                          f"got {cal_n!r}")
     scales = cal_raw["scales"]
     if not isinstance(scales, list) or not scales:
         raise ConfigError("calibration.scales must be a nonempty list")

@@ -99,6 +99,15 @@ class Wave:
             "id": self.id,
         }
 
+    @classmethod
+    def of(cls, model: FluxModel, family: int, kind: str, left: Array,
+           right: Array, speed, id: int) -> "Wave":
+        """The wave of the jump left -> right, both states copied; its
+        strength is the jump's generalized strength."""
+        strength = curves.generalized_strength(model, left, right, family)
+        return cls(family, kind, left.copy(), right.copy(), speed,
+                   float(strength), id)
+
 
 @dataclasses.dataclass(frozen=True)
 class WaveFan:
@@ -120,14 +129,13 @@ class WaveFan:
         return {"waves": [w.to_json_dict() for w in self.waves]}
 
 
-def _shock(model: FluxModel, family: int, a: Array, m: float, ids: IdGen,
-           kin: Optional[KineticFunction] = None,
-           with_strength: bool = True) -> tuple:
-    """(state, wave): the shock from a to the Hugoniot point with parameter
-    m, its kind (classical or nonclassical) derived from the
-    classification. Enforces the admissibility invariants: no expansive
-    shock, no positive entropy dissipation, and with kin given, the
-    kinetic relation on a nonclassical jump."""
+def _shock(model: FluxModel, a: Array, family: int, m: float,
+           kin: Optional[KineticFunction] = None) -> tuple:
+    """The jump (left, right, kind, speed) from a to the Hugoniot point
+    with parameter m, its kind (classical or nonclassical) derived from
+    the classification. Enforces the admissibility invariants: no
+    expansive shock, no positive entropy dissipation, and with kin given,
+    the kinetic relation on a nonclassical jump."""
     right, speed = curves.hugoniot_point(model, a, family, m)
     cls = curves.classify_shock(model, a, right, family)
     if cls == "Lax":
@@ -149,16 +157,12 @@ def _shock(model: FluxModel, family: int, a: Array, m: float, ids: IdGen,
                 f"nonclassical jump violates the kinetic relation: "
                 f"{got} vs {want}"
             )
-    strength = (curves.generalized_strength(model, a, right, family)
-                if with_strength else 0.0)
-    return right, Wave(family, kind, a.copy(), right.copy(), float(speed),
-                       float(strength), ids())
+    return a, right, kind, float(speed)
 
 
-def _rarefaction(model: FluxModel, family: int, a: Array, m: float,
-                 ids: IdGen, with_strength: bool = True) -> tuple:
-    """(state, wave): the rarefaction from a to the integral-curve point
-    with parameter m; its characteristic speed must not decrease."""
+def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
+    """The jump (left, right, kind, speed) from a to the integral-curve
+    point with parameter m; its characteristic speed must not decrease."""
     right = curves.rarefaction_point(model, a, family, m)
     lam_l = models.char_speed(model, a, family)
     lam_r = models.char_speed(model, right, family)
@@ -166,66 +170,42 @@ def _rarefaction(model: FluxModel, family: int, a: Array, m: float,
         raise SolverError(
             f"rarefaction with decreasing characteristic speed on family {family}"
         )
-    strength = (curves.generalized_strength(model, a, right, family)
-                if with_strength else 0.0)
-    return right, Wave(family, KIND_RAREFACTION, a.copy(), right.copy(),
-                       (lam_l, lam_r), float(strength), ids())
+    return a, right, KIND_RAREFACTION, (lam_l, lam_r)
 
 
-def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: int,
-                     m: float, ids: Optional[IdGen] = None,
-                     with_strengths: bool = True) -> tuple:
-    """Point of the family's forward wave curve at parameter value m.
-
-    Returns (state, fragment): the reached state and the list of waves
-    (possibly empty, possibly two for the nonclassical branch) that
-    realize the jump."""
-    ids = ids or IdGen()
-    a = models.as_state(model, u_minus)
+def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
+           m: float) -> list:
+    """The jumps (left, right, kind, speed) that take a along the family's
+    forward wave curve to parameter m: none at a's own parameter, else one
+    shock or rarefaction, or on the designated family a nonclassical jump
+    and the wave that trails it. Non-designated families take a single
+    wave by the local genuine-nonlinearity sign, and are only supported
+    away from their own sign-change manifolds."""
     mu0 = float(model.family_parameter(a, family))
     m = float(m)
     if abs(m - mu0) < 1e-14:
-        return a.copy(), []
+        return []
     if family != model.cc_index:
-        return _classical_point(model, a, family, m, ids, with_strengths)
-    return _nonclassical_point(model, kin, a, family, m, ids, with_strengths)
-
-
-def _classical_point(model: FluxModel, a: Array, family: int, m: float,
-                     ids: IdGen, with_strengths: bool = True) -> tuple:
-    """Single shock or rarefaction by the local genuine-nonlinearity sign.
-    Non-designated families are only supported away from their own
-    sign-change manifolds."""
-    mu0 = float(model.family_parameter(a, family))
-    m_loc = models.m_value(model, a, family)
-    if abs(m_loc) < 1e-8:
-        raise SolverError(
-            f"family {family} degenerate at {a.tolist()}: composite curves "
-            "are only constructed for the designated family"
-        )
-    shock_side = (m < mu0) if m_loc > 0 else (m > mu0)
-    build = _shock if shock_side else _rarefaction
-    state, w = build(model, family, a, m, ids, with_strength=with_strengths)
-    return state, [w]
-
-
-def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
-                        family: int, m: float, ids: IdGen,
-                        with_strengths: bool = True) -> tuple:
-    mu0 = float(model.family_parameter(a, family))
+        m_loc = models.m_value(model, a, family)
+        if abs(m_loc) < 1e-8:
+            raise SolverError(
+                f"family {family} degenerate at {a.tolist()}: composite "
+                "curves are only constructed for the designated family"
+            )
+        shock_side = (m < mu0) if m_loc > 0 else (m > mu0)
+        return [_shock(model, a, family, m) if shock_side
+                else _rarefaction(model, a, family, m)]
     s = 1.0 if mu0 > 0 else -1.0
     if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
         # beyond the base parameter, and both ways on the manifold, the
         # characteristic speed grows
-        state, w = _rarefaction(model, family, a, m, ids, with_strengths)
-        return state, [w]
+        return [_rarefaction(model, a, family, m)]
     # a same-sign weak shock lies inside the classical range for any
     # admissible kinetics, so it skips the critical-point machinery;
     # classical shocks are preferred throughout the overlap, ties also
     if s * m >= 0 or (s * (m - kin_mod.mu_nucleation(model, kin, a))
                       >= -THRESHOLD_TIE):
-        state, w = _shock(model, family, a, m, ids, kin, with_strengths)
-        return state, [w]
+        return [_shock(model, a, family, m, kin)]
     m_sharp = kin_mod.mu_sharp(model, kin, a)
     if s * (m - m_sharp) > 0:
         raise NoSolutionGap(
@@ -233,16 +213,30 @@ def _nonclassical_point(model: FluxModel, kin: KineticFunction, a: Array,
             f"nucleation threshold: uncovered by either branch"
         )
     m_flat = kin_mod.mu_flat(model, kin, a)
-    mid, leading = _shock(model, family, a, m_flat, ids, kin, with_strengths)
+    leading = _shock(model, a, family, m_flat, kin)
     if abs(m - m_flat) < 1e-14:
-        return mid, [leading]
+        return [leading]
+    mid = leading[1]
     if s * (m - m_flat) > 0:
-        state, trailing = _shock(model, family, mid, m, ids, kin,
-                                 with_strengths)
-    else:
-        state, trailing = _rarefaction(model, family, mid, m, ids,
-                                       with_strengths)
-    return state, [leading, trailing]
+        return [leading, _shock(model, mid, family, m, kin)]
+    return [leading, _rarefaction(model, mid, family, m)]
+
+
+def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: int,
+                     m: float, ids: Optional[IdGen] = None) -> tuple:
+    """Point of the family's forward wave curve at parameter value m.
+
+    Returns (state, fragment): the reached state and the list of waves
+    (possibly empty, possibly two for the nonclassical branch) that
+    realize the jump."""
+    ids = ids or IdGen()
+    a = models.as_state(model, u_minus)
+    jumps = _jumps(model, kin, a, family, m)
+    if not jumps:
+        return a.copy(), []
+    return jumps[-1][1], [Wave.of(model, family, kind, left, right, speed,
+                                  ids())
+                          for left, right, kind, speed in jumps]
 
 
 def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
@@ -309,10 +303,13 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
                   targets: np.ndarray) -> Array:
+    """Right state of the fan that walks each family's wave curve to its
+    target; the jumps' states only, no waves are built."""
     state = a
     for j in range(model.N):
-        state, _ = wave_curve_point(model, kin, state, j, targets[j],
-                                    with_strengths=False)
+        jumps = _jumps(model, kin, state, j, targets[j])
+        if jumps:
+            state = jumps[-1][1]
     return state
 
 

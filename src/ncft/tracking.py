@@ -196,10 +196,8 @@ def _split_rarefaction(model: FluxModel, wave: Wave, h: float,
         else:
             target = mu_l + span * (k / n)
             nxt = curves.rarefaction_point(model, state, fam, target)
-        strength = curves.generalized_strength(model, state, nxt, fam)
-        pieces.append(Wave(fam, KIND_PIECE, state.copy(), nxt.copy(),
-                           curves.chord_speed(model, state, nxt),
-                           float(strength), ids()))
+        pieces.append(Wave.of(model, fam, KIND_PIECE, state, nxt,
+                              curves.chord_speed(model, state, nxt), ids()))
         state = nxt
     return pieces
 
@@ -355,10 +353,8 @@ def _fold_small(model: FluxModel, expanded: list, h: float) -> list:
             nbr = k - 1
         w, wn = out[k], out[nbr]
         left, right = (w.left, wn.right) if nbr > k else (wn.left, w.right)
-        strength = curves.generalized_strength(model, left, right, wn.family)
-        out[nbr] = Wave(wn.family, wn.kind, left.copy(), right.copy(),
-                        curves.chord_speed(model, left, right),
-                        float(strength), wn.id)
+        out[nbr] = Wave.of(model, wn.family, wn.kind, left, right,
+                           curves.chord_speed(model, left, right), wn.id)
         del out[k]
     return out
 

@@ -189,6 +189,13 @@ def test_negative_seed_rejected():
         cli._apply_env_seed(validated(), environ={"NCFT_SEED": "-1"})
 
 
+def test_zero_calibration_n_rejected():
+    # calibrate would still draw one zero-product pair at n = 0
+    with pytest.raises(cli.ConfigError,
+                       match="calibration.n must be a positive integer"):
+        validated(calibration={"n": 0, "scales": [0.05]})
+
+
 def test_null_sweep_rejected():
     with pytest.raises(cli.ConfigError, match="sweep must be a JSON object"):
         validated(sweep=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -135,6 +136,20 @@ def test_check_hypotheses_elasticity():
     # the contraction constant transfers through the shared parameter algebra
     assert rep.measured_Cff == pytest.approx(0.75, abs=1e-6)
     assert rep.grid["n_contraction_evaluated"] > 20
+
+
+@pytest.mark.parametrize("model", [CUBIC, ELAS], ids=["cubic", "elasticity"])
+def test_h3_fails_when_the_kinetic_map_leaves_the_manifold(model):
+    # the zero-dissipation parameter off by 0.01 at mu = 0 only, so the
+    # kinetic value of a state on the manifold is theta * 0.01, not 0
+    def critical_fn(u, mu0):
+        m_nat, m_b0 = model.critical_fn(u, mu0)
+        return m_nat, m_b0 + (0.01 if mu0 == 0.0 else 0.0)
+
+    rep = check_hypotheses(dataclasses.replace(model, critical_fn=critical_fn),
+                           KIN)
+    assert not rep.hypotheses["H3"]["identity_on_manifold"]
+    assert not rep.passed
 
 
 def test_identity_at_manifold():

@@ -284,6 +284,39 @@ def test_elasticity_fan_to_the_kinetic_state_has_no_null_wave(w, strength):
     fan.validate()
 
 
+@pytest.mark.parametrize("u_r", [(0.05, 0.55), "kinetic"])
+def test_system_solve_builds_waves_for_its_fan_only(monkeypatch, u_r):
+    # the Newton loop reads end states and builds no wave; the fan walk
+    # builds one per wave, before the filter drops null waves
+    u_l = np.array([0.0, 0.6])
+    if u_r == "kinetic":
+        u_r = kin_mod.phi_flat(ELAS, KIN, u_l)
+    built, seen = [], {}
+    init = riemann.Wave.__init__
+    newton, snap = riemann._newton_targets, riemann._snap_last
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def newton_targets(*args):
+        targets = newton(*args)
+        seen["newton"] = len(built)
+        return targets
+
+    def snap_last(model, waves, b):
+        seen["walk"] = (len(built), len(waves))
+        return snap(model, waves, b)
+
+    monkeypatch.setattr(riemann.Wave, "__init__", counting_init)
+    monkeypatch.setattr(riemann, "_newton_targets", newton_targets)
+    monkeypatch.setattr(riemann, "_snap_last", snap_last)
+    fan = solve_riemann(ELAS, KIN, u_l, u_r)
+    assert seen["newton"] == 0
+    n_built, n_walked = seen["walk"]
+    assert n_built == n_walked >= len(fan.waves) > 0
+
+
 def test_wave_json_round_trip():
     fan = solve_riemann(CUBIC, KIN, 1.0, -0.45)
     d = fan.to_json_dict()
@@ -309,14 +342,14 @@ def test_wave_ids_do_not_depend_on_earlier_calls():
 
 
 
-def _fan_digest(model, pairs):
+def _fan_digest(model, kin, pairs):
     # sha256 over each fan's JSON, or over the exception's class name when
     # the solve fails; returns the digest and the failure count
     h = hashlib.sha256()
     failures = 0
     for a, b in pairs:
         try:
-            fan = solve_riemann(model, KIN, a, b)
+            fan = solve_riemann(model, kin, a, b)
         except ValueError as exc:
             failures += 1
             h.update(type(exc).__name__.encode())
@@ -340,23 +373,32 @@ def _uniform_pairs(n, lo, hi, dim, seed=0):
         yield rng.uniform(lo, hi, dim), rng.uniform(lo, hi, dim)
 
 
-# (model, problems, digest, failures), recorded before the wave builders
-# looked up their own curve points; the strong elasticity draw covers the
-# solver's failures (intersection stalls and ball exits) as well as its fans
+# (model, kinetics, problems, digest, failures), recorded before the wave
+# builders looked up their own curve points; the strong elasticity draw
+# covers the solver's failures (intersection stalls and ball exits) as well
+# as its fans, and at two more kinetics (the classical limit and theta =
+# 0.9) recorded before the wave-curve walk returned jumps
 GOLDEN_FANS = [
-    (elasticity_model(delta0=4.0, delta1=2.0), _c13_pairs,
+    (elasticity_model(delta0=4.0, delta1=2.0), KIN, _c13_pairs,
      "df29e3173b7bab2c345d1964de6aa94ce8dd8c220dca9814bae82348a610627f", 0),
-    (ELAS, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
+    (ELAS, KIN, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
      "b4832f6c090d1d493011d979d2c26e71007d311a08ee41cc1d3bffdd3d035283", 48),
-    (CUBIC, lambda: _uniform_pairs(300, -1.2, 1.2, 1),
+    (CUBIC, KIN, lambda: _uniform_pairs(300, -1.2, 1.2, 1),
      "e467a3682d6b6a1c1e3b5ec22d8d5cf72a9b4602149def3837d802b15541915e", 0),
+    (ELAS, KIN0, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
+     "15fcb55a4933846c706e5f7056e28d76f3d6e80bf3f830b31ef05ef2f6c78bfd", 48),
+    (ELAS, KineticFunction(theta=0.9, nucleation_gamma=0.25),
+     lambda: _uniform_pairs(300, -0.6, 0.6, 2),
+     "af54780c29d77fce9791e05dda322b5f1e9f3bcb0cc47c9d7d2e3d0007215697", 48),
 ]
 
 
-@pytest.mark.parametrize("model, pairs, digest, failures", GOLDEN_FANS,
-                         ids=["c13-draw", "elasticity-strong", "cubic"])
-def test_riemann_fans_keep_their_bits(model, pairs, digest, failures):
-    assert _fan_digest(model, pairs()) == (digest, failures)
+@pytest.mark.parametrize("model, kin, pairs, digest, failures", GOLDEN_FANS,
+                         ids=["c13-draw", "elasticity-strong", "cubic",
+                              "elasticity-strong-classical",
+                              "elasticity-strong-theta0.9"])
+def test_riemann_fans_keep_their_bits(model, kin, pairs, digest, failures):
+    assert _fan_digest(model, kin, pairs()) == (digest, failures)
 
 @given(
     ul=st.floats(-1.4, 1.4),
