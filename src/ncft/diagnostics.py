@@ -831,6 +831,8 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
     spread of the region table. Separate expansive same-family pairs pin
     the zero-product branch of the estimate.
     """
+    if n < 1:
+        raise ValueError(f"calibrate needs n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)
     i = model.cc_index
     mid_w = {fam: w.row(fam, i)[1] for fam in range(model.N)}

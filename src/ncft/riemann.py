@@ -14,6 +14,10 @@ Classical shocks are preferred throughout the overlap, ties included.
 Scalar problems read the solution straight off the curve; systems
 intersect the per-family curves with a damped Newton on the parameter
 targets, warm-started from the classical (trivial-kinetics) solution.
+The Newton probes walk the curves through the same branch rule, with
+unchecked Hugoniot points for shocks and checked rarefactions, whose
+failures steer the damping; the returned fan is rebuilt from checked
+waves and validated in full.
 """
 
 from __future__ import annotations
@@ -160,6 +164,16 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
     return a, right, kind, float(speed)
 
 
+def _probe_shock(model: FluxModel, a: Array, family: int, m: float,
+                 kin: Optional[KineticFunction] = None) -> tuple:
+    """The jump (left, right, None, speed) from a to the Hugoniot point
+    with parameter m, unchecked and unclassified: the shock of a Newton
+    probe, which reads the right state alone. kin is taken only to match
+    `_shock`'s call."""
+    right, speed = curves.hugoniot_point(model, a, family, m)
+    return a, right, None, speed
+
+
 def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
     """The jump (left, right, kind, speed) from a to the integral-curve
     point with parameter m; its characteristic speed must not decrease."""
@@ -174,13 +188,14 @@ def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
 
 
 def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
-           m: float) -> list:
+           m: float, shock=_shock) -> list:
     """The jumps (left, right, kind, speed) that take a along the family's
     forward wave curve to parameter m: none at a's own parameter, else one
     shock or rarefaction, or on the designated family a nonclassical jump
     and the wave that trails it. Non-designated families take a single
     wave by the local genuine-nonlinearity sign, and are only supported
-    away from their own sign-change manifolds."""
+    away from their own sign-change manifolds. Shocks come from the
+    builder `shock`, called as `_shock` is."""
     mu0 = float(model.family_parameter(a, family))
     m = float(m)
     if abs(m - mu0) < 1e-14:
@@ -193,7 +208,7 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
                 "curves are only constructed for the designated family"
             )
         shock_side = (m < mu0) if m_loc > 0 else (m > mu0)
-        return [_shock(model, a, family, m) if shock_side
+        return [shock(model, a, family, m) if shock_side
                 else _rarefaction(model, a, family, m)]
     s = 1.0 if mu0 > 0 else -1.0
     if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
@@ -205,7 +220,7 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
     # classical shocks are preferred throughout the overlap, ties also
     if s * m >= 0 or (s * (m - kin_mod.mu_nucleation(model, kin, a))
                       >= -THRESHOLD_TIE):
-        return [_shock(model, a, family, m, kin)]
+        return [shock(model, a, family, m, kin)]
     m_sharp = kin_mod.mu_sharp(model, kin, a)
     if s * (m - m_sharp) > 0:
         raise NoSolutionGap(
@@ -213,12 +228,12 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
             f"nucleation threshold: uncovered by either branch"
         )
     m_flat = kin_mod.mu_flat(model, kin, a)
-    leading = _shock(model, a, family, m_flat, kin)
+    leading = shock(model, a, family, m_flat, kin)
     if abs(m - m_flat) < 1e-14:
         return [leading]
     mid = leading[1]
     if s * (m - m_flat) > 0:
-        return [leading, _shock(model, mid, family, m, kin)]
+        return [leading, shock(model, mid, family, m, kin)]
     return [leading, _rarefaction(model, mid, family, m)]
 
 
@@ -304,10 +319,11 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
                   targets: np.ndarray) -> Array:
     """Right state of the fan that walks each family's wave curve to its
-    target; the jumps' states only, no waves are built."""
+    target; the jumps' states only, no waves are built. Shocks are
+    unchecked Hugoniot points, rarefactions keep their check."""
     state = a
     for j in range(model.N):
-        jumps = _jumps(model, kin, state, j, targets[j])
+        jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
         if jumps:
             state = jumps[-1][1]
     return state

@@ -639,6 +639,13 @@ def test_calibrate_scalar():
     json.dumps(rep.to_json_dict())
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_calibrate_rejects_fewer_than_one_sample(n):
+    # no zero-product pair is drawn for a caller that asks for no samples
+    with pytest.raises(ValueError, match="n >= 1"):
+        dg.calibrate(CUBIC, KIN, W, n=n)
+
+
 def test_calibrate_feeds_q1_row():
     rep = dg.calibrate(CUBIC, KIN, W, n=60, scales=(0.02,), seed=3)
     out = dg.validate_constraints(W, cff=0.75, k_floor=rep.k_floor)

@@ -400,6 +400,58 @@ GOLDEN_FANS = [
 def test_riemann_fans_keep_their_bits(model, kin, pairs, digest, failures):
     assert _fan_digest(model, kin, pairs()) == (digest, failures)
 
+
+def _checked_endpoint(model, kin, a, targets):
+    # the state the fan's own walk reaches: checked waves, family by family
+    state = a
+    for j, m in enumerate(targets):
+        state, _ = wave_curve_point(model, kin, state, j, m)
+    return state
+
+
+@pytest.mark.parametrize("model, kin, pairs", [g[:3] for g in GOLDEN_FANS[:2]],
+                         ids=["c13-draw", "elasticity-strong"])
+def test_newton_probe_walk_reaches_the_checked_walks_state(model, kin, pairs):
+    # the probes' unchecked shocks land where the checked walk lands, at
+    # the first guess and at the converged targets alike
+    compared = 0
+    for u_l, u_r in pairs():
+        a = models.require_in_ball(model, u_l)
+        b = models.require_in_ball(model, u_r)
+        candidates = [riemann._initial_targets(model, a, b)]
+        try:
+            candidates.append(riemann._newton_targets(model, kin, a, b))
+        except ValueError:
+            pass
+        for targets in candidates:
+            try:
+                want = _checked_endpoint(model, kin, a, targets)
+            except ValueError:
+                continue
+            got = riemann._fan_endpoint(model, kin, a, targets)
+            assert np.array_equal(got, want), (u_l, u_r, targets)
+            compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize("u_l, u_r, message", [
+    ([0.43482722495215875, 0.025269546850656965],
+     [-0.615758175481468, 0.7840343187116123],
+     "rarefaction with decreasing characteristic speed on family 0"),
+    ([0.5267321344255655, 0.25862968048499013],
+     [0.34640990367799684, -0.6012898563847516],
+     "curve intersection stalled at residual 7.614e-02"),
+], ids=["decreasing-speed", "stall"])
+def test_newton_probes_keep_the_rarefaction_check(u_l, u_r, message):
+    # a probe's rarefaction with falling characteristic speed fails the
+    # probe and steers the damping; with the check left out of the probes
+    # the first problem solves to a fan and the second fails on the
+    # rarefaction instead of the stall
+    with pytest.raises(riemann.SolverError) as info:
+        solve_riemann(ELAS, KIN, u_l, u_r)
+    assert str(info.value) == message
+
+
 @given(
     ul=st.floats(-1.4, 1.4),
     ur=st.floats(-1.4, 1.4),
