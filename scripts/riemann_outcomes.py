@@ -1,17 +1,22 @@
-"""Solve a fixed draw of p-system Riemann problems at three kinetic
-functions and print one sha256 per kinetic function over every outcome.
+"""Solve fixed draws of Riemann problems on both shipped models at three
+kinetic functions and print one sha256 per model and kinetic function
+over every outcome.
 
-The draw, on `elasticity_model()`: 2,000 weak pairs (a uniform in
-[-0.6, 0.6]^2, b = a + a uniform jump in [-0.05, 0.05]^2, seed 5) and
-1,500 strong pairs (a and b uniform in [-0.8, 0.8]^2, seed 11). Each
-outcome is hashed as the fan's JSON with sorted keys, or as
-`Class: message` when the solve raises, one line per problem.
+The p-system draw, on `elasticity_model()`: 2,000 weak pairs (a uniform
+in [-0.6, 0.6]^2, b = a + a uniform jump in [-0.05, 0.05]^2, seed 5) and
+1,500 strong pairs (a and b uniform in [-0.8, 0.8]^2, seed 11). The
+cubic draw, on `cubic_model()`: 3,000 pairs with a and b uniform in
+[-1.5, 1.5], the whole inner ball up to its edge, seed 7. Each outcome
+is hashed as the fan's JSON with sorted keys, or as `Class: message`
+when the solve raises, one line per problem; no draw drops its
+failures (the cubic draw has none).
 
 With --expect FILE the digests are also compared against FILE, one
-`<sha256>  <kinetics>` line per kinetic function
+`<sha256>  <key>` line per model and kinetic function
 (scripts/riemann_outcomes_sha256.txt holds the current ones); any
 differing, missing or unexpected digest makes the script exit with
-status 1.
+status 1. A p-system key is the kinetics alone, `theta=...,gamma=...`;
+a cubic key carries the prefix `cubic/`.
 
     PYTHONPATH=src python3 scripts/riemann_outcomes.py \\
         --expect scripts/riemann_outcomes_sha256.txt
@@ -26,7 +31,7 @@ import time
 import numpy as np
 
 from ncft.kinetics import KineticFunction
-from ncft.models import elasticity_model
+from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import solve_riemann
 from run_contrast import compare, read_expected
 
@@ -35,8 +40,9 @@ from run_contrast import compare, read_expected
 KINETICS = ((0.0, 0.0), (0.5, 0.5), (0.9, 0.25))
 
 
-def problems():
-    """The 2,000 weak and then the 1,500 strong (left, right) pairs."""
+def system_problems():
+    """The 2,000 weak and then the 1,500 strong p-system (left, right)
+    pairs."""
     rng = np.random.default_rng(5)
     for _ in range(2000):
         a = rng.uniform(-0.6, 0.6, 2)
@@ -44,6 +50,13 @@ def problems():
     rng = np.random.default_rng(11)
     for _ in range(1500):
         yield rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.8, 0.8, 2)
+
+
+def cubic_problems():
+    """The 3,000 cubic (left, right) pairs."""
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        yield rng.uniform(-1.5, 1.5, 1), rng.uniform(-1.5, 1.5, 1)
 
 
 def outcome(model, kin, a, b):
@@ -64,22 +77,23 @@ def main():
     args = parser.parse_args()
     expected = read_expected(args.expect) if args.expect else None
 
-    model = elasticity_model()
-    pairs = list(problems())
     got = {}
-    for theta, gamma in KINETICS:
-        kin = KineticFunction(theta=theta, nucleation_gamma=gamma)
-        h = hashlib.sha256()
-        failures = 0
-        start = time.perf_counter()
-        for a, b in pairs:
-            text = outcome(model, kin, a, b)
-            failures += not text.startswith("{")
-            h.update(text.encode() + b"\n")
-        key = f"theta={theta},gamma={gamma}"
-        got[key] = h.hexdigest()
-        print(f"{got[key]}  {key}  ({len(pairs)} problems, {failures} "
-              f"failures, {time.perf_counter() - start:.2f} s)")
+    for prefix, model, pairs in (
+            ("", elasticity_model(), list(system_problems())),
+            ("cubic/", cubic_model(), list(cubic_problems()))):
+        for theta, gamma in KINETICS:
+            kin = KineticFunction(theta=theta, nucleation_gamma=gamma)
+            h = hashlib.sha256()
+            failures = 0
+            start = time.perf_counter()
+            for a, b in pairs:
+                text = outcome(model, kin, a, b)
+                failures += not text.startswith("{")
+                h.update(text.encode() + b"\n")
+            key = f"{prefix}theta={theta},gamma={gamma}"
+            got[key] = h.hexdigest()
+            print(f"{got[key]}  {key}  ({len(pairs)} problems, {failures} "
+                  f"failures, {time.perf_counter() - start:.2f} s)")
 
     if expected is not None:
         diffs = compare(expected, got)

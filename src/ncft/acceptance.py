@@ -413,7 +413,7 @@ def check_c02():
                                   curves.shock_speed(model, u0, sh)))
             images.append(np.concatenate([s1, s2, fl, sh]))
         worst_pair = max(worst_pair,
-                         float(np.max(np.abs(images[0] - images[1]))))
+                         models.sup_norm(images[0] - images[1]))
     passed = max(worst_inv, worst_speed, worst_pair) <= 1e-10
     return passed, (
         f"closed forms and root searches: involution round trip max "
@@ -673,7 +673,7 @@ def check_c13():
                 jump = w.right - w.left
                 rh = (w.speed * jump
                       - (model.flux(w.right) - model.flux(w.left)))
-                worst_rh = max(worst_rh, float(np.max(np.abs(rh))))
+                worst_rh = max(worst_rh, models.sup_norm(rh))
                 dw = w.right[1] - w.left[1]
                 if abs(dw) > 1e-10:
                     dsig = ((w.right[1] ** 3 + w.right[1]) -

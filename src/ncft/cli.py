@@ -27,7 +27,7 @@ import numpy as np
 
 from ncft import diagnostics as dg
 from ncft import kinetics as kin_mod
-from ncft import curves, models, tracking
+from ncft import curves, models, riemann, tracking
 from ncft.kinetics import KineticFunction
 from ncft.models import FluxModel
 
@@ -418,10 +418,16 @@ def _prepare(cfg: dict, gate: bool = True) -> tuple:
 def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
            weights: dg.Weights, cff: float) -> tuple:
     """(run result, Lyapunov series, cycle audit, conservation report):
-    the initial fronts of the config tracked to T, then replayed once."""
+    the initial fronts of the config tracked to T, then replayed once.
+    Initial data whose jumps the Riemann solver cannot resolve is a
+    ConfigError naming `initial`."""
     states, positions = initial_profile(cfg)
-    fronts0 = tracking.init_fronts(model, kin, states, positions, h=cfg["h"],
-                                   strong_jumps=[0])
+    try:
+        fronts0 = tracking.init_fronts(model, kin, states, positions,
+                                       h=cfg["h"], strong_jumps=[0])
+    except riemann.SolverError as exc:
+        raise ConfigError(f"initial: a jump of the initial data has no "
+                          f"wave fan: {exc}") from exc
     result = tracking.run(model, kin, fronts0, t_end=cfg["T"],
                           snapshot_dt=cfg["snapshot_dt"])
     series = dg.lyapunov_series(model, result.events, result.snapshots,

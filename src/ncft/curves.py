@@ -143,12 +143,12 @@ def shock_speed(model: FluxModel, u_minus, u_plus,
     a = as_state(model, u_minus)
     b = as_state(model, u_plus)
     du = b - a
-    if float(np.max(np.abs(du))) < STATE_COINCIDENCE:
+    if models.sup_norm(du) < STATE_COINCIDENCE:
         fam = model.cc_index if family is None else family
         return char_speed(model, a, fam)
     df = model.flux(b) - model.flux(a)
     lam = float(du @ df) / float(du @ du)
-    resid = float(np.max(np.abs(df - lam * du)))
+    resid = models.sup_norm(df - lam * du)
     if resid > RH_TOL:
         raise RHInconsistency(
             f"states not Rankine-Hugoniot compatible: residual {resid:.3e}"
@@ -169,7 +169,13 @@ def chord_speed(model: FluxModel, left: Array, right: Array) -> float:
 
 def entropy_dissipation(model: FluxModel, u_minus, u_plus) -> float:
     """E = -lambda_bar (U+ - U-) + F+ - F-; admissible shocks have E <= 0."""
-    lam = shock_speed(model, u_minus, u_plus)
+    return dissipation_at_speed(model, u_minus, u_plus,
+                                shock_speed(model, u_minus, u_plus))
+
+
+def dissipation_at_speed(model: FluxModel, u_minus, u_plus,
+                         lam: float) -> float:
+    """entropy_dissipation of the jump, given its shock speed lam."""
     U_m, F_m = models.entropy_pair(model, u_minus)
     U_p, F_p = models.entropy_pair(model, u_plus)
     return -lam * (U_p - U_m) + (F_p - F_m)
@@ -276,9 +282,15 @@ def classify_shock(model: FluxModel, u_minus, u_plus, family: Optional[int] = No
     RarefactionShock, by comparing the shock speed with the family's
     characteristic speeds on both sides. Ties go to Lax."""
     fam = model.cc_index if family is None else family
-    lam = shock_speed(model, u_minus, u_plus, family=fam)
-    lam_l = char_speed(model, u_minus, fam)
-    lam_r = char_speed(model, u_plus, fam)
+    return classify_at_speed(model, u_minus, u_plus, fam,
+                             shock_speed(model, u_minus, u_plus, family=fam))
+
+
+def classify_at_speed(model: FluxModel, u_minus, u_plus, family: int,
+                      lam: float) -> str:
+    """classify_shock of the jump on family, given its shock speed lam."""
+    lam_l = char_speed(model, u_minus, family)
+    lam_r = char_speed(model, u_plus, family)
     above_right = lam - lam_r   # >= 0 when the shock outruns the right state
     below_left = lam_l - lam    # >= 0 when the left state outruns the shock
     if above_right >= -CLASSIFY_TOL and below_left >= -CLASSIFY_TOL:

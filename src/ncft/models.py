@@ -162,6 +162,22 @@ def within(u: Array, r: float, tol: float = BALL_TOL) -> bool:
     return math.sqrt(float(u.dot(u))) <= r + tol
 
 
+def sup_norm(x: Array) -> float:
+    """float(np.max(np.abs(x))) bit for bit, NaN in any position included,
+    without numpy's per-call cost on the short vectors states are; an
+    empty x raises ValueError, as numpy does."""
+    vals = x.tolist()
+    if not vals:
+        raise ValueError("zero-size array to reduction operation maximum "
+                         "which has no identity")
+    best = abs(vals[0])
+    for v in vals[1:]:
+        v = abs(v)
+        if v > best or v != v:
+            best = v
+    return float(best)
+
+
 def in_ball(model: FluxModel, u: Array, radius: str = "delta1",
             tol: float = BALL_TOL) -> bool:
     """Whether the state vector u lies in the model's ball named radius."""
@@ -221,7 +237,7 @@ def sample_ball(model: FluxModel, n: int, rng: np.random.Generator,
     out = []
     for _ in range(n):
         v = rng.normal(size=model.N)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(float(v.dot(v)))
         out.append(v * r * rng.uniform() ** (1.0 / model.N))
     return out
 

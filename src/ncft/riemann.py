@@ -17,7 +17,9 @@ targets, warm-started from the classical (trivial-kinetics) solution.
 The Newton probes walk the curves through the same branch rule, with
 unchecked Hugoniot points for shocks and checked rarefactions, whose
 failures steer the damping; the returned fan is rebuilt from checked
-waves and validated in full.
+waves and validated in full. A Jacobian column's probe moves one family's
+target, so it walks on from the base walk's state before that family
+instead of re-walking the families ahead of it.
 """
 
 from __future__ import annotations
@@ -139,9 +141,12 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
     with parameter m, its kind (classical or nonclassical) derived from
     the classification. Enforces the admissibility invariants: no
     expansive shock, no positive entropy dissipation, and with kin given,
-    the kinetic relation on a nonclassical jump."""
+    the kinetic relation on a nonclassical jump. Both rules read the one
+    least-squares speed whose Rankine-Hugoniot residual is checked; the
+    jump carries the Hugoniot hook's speed."""
     right, speed = curves.hugoniot_point(model, a, family, m)
-    cls = curves.classify_shock(model, a, right, family)
+    lam = curves.shock_speed(model, a, right, family)
+    cls = curves.classify_at_speed(model, a, right, family, lam)
     if cls == "Lax":
         kind = KIND_CLASSICAL
     elif cls in ("SlowUndercompressive", "FastUndercompressive"):
@@ -150,7 +155,7 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
         raise SolverError(
             f"inadmissible expansive shock emitted on family {family}"
         )
-    E = curves.entropy_dissipation(model, a, right)
+    E = curves.dissipation_at_speed(model, a, right, lam)
     if E > ENTROPY_TOL:
         raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
     if kind == KIND_NONCLASSICAL and kin is not None:
@@ -259,7 +264,7 @@ def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
     ids = ids or IdGen()
     a = models.require_in_ball(model, u_l)
     b = models.require_in_ball(model, u_r)
-    if float(np.max(np.abs(b - a))) < 1e-14:
+    if models.sup_norm(b - a) < 1e-14:
         return WaveFan(())
     if model.N == 1:
         m = float(model.family_parameter(b, 0))
@@ -285,7 +290,7 @@ def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:
     if not waves:
         return waves
     last = waves[-1]
-    gap = float(np.max(np.abs(last.right - u_r)))
+    gap = models.sup_norm(last.right - u_r)
     if gap == 0.0:
         return waves
     if gap > 1e-9:
@@ -317,16 +322,20 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 
 
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
-                  targets: np.ndarray) -> Array:
-    """Right state of the fan that walks each family's wave curve to its
-    target; the jumps' states only, no waves are built. Shocks are
-    unchecked Hugoniot points, rarefactions keep their check."""
+                  targets: np.ndarray, first: int = 0) -> list:
+    """End state of each family's wave, from family `first` on, of the fan
+    that starts at a and walks each family's wave curve to its target; the
+    last one is the fan's endpoint. The jumps' states only, no waves are
+    built. Shocks are unchecked Hugoniot points, rarefactions keep their
+    check."""
+    states = []
     state = a
-    for j in range(model.N):
+    for j in range(first, model.N):
         jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
         if jumps:
             state = jumps[-1][1]
-    return state
+        states.append(state)
+    return states
 
 
 def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
@@ -340,14 +349,20 @@ def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
     return _newton_refine(model, kin, a, b, guess)
 
 
-def _newton_step(residual, targets: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Newton step on the fan endpoint, with a forward-difference Jacobian."""
+def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
+                 b: Array, targets: np.ndarray, states: list,
+                 r: np.ndarray) -> np.ndarray:
+    """Newton step on the fan endpoint, from the walk to targets, which
+    reached states with residual r, with a forward-difference Jacobian.
+    Column j's probe changes family j's target alone, so it walks on from
+    the state that walk reached before family j."""
     n = len(targets)
     J = np.empty((n, n))
     for j in range(n):
         probe = targets.copy()
         probe[j] += FD_STRENGTH
-        J[:, j] = (residual(probe) - r) / FD_STRENGTH
+        end = _fan_endpoint(model, kin, states[j - 1] if j else a, probe, j)[-1]
+        J[:, j] = ((end - b) - r) / FD_STRENGTH
     try:
         return np.linalg.solve(J, -r)
     except np.linalg.LinAlgError as exc:
@@ -356,34 +371,35 @@ def _newton_step(residual, targets: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
                    targets: np.ndarray) -> np.ndarray:
-    def residual(t):
-        return _fan_endpoint(model, kin, a, t) - b
-
-    r = residual(targets)
-    best = float(np.max(np.abs(r)))
+    states = _fan_endpoint(model, kin, a, targets)
+    r = states[-1] - b
+    best = models.sup_norm(r)
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
             # one undamped step past the tolerance lands the fan on the
             # roundoff floor; kept only when it helps
             try:
-                trial = targets + _newton_step(residual, targets, r)
-                polished = float(np.max(np.abs(residual(trial))))
+                trial = targets + _newton_step(model, kin, a, b, targets,
+                                               states, r)
+                polished = models.sup_norm(
+                    _fan_endpoint(model, kin, a, trial)[-1] - b)
             except (curves.CurveError, SolverError):
                 return targets
             return trial if polished < best else targets
-        step = _newton_step(residual, targets, r)
+        step = _newton_step(model, kin, a, b, targets, states, r)
         # damping by halving until the residual decreases
         scale = 1.0
         for _ in range(12):
             trial = targets + scale * step
             try:
-                r_trial = residual(trial)
+                trial_states = _fan_endpoint(model, kin, a, trial)
             except (curves.CurveError, SolverError):
                 scale *= 0.5
                 continue
-            norm = float(np.max(np.abs(r_trial)))
+            r_trial = trial_states[-1] - b
+            norm = models.sup_norm(r_trial)
             if norm < best:
-                targets, r, best = trial, r_trial, norm
+                targets, states, r, best = trial, trial_states, r_trial, norm
                 break
             scale *= 0.5
         else:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ncft import curves, riemann
 from ncft.kinetics import KineticFunction
-from ncft.models import FluxModel
+from ncft.models import FluxModel, sup_norm
 from ncft.riemann import (
     KIND_CLASSICAL,
     KIND_NONCLASSICAL,
@@ -526,11 +526,11 @@ def conservation_report(model: FluxModel, result: RunResult) -> dict:
     budget = 0.0
     for ev in result.events:
         ledger = ledger + ev.mass_correction
-        budget += float(np.max(np.abs(ev.mass_correction)))
+        budget += sup_norm(ev.mass_correction)
     corrected = raw - ledger
     return {
-        "raw": float(np.max(np.abs(raw))),
-        "corrected": float(np.max(np.abs(corrected))),
+        "raw": sup_norm(raw),
+        "corrected": sup_norm(corrected),
         "budget": budget,
         "window": (x_lo, x_hi),
     }

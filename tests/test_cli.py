@@ -611,6 +611,26 @@ def test_cli_rejects_a_base_state_whose_companion_leaves_the_ball(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_cli_rejects_initial_data_the_solver_cannot_resolve(tmp_path):
+    # on the p-system the main jump (0.5, 0) -> (-0.5, 0) needs a family-0
+    # wave from a state on that family's own inflection
+    cfg = base_cfg(model={"name": "elasticity", "params": {}},
+                   flags={"stability_check": False})
+    cfg["initial"].update(u_star=[0.5, 0.0], main=[0.0, [-1.0, 0.0]],
+                          jumps=[])
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("Error: initial: ")
+    assert "family 0 degenerate at [0.5, 0.0]" in result.output
+    assert len(result.output.strip().splitlines()) == 1
+
+
 def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):
     cfg = base_cfg()
     cfg["calibration"]["n"] = 8

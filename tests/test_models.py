@@ -153,6 +153,28 @@ def test_ball_rejection():
     models.require_in_ball(CUBIC, 1.5)  # boundary is inside
 
 
+def test_sup_norm_matches_numpy():
+    # float(np.max(np.abs(x))) bit for bit: NaN in any position wins, the
+    # signs of zeros and infinities drop
+    specials = (0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan)
+    vectors = [np.array([x]) for x in specials]
+    vectors += [np.array([x, y]) for x in specials for y in specials]
+    rng = np.random.default_rng(3)
+    vectors += [rng.normal(size=n) * 10.0 ** rng.integers(-12, 12)
+                for n in (1, 2, 3) for _ in range(50)]
+    for x in vectors:
+        want = float(np.max(np.abs(x)))
+        got = models.sup_norm(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+    assert np.isnan(models.sup_norm(np.array([1.0, np.nan])))
+    assert np.isnan(models.sup_norm(np.array([np.nan, 1.0])))
+    with pytest.raises(ValueError):
+        np.max(np.abs(np.array([])))
+    with pytest.raises(ValueError):
+        models.sup_norm(np.array([]))
+
+
 def test_field_kind_validation():
     # cc_index must name one of the N families
     for model in (CUBIC, ELAS):

@@ -7,6 +7,7 @@ oracle built from the closed-form wave curves of that model.
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,19 +402,22 @@ def test_riemann_fans_keep_their_bits(model, kin, pairs, digest, failures):
     assert _fan_digest(model, kin, pairs()) == (digest, failures)
 
 
-def _checked_endpoint(model, kin, a, targets):
-    # the state the fan's own walk reaches: checked waves, family by family
+def _checked_states(model, kin, a, targets):
+    # the states the fan's own walk reaches: checked waves, family by family
+    states = []
     state = a
     for j, m in enumerate(targets):
         state, _ = wave_curve_point(model, kin, state, j, m)
-    return state
+        states.append(state)
+    return states
 
 
 @pytest.mark.parametrize("model, kin, pairs", [g[:3] for g in GOLDEN_FANS[:2]],
                          ids=["c13-draw", "elasticity-strong"])
 def test_newton_probe_walk_reaches_the_checked_walks_state(model, kin, pairs):
     # the probes' unchecked shocks land where the checked walk lands, at
-    # the first guess and at the converged targets alike
+    # every family's end, at the first guess and at the converged targets
+    # alike
     compared = 0
     for u_l, u_r in pairs():
         a = models.require_in_ball(model, u_l)
@@ -425,13 +429,61 @@ def test_newton_probe_walk_reaches_the_checked_walks_state(model, kin, pairs):
             pass
         for targets in candidates:
             try:
-                want = _checked_endpoint(model, kin, a, targets)
+                want = _checked_states(model, kin, a, targets)
             except ValueError:
                 continue
             got = riemann._fan_endpoint(model, kin, a, targets)
-            assert np.array_equal(got, want), (u_l, u_r, targets)
+            assert len(got) == len(want) == model.N
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (u_l, u_r, targets)
             compared += 1
     assert compared > 300
+
+
+@pytest.mark.parametrize("model, a, family, m, kind", [
+    (CUBIC, [1.0], 0, 0.5, KIND_CLASSICAL),
+    (CUBIC, [1.0], 0, None, KIND_NONCLASSICAL),
+    (ELAS, [0.0, 0.5], 1, 0.45, KIND_CLASSICAL),
+    (ELAS, [0.0, 0.5], 0, -0.55, KIND_CLASSICAL),
+    (ELAS, [0.1, 0.6], 1, None, KIND_NONCLASSICAL),
+], ids=["cubic-classical", "cubic-nonclassical", "elasticity-family1",
+        "elasticity-family0", "elasticity-nonclassical"])
+def test_checked_shock_gets_its_speed_once(model, a, family, m, kind):
+    # classification and dissipation read the one least-squares speed,
+    # whose Rankine-Hugoniot residual check runs once per shock; m None
+    # is the kinetic value, a nonclassical jump
+    a = np.array(a)
+    if m is None:
+        m = kin_mod.mu_flat(model, KIN, a)
+    with mock.patch.object(curves, "shock_speed",
+                           wraps=curves.shock_speed) as speed:
+        left, right, got, _ = riemann._shock(model, a, family, m, KIN)
+    assert got == kind
+    assert speed.call_count == 1
+    assert speed.call_args.args[1:] == (left, right, family)
+
+
+def test_jacobian_walks_family_zero_once():
+    # column 0 walks both families; column 1 changes family 1's target
+    # alone and walks on from the base walk's state after family 0
+    a = np.array([0.1, 0.5])
+    b = np.array([0.13, 0.47])
+    targets = riemann._initial_targets(ELAS, a, b)
+    states = riemann._fan_endpoint(ELAS, KIN, a, targets)
+    r = states[-1] - b
+    with mock.patch.object(riemann, "_jumps", wraps=riemann._jumps) as jumps:
+        step = riemann._newton_step(ELAS, KIN, a, b, targets, states, r)
+    assert [c.args[3] for c in jumps.call_args_list] == [0, 1, 1]
+    assert jumps.call_args_list[2].args[2] is states[0]
+
+    def full_walk_column(j):
+        probe = targets.copy()
+        probe[j] += riemann.FD_STRENGTH
+        return ((riemann._fan_endpoint(ELAS, KIN, a, probe)[-1] - b) - r) \
+            / riemann.FD_STRENGTH
+
+    J = np.column_stack([full_walk_column(j) for j in range(ELAS.N)])
+    assert step.tobytes() == np.linalg.solve(J, -r).tobytes()
 
 
 @pytest.mark.parametrize("u_l, u_r, message", [
