@@ -8,14 +8,24 @@ DIR is a checkout of the repository (for instance a `git archive` of a
 commit unpacked into a directory). Each pair runs `ncft_bench/run.py`
 once from each checkout, as a subprocess, at the pair's seed; which side
 runs first alternates from pair to pair, starting with the parent. The
-script prints, per metric, each side's quartiles and median and the
-number of pairs the change won (a metric's better direction comes from
-the change checkout's BENCHMARK.json), and merges the pairs and that
-summary into --out: a JSON object with "pairs", a list of pair records,
-and "summary", keyed by workload ("<workload> traced" for --trace 1) and
-computed from every pair of that key in the file, so several workloads
-and batches can share one file. Nothing in either checkout is written
+script prints, per metric, each side's quartiles and median, the number
+of pairs the change won and two verdicts (a metric's better direction
+and bound come from the change checkout's BENCHMARK.json), and merges
+the pairs and that summary into --out: a JSON object with "pairs", a
+list of pair records, and "summary", keyed by workload ("<workload>
+traced" for --trace 1) and computed from every pair of that key in the
+file, so several workloads and batches can share one file. Nothing in either checkout is written
 except what run.py itself writes under its ncft_bench/out directory.
+
+The verdicts: claim_rule_met holds when there are at least ten pairs,
+the change won at least nine tenths of them (ties count for neither
+side) and its median is better than the parent's by more than the
+parent's interquartile range.
+within_bound holds when the change's median is worse than the parent's
+by no more than the metric's bound, a fraction of the parent's median;
+it reads "unresolved" when the parent's interquartile range, as a
+fraction of its median, exceeds the bound and not every change run beats
+every parent run, and null for a metric without a bound.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# fewer pairs than this meet no claim, whatever they show
+MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str, pairs: int) -> list:
@@ -62,11 +74,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     return line
 
 
-def directions(checkout: str) -> dict:
-    """'lower' or 'higher' per metric name, from BENCHMARK.json."""
+def metric_rules(checkout: str) -> dict:
+    """(better, bound) per metric name from BENCHMARK.json: 'lower' or
+    'higher', and the relative bound, None for a metric without one."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    return {m["name"]: m["better"]
+    return {m["name"]: (m["better"], m.get("bound"))
             for m in bench["end_to_end"] + bench["per_layer"]}
 
 
@@ -78,9 +91,35 @@ def quartiles(values: list) -> list:
     return [q1, q2, q3]
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def claim_rule_met(parent: list, change: list, wins: int,
+                   sign: float) -> bool:
+    """Whether the change won at least 9/10 of ten or more pairs and its
+    median beats the parent's by more than the parent's interquartile
+    range; sign is 1 where lower is better, -1 where higher is."""
+    q_parent, q_change = quartiles(parent), quartiles(change)
+    return (len(parent) >= MIN_CLAIM_PAIRS
+            and 10 * wins >= 9 * len(parent)
+            and sign * (q_parent[1] - q_change[1]) > q_parent[2] - q_parent[0])
+
+
+def within_bound(parent: list, change: list, sign: float, bound):
+    """True or False: whether the change's median is worse than the
+    parent's by no more than bound, relative to the parent's median;
+    "unresolved" when the parent's own spread exceeds the bound and the
+    change's runs do not all beat the parent's; None without a bound."""
+    if bound is None:
+        return None
+    q_parent, q_change = quartiles(parent), quartiles(change)
+    scale = abs(q_parent[1])
+    every_run_better = all(sign * (c - p) < 0 for c in change for p in parent)
+    if q_parent[2] - q_parent[0] > bound * scale and not every_run_better:
+        return "unresolved"
+    return sign * (q_change[1] - q_parent[1]) <= bound * scale
+
+
+def summarize(pairs: list, rules: dict) -> dict:
     """Per metric: both sides' quartiles, the change/parent ratio of the
-    medians, and the pairs the change won or tied."""
+    medians, the pairs the change won or tied, and both verdicts."""
     values = {}
     for pair in pairs:
         for name in pair["parent"]["metrics"]:
@@ -92,16 +131,20 @@ def summarize(pairs: list, better: dict) -> dict:
     for name, rows in values.items():
         parent = [p for p, _ in rows]
         change = [c for _, c in rows]
-        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        better, bound = rules.get(name, ("lower", None))
+        sign = -1.0 if better == "higher" else 1.0
         q_parent, q_change = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) < 0 for p, c in rows)
         metrics[name] = {
             "parent_q1_median_q3": q_parent,
             "change_q1_median_q3": q_change,
             "change_over_parent_median": (q_change[1] / q_parent[1]
                                           if q_parent[1] else None),
             "pairs": len(rows),
-            "change_wins": sum(sign * (c - p) < 0 for p, c in rows),
+            "change_wins": wins,
             "ties": sum(c == p for p, c in rows),
+            "claim_rule_met": claim_rule_met(parent, change, wins, sign),
+            "within_bound": within_bound(parent, change, sign, bound),
         }
     calls_differing = sorted(
         name for name, rows in values.items()
@@ -117,6 +160,10 @@ def summarize(pairs: list, better: dict) -> dict:
     }
 
 
+def _verdict(value) -> str:
+    return {True: "yes", False: "NO", None: "-"}.get(value, value)
+
+
 def report(key: str, summary: dict) -> str:
     out = [f"{key}: {len(summary['seeds'])} pairs, seeds {summary['seeds']}, "
            f"all correct: {summary['all_correct']}"]
@@ -127,7 +174,9 @@ def report(key: str, summary: dict) -> str:
             f"  {name:36s} parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
             f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  "
             f"ratio {'-' if ratio is None else f'{ratio:.3f}'}  "
-            f"won {m['change_wins']}/{m['pairs']}")
+            f"won {m['change_wins']}/{m['pairs']}  "
+            f"claim {'met' if m['claim_rule_met'] else 'not met'}  "
+            f"within bound {_verdict(m['within_bound'])}")
     if summary["calls_differing"]:
         out.append(f"  calls differing: {summary['calls_differing']}")
     return "\n".join(out)
@@ -165,7 +214,7 @@ def main(argv=None) -> int:
     key = args.workload + (" traced" if args.trace else "")
     same = [p for p in doc["pairs"]
             if p["workload"] == args.workload and p["trace"] == args.trace]
-    doc["summary"][key] = summarize(same, directions(args.change))
+    doc["summary"][key] = summarize(same, metric_rules(args.change))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

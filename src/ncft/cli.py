@@ -415,19 +415,24 @@ def _prepare(cfg: dict, gate: bool = True) -> tuple:
     return model, kin, stability, kin_mod.check_hypotheses(model, kin)
 
 
-def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
-           weights: dg.Weights, cff: float) -> tuple:
-    """(run result, Lyapunov series, cycle audit, conservation report):
-    the initial fronts of the config tracked to T, then replayed once.
-    Initial data whose jumps the Riemann solver cannot resolve is a
-    ConfigError naming `initial`."""
+def _initial_fronts(cfg: dict, model: FluxModel,
+                    kin: KineticFunction) -> tracking.FrontSet:
+    """The config's initial fronts. Initial data whose jumps the Riemann
+    solver cannot resolve is a ConfigError naming `initial`."""
     states, positions = initial_profile(cfg)
     try:
-        fronts0 = tracking.init_fronts(model, kin, states, positions,
-                                       h=cfg["h"], strong_jumps=[0])
+        return tracking.init_fronts(model, kin, states, positions,
+                                    h=cfg["h"], strong_jumps=[0])
     except riemann.SolverError as exc:
         raise ConfigError(f"initial: a jump of the initial data has no "
                           f"wave fan: {exc}") from exc
+
+
+def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
+           fronts0: tracking.FrontSet, weights: dg.Weights,
+           cff: float) -> tuple:
+    """(run result, Lyapunov series, cycle audit, conservation report):
+    the initial fronts tracked to the config's T, then replayed once."""
     result = tracking.run(model, kin, fronts0, t_end=cfg["T"],
                           snapshot_dt=cfg["snapshot_dt"])
     series = dg.lyapunov_series(model, result.events, result.snapshots,
@@ -475,6 +480,8 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
     os.makedirs(out_dir, exist_ok=True)
     model, kin, stability, conformance = _prepare(cfg,
                                                   gate=not calibrate_only)
+    # a full run refuses initial data without a wave fan before it writes
+    fronts0 = None if calibrate_only else _initial_fronts(cfg, model, kin)
     _write_json(os.path.join(out_dir, "conformance.json"),
                 conformance.to_json_dict())
     cff = conformance.measured_Cff
@@ -511,8 +518,8 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
         _write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
         return manifest
 
-    result, series, audit, conservation = _track(cfg, model, kin, weights,
-                                                 cff)
+    result, series, audit, conservation = _track(cfg, model, kin, fronts0,
+                                                 weights, cff)
 
     _write_jsonl(os.path.join(out_dir, "trajectory.jsonl"),
                  (fs.to_json_dict() for fs in result.snapshots))
@@ -581,7 +588,8 @@ def sweep_row(payload: tuple) -> dict:
         model, kin, _, conformance = _prepare(run_cfg)
         cff = conformance.measured_Cff
         result, series, audit, conservation = _track(
-            run_cfg, model, kin, _weights_for(run_cfg, cff), cff)
+            run_cfg, model, kin, _initial_fronts(run_cfg, model, kin),
+            _weights_for(run_cfg, cff), cff)
         summary = _summary(result, series, audit, conservation)
         drops = [r.lyapunov_drop for r in audit.records
                  if not r.open and r.lyapunov_drop is not None]

@@ -97,12 +97,19 @@ class HugoniotCurve:
         m = float(m)
         if abs(m - self.mu0) < STATE_COINCIDENCE:
             return self.u_minus.copy(), self.lam0
-        u, lam = self._hugoniot_fn(self.u_minus, self.family, m)
-        if not models.within(u, self._delta0):
-            raise BallExit(
-                f"Hugoniot locus left the outer ball at {u.tolist()}"
-            )
-        return u, float(lam)
+        return _hook_point(self._hugoniot_fn, self._delta0, self.u_minus,
+                           self.family, m)
+
+
+def _hook_point(hugoniot_fn, delta0: float, a: Array, family: int,
+                m: float) -> tuple:
+    """(state, shock speed) of the hook's point with parameter m on the
+    Hugoniot locus of a, once the state is known to lie in the outer ball
+    of radius delta0; BallExit otherwise."""
+    u, lam = hugoniot_fn(a, family, m)
+    if not models.within(u, delta0):
+        raise BallExit(f"Hugoniot locus left the outer ball at {u.tolist()}")
+    return u, float(lam)
 
 
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
@@ -114,9 +121,13 @@ def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> H
 
 def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> tuple:
     """(state, shock speed) of the point with parameter m on the Hugoniot
-    locus of u_minus."""
-    models.require_in_ball(model, u_minus, "delta0")
-    return hugoniot_curve(model, u_minus, family).state_speed(m)
+    locus of u_minus: hugoniot_curve(...).state_speed(m) bit for bit,
+    without building or memoizing the curve."""
+    a = models.require_in_ball(model, u_minus, "delta0")
+    m = float(m)
+    if abs(m - float(model.family_parameter(a, family))) < STATE_COINCIDENCE:
+        return a.copy(), char_speed(model, a, family)
+    return _hook_point(model.hugoniot_fn, model.delta0, a, family, m)
 
 
 def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Array:

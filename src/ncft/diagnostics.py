@@ -223,13 +223,14 @@ def _wave_arrays(waves) -> tuple:
             np.array([abs(wv.strength) for wv in waves], dtype=float))
 
 
-def _approaches(left: Wave, right: Wave) -> bool:
-    """Whether two waves, left before right, approach: waves of different
-    families when the left one has the larger family, waves of one family
-    when either is a shock."""
-    if left.family != right.family:
-        return left.family > right.family
-    return left.kind in SHOCK_KINDS or right.kind in SHOCK_KINDS
+def _approaches(left_family: int, left_kind: str, right_family: int,
+                right_kind: str) -> bool:
+    """Whether two waves (or jumps), left before right, approach: waves
+    of different families when the left one has the larger family, waves
+    of one family when either is a shock."""
+    if left_family != right_family:
+        return left_family > right_family
+    return left_kind in SHOCK_KINDS or right_kind in SHOCK_KINDS
 
 
 def pair_terms(waves, speeds, cc_index: int) -> tuple:
@@ -271,7 +272,7 @@ def pair_sums(waves, speeds, cc_index: int) -> tuple:
     for a, wa in enumerate(waves):
         for b in range(a + 1, len(waves)):
             wb = waves[b]
-            if not _approaches(wa, wb):
+            if not _approaches(wa.family, wa.kind, wb.family, wb.kind):
                 continue
             p = abs(wa.strength) * abs(wb.strength)
             product += p
@@ -796,26 +797,29 @@ class CalibrationReport:
         return dataclasses.asdict(self)
 
 
-def _wave_chord(model: FluxModel, wv: Wave) -> float:
-    if isinstance(wv.speed, tuple):
-        return curves.chord_speed(model, wv.left, wv.right)
-    return float(wv.speed)
+def _chord(model: FluxModel, left: Array, right: Array, speed) -> float:
+    """The speed of a shock, the chord speed of a rarefaction, whose speed
+    is a (left, right) characteristic pair."""
+    if isinstance(speed, tuple):
+        return curves.chord_speed(model, left, right)
+    return float(speed)
 
 
 def _wave_pair(model: FluxModel, kin: KineticFunction, u0, fam1: int,
                d1: float, fam2: int, d2: float) -> Optional[tuple]:
-    """Two single waves chained off u0: family fam1 to its parameter at u0
-    plus d1, then family fam2 to its parameter there plus d2. Returns
-    (w1, v1, w2, v2, right state) with each wave's chord speed v, or None
-    when either step takes more than one wave."""
+    """Two single jumps chained off u0: family fam1 to its parameter at u0
+    plus d1, then family fam2 to its parameter there plus d2. Returns the
+    two jumps (left, right, kind, speed) of the wave-curve walk, or None
+    when either step takes other than one wave. No wave is built."""
     u, out = u0, []
     for fam, d in ((fam1, d1), (fam2, d2)):
-        u, frag = riemann.wave_curve_point(
-            model, kin, u, fam, float(model.family_parameter(u, fam)) + d)
-        if len(frag) != 1:
+        jumps = riemann._jumps(model, kin, u, fam,
+                               float(model.family_parameter(u, fam)) + d)
+        if len(jumps) != 1:
             return None
-        out += [frag[0], _wave_chord(model, frag[0])]
-    return (*out, u)
+        out += jumps
+        u = jumps[0][1]
+    return tuple(out)
 
 
 def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
@@ -823,9 +827,10 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
               seed: int = 0) -> CalibrationReport:
     """Measure the interaction constants on random weak binary collisions.
 
-    Each sample chains two weak waves off a random base state, keeps the
+    Each sample chains two weak jumps off a random base state, keeps the
     pair only when it genuinely approaches, and re-solves the outer
-    Riemann problem. The Glimm fit is the worst residual-to-product
+    Riemann problem; the pair's waves, with their strengths, are built
+    only for the samples kept. The Glimm fit is the worst residual-to-product
     ratio; the potential-weight floor comes from the interactions where
     the weighted variation grew, scaled by three to cover the weight
     spread of the region table. Separate expansive same-family pairs pin
@@ -870,11 +875,14 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
             if pair is None:
                 n_skip += 1
                 continue
-            w1, v1, w2, v2, uc = pair
-            if not _approaches(w1, w2) or v1 <= v2 + 1e-10:
+            (l1, r1, k1, s1), (l2, r2, k2, s2) = pair
+            v1, v2 = _chord(model, l1, r1, s1), _chord(model, l2, r2, s2)
+            if not _approaches(fam1, k1, fam2, k2) or v1 <= v2 + 1e-10:
                 n_skip += 1
                 continue
-            fan = riemann.solve_riemann(model, kin, u0, uc)
+            fan = riemann.solve_riemann(model, kin, u0, r2)
+            w1 = Wave.of(model, fam1, k1, l1, r1, s1, 0)
+            w2 = Wave.of(model, fam2, k2, l2, r2, s2, 0)
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             n_skip += 1
             continue
@@ -891,7 +899,9 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
         q0_post, q1_post, _ = pair_sums(
-            fan.waves, [_wave_chord(model, wv) for wv in fan.waves], i)
+            fan.waves,
+            [_chord(model, wv.left, wv.right, wv.speed) for wv in fan.waves],
+            i)
         d_q = (q0_post + q1_post) - (q0_pre + q1_pre)
         if d_w > 1e-13:
             if d_q < -STRENGTH_FLOOR:
@@ -922,10 +932,12 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
             pair = _wave_pair(model, kin, u0, i, d1, i, d2)
             if pair is None:
                 continue
-            w1, _, w2, _, uc = pair
-            if not all(wv.kind in RAREFACTION_KINDS for wv in (w1, w2)):
+            (l1, r1, k1, s1), (l2, r2, k2, s2) = pair
+            if not (k1 in RAREFACTION_KINDS and k2 in RAREFACTION_KINDS):
                 continue
-            fan = riemann.solve_riemann(model, kin, u0, uc)
+            fan = riemann.solve_riemann(model, kin, u0, r2)
+            w1 = Wave.of(model, i, k1, l1, r1, s1, 0)
+            w2 = Wave.of(model, i, k2, l2, r2, s2, 0)
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             continue
         zero_done += 1

@@ -32,9 +32,12 @@ class Memo:
     """A model's memo: each Hugoniot curve through a state takes one
     entry, keyed by family and the state's bytes, and all critical and
     kinetic values of one state share one more, keyed by the state's
-    bytes. Kinetic values are named by (map, KineticFunction) pairs, so
-    equal kinetic functions share them. Whenever an access finds more
-    than LIMIT entries, the memo clears whole first.
+    bytes. Curves enter through the critical maps (and the release
+    checks' root searches), which query one curve several times; a lone
+    Hugoniot point builds none. Kinetic values are named by (map,
+    KineticFunction) pairs, so equal kinetic functions share them.
+    Whenever an access finds more than LIMIT entries, the memo clears
+    whole first.
     """
 
     LIMIT = 8192
@@ -115,9 +118,10 @@ class FluxModel:
 
     cache is the model's Memo: one entry per Hugoniot curve through a
     state and one per state for all its critical and kinetic values,
-    cleared whole once it holds more than Memo.LIMIT entries. The curve
-    layer and the kinetics fill it through Memo.curve and Memo.value; it
-    takes no part in construction, comparison or hashing.
+    cleared whole once it holds more than Memo.LIMIT entries. The
+    critical maps fill its curve entries through Memo.curve, and they
+    and the kinetics its values through Memo.value (hugoniot_point adds
+    no entry); it takes no part in construction, comparison or hashing.
     """
 
     name: str

@@ -19,7 +19,11 @@ unchecked Hugoniot points for shocks and checked rarefactions, whose
 failures steer the damping; the returned fan is rebuilt from checked
 waves and validated in full. A Jacobian column's probe moves one family's
 target, so it walks on from the base walk's state before that family
-instead of re-walking the families ahead of it.
+instead of re-walking the families ahead of it. One solve keeps a map of
+its probe walks: the designated family reads the kinetics only for a
+target across the inflection manifold from its base, so the kinetic
+refine takes every classical walk without such a step from the map
+instead of walking it again.
 """
 
 from __future__ import annotations
@@ -192,6 +196,13 @@ def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
     return a, right, KIND_RAREFACTION, (lam_l, lam_r)
 
 
+def _reads_kinetics(mu0: float, m: float) -> bool:
+    """Whether the designated family's wave curve from a base state of
+    parameter mu0 reads the kinetics on its way to target m: only when
+    the base lies off the inflection manifold and m across it."""
+    return not (abs(mu0) < 1e-12 or (1.0 if mu0 > 0 else -1.0) * m >= 0)
+
+
 def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
            m: float, shock=_shock) -> list:
     """The jumps (left, right, kind, speed) that take a along the family's
@@ -216,15 +227,16 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
         return [shock(model, a, family, m) if shock_side
                 else _rarefaction(model, a, family, m)]
     s = 1.0 if mu0 > 0 else -1.0
-    if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
-        # beyond the base parameter, and both ways on the manifold, the
-        # characteristic speed grows
-        return [_rarefaction(model, a, family, m)]
-    # a same-sign weak shock lies inside the classical range for any
-    # admissible kinetics, so it skips the critical-point machinery;
+    if not _reads_kinetics(mu0, m):
+        if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
+            # beyond the base parameter, and both ways on the manifold,
+            # the characteristic speed grows
+            return [_rarefaction(model, a, family, m)]
+        # a same-sign weak shock lies inside the classical range for any
+        # admissible kinetics, so it skips the critical-point machinery
+        return [shock(model, a, family, m, kin)]
     # classical shocks are preferred throughout the overlap, ties also
-    if s * m >= 0 or (s * (m - kin_mod.mu_nucleation(model, kin, a))
-                      >= -THRESHOLD_TIE):
+    if s * (m - kin_mod.mu_nucleation(model, kin, a)) >= -THRESHOLD_TIE:
         return [shock(model, a, family, m, kin)]
     m_sharp = kin_mod.mu_sharp(model, kin, a)
     if s * (m - m_sharp) > 0:
@@ -322,36 +334,55 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 
 
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
-                  targets: np.ndarray, first: int = 0) -> list:
+                  targets: np.ndarray, first: int = 0,
+                  walks: Optional[dict] = None) -> list:
     """End state of each family's wave, from family `first` on, of the fan
     that starts at a and walks each family's wave curve to its target; the
     last one is the fan's endpoint. The jumps' states only, no waves are
     built. Shocks are unchecked Hugoniot points, rarefactions keep their
-    check."""
+    check.
+
+    walks, one solve's map of earlier walks keyed by (first, a's bytes,
+    targets' bytes), serves a walk again under kin when the kinetics it
+    read, if any, were kin; a walk that raised is not kept."""
+    walks = {} if walks is None else walks
+    key = (first, a.tobytes(), targets.tobytes())
+    hit = walks.get(key)
+    if hit is not None and hit[0] in (None, kin):
+        return hit[1]
     states = []
+    read = None
     state = a
     for j in range(first, model.N):
+        if j == model.cc_index and _reads_kinetics(
+                float(model.family_parameter(state, j)), float(targets[j])):
+            read = kin
         jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
         if jumps:
             state = jumps[-1][1]
         states.append(state)
+    walks[key] = (read, states)
     return states
 
 
 def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
                     b: Array) -> np.ndarray:
+    """Targets of the fan from a to b under kin, refined from the
+    classical solution's. Both refines share one map of walks, so the
+    kinetic refine walks again only where the kinetics were read."""
     classical = KineticFunction(theta=0.0, nucleation_gamma=0.0)
+    walks = {}
     guess = _initial_targets(model, a, b)
     try:
-        guess = _newton_refine(model, classical, a, b, guess)
+        guess = _newton_refine(model, classical, a, b, guess, walks)
     except SolverError:
         pass  # the warm start is allowed to be rough
-    return _newton_refine(model, kin, a, b, guess)
+    return _newton_refine(model, kin, a, b, guess, walks)
 
 
 def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
                  b: Array, targets: np.ndarray, states: list,
-                 r: np.ndarray) -> np.ndarray:
+                 r: np.ndarray, walks: Optional[dict] = None) -> np.ndarray:
     """Newton step on the fan endpoint, from the walk to targets, which
     reached states with residual r, with a forward-difference Jacobian.
     Column j's probe changes family j's target alone, so it walks on from
@@ -361,7 +392,8 @@ def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
     for j in range(n):
         probe = targets.copy()
         probe[j] += FD_STRENGTH
-        end = _fan_endpoint(model, kin, states[j - 1] if j else a, probe, j)[-1]
+        end = _fan_endpoint(model, kin, states[j - 1] if j else a, probe, j,
+                            walks)[-1]
         J[:, j] = ((end - b) - r) / FD_STRENGTH
     try:
         return np.linalg.solve(J, -r)
@@ -370,8 +402,8 @@ def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
 
 
 def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
-                   targets: np.ndarray) -> np.ndarray:
-    states = _fan_endpoint(model, kin, a, targets)
+                   targets: np.ndarray, walks: dict) -> np.ndarray:
+    states = _fan_endpoint(model, kin, a, targets, 0, walks)
     r = states[-1] - b
     best = models.sup_norm(r)
     for _ in range(MAX_ITER):
@@ -380,19 +412,19 @@ def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
             # roundoff floor; kept only when it helps
             try:
                 trial = targets + _newton_step(model, kin, a, b, targets,
-                                               states, r)
+                                               states, r, walks)
                 polished = models.sup_norm(
-                    _fan_endpoint(model, kin, a, trial)[-1] - b)
+                    _fan_endpoint(model, kin, a, trial, 0, walks)[-1] - b)
             except (curves.CurveError, SolverError):
                 return targets
             return trial if polished < best else targets
-        step = _newton_step(model, kin, a, b, targets, states, r)
+        step = _newton_step(model, kin, a, b, targets, states, r, walks)
         # damping by halving until the residual decreases
         scale = 1.0
         for _ in range(12):
             trial = targets + scale * step
             try:
-                trial_states = _fan_endpoint(model, kin, a, trial)
+                trial_states = _fan_endpoint(model, kin, a, trial, 0, walks)
             except (curves.CurveError, SolverError):
                 scale *= 0.5
                 continue

@@ -629,6 +629,8 @@ def test_cli_rejects_initial_data_the_solver_cannot_resolve(tmp_path):
     assert result.output.startswith("Error: initial: ")
     assert "family 0 degenerate at [0.5, 0.0]" in result.output
     assert len(result.output.strip().splitlines()) == 1
+    # refused before the first artifact is written
+    assert os.listdir(out) == []
 
 
 def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ gamma=0.5) has N at 0.8125, trailing classical at 0.984375, companion
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncft import curves
 from ncft import diagnostics as dg
-from ncft import tracking
+from ncft import riemann, tracking
 from ncft.kinetics import KineticFunction
 from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import KIND_CLASSICAL, KIND_NONCLASSICAL, KIND_PIECE, Wave
@@ -637,6 +638,26 @@ def test_calibrate_scalar():
     per_scale_n = sum(v["n"] for v in rep.per_scale.values())
     assert per_scale_n == 400
     json.dumps(rep.to_json_dict())
+
+
+def test_calibrate_builds_waves_for_kept_samples_only():
+    # two waves per evaluated or zero-product sample, plus the waves of the
+    # re-solved fans; a discarded pair builds none
+    fan_waves = []
+    solve = riemann.solve_riemann
+
+    def solved(*args, **kwargs):
+        fan = solve(*args, **kwargs)
+        fan_waves.append(len(fan.waves))
+        return fan
+
+    with mock.patch.object(riemann, "solve_riemann", solved), \
+            mock.patch.object(Wave, "of",
+                              wraps=Wave.of) as built:
+        rep = dg.calibrate(CUBIC, KIN, W, n=40, seed=2)
+    assert rep.n_skipped > 0
+    assert built.call_count == (2 * (rep.n_evaluated + rep.n_zero_product)
+                                + sum(fan_waves))
 
 
 @pytest.mark.parametrize("n", [0, -1])

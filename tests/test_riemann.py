@@ -486,6 +486,47 @@ def test_jacobian_walks_family_zero_once():
     assert step.tobytes() == np.linalg.solve(J, -r).tobytes()
 
 
+def _probe_walks(model, a, b):
+    # the probe family walks (family, start bytes, target, reads the
+    # kinetics) of the classical and the kinetic Newton pass of one solve
+    walks = {KIN0: [], KIN: []}
+    jumps = riemann._jumps
+
+    def recorded(model_, kin, state, family, m, shock=riemann._shock):
+        if shock is riemann._probe_shock:
+            mu0 = float(model_.family_parameter(state, family))
+            walks[kin].append((family, state.tobytes(), float(m),
+                               family == model_.cc_index
+                               and riemann._reads_kinetics(mu0, float(m))))
+        return jumps(model_, kin, state, family, m, shock)
+
+    with mock.patch.object(riemann, "_jumps", recorded):
+        solve_riemann(model, KIN, a, b)
+    return walks[KIN0], walks[KIN]
+
+
+def test_kinetic_pass_reuses_the_classical_walks():
+    # c13's first problem: family 1's targets stay on their base side, so
+    # no walk reads the kinetics and the kinetic refine walks only probes
+    # the classical one never made
+    a, b = next(_c13_pairs())
+    classical, kinetic = _probe_walks(GOLDEN_FANS[0][0], a, b)
+    assert classical and kinetic
+    assert not any(read for *_, read in classical + kinetic)
+    assert not {w[:3] for w in kinetic} & {w[:3] for w in classical}
+
+
+def test_kinetic_pass_walks_again_where_the_kinetics_were_read():
+    # a strong p-system problem whose fan holds a nonclassical shock: a
+    # walk that read the classical kinetics is walked again at theta = 0.5
+    a, b = list(GOLDEN_FANS[1][2]())[2]
+    kinds = fan_kinds(solve_riemann(ELAS, KIN, a, b))
+    assert KIND_NONCLASSICAL in kinds
+    classical, kinetic = _probe_walks(ELAS, a, b)
+    read = {w[:3] for w in classical if w[3]}
+    assert read & {w[:3] for w in kinetic if w[3]}
+
+
 @pytest.mark.parametrize("u_l, u_r, message", [
     ([0.43482722495215875, 0.025269546850656965],
      [-0.615758175481468, 0.7840343187116123],
