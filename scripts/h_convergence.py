@@ -8,6 +8,12 @@ check c12 runs the same measurement at h = 0.02, 0.01 and 0.005.
 """
 
 import argparse
+import os
+import sys
+
+# this checkout's sources, ahead of any installed ncft
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from ncft.acceptance import classical_l1_error
 

@@ -18,17 +18,22 @@ differing, missing or unexpected digest makes the script exit with
 status 1. A p-system key is the kinetics alone, `theta=...,gamma=...`;
 a cubic key carries the prefix `cubic/`.
 
-    PYTHONPATH=src python3 scripts/riemann_outcomes.py \\
+    python3 scripts/riemann_outcomes.py \\
         --expect scripts/riemann_outcomes_sha256.txt
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
 import numpy as np
+
+# this checkout's sources, ahead of any installed ncft
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from ncft.kinetics import KineticFunction
 from ncft.models import cubic_model, elasticity_model

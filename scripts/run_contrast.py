@@ -13,6 +13,10 @@ import os
 import sys
 from importlib.resources import files
 
+# this checkout's sources, ahead of any installed ncft
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
 from ncft import cli
 
 CONFIGS = ("cubic-baseline.json", "cubic-no-nucleation.json")

@@ -613,9 +613,9 @@ def run_sweep(cfg: dict, out_dir: str, workers: int = 1) -> str:
     os.makedirs(out_dir, exist_ok=True)
     rows_spec = _grid_rows(cfg.get("sweep", {}))
     payloads = [(cfg, overrides) for overrides in rows_spec]
-    if not payloads:
-        results = []
-    elif workers <= 1:
+    # the pool starts all its processes at once: no more than one per row
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         results = [sweep_row(p) for p in payloads]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -664,8 +664,8 @@ def _coverage_line(out_dir: str) -> str:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False),
               default="ncft-out", show_default=True,
               help="Artifact output directory.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Parallel sweep workers.")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True, help="Parallel sweep workers.")
 @click.option("--check", is_flag=True, help="Run the acceptance suite.")
 @click.option("--calibrate-only", is_flag=True,
               help="Stop after conformance and calibration.")

@@ -19,13 +19,14 @@ The critical maps answer from the model's critical_fn hook: the tangency
 and zero-dissipation parameters come from the hook, and the left contact
 and the equal-speed companions from its symmetry rule,
 companion(m) = 2 m_nat - m. Every parameter they return is checked against
-the outer ball through the Hugoniot point it names. The release checks
-hold them against bracketing root searches (acceptance.py).
+the outer ball through the Hugoniot point it names. A state's first query
+computes its record of both hook parameters, kept in the model's memo;
+no curve is kept there. The release checks hold the maps against
+bracketing root searches (acceptance.py).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
@@ -72,9 +73,7 @@ class HugoniotCurve:
     ball (BallExit otherwise).
 
     The curve keeps the model's hugoniot_fn and outer radius delta0, not
-    the model: the model's memo holds the curve, and a reference back
-    would keep every dropped model alive until a cyclic garbage
-    collection.
+    the model, so a curve kept by a caller does not keep its model alive.
 
     The base state's characteristic speed lam0 is a Python float computed
     once per curve; a query within STATE_COINCIDENCE of the base parameter
@@ -113,16 +112,15 @@ def _hook_point(hugoniot_fn, delta0: float, a: Array, family: int,
 
 
 def hugoniot_curve(model: FluxModel, u_minus, family: Optional[int] = None) -> HugoniotCurve:
-    """The model's memoized Hugoniot curve through u_minus."""
-    fam = model.cc_index if family is None else family
-    a = as_state(model, u_minus)
-    return model.cache.curve(fam, a, lambda: HugoniotCurve(model, a, fam))
+    """A new Hugoniot curve of family (default cc_index) through u_minus."""
+    return HugoniotCurve(model, u_minus,
+                         model.cc_index if family is None else family)
 
 
 def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> tuple:
     """(state, shock speed) of the point with parameter m on the Hugoniot
     locus of u_minus: hugoniot_curve(...).state_speed(m) bit for bit,
-    without building or memoizing the curve."""
+    without building the curve."""
     a = models.require_in_ball(model, u_minus, "delta0")
     m = float(m)
     if abs(m - float(model.family_parameter(a, family))) < STATE_COINCIDENCE:
@@ -192,74 +190,78 @@ def dissipation_at_speed(model: FluxModel, u_minus, u_plus,
     return -lam * (U_p - U_m) + (F_p - F_m)
 
 
-def _in_ball(curve: HugoniotCurve, m) -> float:
-    """m, once the state of its point on curve is known to lie in the
-    outer ball; BallExit otherwise."""
-    curve.state_speed(m)
-    return float(m)
+def _critical(model: FluxModel, a: Array) -> tuple:
+    """The record (tangency, zero-dissipation parameter) of state a, after
+    one outer-ball check of a and of each point the maps check; a map that
+    leaves the ball keeps its BallExit message, not the exception, whose
+    traceback would keep frames alive."""
+    a = models.require_in_ball(model, a, "delta0")
+    mu0 = mu(model, a)
+    m_nat, m_b0 = (float(m) for m in model.critical_fn(a, mu0))
+    # the tangency point counts as interior only if the chord speed rises
+    # past it inside the ball, up to a quarter of |mu| beyond it, the
+    # domain the release checks' search covers; where it fails, so does
+    # the zero-dissipation map
+    try:
+        for k, m in enumerate((m_nat - 0.25 * mu0, m_nat, m_b0)):
+            if abs(m - mu0) >= STATE_COINCIDENCE:
+                _hook_point(model.hugoniot_fn, model.delta0, a,
+                            model.cc_index, m)
+    except BallExit as exc:
+        return (m_nat if k == 2 else str(exc)), str(exc)
+    return m_nat, m_b0
 
 
-def _memoized(name: str):
-    """Serve a critical map of u_minus from the model's memo under name.
-    The map's body receives the state checked against the outer ball."""
-    def wrap(body):
-        @functools.wraps(body)
-        def memoized(model: FluxModel, u_minus):
-            a = models.require_in_ball(model, u_minus, "delta0")
-            return model.cache.value(name, a, lambda: body(model, a))
-        return memoized
-    return wrap
+def _read(model: FluxModel, u_minus, index: int) -> float:
+    """Entry index of the record of u_minus, from the model's memo; a
+    stored message raises its BallExit again."""
+    a = as_state(model, u_minus)
+    value = model.cache.value("crit", a, lambda: _critical(model, a))[index]
+    if type(value) is str:
+        raise BallExit(value)
+    return value
 
 
-@_memoized("nat")
-def mu_natural(model: FluxModel, a: Array) -> float:
+def mu_natural(model: FluxModel, u_minus) -> float:
     """Parameter of the tangency point: interior minimizer of the chord
     speed along the Hugoniot, where the shock speed meets the
     characteristic speed of the right state. Read from the model's
     critical_fn."""
-    mu0 = mu(model, a)
-    curve = hugoniot_curve(model, a)
-    m_nat = model.critical_fn(a, mu0)[0]
-    # the minimum counts as interior only if the chord speed rises past it
-    # inside the ball, up to a quarter of |mu| beyond it (BallExit
-    # otherwise), the domain the release checks' search covers
-    curve.state_speed(m_nat - 0.25 * mu0)
-    return _in_ball(curve, m_nat)
+    return _read(model, u_minus, 0)
 
 
-@_memoized("mnat")
-def mu_minus_natural(model: FluxModel, a: Array) -> Optional[float]:
+def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
     """Parameter of the left contact: the point beyond the tangency point
     where the chord speed climbs back to the characteristic speed of the
     base state, which is the base state's companion, 2 m_nat - mu. None
     when it lies outside the ball."""
-    mu0 = mu(model, a)
-    curve = hugoniot_curve(model, a)
-    m_nat = mu_natural(model, a)
+    a = as_state(model, u_minus)
+    return model.cache.value("mnat", a, lambda: _left_contact(model, a))
+
+
+def _left_contact(model: FluxModel, a: Array) -> Optional[float]:
+    m = 2.0 * mu_natural(model, a) - mu(model, a)
     try:
-        return _in_ball(curve, 2.0 * m_nat - mu0)
+        hugoniot_point(model, a, model.cc_index, m)
     except BallExit:
         return None
+    return m
 
 
-@_memoized("flat0")
-def mu_flat_zero(model: FluxModel, a: Array) -> float:
+def mu_flat_zero(model: FluxModel, u_minus) -> float:
     """Parameter of the zero-dissipation point: the interior root of the
     entropy dissipation along the Hugoniot, between the left contact and
     the tangency point. Applying the map from the reached state returns
     the start (involution). Read from the model's critical_fn."""
-    curve = hugoniot_curve(model, a)
-    # where the tangency point fails, so does this map
-    mu_natural(model, a)
-    return _in_ball(curve, model.critical_fn(a, mu(model, a))[1])
+    return _read(model, u_minus, 1)
 
 
 def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
     """Equal-shock-speed companion of m_ref on the other side of the
     tangency point, on the Hugoniot of u_minus: 2 m_nat - m_ref."""
-    a = models.require_in_ball(model, u_minus, "delta0")
-    curve = hugoniot_curve(model, a)
-    m_nat = mu_natural(model, a)
+    m_nat = mu_natural(model, u_minus)
+    # three points and the base speed of one locus: a curve, kept by no memo
+    curve = hugoniot_curve(model, u_minus)
     lam_ref = curve.speed_at(m_ref)
     if curve.speed_at(m_nat) - lam_ref > 0:
         raise BracketFailure(
@@ -267,13 +269,20 @@ def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
         )
     if curve.lam0 - lam_ref < 0:
         raise BracketFailure("no equal-speed companion before the base state")
-    return _in_ball(curve, 2.0 * m_nat - m_ref)
+    m = 2.0 * m_nat - m_ref
+    curve.state_speed(m)
+    return float(m)
 
 
-@_memoized("sharp0")
-def mu_sharp_zero(model: FluxModel, a: Array) -> float:
+def mu_sharp_zero(model: FluxModel, u_minus) -> float:
     """Equal-speed companion of the zero-dissipation point; the ordering
     flat-zero, tangency, sharp-zero holds along the parameter direction."""
+    a = as_state(model, u_minus)
+    return model.cache.value("sharp0", a, lambda: _sharp_zero(model, a))
+
+
+def _sharp_zero(model: FluxModel, a: Array) -> float:
+    models.require_in_ball(model, a, "delta0")
     mu0 = mu(model, a)
     if abs(mu0) < 1e-12:
         return 0.0

@@ -29,15 +29,12 @@ BALL_TOL = 1e-12
 
 
 class Memo:
-    """A model's memo: each Hugoniot curve through a state takes one
-    entry, keyed by family and the state's bytes, and all critical and
-    kinetic values of one state share one more, keyed by the state's
-    bytes. Curves enter through the critical maps (and the release
-    checks' root searches), which query one curve several times; a lone
-    Hugoniot point builds none. Kinetic values are named by (map,
-    KineticFunction) pairs, so equal kinetic functions share them.
-    Whenever an access finds more than LIMIT entries, the memo clears
-    whole first.
+    """A model's memo: one entry per state, keyed by the state's bytes,
+    holding all the state's critical and kinetic values; it holds no
+    curves. The critical maps keep one record per state in it, the
+    kinetics their values, named by (map, KineticFunction) pairs, so
+    equal kinetic functions share them. Whenever an access finds more
+    than LIMIT entries, the memo clears whole first.
     """
 
     LIMIT = 8192
@@ -48,27 +45,18 @@ class Memo:
     def __len__(self):
         return len(self._entries)
 
-    def curve(self, family: int, u: Array, build: Callable):
-        """The family's Hugoniot curve through u, from build() once."""
-        entries = self._live()
-        key = (family, u.tobytes())
-        if key not in entries:
-            entries[key] = build()
-        return entries[key]
-
     def value(self, name, u: Array, compute: Callable):
         """The value called name of state u, from compute() once; None is
-        a value like any other. A value whose computation clears the memo
-        is returned but not kept."""
-        entry = self._live().setdefault(u.tobytes(), {})
-        if name not in entry:
-            entry[name] = compute()
-        return entry[name]
-
-    def _live(self) -> dict:
+        a value like any other. A computation that raises leaves no
+        entry."""
         if len(self._entries) > self.LIMIT:
             self._entries.clear()
-        return self._entries
+        entry = self._entries.get(u.tobytes())
+        if entry is None or name not in entry:
+            value = compute()
+            self._entries.setdefault(u.tobytes(), {})[name] = value
+            return value
+        return entry[name]
 
 
 class BallViolation(ValueError):
@@ -116,12 +104,11 @@ class FluxModel:
     parameter whose Hugoniot state leaves the outer ball is an error
     (or, for the left contact, None).
 
-    cache is the model's Memo: one entry per Hugoniot curve through a
-    state and one per state for all its critical and kinetic values,
-    cleared whole once it holds more than Memo.LIMIT entries. The
-    critical maps fill its curve entries through Memo.curve, and they
-    and the kinetics its values through Memo.value (hugoniot_point adds
-    no entry); it takes no part in construction, comparison or hashing.
+    cache is the model's Memo: one entry per state for all its critical
+    and kinetic values, cleared whole once it holds more than Memo.LIMIT
+    entries. The critical maps and the kinetics fill it through
+    Memo.value; a curve point adds no entry, and no curve is kept. It
+    takes no part in construction, comparison or hashing.
     """
 
     name: str

@@ -493,6 +493,44 @@ def test_sweep_parallel_matches_serial(sweep_serial, tmp_path):
         assert fh_par.read() == fh_ser.read()
 
 
+def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path):
+    # a stub pool, so that no process starts: it records its size and
+    # maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    cfg = validated(T=0.1, sweep={"h": [0.01, 0.02]})
+    with open(cli.run_sweep(cfg, str(tmp_path), workers=64),
+              newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+    assert sizes == [2]
+
+
+def test_workers_below_one_is_a_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_cfg(sweep={"h": [0.01]})))
+    result = CliRunner().invoke(cli.main, ["--config", str(path), "--out",
+                                           str(tmp_path / "out"),
+                                           "--workers", "0"])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def _sweep_rows(cfg: dict, out) -> list:
     with open(cli.run_sweep(cfg, str(out), workers=1), newline="") as fh:
         return list(csv.DictReader(fh))

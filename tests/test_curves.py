@@ -315,7 +315,7 @@ def _point_or_exit(point):
 def test_hugoniot_point_is_the_curves_point(model):
     # every outcome of a fresh model's point, the base parameter, a query
     # within the coincidence tolerance of it and ball exits included, has
-    # the memoized curve's bits; the point itself adds no memo entry
+    # the curve's bits; the point itself adds no memo entry
     rng = np.random.default_rng(3)
     outcomes = set()
     for u in models.sample_ball(model, 30, rng, radius="delta0", margin=0.9):
