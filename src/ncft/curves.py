@@ -21,7 +21,8 @@ and the equal-speed companions from its symmetry rule,
 companion(m) = 2 m_nat - m. Every parameter they return is checked against
 the outer ball through the Hugoniot point it names. A state's first query
 computes its record of both hook parameters, kept in the model's memo;
-no curve is kept there. The release checks hold the maps against
+the two companion maps compute from that record on each call, and no
+curve is kept. The release checks hold the maps against
 bracketing root searches (acceptance.py).
 """
 
@@ -236,10 +237,6 @@ def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
     base state, which is the base state's companion, 2 m_nat - mu. None
     when it lies outside the ball."""
     a = as_state(model, u_minus)
-    return model.cache.value("mnat", a, lambda: _left_contact(model, a))
-
-
-def _left_contact(model: FluxModel, a: Array) -> Optional[float]:
     m = 2.0 * mu_natural(model, a) - mu(model, a)
     try:
         hugoniot_point(model, a, model.cc_index, m)
@@ -277,12 +274,7 @@ def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
 def mu_sharp_zero(model: FluxModel, u_minus) -> float:
     """Equal-speed companion of the zero-dissipation point; the ordering
     flat-zero, tangency, sharp-zero holds along the parameter direction."""
-    a = as_state(model, u_minus)
-    return model.cache.value("sharp0", a, lambda: _sharp_zero(model, a))
-
-
-def _sharp_zero(model: FluxModel, a: Array) -> float:
-    models.require_in_ball(model, a, "delta0")
+    a = models.require_in_ball(model, u_minus, "delta0")
     mu0 = mu(model, a)
     if abs(mu0) < 1e-12:
         return 0.0

@@ -30,10 +30,10 @@ BALL_TOL = 1e-12
 
 class Memo:
     """A model's memo: one entry per state, keyed by the state's bytes,
-    holding all the state's critical and kinetic values; it holds no
-    curves. The critical maps keep one record per state in it, the
-    kinetics their values, named by (map, KineticFunction) pairs, so
-    equal kinetic functions share them. Whenever an access finds more
+    holding the state's critical record and its kinetic values; it holds
+    no curves. The critical maps keep the record under one name, the
+    kinetics their values under (map, KineticFunction) pairs, so equal
+    kinetic functions share them. Whenever an access finds more
     than LIMIT entries, the memo clears whole first.
     """
 
@@ -104,11 +104,11 @@ class FluxModel:
     parameter whose Hugoniot state leaves the outer ball is an error
     (or, for the left contact, None).
 
-    cache is the model's Memo: one entry per state for all its critical
-    and kinetic values, cleared whole once it holds more than Memo.LIMIT
-    entries. The critical maps and the kinetics fill it through
-    Memo.value; a curve point adds no entry, and no curve is kept. It
-    takes no part in construction, comparison or hashing.
+    cache is the model's Memo: one entry per state for its critical
+    record and its kinetic values, cleared whole once it holds more than
+    Memo.LIMIT entries. The critical maps and the kinetics fill it
+    through Memo.value; a curve point adds no entry, and no curve is
+    kept. It takes no part in construction, comparison or hashing.
     """
 
     name: str

@@ -17,13 +17,13 @@ targets, warm-started from the classical (trivial-kinetics) solution.
 The Newton probes walk the curves through the same branch rule, with
 unchecked Hugoniot points for shocks and checked rarefactions, whose
 failures steer the damping; the returned fan is rebuilt from checked
-waves and validated in full. A Jacobian column's probe moves one family's
-target, so it walks on from the base walk's state before that family
-instead of re-walking the families ahead of it. One solve keeps a map of
-its probe walks: the designated family reads the kinetics only for a
-target across the inflection manifold from its base, so the kinetic
-refine takes every classical walk without such a step from the map
-instead of walking it again.
+waves and validated in full. One solve keeps a map of the family steps
+its probes walk, each keyed by its start state and target. The
+designated family reads the kinetics only for a target across the
+inflection manifold from its base, and only such a step's key holds the
+kinetic function. So a Jacobian column walks only the families from the
+one whose target it moves, and of the classical refine's steps the
+kinetic refine walks again only those that read the kinetics.
 """
 
 from __future__ import annotations
@@ -334,42 +334,39 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
 
 
 def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
-                  targets: np.ndarray, first: int = 0,
-                  walks: Optional[dict] = None) -> list:
-    """End state of each family's wave, from family `first` on, of the fan
-    that starts at a and walks each family's wave curve to its target; the
-    last one is the fan's endpoint. The jumps' states only, no waves are
-    built. Shocks are unchecked Hugoniot points, rarefactions keep their
-    check.
+                  targets: np.ndarray, walks: dict) -> list:
+    """End state of each family's wave of the fan that starts at a and
+    walks each family's wave curve to its target; the last one is the
+    fan's endpoint. The jumps' states only, no waves are built. Shocks are
+    unchecked Hugoniot points, rarefactions keep their check.
 
-    walks, one solve's map of earlier walks keyed by (first, a's bytes,
-    targets' bytes), serves a walk again under kin when the kinetics it
-    read, if any, were kin; a walk that raised is not kept."""
-    walks = {} if walks is None else walks
-    key = (first, a.tobytes(), targets.tobytes())
-    hit = walks.get(key)
-    if hit is not None and hit[0] in (None, kin):
-        return hit[1]
+    walks, one solve's map of family steps, keeps each step's end state
+    under (family, start state's bytes, target's bytes), and kin too when
+    the step reads the kinetics; a step that raised is not kept."""
     states = []
-    read = None
     state = a
-    for j in range(first, model.N):
+    # a target's bytes, not its float, which would merge 0.0 and -0.0;
+    # slicing the array's bytes costs less than slicing the array
+    tb, n = targets.tobytes(), targets.itemsize
+    for j in range(model.N):
+        key = (j, state.tobytes(), tb[j * n:(j + 1) * n])
         if j == model.cc_index and _reads_kinetics(
                 float(model.family_parameter(state, j)), float(targets[j])):
-            read = kin
-        jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
-        if jumps:
-            state = jumps[-1][1]
+            key += (kin,)
+        end = walks.get(key)
+        if end is None:
+            jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
+            end = walks[key] = jumps[-1][1] if jumps else state
+        state = end
         states.append(state)
-    walks[key] = (read, states)
     return states
 
 
 def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
                     b: Array) -> np.ndarray:
     """Targets of the fan from a to b under kin, refined from the
-    classical solution's. Both refines share one map of walks, so the
-    kinetic refine walks again only where the kinetics were read."""
+    classical solution's. Both refines share one map of family steps, so
+    the kinetic refine walks again only the steps that read the kinetics."""
     classical = KineticFunction(theta=0.0, nucleation_gamma=0.0)
     walks = {}
     guess = _initial_targets(model, a, b)
@@ -381,19 +378,18 @@ def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
 
 
 def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
-                 b: Array, targets: np.ndarray, states: list,
-                 r: np.ndarray, walks: Optional[dict] = None) -> np.ndarray:
-    """Newton step on the fan endpoint, from the walk to targets, which
-    reached states with residual r, with a forward-difference Jacobian.
-    Column j's probe changes family j's target alone, so it walks on from
-    the state that walk reached before family j."""
+                 b: Array, targets: np.ndarray, r: np.ndarray,
+                 walks: dict) -> np.ndarray:
+    """Newton step on the fan endpoint, from the walk to targets with
+    residual r, with a forward-difference Jacobian. Column j's probe
+    changes family j's target alone, so it takes the steps before family
+    j from walks."""
     n = len(targets)
     J = np.empty((n, n))
     for j in range(n):
         probe = targets.copy()
         probe[j] += FD_STRENGTH
-        end = _fan_endpoint(model, kin, states[j - 1] if j else a, probe, j,
-                            walks)[-1]
+        end = _fan_endpoint(model, kin, a, probe, walks)[-1]
         J[:, j] = ((end - b) - r) / FD_STRENGTH
     try:
         return np.linalg.solve(J, -r)
@@ -403,35 +399,33 @@ def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
 
 def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
                    targets: np.ndarray, walks: dict) -> np.ndarray:
-    states = _fan_endpoint(model, kin, a, targets, 0, walks)
-    r = states[-1] - b
+    r = _fan_endpoint(model, kin, a, targets, walks)[-1] - b
     best = models.sup_norm(r)
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
             # one undamped step past the tolerance lands the fan on the
             # roundoff floor; kept only when it helps
             try:
-                trial = targets + _newton_step(model, kin, a, b, targets,
-                                               states, r, walks)
+                trial = targets + _newton_step(model, kin, a, b, targets, r,
+                                               walks)
                 polished = models.sup_norm(
-                    _fan_endpoint(model, kin, a, trial, 0, walks)[-1] - b)
+                    _fan_endpoint(model, kin, a, trial, walks)[-1] - b)
             except (curves.CurveError, SolverError):
                 return targets
             return trial if polished < best else targets
-        step = _newton_step(model, kin, a, b, targets, states, r, walks)
+        step = _newton_step(model, kin, a, b, targets, r, walks)
         # damping by halving until the residual decreases
         scale = 1.0
         for _ in range(12):
             trial = targets + scale * step
             try:
-                trial_states = _fan_endpoint(model, kin, a, trial, 0, walks)
+                r_trial = _fan_endpoint(model, kin, a, trial, walks)[-1] - b
             except (curves.CurveError, SolverError):
                 scale *= 0.5
                 continue
-            r_trial = trial_states[-1] - b
             norm = models.sup_norm(r_trial)
             if norm < best:
-                targets, states, r, best = trial, trial_states, r_trial, norm
+                targets, r, best = trial, r_trial, norm
                 break
             scale *= 0.5
         else:

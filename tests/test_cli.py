@@ -278,6 +278,16 @@ ABSENT = object()
     (("initial", "main"), [0.0, [-2.6]], r"initial.main\[1\]"),
     (("initial", "jumps"), [[0.05, [-0.02]], [0.1, [-1.2]]],
      r"initial.jumps\[1\]\[1\]"),
+    pytest.param(("h",), ABSENT, "config.h is required", id="h-absent"),
+    (("initial", "main"), [0.0], r"initial.main must be a \[x, delta\] pair"),
+    (("initial", "scale"), -1, "initial.scale must be nonnegative"),
+    (("model", "name"), 3, "model.name must be a string"),
+    (("model", "name"), "burgers", "model: unknown model 'burgers'"),
+    (("model", "params"), [], "model.params must be an object"),
+    (("model", "params"), {"radius": 1.0}, "model: .*'radius'"),
+    (("model", "params"), {"delta0": 1.0, "delta1": 2.0},
+     "model: ball radii"),
+    (("sweep",), {"h": 0.01}, "sweep.h must be a list"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v)[:20])
 def test_numbers_must_be_finite_and_scales_positive(path, value, match):
     raw = base_cfg()
@@ -290,6 +300,18 @@ def test_numbers_must_be_finite_and_scales_positive(path, value, match):
         obj[path[-1]] = value
     with pytest.raises(cli.ConfigError, match=match):
         cli.validate_config(raw)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{\"h\": 0.01", "not valid JSON"),
+    ("[1, 2]", "top level must be a JSON object"),
+], ids=["invalid-json", "top-level-array"])
+def test_load_config_rejects_what_is_not_a_json_object(tmp_path, text,
+                                                        match):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.load_config(str(path))
 
 
 def test_defaults_filled_and_plain_json():

@@ -10,18 +10,21 @@ gamma=0.5) has N at 0.8125, trailing classical at 0.984375, companion
 import dataclasses
 import hashlib
 import json
+from importlib import resources
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncft import curves
+from ncft import cli, curves
 from ncft import diagnostics as dg
 from ncft import riemann, tracking
 from ncft.kinetics import KineticFunction
 from ncft.models import cubic_model, elasticity_model
-from ncft.riemann import KIND_CLASSICAL, KIND_NONCLASSICAL, KIND_PIECE, Wave
+from ncft.riemann import (KIND_CLASSICAL, KIND_NONCLASSICAL, KIND_PIECE,
+                          KIND_RAREFACTION, Wave)
 from ncft.tracking import FrontSet, init_fronts, run
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=40)
@@ -348,6 +351,61 @@ def test_classify_weak_weak_and_residual():
     assert row["product"] == _ref_product(res.events[0].incoming)
 
 
+def _event(incoming, roles, n_out):
+    # the three fields classify_case reads: incoming waves, given as
+    # (family, kind) in position order with ids 0, 1, ..., the roles of
+    # the strong ones by index, and the number of strong fronts out
+    waves = [SimpleNamespace(id=k, family=f, kind=kind)
+             for k, (f, kind) in enumerate(incoming)]
+    return SimpleNamespace(incoming=waves, incoming_roles=roles,
+                           outgoing_roles={k: "y" for k in range(n_out)})
+
+
+CL, NC, RF = KIND_CLASSICAL, KIND_NONCLASSICAL, KIND_RAREFACTION
+
+
+@pytest.mark.parametrize("incoming, roles, n_out, case", [
+    ([(0, RF), (0, CL)], {}, 0, ("WeakWeak", None)),
+    ([(0, NC), (0, CL)], {0: "y", 1: "z"}, 1, ("Case2", None)),
+    ([(0, NC), (0, CL)], {0: "y", 1: "z"}, 2, ("Other", None)),
+    ([(0, NC), (0, RF), (0, CL)], {0: "y", 2: "z"}, 1, ("Other", None)),
+    ([(0, RF), (0, CL), (0, CL)], {1: "y"}, 2, ("Other", None)),
+    ([(1, CL), (0, NC)], {1: "y"}, 2, ("Case6", None)),
+    ([(0, CL), (1, RF)], {0: "z"}, 2, ("Case7", None)),
+    ([(0, CL), (1, RF)], {0: "y"}, 1, ("Case5", None)),
+    ([(0, RF), (0, NC)], {1: "y"}, 2, ("Case4", "RN")),
+    ([(0, KIND_PIECE), (0, NC)], {1: "y"}, 2, ("Case4", "RN")),
+    ([(0, CL), (0, NC)], {1: "y"}, 2, ("Case4", "CN-3")),
+    ([(0, NC), (0, RF)], {0: "y"}, 2, ("Case4", "other")),
+    ([(0, RF), (0, CL)], {1: "y"}, 2, ("Case1", "RC-3")),
+    ([(0, CL), (0, CL)], {1: "y"}, 2, ("Case1", "CC-3")),
+    ([(0, CL), (0, KIND_PIECE)], {0: "y"}, 2, ("Case1", "CR-4")),
+    ([(0, CL), (0, CL)], {0: "y"}, 2, ("Case1", "other")),
+    ([(0, RF), (0, CL)], {1: "y"}, 1, ("Case3", None)),
+    ([(0, CL), (0, RF)], {0: "z"}, 2, ("Case3", None)),
+], ids=lambda v: "-".join(str(x) for x in v) if isinstance(v, tuple)
+    else None)
+def test_classify_case_table(incoming, roles, n_out, case):
+    assert dg.classify_case(_event(incoming, roles, n_out)) == case
+
+
+def test_weak_rarefaction_crossing_the_nonclassical_front():
+    # a lone classical y splits at a piece from the right; the pieces of a
+    # rarefaction from the left then cross the nonclassical y (Case4 RN),
+    # 0.02 in, 0.015 = 0.75 * 0.02 out
+    fs = init_fronts(CUBIC, KIN, [0.98, 1.0, -0.368, -0.388],
+                     [-0.4, 0.0, 0.02], h=0.01, strong_jumps=[1])
+    res = run(CUBIC, KIN, fs, t_end=4.0)
+    tags = [dg.classify_case(ev) for ev in res.events]
+    assert len(tags) == 6
+    assert tags.count(("Case4", "RN")) == 2
+    audit = dg.cycle_audit(CUBIC, KIN, res.events, res.snapshots, W,
+                           cff=0.75)
+    (rec,) = audit.records
+    assert rec.ledgers["alpha_L"] == pytest.approx(0.02, abs=1e-12)
+    assert rec.ledgers["alpha_R_tilde"] == pytest.approx(0.015, abs=1e-12)
+
+
 def test_glimm_residual_merge_exact(merge_run_three_state):
     res = merge_run_three_state
     rows = dg.lyapunov_series(CUBIC, res.events, res.snapshots, W)["events"]
@@ -540,6 +598,45 @@ def test_oracle_runs_split_and_merge():
     cases = {dg.classify_case(ev)[0] for name in ORACLE_RUNS
              for ev in _oracle_run(name)[1].events}
     assert {"Case1", "Case2"} <= cases
+
+
+def _baseline_with_jumps(sign, h):
+    # the bundled cubic baseline to T = 2 with 20 weak jumps, every state
+    # times sign, tracked at cap h and replayed
+    raw = json.loads(resources.files("ncft").joinpath(
+        "configs", "cubic-baseline.json").read_text(encoding="utf-8"))
+    deltas = np.random.default_rng(3).uniform(-0.02, 0.02, 20)
+    raw["initial"]["u_star"] = [sign * u for u in raw["initial"]["u_star"]]
+    x, main = raw["initial"]["main"]
+    raw["initial"]["main"] = [x, [sign * d for d in main]]
+    raw["initial"]["jumps"] = [[0.05 + 0.04 * k, [sign * float(d)]]
+                               for k, d in enumerate(deltas)]
+    raw.update(T=2.0, snapshot_dt=0.5, h=h)
+    cfg = cli.validate_config(raw)
+    fronts0 = cli._initial_fronts(cfg, CUBIC, KIN)
+    res = run(CUBIC, KIN, fronts0, t_end=cfg["T"],
+              snapshot_dt=cfg["snapshot_dt"])
+    return res, dg.lyapunov_series(CUBIC, res.events, res.snapshots, W)
+
+
+@pytest.mark.parametrize("h, n_events", [(0.01, 25), (0.005, 35)])
+def test_negated_data_negate_the_run_bit_for_bit(h, n_events):
+    # u -> -u maps the cubic's flux, ball and kinetics onto themselves, so
+    # the run on negated data is the negated run
+    res, series = _baseline_with_jumps(1.0, h)
+    neg, neg_series = _baseline_with_jumps(-1.0, h)
+    assert len(res.events) == n_events
+    assert [ev.time for ev in neg.events] == [ev.time for ev in res.events]
+    assert neg.final.xs.tolist() == res.final.xs.tolist()
+    assert ([w.kind for w in neg.final.waves]
+            == [w.kind for w in res.final.waves])
+    for w, v in zip(res.final.waves, neg.final.waves):
+        assert (-v.left).tolist() == w.left.tolist()
+        assert (-v.right).tolist() == w.right.tolist()
+    assert ([(r["pre_lyapunov"], r["post_lyapunov"])
+             for r in neg_series["events"]]
+            == [(r["pre_lyapunov"], r["post_lyapunov"])
+                for r in series["events"]])
 
 
 @pytest.mark.parametrize("name", ["cubic-load", "p-system"])

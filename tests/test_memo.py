@@ -28,8 +28,7 @@ def _forbid(monkeypatch, *names):
 def test_memo_serves_a_states_critical_and_kinetic_values(monkeypatch):
     model = cubic_model()
     u = np.array([0.8])
-    maps = (curves.mu_natural, curves.mu_minus_natural, curves.mu_flat_zero,
-            curves.mu_sharp_zero)
+    maps = (curves.mu_natural, curves.mu_flat_zero)
     kinetic = (mu_flat, mu_sharp, mu_nucleation)
     first = ([f(model, u) for f in maps] +
              [f(model, KIN, u) for f in kinetic])
@@ -66,16 +65,6 @@ def test_memo_keys_kinetic_values_by_kinetic_function_value(monkeypatch):
     assert len(calls) == 1
     assert other == pytest.approx(0.75 * -0.4 + 0.25 * -0.8, abs=1e-10)
     assert len(model.cache) == 1
-
-
-def test_memo_keeps_a_missing_left_contact(monkeypatch):
-    model = cubic_model()
-    # the left contact -2u = -3 lies outside the outer ball of radius 2
-    u = np.array([1.5])
-    assert curves.mu_minus_natural(model, u) is None
-    # None is served from the memo: the search for it runs once
-    _forbid(monkeypatch, "mu", "hugoniot_curve", "mu_natural")
-    assert curves.mu_minus_natural(model, u) is None
 
 
 def test_memo_clears_whole_past_its_limit():

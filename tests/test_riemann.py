@@ -432,7 +432,7 @@ def test_newton_probe_walk_reaches_the_checked_walks_state(model, kin, pairs):
                 want = _checked_states(model, kin, a, targets)
             except ValueError:
                 continue
-            got = riemann._fan_endpoint(model, kin, a, targets)
+            got = riemann._fan_endpoint(model, kin, a, targets, {})
             assert len(got) == len(want) == model.N
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), (u_l, u_r, targets)
@@ -465,30 +465,32 @@ def test_checked_shock_gets_its_speed_once(model, a, family, m, kind):
 
 def test_jacobian_walks_family_zero_once():
     # column 0 walks both families; column 1 changes family 1's target
-    # alone and walks on from the base walk's state after family 0
+    # alone and takes the base walk's family-0 step from the map
     a = np.array([0.1, 0.5])
     b = np.array([0.13, 0.47])
     targets = riemann._initial_targets(ELAS, a, b)
-    states = riemann._fan_endpoint(ELAS, KIN, a, targets)
+    walks = {}
+    states = riemann._fan_endpoint(ELAS, KIN, a, targets, walks)
     r = states[-1] - b
     with mock.patch.object(riemann, "_jumps", wraps=riemann._jumps) as jumps:
-        step = riemann._newton_step(ELAS, KIN, a, b, targets, states, r)
+        step = riemann._newton_step(ELAS, KIN, a, b, targets, r, walks)
     assert [c.args[3] for c in jumps.call_args_list] == [0, 1, 1]
     assert jumps.call_args_list[2].args[2] is states[0]
 
     def full_walk_column(j):
         probe = targets.copy()
         probe[j] += riemann.FD_STRENGTH
-        return ((riemann._fan_endpoint(ELAS, KIN, a, probe)[-1] - b) - r) \
-            / riemann.FD_STRENGTH
+        return ((riemann._fan_endpoint(ELAS, KIN, a, probe, {})[-1] - b)
+                - r) / riemann.FD_STRENGTH
 
     J = np.column_stack([full_walk_column(j) for j in range(ELAS.N)])
     assert step.tobytes() == np.linalg.solve(J, -r).tobytes()
 
 
-def _probe_walks(model, a, b):
-    # the probe family walks (family, start bytes, target, reads the
-    # kinetics) of the classical and the kinetic Newton pass of one solve
+def _recorded_solve(model, a, b):
+    # the fan of one solve, and the probe family walks (family, start
+    # bytes, target, reads the kinetics) of its classical and its kinetic
+    # Newton pass
     walks = {KIN0: [], KIN: []}
     jumps = riemann._jumps
 
@@ -501,8 +503,8 @@ def _probe_walks(model, a, b):
         return jumps(model_, kin, state, family, m, shock)
 
     with mock.patch.object(riemann, "_jumps", recorded):
-        solve_riemann(model, KIN, a, b)
-    return walks[KIN0], walks[KIN]
+        fan = solve_riemann(model, KIN, a, b)
+    return fan, walks[KIN0], walks[KIN]
 
 
 def test_kinetic_pass_reuses_the_classical_walks():
@@ -510,7 +512,7 @@ def test_kinetic_pass_reuses_the_classical_walks():
     # no walk reads the kinetics and the kinetic refine walks only probes
     # the classical one never made
     a, b = next(_c13_pairs())
-    classical, kinetic = _probe_walks(GOLDEN_FANS[0][0], a, b)
+    _, classical, kinetic = _recorded_solve(GOLDEN_FANS[0][0], a, b)
     assert classical and kinetic
     assert not any(read for *_, read in classical + kinetic)
     assert not {w[:3] for w in kinetic} & {w[:3] for w in classical}
@@ -522,9 +524,27 @@ def test_kinetic_pass_walks_again_where_the_kinetics_were_read():
     a, b = list(GOLDEN_FANS[1][2]())[2]
     kinds = fan_kinds(solve_riemann(ELAS, KIN, a, b))
     assert KIND_NONCLASSICAL in kinds
-    classical, kinetic = _probe_walks(ELAS, a, b)
+    _, classical, kinetic = _recorded_solve(ELAS, a, b)
     read = {w[:3] for w in classical if w[3]}
     assert read & {w[:3] for w in kinetic if w[3]}
+
+
+def test_kinetic_pass_walks_only_the_steps_that_read_the_kinetics():
+    # on every nonclassical fan of the strong p-system draw, a step that
+    # reads no kinetics and that the classical refine walked is taken from
+    # the map, never walked again by the kinetic refine
+    fans = 0
+    for a, b in GOLDEN_FANS[1][2]():
+        try:
+            fan, classical, kinetic = _recorded_solve(ELAS, a, b)
+        except ValueError:
+            continue
+        if KIND_NONCLASSICAL not in fan_kinds(fan):
+            continue
+        fans += 1
+        walked = {w[:3] for w in classical}
+        assert not [w for w in kinetic if not w[3] and w[:3] in walked]
+    assert fans == 87
 
 
 @pytest.mark.parametrize("u_l, u_r, message", [

@@ -7,6 +7,7 @@ come from the nucleation threshold arithmetic at u_l = 1.
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -217,6 +218,20 @@ def test_next_collision_skips_gaps_closing_within_the_speed_tie():
         assert _assert_matches_reference(fs) is None
     assert _assert_matches_reference(_moving_set([0.0], [1.0])) is None
     assert _assert_matches_reference(_moving_set([], [])) is None
+
+
+def test_cluster_slice_widens_to_every_front_near_the_meeting_point():
+    # fronts 5 and 6 meet at x* = 5; the width CLUSTER_REL * |x*| = 5e-12
+    # takes in three neighbours on each side, and the widening stops at
+    # the first front beyond it
+    near = [1e-12, 2e-12, 4e-12]
+    xs = ([4.0, 5.0 - 8e-12] + [5.0 - d for d in reversed(near)]
+          + [5.0, 5.0] + [5.0 + d for d in near] + [5.0 + 8e-12, 6.0])
+    fs = SimpleNamespace(xs=np.array(xs))
+    assert tracking._cluster_slice(fs, 5) == (2, 10, 5.0)
+    # alone, the pair is its own cluster
+    fs = SimpleNamespace(xs=np.array([4.0, 5.0, 5.0, 6.0]))
+    assert tracking._cluster_slice(fs, 1) == (1, 3, 5.0)
 
 
 def _chained_front(x, left, right, uid):
