@@ -18,8 +18,19 @@ differing, missing or unexpected digest makes the script exit with
 status 1. A p-system key is the kinetics alone, `theta=...,gamma=...`;
 a cubic key carries the prefix `cubic/`.
 
-    python3 scripts/riemann_outcomes.py \\
-        --expect scripts/riemann_outcomes_sha256.txt
+With --dump FILE every outcome is also written to FILE, one JSON line
+per problem: its key, its index in the draw, and either the fan's waves
+as `family:kind` and its states (the left state, then each wave's right
+state) as `float.hex` strings, or the failure as `Class: message`. With
+--against FILE the outcomes are compared with such a dump, made by an
+earlier run, and for each key the script prints how many fans moved and
+by how much at most, which problems changed between solving and failing
+or changed failure class, which fans changed their waves, and which
+failure messages changed. So a numerics change reports how many outcomes
+moved, not only that a digest did:
+
+    python3 scripts/riemann_outcomes.py --dump before.jsonl  # at the parent
+    python3 scripts/riemann_outcomes.py --against before.jsonl
 """
 
 import argparse
@@ -65,12 +76,101 @@ def cubic_problems():
 
 
 def outcome(model, kin, a, b):
-    """The fan's sorted-key JSON, or `Class: message` for a failure."""
+    """(text, fan): the fan's sorted-key JSON and the fan, or `Class:
+    message` and None for a failure."""
     try:
         fan = solve_riemann(model, kin, a, b)
     except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return json.dumps(fan.to_json_dict(), sort_keys=True)
+        return f"{type(exc).__name__}: {exc}", None
+    return json.dumps(fan.to_json_dict(), sort_keys=True), fan
+
+
+def record(key, k, text, fan):
+    """The dump line of problem k under key: its waves and states, or its
+    failure."""
+    if fan is None:
+        return {"key": key, "problem": k, "error": text}
+    states = [fan.waves[0].left] if fan.waves else []
+    states += [w.right for w in fan.waves]
+    return {"key": key, "problem": k,
+            "waves": [f"{w.family}:{w.kind}" for w in fan.waves],
+            "states": [[float.hex(x) for x in u.tolist()] for u in states]}
+
+
+def _state_gap(before, after):
+    # the largest componentwise difference of two equally long state lists
+    return max((abs(float.fromhex(x) - float.fromhex(y))
+                for u, v in zip(before["states"], after["states"])
+                for x, y in zip(u, v)), default=0.0)
+
+
+def compare_outcomes(before, after):
+    """Per key, what moved between two lists of dump records: problems,
+    fans solved and problems failed on both sides, fans bit-equal, the
+    largest state gap of a fan that kept its waves, the problems that
+    started or stopped failing or changed failure class, the fans whose
+    waves changed, and the (problem, before, after) failure messages that
+    changed within one class. Records pair up by key and problem."""
+    old = {(r["key"], r["problem"]): r for r in before}
+    report = {}
+    for r in after:
+        b = old.get((r["key"], r["problem"]))
+        if b is None:
+            raise ValueError(f"problem {r['problem']} of {r['key']} is not "
+                             f"in the earlier outcomes")
+        rep = report.setdefault(r["key"], {
+            "problems": 0, "solved": 0, "failed": 0, "bit_equal": 0,
+            "max_gap": 0.0, "new_failures": [], "new_solves": [],
+            "class_changes": [], "wave_changes": [], "message_changes": []})
+        rep["problems"] += 1
+        k = r["problem"]
+        if "error" in b and "error" in r:
+            rep["failed"] += 1
+            if b["error"] != r["error"]:
+                same_class = (b["error"].split(":", 1)[0]
+                              == r["error"].split(":", 1)[0])
+                (rep["message_changes"] if same_class
+                 else rep["class_changes"]).append((k, b["error"],
+                                                    r["error"]))
+            continue
+        if "error" in b:
+            rep["new_solves"].append(k)
+            continue
+        if "error" in r:
+            rep["new_failures"].append(k)
+            continue
+        rep["solved"] += 1
+        if b["waves"] != r["waves"]:
+            rep["wave_changes"].append(k)
+        elif b["states"] == r["states"]:
+            rep["bit_equal"] += 1
+        else:
+            rep["max_gap"] = max(rep["max_gap"], _state_gap(b, r))
+    return report
+
+
+def report_lines(report):
+    """The printed form of compare_outcomes' report."""
+    lines = []
+    for key, rep in report.items():
+        lines.append(
+            f"{key}: {rep['bit_equal']} of {rep['solved']} fans solved on "
+            f"both sides bit-equal, {rep['solved'] - rep['bit_equal']} "
+            f"moved, max |dstate| {rep['max_gap']:.3g}; "
+            f"{len(rep['wave_changes'])} changed their waves; "
+            f"{len(rep['new_failures'])} new and {len(rep['new_solves'])} "
+            f"gone failures, {len(rep['class_changes'])} changed class; "
+            f"{len(rep['message_changes'])} of {rep['failed']} failure "
+            f"messages changed")
+        for k in rep["wave_changes"]:
+            lines.append(f"  problem {k}: waves changed")
+        for k in rep["new_failures"]:
+            lines.append(f"  problem {k}: now fails")
+        for k in rep["new_solves"]:
+            lines.append(f"  problem {k}: now solves")
+        for k, was, now in rep["class_changes"] + rep["message_changes"]:
+            lines.append(f"  problem {k}: {was} -> {now}")
+    return lines
 
 
 def main():
@@ -79,10 +179,17 @@ def main():
     parser.add_argument("--expect", metavar="FILE",
                         help="compare the digests against FILE; exit 1 on "
                              "any difference")
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write every outcome to FILE, one JSON line "
+                             "per problem")
+    parser.add_argument("--against", metavar="FILE",
+                        help="report which outcomes moved since the dump "
+                             "in FILE")
     args = parser.parse_args()
     expected = read_expected(args.expect) if args.expect else None
 
     got = {}
+    records = []
     for prefix, model, pairs in (
             ("", elasticity_model(), list(system_problems())),
             ("cubic/", cubic_model(), list(cubic_problems()))):
@@ -91,14 +198,25 @@ def main():
             h = hashlib.sha256()
             failures = 0
             start = time.perf_counter()
-            for a, b in pairs:
-                text = outcome(model, kin, a, b)
-                failures += not text.startswith("{")
-                h.update(text.encode() + b"\n")
             key = f"{prefix}theta={theta},gamma={gamma}"
+            for k, (a, b) in enumerate(pairs):
+                text, fan = outcome(model, kin, a, b)
+                failures += fan is None
+                h.update(text.encode() + b"\n")
+                if args.dump or args.against:
+                    records.append(record(key, k, text, fan))
             got[key] = h.hexdigest()
             print(f"{got[key]}  {key}  ({len(pairs)} problems, {failures} "
                   f"failures, {time.perf_counter() - start:.2f} s)")
+
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            before = [json.loads(line) for line in fh]
+        for line in report_lines(compare_outcomes(before, records)):
+            print(line)
 
     if expected is not None:
         diffs = compare(expected, got)

@@ -13,17 +13,15 @@ Classical shocks are preferred throughout the overlap, ties included.
 
 Scalar problems read the solution straight off the curve; systems
 intersect the per-family curves with a damped Newton on the parameter
-targets, warm-started from the classical (trivial-kinetics) solution.
-The Newton probes walk the curves through the same branch rule, with
-unchecked Hugoniot points for shocks and checked rarefactions, whose
-failures steer the damping; the returned fan is rebuilt from checked
-waves and validated in full. One solve keeps a map of the family steps
-its probes walk, each keyed by its start state and target. The
-designated family reads the kinetics only for a target across the
-inflection manifold from its base, and only such a step's key holds the
-kinetic function. So a Jacobian column walks only the families from the
-one whose target it moves, and of the classical refine's steps the
-kinetic refine walks again only those that read the kinetics.
+targets under the run's kinetics, from the eigenbasis projection of the
+jump. The Newton probes walk the curves through the same branch rule,
+with unchecked Hugoniot points for shocks and checked rarefactions,
+whose failures steer the damping; the returned fan is rebuilt from
+checked waves and validated in full. One solve keeps a map of the family
+steps its probes walk, each keyed by its start state and target, so a
+Jacobian column walks only the families from the one whose target it
+moves. Past the tolerance, one polishing step reuses the last Newton
+step's Jacobian.
 """
 
 from __future__ import annotations
@@ -327,9 +325,9 @@ def _initial_targets(model: FluxModel, a: Array, b: Array) -> np.ndarray:
     state = a
     for j in range(model.N):
         targets[j] = float(model.family_parameter(state, j)) + incr[j]
-        # predict the next intermediate state linearly for the base point
-        statej = state + incr[j] * models.eigen(model, state)[1][:, j]
-        state = statej
+        if j + 1 < model.N:
+            # predict the next intermediate state linearly for the base point
+            state = state + incr[j] * models.eigen(model, state)[1][:, j]
     return targets
 
 
@@ -340,9 +338,9 @@ def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
     fan's endpoint. The jumps' states only, no waves are built. Shocks are
     unchecked Hugoniot points, rarefactions keep their check.
 
-    walks, one solve's map of family steps, keeps each step's end state
-    under (family, start state's bytes, target's bytes), and kin too when
-    the step reads the kinetics; a step that raised is not kept."""
+    walks, one solve's map of family steps under kin, keeps each step's
+    end state under (family, start state's bytes, target's bytes); a step
+    that raised is not kept."""
     states = []
     state = a
     # a target's bytes, not its float, which would merge 0.0 and -0.0;
@@ -350,9 +348,6 @@ def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
     tb, n = targets.tobytes(), targets.itemsize
     for j in range(model.N):
         key = (j, state.tobytes(), tb[j * n:(j + 1) * n])
-        if j == model.cc_index and _reads_kinetics(
-                float(model.family_parameter(state, j)), float(targets[j])):
-            key += (kin,)
         end = walks.get(key)
         if end is None:
             jumps = _jumps(model, kin, state, j, targets[j], _probe_shock)
@@ -362,28 +357,11 @@ def _fan_endpoint(model: FluxModel, kin: KineticFunction, a: Array,
     return states
 
 
-def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
-                    b: Array) -> np.ndarray:
-    """Targets of the fan from a to b under kin, refined from the
-    classical solution's. Both refines share one map of family steps, so
-    the kinetic refine walks again only the steps that read the kinetics."""
-    classical = KineticFunction(theta=0.0, nucleation_gamma=0.0)
-    walks = {}
-    guess = _initial_targets(model, a, b)
-    try:
-        guess = _newton_refine(model, classical, a, b, guess, walks)
-    except SolverError:
-        pass  # the warm start is allowed to be rough
-    return _newton_refine(model, kin, a, b, guess, walks)
-
-
-def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
-                 b: Array, targets: np.ndarray, r: np.ndarray,
-                 walks: dict) -> np.ndarray:
-    """Newton step on the fan endpoint, from the walk to targets with
-    residual r, with a forward-difference Jacobian. Column j's probe
-    changes family j's target alone, so it takes the steps before family
-    j from walks."""
+def _jacobian(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
+              targets: np.ndarray, r: np.ndarray, walks: dict) -> np.ndarray:
+    """Forward-difference Jacobian of the fan endpoint at targets, whose
+    walk has residual r. Column j's probe changes family j's target alone,
+    so it takes the steps before family j from walks."""
     n = len(targets)
     J = np.empty((n, n))
     for j in range(n):
@@ -391,29 +369,42 @@ def _newton_step(model: FluxModel, kin: KineticFunction, a: Array,
         probe[j] += FD_STRENGTH
         end = _fan_endpoint(model, kin, a, probe, walks)[-1]
         J[:, j] = ((end - b) - r) / FD_STRENGTH
+    return J
+
+
+def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The step -J^-1 r; a singular J fails the solve."""
     try:
         return np.linalg.solve(J, -r)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular Jacobian in the curve intersection") from exc
 
 
-def _newton_refine(model: FluxModel, kin: KineticFunction, a: Array, b: Array,
-                   targets: np.ndarray, walks: dict) -> np.ndarray:
+def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
+                    b: Array) -> np.ndarray:
+    """Targets of the fan from a to b under kin: a damped Newton from the
+    eigenbasis guess, whose steps share one map of family steps."""
+    walks = {}
+    targets = _initial_targets(model, a, b)
     r = _fan_endpoint(model, kin, a, targets, walks)[-1] - b
     best = models.sup_norm(r)
+    J = None
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
             # one undamped step past the tolerance lands the fan on the
-            # roundoff floor; kept only when it helps
+            # roundoff floor; it reuses the last step's Jacobian, and is
+            # kept only when it helps
             try:
-                trial = targets + _newton_step(model, kin, a, b, targets, r,
-                                               walks)
+                if J is None:
+                    J = _jacobian(model, kin, a, b, targets, r, walks)
+                trial = targets + _newton_step(J, r)
                 polished = models.sup_norm(
                     _fan_endpoint(model, kin, a, trial, walks)[-1] - b)
             except (curves.CurveError, SolverError):
                 return targets
             return trial if polished < best else targets
-        step = _newton_step(model, kin, a, b, targets, r, walks)
+        J = _jacobian(model, kin, a, b, targets, r, walks)
+        step = _newton_step(J, r)
         # damping by halving until the residual decreases
         scale = 1.0
         for _ in range(12):

@@ -770,10 +770,10 @@ def test_calibrate_feeds_q1_row():
     assert out["constraints"]["Q1"]["passed"]
 
 
-# sha256 of the report's JSON with sorted keys, recorded while calibration
-# summed its pairs with the array pass (pair_terms)
-P_SYSTEM_CALIBRATION = ("ed16ab46c8f5f7c04909471a48f035a2"
-                        "34b2b40098cdfcafaea06b3b7a2eb4e3")
+# sha256 of the report's JSON with sorted keys, recorded when the system
+# Newton loop stopped warm-starting from the classical solution
+P_SYSTEM_CALIBRATION = ("f6b8b58bedcdb87417f9db3f26ea89ac"
+                        "71ffa0e3223c5630dcc5f85c57acafac")
 
 
 def test_p_system_calibration_keeps_its_bits():

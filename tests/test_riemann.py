@@ -374,23 +374,22 @@ def _uniform_pairs(n, lo, hi, dim, seed=0):
         yield rng.uniform(lo, hi, dim), rng.uniform(lo, hi, dim)
 
 
-# (model, kinetics, problems, digest, failures), recorded before the wave
-# builders looked up their own curve points; the strong elasticity draw
+# (model, kinetics, problems, digest, failures); the strong elasticity draw
 # covers the solver's failures (intersection stalls and ball exits) as well
-# as its fans, and at two more kinetics (the classical limit and theta =
-# 0.9) recorded before the wave-curve walk returned jumps
+# as its fans, at three kinetics (the classical limit, the bundled one and
+# theta = 0.9)
 GOLDEN_FANS = [
     (elasticity_model(delta0=4.0, delta1=2.0), KIN, _c13_pairs,
-     "df29e3173b7bab2c345d1964de6aa94ce8dd8c220dca9814bae82348a610627f", 0),
+     "de8679a75875db7fead80a121d8b05993503bf20251b81c4c9137e7c89929b96", 0),
     (ELAS, KIN, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "b4832f6c090d1d493011d979d2c26e71007d311a08ee41cc1d3bffdd3d035283", 48),
+     "679e1ec663622098b27d3aa6eb173e12ac286a90b5a307ab3f763dbefe579b94", 48),
     (CUBIC, KIN, lambda: _uniform_pairs(300, -1.2, 1.2, 1),
      "e467a3682d6b6a1c1e3b5ec22d8d5cf72a9b4602149def3837d802b15541915e", 0),
     (ELAS, KIN0, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "15fcb55a4933846c706e5f7056e28d76f3d6e80bf3f830b31ef05ef2f6c78bfd", 48),
+     "7241c4a61a49a18853b2cfbdd5d29c99d149aa2ef73ce45b15aa073b82876924", 48),
     (ELAS, KineticFunction(theta=0.9, nucleation_gamma=0.25),
      lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "af54780c29d77fce9791e05dda322b5f1e9f3bcb0cc47c9d7d2e3d0007215697", 48),
+     "4b6a67fe9be9a11d983169a929ee3d05b36831cb187c6b80d759f716d37c1785", 48),
 ]
 
 
@@ -473,7 +472,8 @@ def test_jacobian_walks_family_zero_once():
     states = riemann._fan_endpoint(ELAS, KIN, a, targets, walks)
     r = states[-1] - b
     with mock.patch.object(riemann, "_jumps", wraps=riemann._jumps) as jumps:
-        step = riemann._newton_step(ELAS, KIN, a, b, targets, r, walks)
+        step = riemann._newton_step(
+            riemann._jacobian(ELAS, KIN, a, b, targets, r, walks), r)
     assert [c.args[3] for c in jumps.call_args_list] == [0, 1, 1]
     assert jumps.call_args_list[2].args[2] is states[0]
 
@@ -487,64 +487,101 @@ def test_jacobian_walks_family_zero_once():
     assert step.tobytes() == np.linalg.solve(J, -r).tobytes()
 
 
-def _recorded_solve(model, a, b):
-    # the fan of one solve, and the probe family walks (family, start
-    # bytes, target, reads the kinetics) of its classical and its kinetic
-    # Newton pass
-    walks = {KIN0: [], KIN: []}
+def _probe_steps(model, kin, a, b):
+    # the fan of one solve, or None when it fails, and the (family, start
+    # bytes, target) of every family step its Newton probes walk
+    steps = []
     jumps = riemann._jumps
 
-    def recorded(model_, kin, state, family, m, shock=riemann._shock):
+    def recorded(model_, kin_, state, family, m, shock=riemann._shock):
         if shock is riemann._probe_shock:
-            mu0 = float(model_.family_parameter(state, family))
-            walks[kin].append((family, state.tobytes(), float(m),
-                               family == model_.cc_index
-                               and riemann._reads_kinetics(mu0, float(m))))
-        return jumps(model_, kin, state, family, m, shock)
+            steps.append((family, state.tobytes(), float(m).hex()))
+        return jumps(model_, kin_, state, family, m, shock)
 
     with mock.patch.object(riemann, "_jumps", recorded):
-        fan = solve_riemann(model, KIN, a, b)
-    return fan, walks[KIN0], walks[KIN]
-
-
-def test_kinetic_pass_reuses_the_classical_walks():
-    # c13's first problem: family 1's targets stay on their base side, so
-    # no walk reads the kinetics and the kinetic refine walks only probes
-    # the classical one never made
-    a, b = next(_c13_pairs())
-    _, classical, kinetic = _recorded_solve(GOLDEN_FANS[0][0], a, b)
-    assert classical and kinetic
-    assert not any(read for *_, read in classical + kinetic)
-    assert not {w[:3] for w in kinetic} & {w[:3] for w in classical}
-
-
-def test_kinetic_pass_walks_again_where_the_kinetics_were_read():
-    # a strong p-system problem whose fan holds a nonclassical shock: a
-    # walk that read the classical kinetics is walked again at theta = 0.5
-    a, b = list(GOLDEN_FANS[1][2]())[2]
-    kinds = fan_kinds(solve_riemann(ELAS, KIN, a, b))
-    assert KIND_NONCLASSICAL in kinds
-    _, classical, kinetic = _recorded_solve(ELAS, a, b)
-    read = {w[:3] for w in classical if w[3]}
-    assert read & {w[:3] for w in kinetic if w[3]}
-
-
-def test_kinetic_pass_walks_only_the_steps_that_read_the_kinetics():
-    # on every nonclassical fan of the strong p-system draw, a step that
-    # reads no kinetics and that the classical refine walked is taken from
-    # the map, never walked again by the kinetic refine
-    fans = 0
-    for a, b in GOLDEN_FANS[1][2]():
         try:
-            fan, classical, kinetic = _recorded_solve(ELAS, a, b)
+            fan = solve_riemann(model, kin, a, b)
+        except ValueError:
+            fan = None
+    return fan, steps
+
+
+@pytest.mark.parametrize("model, kin, pairs, nonclassical",
+                         [GOLDEN_FANS[0][:3] + (0,),
+                          GOLDEN_FANS[1][:3] + (87,)],
+                         ids=["c13-draw", "elasticity-strong"])
+def test_no_solve_walks_a_step_twice(model, kin, pairs, nonclassical):
+    # one Newton pass under the run's kinetics, whose probes share one map
+    # of family steps: no solve, failed ones included, walks one (family,
+    # start, target) step twice; the strong draw keeps its 87 fans with a
+    # nonclassical shock
+    fans = 0
+    for a, b in pairs():
+        fan, steps = _probe_steps(model, kin, a, b)
+        assert steps and len(set(steps)) == len(steps), (a, b)
+        fans += fan is not None and KIND_NONCLASSICAL in fan_kinds(fan)
+    assert fans == nonclassical
+
+
+def _newton_log(model, kin, a, b):
+    # the Newton loop of one solve, in order: "jacobian" for each
+    # Jacobian, and (residual, family walks) for each endpoint walked
+    # outside one that did not raise
+    log = []
+    inside = []
+    walked = []
+    fan_endpoint, jacobian, jumps = (riemann._fan_endpoint,
+                                     riemann._jacobian, riemann._jumps)
+
+    def recorded_jacobian(*args):
+        log.append("jacobian")
+        inside.append(True)
+        try:
+            return jacobian(*args)
+        finally:
+            inside.pop()
+
+    def recorded_endpoint(*args):
+        before = len(walked)
+        states = fan_endpoint(*args)
+        if not inside:
+            log.append((models.sup_norm(states[-1] - b), len(walked) - before))
+        return states
+
+    def recorded_jumps(*args):
+        walked.append(args[3])
+        return jumps(*args)
+
+    with mock.patch.multiple(riemann, _jacobian=recorded_jacobian,
+                             _fan_endpoint=recorded_endpoint,
+                             _jumps=recorded_jumps):
+        riemann._newton_targets(model, kin, models.as_state(model, a),
+                                models.as_state(model, b))
+    return log
+
+
+def test_polish_reuses_the_last_newton_steps_jacobian():
+    # once a Newton step meets the tolerance, the polish walks its trial
+    # endpoint alone, never a Jacobian column; only a guess that meets the
+    # tolerance from the start has no last Jacobian and builds one
+    solved = polished = 0
+    problems = ([(GOLDEN_FANS[0][0], a, b) for a, b in _c13_pairs(100)]
+                + [(ELAS, a, b) for a, b in _uniform_pairs(100, -0.6, 0.6, 2)])
+    for model, a, b in problems:
+        try:
+            log = _newton_log(model, KIN, a, b)
         except ValueError:
             continue
-        if KIND_NONCLASSICAL not in fan_kinds(fan):
-            continue
-        fans += 1
-        walked = {w[:3] for w in classical}
-        assert not [w for w in kinetic if not w[3] and w[:3] in walked]
-    assert fans == 87
+        solved += 1
+        met = next(k for k, e in enumerate(log)
+                   if e != "jacobian" and e[0] <= riemann.RESIDUAL_TOL)
+        rest = log[met + 1:]
+        if met == 0 and rest[:1] == ["jacobian"]:
+            rest = rest[1:]
+        assert "jacobian" not in rest, (a, b)
+        assert len(rest) <= 1 and all(w <= model.N for _, w in rest)
+        polished += len(rest)
+    assert solved == polished == 186
 
 
 @pytest.mark.parametrize("u_l, u_r, message", [

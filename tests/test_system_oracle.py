@@ -96,10 +96,6 @@ def scalar_run():
     return _tracked(CUBIC, None)
 
 
-def _family0(waves):
-    return [w for w in waves if w.family == 0]
-
-
 def test_system_without_v_waves_is_the_scalar_run(cubic_burgers,
                                                    scalar_run):
     res, series = scalar_run
@@ -133,7 +129,7 @@ def test_v_waves_leave_the_u_waves_as_the_scalar_run_has_them(
     res = scalar_run[0]
     assert len(v_wave_run.events) == 331
     want = res.final.waves
-    got = _family0(v_wave_run.final.waves)
+    got = [w for w in v_wave_run.final.waves if w.family == 0]
     xs = [x for x, w in zip(v_wave_run.final.xs.tolist(),
                             v_wave_run.final.waves) if w.family == 0]
     assert [w.kind for w in got] == [w.kind for w in want]
