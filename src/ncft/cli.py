@@ -65,9 +65,13 @@ SWEEP_COLUMNS = SWEEP_KEYS + (
     "conservation_corrected", "error",
 )
 
+# the fraction of the strong pattern's strength that the perturbation's
+# total variation may reach: the weak waves stay smaller than the pattern
+STABILITY_KAPPA = 0.25
+
 _TOP_KEYS = {
     "schema_version", "model", "kinetics", "h", "T", "initial", "weights",
-    "seed", "flags", "stability_kappa", "calibration", "snapshot_dt", "sweep",
+    "seed", "flags", "calibration", "snapshot_dt", "sweep",
 }
 # the default of a section key that has none
 _REQUIRED = object()
@@ -251,24 +255,12 @@ def validate_config(raw: dict) -> dict:
                           f"got {stability_check!r}")
     cfg["flags"] = {"stability_check": stability_check}
 
-    cfg["stability_kappa"] = _as_float(raw.get("stability_kappa", 0.25),
-                                       "stability_kappa", positive=True)
-
-    cal_raw = _section(raw, "calibration",
-                       {"n": 400, "scales": [0.05, 0.02, 0.005]})
-    cal_n = cal_raw["n"]
+    cal_n = _section(raw, "calibration", {"n": 400})["n"]
     # n = 0 would still draw one zero-product pair
     if not isinstance(cal_n, int) or isinstance(cal_n, bool) or cal_n < 1:
         raise ConfigError(f"calibration.n must be a positive integer, "
                           f"got {cal_n!r}")
-    scales = cal_raw["scales"]
-    if not isinstance(scales, list) or not scales:
-        raise ConfigError("calibration.scales must be a nonempty list")
-    cfg["calibration"] = {
-        "n": cal_n,
-        "scales": [_as_float(s, "calibration.scales", positive=True)
-                   for s in scales],
-    }
+    cfg["calibration"] = {"n": cal_n}
 
     dt = raw.get("snapshot_dt")
     cfg["snapshot_dt"] = (None if dt is None else
@@ -332,17 +324,17 @@ def perturbation_tv(cfg: dict) -> float:
 def stability_report(model: FluxModel, kin: KineticFunction,
                      cfg: dict) -> dict:
     """Perturbation total variation against the strong-pattern strength
-    bound kappa * |sigma(u_star, Phi_sharp(u_star))|."""
+    bound STABILITY_KAPPA * |sigma(u_star, Phi_sharp(u_star))|."""
     u_star = np.asarray(cfg["initial"]["u_star"], dtype=float)
     companion = kin_mod.phi_sharp(model, kin, u_star)
     sigma = curves.generalized_strength(model, u_star, companion,
                                         model.cc_index)
     tv = perturbation_tv(cfg)
-    bound = cfg["stability_kappa"] * abs(sigma)
+    bound = STABILITY_KAPPA * abs(sigma)
     return {
         "enabled": cfg["flags"]["stability_check"],
         "tv": tv,
-        "kappa": cfg["stability_kappa"],
+        "kappa": STABILITY_KAPPA,
         "reference_strength": abs(sigma),
         "bound": bound,
         "within_bound": tv <= bound,
@@ -391,10 +383,10 @@ def _write_csv(path: str, header, rows):
     _write_atomic(path, buf.getvalue())
 
 
-def _prepare(cfg: dict, gate: bool = True) -> tuple:
+def _prepare(cfg: dict) -> tuple:
     """(model, kinetics, stability report, conformance report) of one
-    validated config. With gate set, data over the stability bound is
-    refused before any conformance sampling."""
+    validated config. Data over the stability bound is refused before any
+    conformance sampling."""
     model = models.make_model(cfg["model"]["name"], cfg["model"]["params"])
     kin = KineticFunction(theta=cfg["kinetics"]["theta"],
                           nucleation_gamma=cfg["kinetics"]["gamma"])
@@ -405,7 +397,7 @@ def _prepare(cfg: dict, gate: bool = True) -> tuple:
             f"initial.u_star {cfg['initial']['u_star']}: the stability "
             f"report needs Phi_sharp(u_star), which cannot be evaluated: "
             f"{exc}") from exc
-    if gate and stability["enabled"] and not stability["within_bound"]:
+    if stability["enabled"] and not stability["within_bound"]:
         raise ConfigError(
             f"perturbation total variation {stability['tv']} exceeds the "
             f"stability bound {stability['bound']} "
@@ -475,13 +467,12 @@ def _event_row(ev, row: dict) -> dict:
     )
 
 
-def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dict:
+def run_experiment(cfg: dict, out_dir: str) -> dict:
     """Full pipeline for one validated config; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
-    model, kin, stability, conformance = _prepare(cfg,
-                                                  gate=not calibrate_only)
-    # a full run refuses initial data without a wave fan before it writes
-    fronts0 = None if calibrate_only else _initial_fronts(cfg, model, kin)
+    model, kin, stability, conformance = _prepare(cfg)
+    # initial data without a wave fan is refused before anything is written
+    fronts0 = _initial_fronts(cfg, model, kin)
     _write_json(os.path.join(out_dir, "conformance.json"),
                 conformance.to_json_dict())
     cff = conformance.measured_Cff
@@ -490,7 +481,6 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
     calibration = dg.calibrate(
         model, kin, weights,
         n=cfg["calibration"]["n"],
-        scales=tuple(cfg["calibration"]["scales"]),
         seed=cfg["seed"],
     )
     _write_json(os.path.join(out_dir, "calibration.json"),
@@ -514,10 +504,6 @@ def run_experiment(cfg: dict, out_dir: str, calibrate_only: bool = False) -> dic
         "seed": cfg["seed"],
         "stability": stability,
     }
-    if calibrate_only:
-        _write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
-        return manifest
-
     result, series, audit, conservation = _track(cfg, model, kin, fronts0,
                                                  weights, cff)
 
@@ -667,10 +653,8 @@ def _coverage_line(out_dir: str) -> str:
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               show_default=True, help="Parallel sweep workers.")
 @click.option("--check", is_flag=True, help="Run the acceptance suite.")
-@click.option("--calibrate-only", is_flag=True,
-              help="Stop after conformance and calibration.")
 def main(config_path: Optional[str], out_dir: str, workers: int,
-         check: bool, calibrate_only: bool):
+         check: bool):
     """Front-tracking experiment runner."""
     if check:
         manifest = run_check(out_dir)
@@ -686,12 +670,11 @@ def main(config_path: Optional[str], out_dir: str, workers: int,
         raise click.UsageError("--config is required unless --check is given")
     try:
         cfg = _apply_env_seed(validate_config(load_config(config_path)))
-        if "sweep" in cfg and not calibrate_only:
+        if "sweep" in cfg:
             path = run_sweep(cfg, out_dir, workers=workers)
             click.echo(f"sweep written: {path}")
         else:
-            manifest = run_experiment(cfg, out_dir,
-                                      calibrate_only=calibrate_only)
+            manifest = run_experiment(cfg, out_dir)
             for key, entry in sorted(manifest["checks"].items()):
                 if entry["status"] != "not_evaluated":
                     click.echo(f"{key} {entry['name']}: {entry['status']}")

@@ -22,8 +22,10 @@ companion(m) = 2 m_nat - m. Every parameter they return is checked against
 the outer ball through the Hugoniot point it names. A state's first query
 computes its record of both hook parameters, kept in the model's memo;
 the two companion maps compute from that record on each call, and no
-curve is kept. The release checks hold the maps against
-bracketing root searches (acceptance.py).
+curve is kept. The generalized strength reads the zero-dissipation
+parameter from the hook as well, but builds no companion state, so it
+does not need that point in the ball. The release checks hold the maps
+against bracketing root searches (acceptance.py).
 """
 
 from __future__ import annotations
@@ -318,12 +320,16 @@ def projected_mu(model: FluxModel, u) -> float:
     """Family parameter of the state, reflected through the
     zero-dissipation involution when it sits on the negative side. The
     result is always the nonnegative-side representative, which makes
-    strengths additive across the strong-wave patterns."""
+    strengths additive across the strong-wave patterns. The reflection
+    reads the involution's parameter from the critical_fn hook and builds
+    no companion state, so a state and its mirror image -u both have a
+    strength wherever they lie in the outer ball."""
     a = as_state(model, u)
     v = mu(model, a)
     if v >= 0:
         return v
-    return mu_flat_zero(model, a)
+    a = models.require_in_ball(model, a, "delta0")
+    return float(model.critical_fn(a, v)[1])
 
 
 def generalized_strength(model: FluxModel, u_left, u_right, family: int) -> float:

@@ -102,7 +102,8 @@ class FluxModel:
     the equal-speed companion of m is 2 m_nat - m; the left contact and
     the zero-dissipation companion follow from that rule. A returned
     parameter whose Hugoniot state leaves the outer ball is an error
-    (or, for the left contact, None).
+    (or, for the left contact, None). The generalized strength reads the
+    zero-dissipation parameter as it is and builds no companion state.
 
     cache is the model's Memo: one entry per state for its critical
     record and its kinetic values, cleared whole once it holds more than

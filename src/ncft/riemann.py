@@ -391,6 +391,9 @@ def _newton_targets(model: FluxModel, kin: KineticFunction, a: Array,
     J = None
     for _ in range(MAX_ITER):
         if best <= RESIDUAL_TOL:
+            # no step can lower a zero residual
+            if best == 0.0:
+                return targets
             # one undamped step past the tolerance lands the fan on the
             # roundoff floor; it reuses the last step's Jacobian, and is
             # kept only when it helps

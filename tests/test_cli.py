@@ -33,7 +33,7 @@ def base_cfg(**over):
         },
         "weights": {"zeta": 0.1, "K": 1.0},
         "seed": 0,
-        "calibration": {"n": 16, "scales": [0.05, 0.02]},
+        "calibration": {"n": 16},
         "snapshot_dt": 0.1,
     }
     cfg.update(over)
@@ -129,15 +129,19 @@ def test_unknown_nested_keys_rejected():
     ("flags", "rarefaction_speed_convention", "rh"),
     ("weights", "mode", "lemma"),
     ("weights", "values", {}),
+    ("calibration", "scales", [0.05, 0.02, 0.005]),
+    (None, "stability_kappa", 0.25),
 ])
 def test_removed_settings_rejected(section, key, value):
-    # nucleation is set by kinetics.gamma alone, the calibration mix is
-    # fixed, Q always counts strong fronts, every front moves at its
-    # wave's speed and the weights are always the lemma's, so these keys
-    # are unknown like any other
+    # nucleation is set by kinetics.gamma alone, the calibration mix and
+    # scales are fixed, Q always counts strong fronts, every front moves
+    # at its wave's speed, the weights are always the lemma's and the
+    # stability fraction is cli.STABILITY_KAPPA, so these keys are unknown
+    # like any other
     raw = base_cfg()
-    raw.setdefault(section, {})[key] = value
-    with pytest.raises(cli.ConfigError, match=f"{section}.*{key}"):
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    with pytest.raises(cli.ConfigError,
+                       match=f"{section or 'config'}.*{key}"):
         cli.validate_config(raw)
 
 
@@ -193,7 +197,7 @@ def test_zero_calibration_n_rejected():
     # calibrate would still draw one zero-product pair at n = 0
     with pytest.raises(cli.ConfigError,
                        match="calibration.n must be a positive integer"):
-        validated(calibration={"n": 0, "scales": [0.05]})
+        validated(calibration={"n": 0})
 
 
 def test_null_sweep_rejected():
@@ -213,8 +217,6 @@ def test_nonnumeric_values_rejected():
         validated(weights={"zeta": "x"})
     with pytest.raises(cli.ConfigError, match="sweep.h"):
         validated(sweep={"h": ["x"]})
-    with pytest.raises(cli.ConfigError, match="calibration.scales"):
-        validated(calibration={"n": 16, "scales": []})
     with pytest.raises(cli.ConfigError, match="calibration.n"):
         validated(calibration={"n": -1})
     with pytest.raises(cli.ConfigError, match="must be positive"):
@@ -257,16 +259,11 @@ ABSENT = object()
     (("initial", "main"), [0.0, [float("nan")]], r"initial.main\[1\]"),
     (("initial", "jumps"), [[float("inf"), [-0.02]]],
      r"initial.jumps\[0\]\[0\]"),
-    (("stability_kappa",), "inf", "stability_kappa"),
-    (("stability_kappa",), float("inf"), "stability_kappa"),
     (("T",), float("inf"), "config.T"),
     (("h",), float("inf"), "config.h"),
     (("h",), float("nan"), "config.h"),
     (("h",), 10 ** 400, "config.h"),
     (("kinetics", "theta"), float("nan"), "kinetics.theta"),
-    (("calibration", "scales"), [0.0], "calibration.scales"),
-    (("calibration", "scales"), [0.05, -0.02], "calibration.scales"),
-    (("calibration", "scales"), [False], "calibration.scales"),
     (("sweep",), {"h": [float("nan")]}, "sweep.h"),
     # states of the wrong length for the cubic, or outside its ball of
     # radius 1.5
@@ -325,8 +322,7 @@ def test_defaults_filled_and_plain_json():
     assert cfg["initial"]["jumps"] == []
     assert cfg["initial"]["scale"] == 1.0
     assert cfg["flags"] == {"stability_check": True}
-    assert cfg["stability_kappa"] == 0.25
-    assert cfg["calibration"]["n"] == 400
+    assert cfg["calibration"] == {"n": 400}
     assert cfg["snapshot_dt"] is None
     json.dumps(cfg)
 
@@ -599,7 +595,7 @@ def test_run_experiment_replays_each_event_once(tmp_path, monkeypatch):
         return replay(*args, **kwargs)
 
     monkeypatch.setattr(dg, "event_delta", counted)
-    cfg = validated(calibration={"n": 4, "scales": [0.05]})
+    cfg = validated(calibration={"n": 4})
     manifest = cli.run_experiment(cfg, str(tmp_path))
     assert manifest["summary"]["n_events"] >= 1
     assert len(calls) == manifest["summary"]["n_events"]
@@ -693,7 +689,7 @@ def test_cli_rejects_initial_data_the_solver_cannot_resolve(tmp_path):
     assert os.listdir(out) == []
 
 
-def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):
+def test_cli_run_with_env_seed(tmp_path, monkeypatch):
     cfg = base_cfg()
     cfg["calibration"]["n"] = 8
     p = tmp_path / "run.json"
@@ -701,21 +697,33 @@ def test_cli_calibrate_only_with_env_seed(tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("NCFT_SEED", "123")
     result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out), "--calibrate-only"])
+                                           str(out)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "MANIFEST.json").read_text())
-    assert manifest["seed"] == 123
-    assert (out / "calibration.json").exists()
-    assert (out / "conformance.json").exists()
-    assert not (out / "trajectory.jsonl").exists()
-    assert all(e["status"] == "not_evaluated"
-               for e in manifest["checks"].values())
+    assert manifest["seed"] == manifest["config"]["seed"] == 123
+    assert json.loads((out / "calibration.json").read_text())["seed"] == 123
+    assert sorted(os.listdir(out)) == [
+        "MANIFEST.json", "calibration.json", "conformance.json",
+        "cycles.json", "events.jsonl", "functionals.csv", "trajectory.jsonl"]
+    assert {key for key, e in manifest["checks"].items()
+            if e["status"] != "not_evaluated"} == {"c08", "c09", "c11"}
+
+
+def test_cli_has_no_calibrate_only_mode(tmp_path):
+    # every config run tracks; calibration alone is no run shape
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(base_cfg()))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out), "--calibrate-only"])
+    assert result.exit_code == 2
+    assert "No such option '--calibrate-only'" in result.output
+    assert not out.exists()
 
 
 def test_cli_config_prints_conformance_coverage(tmp_path):
     p = tmp_path / "run.json"
-    p.write_text(json.dumps(base_cfg(calibration={"n": 4,
-                                                  "scales": [0.05]})))
+    p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
     out = tmp_path / "out"
     result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
                                            str(out)])

@@ -382,14 +382,14 @@ GOLDEN_FANS = [
     (elasticity_model(delta0=4.0, delta1=2.0), KIN, _c13_pairs,
      "de8679a75875db7fead80a121d8b05993503bf20251b81c4c9137e7c89929b96", 0),
     (ELAS, KIN, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "679e1ec663622098b27d3aa6eb173e12ac286a90b5a307ab3f763dbefe579b94", 48),
+     "0804b2d226096f8585e9b113c11e7b03c52c67a2f03e5f713480a04b9258c3f6", 45),
     (CUBIC, KIN, lambda: _uniform_pairs(300, -1.2, 1.2, 1),
      "e467a3682d6b6a1c1e3b5ec22d8d5cf72a9b4602149def3837d802b15541915e", 0),
     (ELAS, KIN0, lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "7241c4a61a49a18853b2cfbdd5d29c99d149aa2ef73ce45b15aa073b82876924", 48),
+     "d861c0fe02b13e8675be3b9f97223145e99634fd798c567e9a031bf5fb17ec5c", 45),
     (ELAS, KineticFunction(theta=0.9, nucleation_gamma=0.25),
      lambda: _uniform_pairs(300, -0.6, 0.6, 2),
-     "4b6a67fe9be9a11d983169a929ee3d05b36831cb187c6b80d759f716d37c1785", 48),
+     "f1085f8f55744c1fb75975395754298480032e660fe318940a068cd007c4b26c", 45),
 ]
 
 
@@ -399,6 +399,36 @@ GOLDEN_FANS = [
                               "elasticity-strong-theta0.9"])
 def test_riemann_fans_keep_their_bits(model, kin, pairs, digest, failures):
     assert _fan_digest(model, kin, pairs()) == (digest, failures)
+
+
+def _solve_or_error(model, kin, a, b):
+    try:
+        return solve_riemann(model, kin, a, b)
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("pairs", [
+    lambda: [(np.array([-0.1644, 0.2763]), np.array([0.5508, 0.5802]))],
+    lambda: _uniform_pairs(300, -0.6, 0.6, 2),
+], ids=["ball-exit-example", "uniform-draw"])
+def test_negated_data_solve_to_the_negated_fan(pairs):
+    # the p-system's flux is odd and its balls are centred at 0, so a
+    # problem solves exactly when its mirror image (-a, -b) does, to the
+    # fan with the same wave kinds and negated states; the example's
+    # mirror passes a state whose zero-dissipation companion lies outside
+    # the outer ball, which the generalized strength does not need
+    for a, b in pairs():
+        fan = _solve_or_error(ELAS, KIN, a, b)
+        mirror = _solve_or_error(ELAS, KIN, -a, -b)
+        if isinstance(fan, Exception) or isinstance(mirror, Exception):
+            assert type(fan) is type(mirror), (a, b, fan, mirror)
+            continue
+        assert fan_kinds(fan) == fan_kinds(mirror), (a, b)
+        for w, m in zip(fan.waves, mirror.waves):
+            assert w.family == m.family
+            np.testing.assert_allclose(w.left, -m.left, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(w.right, -m.right, rtol=0, atol=1e-14)
 
 
 def _checked_states(model, kin, a, targets):
@@ -563,8 +593,9 @@ def _newton_log(model, kin, a, b):
 def test_polish_reuses_the_last_newton_steps_jacobian():
     # once a Newton step meets the tolerance, the polish walks its trial
     # endpoint alone, never a Jacobian column; only a guess that meets the
-    # tolerance from the start has no last Jacobian and builds one
-    solved = polished = 0
+    # tolerance from the start has no last Jacobian and builds one. A fan
+    # whose residual is exactly zero stops there and walks nothing more
+    solved = exact = polished = 0
     problems = ([(GOLDEN_FANS[0][0], a, b) for a, b in _c13_pairs(100)]
                 + [(ELAS, a, b) for a, b in _uniform_pairs(100, -0.6, 0.6, 2)])
     for model, a, b in problems:
@@ -576,12 +607,16 @@ def test_polish_reuses_the_last_newton_steps_jacobian():
         met = next(k for k, e in enumerate(log)
                    if e != "jacobian" and e[0] <= riemann.RESIDUAL_TOL)
         rest = log[met + 1:]
+        if log[met][0] == 0.0:
+            assert rest == [], (a, b)
+            exact += 1
+            continue
         if met == 0 and rest[:1] == ["jacobian"]:
             rest = rest[1:]
         assert "jacobian" not in rest, (a, b)
-        assert len(rest) <= 1 and all(w <= model.N for _, w in rest)
-        polished += len(rest)
-    assert solved == polished == 186
+        assert len(rest) == 1 and rest[0][1] <= model.N, (a, b)
+        polished += 1
+    assert (solved, exact, polished) == (186, 19, 167)
 
 
 @pytest.mark.parametrize("u_l, u_r, message", [
