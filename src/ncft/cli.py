@@ -86,7 +86,10 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        # a section's keys are named by their dotted path
+        names = unknown if where == "config" else [f"{where}.{key}"
+                                                   for key in unknown]
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(names)}")
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:

@@ -259,11 +259,17 @@ ABSENT = object()
     (("initial", "main"), [0.0, [float("nan")]], r"initial.main\[1\]"),
     (("initial", "jumps"), [[float("inf"), [-0.02]]],
      r"initial.jumps\[0\]\[0\]"),
+    # removed settings: whatever their value, they are unknown keys
+    (("stability_kappa",), "inf", "stability_kappa"),
+    (("stability_kappa",), float("inf"), "stability_kappa"),
     (("T",), float("inf"), "config.T"),
     (("h",), float("inf"), "config.h"),
     (("h",), float("nan"), "config.h"),
     (("h",), 10 ** 400, "config.h"),
     (("kinetics", "theta"), float("nan"), "kinetics.theta"),
+    (("calibration", "scales"), [0.0], "calibration.scales"),
+    (("calibration", "scales"), [0.05, -0.02], "calibration.scales"),
+    (("calibration", "scales"), [False], "calibration.scales"),
     (("sweep",), {"h": [float("nan")]}, "sweep.h"),
     # states of the wrong length for the cubic, or outside its ball of
     # radius 1.5
