@@ -13,9 +13,9 @@ import os
 import sys
 from importlib.resources import files
 
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # this checkout's sources, ahead of any installed ncft
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+sys.path.insert(0, os.path.join(CHECKOUT, "src"))
 
 from ncft import cli
 
@@ -69,13 +69,21 @@ def compare(expected, got):
     return lines
 
 
-def main():
+def arg_parser():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="out/contrast")
+    # the checkout's out/ (ignored by git), wherever the script runs from
+    parser.add_argument("--out", default=os.path.join(CHECKOUT, "out",
+                                                      "contrast"),
+                        help="directory the runs write (default: "
+                             "%(default)s)")
     parser.add_argument("--expect", metavar="FILE",
                         help="compare the digests against FILE; exit 1 on "
                              "any difference")
-    args = parser.parse_args()
+    return parser
+
+
+def main():
+    args = arg_parser().parse_args()
     expected = read_expected(args.expect) if args.expect else None
 
     got = {}

@@ -125,9 +125,15 @@ def hugoniot_point(model: FluxModel, u_minus, family: int, m: float) -> tuple:
     locus of u_minus: hugoniot_curve(...).state_speed(m) bit for bit,
     without building the curve."""
     a = models.require_in_ball(model, u_minus, "delta0")
-    m = float(m)
+    return _hugoniot_core(model, a, family, float(m))
+
+
+def _hugoniot_core(model: FluxModel, a: Array, family: int,
+                   m: float) -> tuple:
+    """hugoniot_point of a float64 state a already checked against the
+    outer ball, at a float m; the state it reaches is checked once."""
     if abs(m - float(model.family_parameter(a, family))) < STATE_COINCIDENCE:
-        return a.copy(), char_speed(model, a, family)
+        return a.copy(), float(model.eigen_fn(a)[0][family])
     return _hook_point(model.hugoniot_fn, model.delta0, a, family, m)
 
 
@@ -136,12 +142,17 @@ def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Array
     from the model's integral_curve_fn; BallExit when it leaves the outer
     ball."""
     a = models.require_in_ball(model, u_minus, "delta0")
-    m = float(m)
-    mu0 = float(model.family_parameter(a, family))
-    if abs(m - mu0) < 1e-15:
+    return _integral_core(model, a, family, float(m))
+
+
+def _integral_core(model: FluxModel, a: Array, family: int,
+                   m: float) -> Array:
+    """rarefaction_point of a float64 state a already checked against the
+    outer ball, at a float m; the state it reaches is checked once."""
+    if abs(m - float(model.family_parameter(a, family))) < 1e-15:
         return a.copy()
     u = model.integral_curve_fn(a, family, m)
-    if not models.in_ball(model, u, "delta0"):
+    if not models.within(u, model.delta0):
         raise BallExit(
             f"rarefaction curve left the outer ball at {u.tolist()}"
         )

@@ -810,8 +810,9 @@ def _wave_pair(model: FluxModel, kin: KineticFunction, u0, fam1: int,
     """Two single jumps chained off u0: family fam1 to its parameter at u0
     plus d1, then family fam2 to its parameter there plus d2. Returns the
     two jumps (left, right, kind, speed) of the wave-curve walk, or None
-    when either step takes other than one wave. No wave is built."""
-    u, out = u0, []
+    when either step takes other than one wave. No wave is built. u0
+    must lie in the outer ball (BallViolation otherwise)."""
+    u, out = models.require_in_ball(model, u0, "delta0"), []
     for fam, d in ((fam1, d1), (fam2, d2)):
         jumps = riemann._jumps(model, kin, u, fam,
                                float(model.family_parameter(u, fam)) + d)

@@ -51,12 +51,14 @@ class Memo:
         entry."""
         if len(self._entries) > self.LIMIT:
             self._entries.clear()
-        entry = self._entries.get(u.tobytes())
-        if entry is None or name not in entry:
-            value = compute()
-            self._entries.setdefault(u.tobytes(), {})[name] = value
-            return value
-        return entry[name]
+        key = u.tobytes()
+        entry = self._entries.get(key)
+        if entry is not None and name in entry:
+            return entry[name]
+        value = compute()
+        # compute may have added this state's entry, or cleared the memo
+        self._entries.setdefault(key, {})[name] = value
+        return value
 
 
 class BallViolation(ValueError):
@@ -104,6 +106,17 @@ class FluxModel:
     parameter whose Hugoniot state leaves the outer ball is an error
     (or, for the left contact, None). The generalized strength reads the
     zero-dissipation parameter as it is and builds no companion state.
+
+    Every hook accepts any indexable state, a tuple as well as a vector,
+    and a hook that returns a state returns a float64 vector. The public
+    functions of this module and of curves coerce their state with
+    as_state and check its ball; the Riemann walk does not. It checks a
+    state once, where it enters a walk (riemann.solve_riemann,
+    riemann.wave_curve_point, the calibration pairs of diagnostics) or
+    where a curve hook produces it, and from there riemann._jumps, its
+    shock and rarefaction steps and the curve cores
+    (curves._hugoniot_core, curves._integral_core) pass those checked
+    float64 vectors to the hooks as they are.
 
     cache is the model's Memo: one entry per state for its critical
     record and its kinetic values, cleared whole once it holds more than
@@ -308,25 +321,29 @@ def elasticity_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     def sigma_p(w):
         return 3.0 * w ** 2 + 1.0
 
+    # flux, entropy, eigen_fn and m_fn compute on Python floats in the
+    # order numpy's scalars would, so in the outer ball they return
+    # numpy's bits; outside it a float can raise where numpy gives inf
     def flux(u):
-        return np.array([-sigma(u[1]), -u[0]])
+        return np.array([-sigma(float(u[1])), -float(u[0])])
 
     def entropy(u):
-        v, w = u
+        v, w = float(u[0]), float(u[1])
         return v * v / 2 + w ** 4 / 4 + w * w / 2, -v * sigma(w)
 
     def family_parameter(u, j):
         return float(-u[1] if j == 0 else u[1])
 
     def eigen_fn(u):
-        s = np.sqrt(sigma_p(u[1]))
+        s = math.sqrt(sigma_p(float(u[1])))
         # Columns of R normalized so grad(parameter_j) . r_j = 1.
         return ((-s, s), ((-s, -s), (-1.0, 1.0)),
                 ((-0.5 / s, -0.5), (-0.5 / s, 0.5)))
 
     def m_fn(u, j):
         # d lambda_j / d parameter_j along the integral curve, both families.
-        return 3.0 * u[1] / np.sqrt(sigma_p(u[1]))
+        w = float(u[1])
+        return 3.0 * w / math.sqrt(sigma_p(w))
 
     # Curves through (v-, w-) reach w+ = m on family 1 and w+ = -m on
     # family 0, where the parameter is -w.

@@ -125,7 +125,7 @@ class WaveFan:
         """States chain bit for bit, and each wave is no slower than the
         one before it, within FAN_SPEED_TOL."""
         for a, b in zip(self.waves, self.waves[1:]):
-            if not np.array_equal(a.right, b.left):
+            if a.right.tolist() != b.left.tolist():
                 raise SolverError("fan states do not chain")
             if b.speed_lo < a.speed_hi - FAN_SPEED_TOL:
                 raise SolverError(
@@ -173,20 +173,21 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
 
 def _probe_shock(model: FluxModel, a: Array, family: int, m: float,
                  kin: Optional[KineticFunction] = None) -> tuple:
-    """The jump (left, right, None, speed) from a to the Hugoniot point
-    with parameter m, unchecked and unclassified: the shock of a Newton
-    probe, which reads the right state alone. kin is taken only to match
-    `_shock`'s call."""
-    right, speed = curves.hugoniot_point(model, a, family, m)
+    """The jump (left, right, None, speed) from the checked state a to
+    the Hugoniot point with parameter m, unchecked and unclassified: the
+    shock of a Newton probe, which reads the right state alone. kin is
+    taken only to match `_shock`'s call."""
+    right, speed = curves._hugoniot_core(model, a, family, m)
     return a, right, None, speed
 
 
 def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
-    """The jump (left, right, kind, speed) from a to the integral-curve
-    point with parameter m; its characteristic speed must not decrease."""
-    right = curves.rarefaction_point(model, a, family, m)
-    lam_l = models.char_speed(model, a, family)
-    lam_r = models.char_speed(model, right, family)
+    """The jump (left, right, kind, speed) from the checked state a to
+    the integral-curve point with parameter m; its characteristic speed
+    must not decrease."""
+    right = curves._integral_core(model, a, family, m)
+    lam_l = float(model.eigen_fn(a)[0][family])
+    lam_r = float(model.eigen_fn(right)[0][family])
     if lam_r < lam_l - 1e-10:
         raise SolverError(
             f"rarefaction with decreasing characteristic speed on family {family}"
@@ -209,13 +210,14 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
     and the wave that trails it. Non-designated families take a single
     wave by the local genuine-nonlinearity sign, and are only supported
     away from their own sign-change manifolds. Shocks come from the
-    builder `shock`, called as `_shock` is."""
+    builder `shock`, called as `_shock` is. a is a float64 state already
+    checked against the outer ball, as every state a walk reaches is."""
     mu0 = float(model.family_parameter(a, family))
     m = float(m)
     if abs(m - mu0) < 1e-14:
         return []
     if family != model.cc_index:
-        m_loc = models.m_value(model, a, family)
+        m_loc = float(model.m_fn(a, family))
         if abs(m_loc) < 1e-8:
             raise SolverError(
                 f"family {family} degenerate at {a.tolist()}: composite "
@@ -258,9 +260,10 @@ def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: in
 
     Returns (state, fragment): the reached state and the list of waves
     (possibly empty, possibly two for the nonclassical branch) that
-    realize the jump."""
+    realize the jump. u_minus must lie in the outer ball
+    (BallViolation otherwise)."""
     ids = ids or IdGen()
-    a = models.as_state(model, u_minus)
+    a = models.require_in_ball(model, u_minus, "delta0")
     jumps = _jumps(model, kin, a, family, m)
     if not jumps:
         return a.copy(), []
@@ -311,7 +314,8 @@ def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:
         speed = (lam_l, lam_r)
     else:
         speed = last.speed
-    waves[-1] = dataclasses.replace(last, right=u_r.copy(), speed=speed)
+    waves[-1] = Wave(last.family, last.kind, last.left, u_r.copy(), speed,
+                     last.strength, last.id)
     return waves
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ncft import curves, riemann
 from ncft.kinetics import KineticFunction
-from ncft.models import FluxModel, sup_norm
+from ncft.models import FluxModel, require_in_ball, sup_norm
 from ncft.riemann import (
     KIND_CLASSICAL,
     KIND_NONCLASSICAL,
@@ -182,20 +182,22 @@ class InteractionEvent:
 def _split_rarefaction(model: FluxModel, wave: Wave, h: float,
                        ids: IdGen) -> list:
     """Cut a rarefaction into pieces of equal parameter increment <= h,
-    chained bit-for-bit, each a jump of its own."""
+    chained bit-for-bit, each a jump of its own. The left state is
+    checked against the outer ball once, and each cut where the integral
+    curve reaches it."""
     fam = wave.family
-    mu_l = float(model.family_parameter(wave.left, fam))
+    state = require_in_ball(model, wave.left, "delta0")
+    mu_l = float(model.family_parameter(state, fam))
     mu_r = float(model.family_parameter(wave.right, fam))
     span = mu_r - mu_l
     n = max(1, math.ceil(abs(span) / h - 1e-12))
     pieces = []
-    state = wave.left
     for k in range(1, n + 1):
         if k == n:
             nxt = wave.right
         else:
             target = mu_l + span * (k / n)
-            nxt = curves.rarefaction_point(model, state, fam, target)
+            nxt = curves._integral_core(model, state, fam, target)
         pieces.append(Wave.of(model, fam, KIND_PIECE, state, nxt,
                               curves.chord_speed(model, state, nxt), ids()))
         state = nxt

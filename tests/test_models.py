@@ -175,6 +175,68 @@ def test_sup_norm_matches_numpy():
         models.sup_norm(np.array([]))
 
 
+def _numpy_scalar_hooks():
+    # the p-system's flux, entropy, eigen_fn and m_fn as they were written
+    # on the numpy scalars a state vector's components are
+    def sigma(w):
+        return w ** 3 + w
+
+    def sigma_p(w):
+        return 3.0 * w ** 2 + 1.0
+
+    def flux(u):
+        return np.array([-sigma(u[1]), -u[0]])
+
+    def entropy(u):
+        v, w = u
+        return v * v / 2 + w ** 4 / 4 + w * w / 2, -v * sigma(w)
+
+    def eigen_fn(u):
+        s = np.sqrt(sigma_p(u[1]))
+        return ((-s, s), ((-s, -s), (-1.0, 1.0)),
+                ((-0.5 / s, -0.5), (-0.5 / s, 0.5)))
+
+    def m_fn(u, j):
+        return 3.0 * u[1] / np.sqrt(sigma_p(u[1]))
+
+    return {"flux": flux, "entropy": entropy, "eigen_fn": eigen_fn,
+            "m_fn0": lambda u: m_fn(u, 0), "m_fn1": lambda u: m_fn(u, 1)}
+
+
+def _components(value):
+    # every float a hook returns, in order, as its bytes
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [b for v in value for b in _components(v)]
+    return [np.float64(value).tobytes()]
+
+
+def test_elasticity_hooks_on_floats_match_numpy_scalars():
+    # the hooks compute on Python floats and return numpy's bits for
+    # every state of the outer ball, on it and at w = +-0.0 included; a
+    # float raises where numpy overflows, so the claim stops at the ball
+    reference = _numpy_scalar_hooks()
+    hooks = {"flux": ELAS.flux, "entropy": ELAS.entropy,
+             "eigen_fn": ELAS.eigen_fn,
+             "m_fn0": lambda u: ELAS.m_fn(u, 0),
+             "m_fn1": lambda u: ELAS.m_fn(u, 1)}
+    rng = np.random.default_rng(29)
+    states = models.sample_ball(ELAS, 1500, rng, radius="delta0", margin=1.0)
+    states += [np.array([v, w]) for v in (0.0, -0.0, 0.7, -1.9)
+               for w in (0.0, -0.0)]
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    states += [ELAS.delta0 * np.array([np.cos(t), np.sin(t)]) for t in angles]
+    states += [np.array([0.0, 2.0]), np.array([0.0, -2.0]),
+               np.array([-2.0, 0.0])]
+    for u in states:
+        assert models.within(u, ELAS.delta0), u
+        for name, hook in hooks.items():
+            want = _components(reference[name](u))
+            assert _components(hook(u)) == want, (name, u)
+            # a tuple state is a state too
+            assert _components(hook(tuple(u.tolist()))) == want, (name, u)
+    assert np.array_equal(ELAS.flux((0.0, -0.75)), [0.75 ** 3 + 0.75, -0.0])
+
+
 def test_field_kind_validation():
     # cc_index must name one of the N families
     for model in (CUBIC, ELAS):

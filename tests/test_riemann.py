@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from ncft import curves, kinetics as kin_mod, models, riemann
+from ncft import (curves, diagnostics as dg, kinetics as kin_mod, models,
+                  riemann)
 from ncft.kinetics import KineticFunction
 from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import (
@@ -22,6 +23,9 @@ from ncft.riemann import (
     KIND_NONCLASSICAL,
     KIND_RAREFACTION,
     IdGen,
+    SolverError,
+    Wave,
+    WaveFan,
     solve_riemann,
     wave_curve_point,
 )
@@ -551,6 +555,85 @@ def test_no_solve_walks_a_step_twice(model, kin, pairs, nonclassical):
         assert steps and len(set(steps)) == len(steps), (a, b)
         fans += fan is not None and KIND_NONCLASSICAL in fan_kinds(fan)
     assert fans == nonclassical
+
+
+def _walk_starts(run):
+    # every state a walk starts from while run() runs, solves and
+    # calibration pairs alike; a failing solve is part of the run
+    starts = []
+    jumps = riemann._jumps
+
+    def recorded(model, kin, a, *args):
+        starts.append(a)
+        return jumps(model, kin, a, *args)
+
+    with mock.patch.object(riemann, "_jumps", recorded):
+        run()
+    return starts
+
+
+def _solve_all(model, kin, pairs):
+    for a, b in pairs():
+        try:
+            solve_riemann(model, kin, a, b)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("model, run", [
+    (GOLDEN_FANS[0][0], lambda: _solve_all(*GOLDEN_FANS[0][:3])),
+    (ELAS, lambda: _solve_all(*GOLDEN_FANS[1][:3])),
+    (CUBIC, lambda: dg.calibrate(CUBIC, KIN, dg.lemma_weights(0.75), n=50)),
+    (ELAS, lambda: dg.calibrate(ELAS, KIN, dg.lemma_weights(0.75), n=50)),
+], ids=["c13-draw", "elasticity-strong", "calibrate-cubic",
+        "calibrate-elasticity"])
+def test_every_walk_starts_on_a_checked_state(model, run):
+    # a walk takes its start state as it is, so every start must be a
+    # float64 vector already checked against the outer ball
+    starts = _walk_starts(run)
+    assert len(starts) > 100
+    for a in starts:
+        assert type(a) is np.ndarray and a.dtype == np.float64
+        assert a.shape == (model.N,)
+        assert models.within(a, model.delta0), a
+
+
+@pytest.mark.parametrize("call, state", [
+    (lambda u: wave_curve_point(ELAS, KIN, u, 1, 0.3), (1.5, 1.5)),
+    (lambda u: wave_curve_point(ELAS, KIN, u, 0, -1.2), (1.5, 1.5)),
+    (lambda u: wave_curve_point(CUBIC, KIN, u, 0, 1.0), [2.5]),
+    (lambda u: curves.hugoniot_point(ELAS, u, 1, 0.3), (1.5, 1.5)),
+    (lambda u: curves.rarefaction_point(ELAS, u, 1, 1.8), (1.5, 1.5)),
+    (lambda u: curves.hugoniot_point(CUBIC, u, 0, 1.0), 2.5),
+    (lambda u: curves.rarefaction_point(CUBIC, u, 0, 1.0), 2.5),
+], ids=["walk-designated", "walk-other", "walk-cubic", "hugoniot",
+        "rarefaction", "hugoniot-cubic", "rarefaction-cubic"])
+def test_a_state_outside_the_outer_ball_keeps_its_message(call, state):
+    with pytest.raises(models.BallViolation) as info:
+        call(state)
+    shown = "[1.5, 1.5]" if len(np.atleast_1d(state)) == 2 else "[2.5]"
+    assert str(info.value) == (
+        f"state {shown} outside working ball of radius 2.0 (delta0)")
+
+
+def _wave(left, right):
+    return Wave(0, KIND_CLASSICAL, np.array(left), np.array(right), 0.5,
+                -0.1, 0)
+
+
+def test_fan_states_chain_by_value():
+    # states chain when they are equal as floats: 0.0 and -0.0 do, a NaN
+    # does not, even in one shared array
+    WaveFan((_wave([1.0, 0.0], [0.5, -0.0]),
+             _wave([0.5, 0.0], [0.2, 0.3]))).validate()
+    nan = _wave([1.0, 0.0], [0.5, np.nan])
+    for fan in ((nan, _wave([0.5, np.nan], [0.2, 0.3])),
+                (nan, Wave(0, KIND_CLASSICAL, nan.right, np.array([0.2, 0.3]),
+                           0.5, -0.1, 1)),
+                (_wave([1.0], [0.5]), _wave([0.5 + 2 ** -52], [0.2])),
+                (_wave([1.0], [0.5]), _wave([0.5, 0.0], [0.2, 0.3]))):
+        with pytest.raises(SolverError, match="fan states do not chain"):
+            WaveFan(fan).validate()
 
 
 def _newton_log(model, kin, a, b):

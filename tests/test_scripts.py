@@ -27,6 +27,21 @@ def test_script_runs_outside_the_checkout_without_pythonpath(script,
     assert "usage:" in proc.stdout
 
 
+def test_contrast_writes_under_its_checkout_by_default(monkeypatch,
+                                                      tmp_path):
+    # run from elsewhere, the default --out is still the checkout's
+    # out/contrast, which git ignores; parsing runs no experiment
+    monkeypatch.syspath_prepend(SCRIPTS)
+    monkeypatch.chdir(tmp_path)
+    spec = importlib.util.spec_from_file_location(
+        "_run_contrast", os.path.join(SCRIPTS, "run_contrast.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = module.arg_parser().parse_args([]).out
+    assert out == os.path.join(os.path.dirname(SCRIPTS), "out", "contrast")
+    assert module.arg_parser().parse_args(["--out", "x"]).out == "x"
+
+
 def _outcomes_script(monkeypatch):
     # riemann_outcomes.py imports run_contrast as a sibling module
     monkeypatch.syspath_prepend(SCRIPTS)
