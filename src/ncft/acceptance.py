@@ -58,8 +58,8 @@ def _kin(theta=0.5, gamma=0.5):
 # its Hugoniot locus alone, by bracketing root searches, without the
 # model's critical_fn: the oracle c01, c02 and the tests hold the closed
 # forms against. Each takes (model, state), runs on a Hugoniot curve
-# built for the state, keeps no memo of its own, and imports scipy.optimize
-# only when called. A state within NEAR_MANIFOLD of the sign-change
+# built for the state, keeps nothing between calls, and imports
+# scipy.optimize only when called. A state within NEAR_MANIFOLD of the sign-change
 # manifold gets the map's leading-order normal form instead of a search.
 #
 # Known limits, which the states c01 and c02 sample stay clear of; they are

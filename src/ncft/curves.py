@@ -19,10 +19,10 @@ The critical maps answer from the model's critical_fn hook: the tangency
 and zero-dissipation parameters come from the hook, and the left contact
 and the equal-speed companions from its symmetry rule,
 companion(m) = 2 m_nat - m. Every parameter they return is checked against
-the outer ball through the Hugoniot point it names. A state's first query
-computes its record of both hook parameters, kept in the model's memo;
-the two companion maps compute from that record on each call, and no
-curve is kept. The generalized strength reads the zero-dissipation
+the outer ball through the Hugoniot point it names. Each query reads the
+state's record of both hook parameters from one critical_fn call, and the
+two companion maps compute from that record; nothing is kept between
+calls. The generalized strength reads the zero-dissipation
 parameter from the hook as well, but builds no companion state, so it
 does not need that point in the ball. The release checks hold the maps
 against bracketing root searches (acceptance.py).
@@ -204,36 +204,25 @@ def dissipation_at_speed(model: FluxModel, u_minus, u_plus,
     return -lam * (U_p - U_m) + (F_p - F_m)
 
 
-def _critical(model: FluxModel, a: Array) -> tuple:
-    """The record (tangency, zero-dissipation parameter) of state a, after
-    one outer-ball check of a and of each point the maps check; a map that
-    leaves the ball keeps its BallExit message, not the exception, whose
-    traceback would keep frames alive."""
-    a = models.require_in_ball(model, a, "delta0")
+def _critical(model: FluxModel, u_minus, zero: bool = True) -> tuple:
+    """The record (tangency, zero-dissipation parameter) of u_minus, from
+    one critical_fn call, after one outer-ball check of the state and of
+    each point the maps check; BallExit where one of them leaves the ball.
+    With zero False the zero-dissipation point goes unchecked, for the
+    maps that read the tangency alone."""
+    a = models.require_in_ball(model, u_minus, "delta0")
     mu0 = mu(model, a)
     m_nat, m_b0 = (float(m) for m in model.critical_fn(a, mu0))
     # the tangency point counts as interior only if the chord speed rises
     # past it inside the ball, up to a quarter of |mu| beyond it, the
     # domain the release checks' search covers; where it fails, so does
     # the zero-dissipation map
-    try:
-        for k, m in enumerate((m_nat - 0.25 * mu0, m_nat, m_b0)):
-            if abs(m - mu0) >= STATE_COINCIDENCE:
-                _hook_point(model.hugoniot_fn, model.delta0, a,
-                            model.cc_index, m)
-    except BallExit as exc:
-        return (m_nat if k == 2 else str(exc)), str(exc)
+    checked = (m_nat - 0.25 * mu0, m_nat, m_b0) if zero else (
+        m_nat - 0.25 * mu0, m_nat)
+    for m in checked:
+        if abs(m - mu0) >= STATE_COINCIDENCE:
+            _hook_point(model.hugoniot_fn, model.delta0, a, model.cc_index, m)
     return m_nat, m_b0
-
-
-def _read(model: FluxModel, u_minus, index: int) -> float:
-    """Entry index of the record of u_minus, from the model's memo; a
-    stored message raises its BallExit again."""
-    a = as_state(model, u_minus)
-    value = model.cache.value("crit", a, lambda: _critical(model, a))[index]
-    if type(value) is str:
-        raise BallExit(value)
-    return value
 
 
 def mu_natural(model: FluxModel, u_minus) -> float:
@@ -241,7 +230,7 @@ def mu_natural(model: FluxModel, u_minus) -> float:
     speed along the Hugoniot, where the shock speed meets the
     characteristic speed of the right state. Read from the model's
     critical_fn."""
-    return _read(model, u_minus, 0)
+    return _critical(model, u_minus, zero=False)[0]
 
 
 def mu_minus_natural(model: FluxModel, u_minus) -> Optional[float]:
@@ -263,14 +252,20 @@ def mu_flat_zero(model: FluxModel, u_minus) -> float:
     entropy dissipation along the Hugoniot, between the left contact and
     the tangency point. Applying the map from the reached state returns
     the start (involution). Read from the model's critical_fn."""
-    return _read(model, u_minus, 1)
+    return _critical(model, u_minus)[1]
 
 
 def companion_parameter(model: FluxModel, u_minus, m_ref: float) -> float:
     """Equal-shock-speed companion of m_ref on the other side of the
     tangency point, on the Hugoniot of u_minus: 2 m_nat - m_ref."""
-    m_nat = mu_natural(model, u_minus)
-    # three points and the base speed of one locus: a curve, kept by no memo
+    return _companion(model, u_minus, mu_natural(model, u_minus), m_ref)
+
+
+def _companion(model: FluxModel, u_minus, m_nat: float,
+               m_ref: float) -> float:
+    """companion_parameter of u_minus, whose tangency parameter m_nat is
+    known."""
+    # three points and the base speed of one locus: one curve
     curve = hugoniot_curve(model, u_minus)
     lam_ref = curve.speed_at(m_ref)
     if curve.speed_at(m_nat) - lam_ref > 0:
@@ -292,9 +287,8 @@ def mu_sharp_zero(model: FluxModel, u_minus) -> float:
     if abs(mu0) < 1e-12:
         return 0.0
     s = 1.0 if mu0 > 0 else -1.0
-    m_b0 = mu_flat_zero(model, a)
-    m_nat = mu_natural(model, a)
-    root = companion_parameter(model, a, m_b0)
+    m_nat, m_b0 = _critical(model, a)
+    root = _companion(model, a, m_nat, m_b0)
     if not (s * m_b0 < s * m_nat < s * root + CRIT_TOL):
         raise CurveError(
             f"critical point ordering violated: {m_b0}, {m_nat}, {root}"

@@ -17,7 +17,6 @@ It returns a report; callers decide whether to abort.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Optional
 
 import numpy as np
@@ -38,8 +37,7 @@ class KineticFunction:
     """theta in [0, 1]: kinetic interpolation weight (0 gives the classical
     limit at the tangency point, 1 degenerates onto the open band end and
     fails conformance); nucleation_gamma in [0, 1]: nucleation
-    interpolation weight (0 disables nucleation). Frozen, so its value
-    keys the per-state memo of kinetic parameters."""
+    interpolation weight (0 disables nucleation)."""
 
     theta: float = 0.5
     nucleation_gamma: float = 0.0
@@ -51,30 +49,40 @@ class KineticFunction:
             raise ValueError("nucleation_gamma must lie in [0, 1]")
 
 
-def _memoized(name: str):
-    """Serve a kinetic map of u from the model's memo under (name, kin).
-    States on the sign-change manifold map to their own parameter and
-    bypass the memo; the map's body receives u as a state vector."""
-    def wrap(body):
-        @functools.wraps(body)
-        def memoized(model: FluxModel, kin: KineticFunction, u):
-            a = models.as_state(model, u)
-            muv = models.mu(model, a)
-            if abs(muv) < 1e-12:
-                return muv
-            return model.cache.value((name, kin), a,
-                                     lambda: body(model, kin, a))
-        return memoized
-    return wrap
-
-
-@_memoized("flat")
-def mu_flat(model: FluxModel, kin: KineticFunction, a: Array) -> float:
-    """Kinetic parameter value for left state u: theta of the way from
-    the tangency parameter to the zero-dissipation one."""
-    m_nat = curves.mu_natural(model, a)
-    m_b0 = curves.mu_flat_zero(model, a)
+def _flat(kin: KineticFunction, m_nat: float, m_b0: float) -> float:
+    """The kinetic value of a critical record (tangency, zero-dissipation
+    parameter): theta of the way from the first to the second."""
     return float((1.0 - kin.theta) * m_nat + kin.theta * m_b0)
+
+
+def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
+    """Kinetic parameter value for left state u: theta of the way from
+    the tangency parameter to the zero-dissipation one. A state on the
+    sign-change manifold maps to its own parameter."""
+    a = models.as_state(model, u)
+    muv = float(model.family_parameter(a, model.cc_index))
+    if abs(muv) < 1e-12:
+        return muv
+    return _flat(kin, *curves._critical(model, a))
+
+
+def thresholds(model: FluxModel, kin: KineticFunction, u) -> tuple:
+    """(kinetic value, its equal-speed companion, nucleation threshold) of
+    left state u, from one critical record: the values of mu_flat,
+    mu_sharp and mu_nucleation. A state on the sign-change manifold maps
+    to its own parameter in all three; a map that fails raises, as
+    mu_nucleation does."""
+    a = models.as_state(model, u)
+    muv = float(model.family_parameter(a, model.cc_index))
+    if abs(muv) < 1e-12:
+        return muv, muv, muv
+    m_nat, m_b0 = curves._critical(model, a)
+    m_flat = _flat(kin, m_nat, m_b0)
+    m_sharp = curves._companion(model, a, m_nat, m_flat)
+    # with weight 0 the threshold is the companion, and nucleation never
+    # constrains anything
+    g = kin.nucleation_gamma
+    return m_flat, m_sharp, float((1.0 - g) * m_sharp + g * m_nat)
 
 
 def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
@@ -82,10 +90,9 @@ def phi_flat(model: FluxModel, kin: KineticFunction, u) -> Array:
     return curves.hugoniot_point(model, a, model.cc_index, mu_flat(model, kin, a))[0]
 
 
-@_memoized("sharp")
-def mu_sharp(model: FluxModel, kin: KineticFunction, a: Array) -> float:
+def mu_sharp(model: FluxModel, kin: KineticFunction, u) -> float:
     """Equal-shock-speed companion of the kinetic value."""
-    return float(curves.companion_parameter(model, a, mu_flat(model, kin, a)))
+    return thresholds(model, kin, u)[1]
 
 
 def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
@@ -93,21 +100,17 @@ def phi_sharp(model: FluxModel, kin: KineticFunction, u) -> Array:
     return curves.hugoniot_point(model, a, model.cc_index, mu_sharp(model, kin, a))[0]
 
 
-@_memoized("nucl")
-def mu_nucleation(model: FluxModel, kin: KineticFunction, a: Array) -> float:
+def mu_nucleation(model: FluxModel, kin: KineticFunction, u) -> float:
     """Nucleation threshold: convex combination of the companion and the
-    tangency parameter. With weight 0 it coincides with the companion and
-    nucleation never constrains anything."""
-    g = kin.nucleation_gamma
-    return float((1.0 - g) * mu_sharp(model, kin, a)
-                 + g * curves.mu_natural(model, a))
+    tangency parameter, weighted by nucleation_gamma."""
+    return thresholds(model, kin, u)[2]
 
 
 def nucleation_gap(model: FluxModel, kin: KineticFunction, u) -> float:
     """Distance eta between the companion and the nucleation threshold;
     zero exactly when the nucleation weight is zero."""
-    a = models.as_state(model, u)
-    return abs(mu_sharp(model, kin, a) - mu_nucleation(model, kin, a))
+    _, m_sharp, m_nucl = thresholds(model, kin, u)
+    return abs(m_sharp - m_nucl)
 
 
 def default_samples(model: FluxModel, n: int = 200, seed: int = 0) -> list:
@@ -171,12 +174,11 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         muv = models.mu(model, a)
         s = 1.0 if muv > 0 else -1.0
         try:
-            m_b0 = curves.mu_flat_zero(model, a)
-            m_nat = curves.mu_natural(model, a)
-            val = mu_flat(model, kin, a)
+            m_nat, m_b0 = curves._critical(model, a)
         except curves.CurveError:
             n_skipped += 1
             continue
+        val = _flat(kin, m_nat, m_b0)
         reachable.append((muv, val, a))
         if h1_witness is None and not (
             s * val > s * m_b0 + 1e-12 * max(1.0, abs(muv))
@@ -207,14 +209,14 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
     }
 
     # H3: identity on the manifold, and monotone decrease of the kinetic
-    # value along integral-curve arcs through sampled states. The memo
+    # value along integral-curve arcs through sampled states. mu_flat
     # answers a state on the manifold with its own parameter, so the
-    # identity is read from the map's body.
+    # identity is read from the state's critical record.
     manifold_ok = True
     for a in states[: max(1, len(states) // 10)]:
         try:
             proj = curves.rarefaction_point(model, a, model.cc_index, 0.0)
-            if abs(mu_flat.__wrapped__(model, kin, proj)) > 1e-9:
+            if abs(_flat(kin, *curves._critical(model, proj))) > 1e-9:
                 manifold_ok = False
                 break
         except curves.CurveError:

@@ -28,39 +28,6 @@ Array = np.ndarray
 BALL_TOL = 1e-12
 
 
-class Memo:
-    """A model's memo: one entry per state, keyed by the state's bytes,
-    holding the state's critical record and its kinetic values; it holds
-    no curves. The critical maps keep the record under one name, the
-    kinetics their values under (map, KineticFunction) pairs, so equal
-    kinetic functions share them. Whenever an access finds more
-    than LIMIT entries, the memo clears whole first.
-    """
-
-    LIMIT = 8192
-
-    def __init__(self):
-        self._entries = {}
-
-    def __len__(self):
-        return len(self._entries)
-
-    def value(self, name, u: Array, compute: Callable):
-        """The value called name of state u, from compute() once; None is
-        a value like any other. A computation that raises leaves no
-        entry."""
-        if len(self._entries) > self.LIMIT:
-            self._entries.clear()
-        key = u.tobytes()
-        entry = self._entries.get(key)
-        if entry is not None and name in entry:
-            return entry[name]
-        value = compute()
-        # compute may have added this state's entry, or cleared the memo
-        self._entries.setdefault(key, {})[name] = value
-        return value
-
-
 class BallViolation(ValueError):
     """State outside the working ball."""
 
@@ -117,12 +84,6 @@ class FluxModel:
     shock and rarefaction steps and the curve cores
     (curves._hugoniot_core, curves._integral_core) pass those checked
     float64 vectors to the hooks as they are.
-
-    cache is the model's Memo: one entry per state for its critical
-    record and its kinetic values, cleared whole once it holds more than
-    Memo.LIMIT entries. The critical maps and the kinetics fill it
-    through Memo.value; a curve point adds no entry, and no curve is
-    kept. It takes no part in construction, comparison or hashing.
     """
 
     name: str
@@ -138,8 +99,6 @@ class FluxModel:
     hugoniot_fn: Callable[[Array, int, float], tuple]
     integral_curve_fn: Callable[[Array, int, float], Array]
     critical_fn: Callable[[Array, float], tuple]
-    cache: Memo = dataclasses.field(default_factory=Memo, init=False,
-                                    repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.delta1 <= self.delta0):

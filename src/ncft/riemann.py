@@ -139,14 +139,14 @@ class WaveFan:
 
 def _shock(model: FluxModel, a: Array, family: int, m: float,
            kin: Optional[KineticFunction] = None) -> tuple:
-    """The jump (left, right, kind, speed) from a to the Hugoniot point
-    with parameter m, its kind (classical or nonclassical) derived from
-    the classification. Enforces the admissibility invariants: no
-    expansive shock, no positive entropy dissipation, and with kin given,
-    the kinetic relation on a nonclassical jump. Both rules read the one
+    """The jump (left, right, kind, speed) from the checked state a to the
+    Hugoniot point with parameter m, its kind (classical or nonclassical)
+    derived from the classification. Enforces the admissibility
+    invariants: no expansive shock, no positive entropy dissipation, and
+    with kin given, the kinetic relation on a nonclassical jump. Both rules read the one
     least-squares speed whose Rankine-Hugoniot residual is checked; the
     jump carries the Hugoniot hook's speed."""
-    right, speed = curves.hugoniot_point(model, a, family, m)
+    right, speed = curves._hugoniot_core(model, a, family, m)
     lam = curves.shock_speed(model, a, right, family)
     cls = curves.classify_at_speed(model, a, right, family, lam)
     if cls == "Lax":
@@ -235,16 +235,15 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
         # a same-sign weak shock lies inside the classical range for any
         # admissible kinetics, so it skips the critical-point machinery
         return [shock(model, a, family, m, kin)]
+    m_flat, m_sharp, m_nucl = kin_mod.thresholds(model, kin, a)
     # classical shocks are preferred throughout the overlap, ties also
-    if s * (m - kin_mod.mu_nucleation(model, kin, a)) >= -THRESHOLD_TIE:
+    if s * (m - m_nucl) >= -THRESHOLD_TIE:
         return [shock(model, a, family, m, kin)]
-    m_sharp = kin_mod.mu_sharp(model, kin, a)
     if s * (m - m_sharp) > 0:
         raise NoSolutionGap(
             f"target {m} between the companion {m_sharp} and the "
             f"nucleation threshold: uncovered by either branch"
         )
-    m_flat = kin_mod.mu_flat(model, kin, a)
     leading = shock(model, a, family, m_flat, kin)
     if abs(m - m_flat) < 1e-14:
         return [leading]

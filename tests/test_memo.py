@@ -1,97 +1,24 @@
-"""The per-model memo: one entry per state, holding its critical record and
-its critical and kinetic values."""
+"""The critical maps and the kinetic thresholds keep nothing between calls:
+each call reads its state's critical record from one critical_fn call,
+raises a failing map's BallExit itself, and holds nothing that keeps its
+model alive."""
 
 import dataclasses
 import gc
+import hashlib
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 from ncft import curves, models
-from ncft.kinetics import KineticFunction, mu_flat, mu_nucleation, mu_sharp
+from ncft.kinetics import (KineticFunction, mu_flat, mu_nucleation, mu_sharp,
+                           nucleation_gap, thresholds)
 from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import solve_riemann
 
 KIN = KineticFunction(theta=0.5, nucleation_gamma=0.5)
-
-
-def _forbid(monkeypatch, *names):
-    """Make the named curves functions fail, so that any map body that
-    runs again is caught."""
-    def recomputed(*args, **kwargs):
-        raise AssertionError("a memoized value was computed again")
-    for name in names:
-        monkeypatch.setattr(curves, name, recomputed)
-
-
-def test_memo_serves_a_states_critical_and_kinetic_values(monkeypatch):
-    model = cubic_model()
-    u = np.array([0.8])
-    maps = (curves.mu_natural, curves.mu_flat_zero)
-    kinetic = (mu_flat, mu_sharp, mu_nucleation)
-    first = ([f(model, u) for f in maps] +
-             [f(model, KIN, u) for f in kinetic])
-    # one entry for all the values of u, and no curve
-    assert len(model.cache) == 1
-    # every critical-map body starts with mu, every kinetic body reads one
-    # of the curves maps below
-    _forbid(monkeypatch, "mu", "hugoniot_curve", "mu_natural",
-            "mu_flat_zero", "companion_parameter")
-    again = ([f(model, u) for f in maps] +
-             [f(model, KIN, u) for f in kinetic])
-    assert again == first
-    assert len(model.cache) == 1
-
-
-def test_memo_keys_kinetic_values_by_kinetic_function_value(monkeypatch):
-    model = cubic_model()
-    u = np.array([0.8])
-    value = mu_flat(model, KineticFunction(theta=0.5, nucleation_gamma=0.5), u)
-    calls = []
-    natural = curves.mu_natural
-
-    def counted(*args):
-        calls.append(args)
-        return natural(*args)
-
-    monkeypatch.setattr(curves, "mu_natural", counted)
-    # an equal kinetic function, built anew, shares the entry
-    equal = KineticFunction(theta=0.5, nucleation_gamma=0.5)
-    assert mu_flat(model, equal, u) == value
-    assert calls == []
-    # another theta is another value of the state
-    other = mu_flat(model, KineticFunction(theta=0.25, nucleation_gamma=0.5), u)
-    assert len(calls) == 1
-    assert other == pytest.approx(0.75 * -0.4 + 0.25 * -0.8, abs=1e-10)
-    assert len(model.cache) == 1
-
-
-def test_memo_clears_whole_past_its_limit():
-    model = cubic_model()
-    memo = model.cache
-    states = [np.array([0.3 + 0.1 * k]) for k in range(8)]
-    before = [curves.mu_flat_zero(model, u) for u in states]
-    fresh = len(memo)
-    assert fresh == len(states)
-
-    def filler(k):
-        return memo.value("filler", np.array([10.0 + k]), lambda: k)
-
-    for k in range(memo.LIMIT - fresh):
-        filler(k)
-    assert len(memo) == memo.LIMIT
-    # at the limit, accesses are still served
-    assert [curves.mu_flat_zero(model, u) for u in states] == before
-    assert len(memo) == memo.LIMIT
-    filler(memo.LIMIT)
-    assert len(memo) == memo.LIMIT + 1
-    # past it, the next access clears every entry, and the values come
-    # back equal to the ones computed before the clear
-    after = [curves.mu_flat_zero(model, u) for u in states]
-    assert after == before
-    assert len(memo) == fresh
-    assert memo.value("filler", np.array([10.0]), lambda: -1) == -1
 
 
 def _counted_model(factory):
@@ -117,15 +44,18 @@ def _counted_model(factory):
     (cubic_model, [0.8]), (elasticity_model, [0.1, 0.6])],
     ids=["cubic", "elasticity"])
 def test_a_fresh_state_calls_the_critical_hook_once(factory, u):
+    # once per call of every map, the threshold triple included
     model, calls = _counted_model(factory)
     u = np.array(u)
     for f in (curves.mu_natural, curves.mu_minus_natural,
               curves.mu_flat_zero, curves.mu_sharp_zero):
+        before = calls["critical_fn"]
         f(model, u)
-    for f in (mu_flat, mu_sharp, mu_nucleation):
+        assert calls["critical_fn"] == before + 1, f.__name__
+    for f in (mu_flat, mu_sharp, mu_nucleation, nucleation_gap, thresholds):
+        before = calls["critical_fn"]
         f(model, KIN, u)
-    assert calls["critical_fn"] == 1
-    assert len(model.cache) == 1
+        assert calls["critical_fn"] == before + 1, f.__name__
 
 
 # on the p-system, the tangency point of (0, 0.8) lies in the outer ball
@@ -134,53 +64,31 @@ ESCAPING = [0.0, 0.8]
 
 
 def test_a_failing_map_raises_its_stored_message_again():
+    # nothing is stored: each call checks the points again and raises the
+    # same BallExit, and the tangency map still answers
     model, calls = _counted_model(elasticity_model)
     u = np.array(ESCAPING)
     m_nat = curves.mu_natural(model, u)
     with pytest.raises(curves.BallExit) as first:
         curves.mu_flat_zero(model, u)
-    seen = dict(calls)
-    assert seen["critical_fn"] == 1
     with pytest.raises(curves.BallExit) as again:
         curves.mu_flat_zero(model, u)
     assert type(again.value) is type(first.value)
     assert str(again.value) == str(first.value)
     assert curves.mu_natural(model, u) == m_nat
-    assert calls == seen
+    assert calls["critical_fn"] == 4
 
 
 def test_a_state_outside_the_ball_leaves_no_entry():
+    # every map refuses a state outside the outer ball
     model = cubic_model()
     for f in (curves.mu_natural, curves.mu_minus_natural,
               curves.mu_flat_zero, curves.mu_sharp_zero):
         with pytest.raises(models.BallViolation):
             f(model, [3.0])
-    with pytest.raises(models.BallViolation):
-        mu_flat(model, KIN, [3.0])
-    assert len(model.cache) == 0
-
-
-def _memo_values(model):
-    return [value for entry in model.cache._entries.values()
-            for value in entry.values()]
-
-
-def test_the_memo_holds_no_exception():
-    model = elasticity_model()
-    rng = np.random.default_rng(4)
-    failed = 0
-    for u in models.sample_ball(model, 200, rng, radius="delta0"):
-        for f in (curves.mu_natural, curves.mu_minus_natural,
-                  curves.mu_flat_zero, curves.mu_sharp_zero):
-            try:
-                f(model, u)
-            except curves.CurveError:
-                failed += 1
-    assert failed > 0
-    values = _memo_values(model)
-    values += [v for record in values if type(record) is tuple
-               for v in record]
-    assert not any(isinstance(v, BaseException) for v in values)
+    for f in (mu_flat, mu_sharp, mu_nucleation, thresholds):
+        with pytest.raises(models.BallViolation):
+            f(model, KIN, [3.0])
 
 
 @pytest.mark.parametrize("factory, left, right, escaping", [
@@ -193,16 +101,16 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector(factory, left,
     model = factory()
     solve_riemann(model, KIN, left, right)
     if escaping is not None:
-        # a failed map is kept in the memo, and must not keep its model
-        # alive through a stored traceback
+        # a failed map's exception, whose traceback holds frames, must not
+        # keep its model alive
         with pytest.raises(curves.BallExit):
             curves.mu_flat_zero(model, escaping)
-    assert len(model.cache) > 0
     ref = weakref.ref(model)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # the memo's values must not hold their model alive in a cycle
+        # nothing the maps or the solve leave behind may hold the model
+        # alive in a cycle
         del model
         assert ref() is None
     finally:
@@ -223,3 +131,84 @@ def test_a_curve_outlives_its_model():
     assert state[0] == -0.5 and speed == 0.75
     with pytest.raises(curves.BallExit):
         curve.state_speed(-2.5)
+
+
+# the last weights are not dyadic, so the interpolations round
+THRESHOLD_KINS = [KineticFunction(0.5, 0.5), KineticFunction(0.25, 0.0),
+                  KineticFunction(1.0, 1.0), KineticFunction(0.3, 0.7)]
+# sha256 of the outcomes of mu_flat, mu_sharp and mu_nucleation on
+# _threshold_states under THRESHOLD_KINS, computed by the per-state memo's
+# kinetics before thresholds existed: 880 triples of values, 356 ball
+# exits and 12 states outside the outer ball
+THRESHOLD_DIGEST = (
+    "e47bf9cbe943c366d07f5e7a66bd632f02f3434fa072c3768b24da350e562c72")
+
+
+def _threshold_states(model):
+    """150 seeded states of the closed outer ball, then states on the
+    sign-change manifold (one outside the ball), states whose maps leave
+    the ball and states outside it."""
+    states = models.sample_ball(model, 150, np.random.default_rng(7),
+                                radius="delta0", margin=1.0)
+    if model.N == 1:
+        extra = ([0.0], [-0.0], [5e-13], [3.0], [-2.5], [1.9999])
+    else:
+        extra = (ESCAPING, [0.3, 0.0], [0.1, -1e-13], [3.0, 0.0], [3.0, 0.5],
+                 [0.1, 0.6])
+    return states + [np.array(u) for u in extra]
+
+
+def _outcome(f):
+    """A value as its float's hex, or an error as [class name, message]."""
+    try:
+        return float(f()).hex()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _reference(model, kin, u):
+    """mu_flat, mu_sharp and mu_nucleation composed from the public
+    critical maps, as the kinetics formed them: the kinetic value, its
+    companion, and the threshold between companion and tangency."""
+    muv = models.mu(model, u)
+    if abs(muv) < 1e-12:
+        return [float(muv).hex()] * 3
+    try:
+        m_nat = curves.mu_natural(model, u)
+        m_b0 = curves.mu_flat_zero(model, u)
+    except Exception as exc:
+        return [[type(exc).__name__, str(exc)]] * 3
+    flat = float((1.0 - kin.theta) * m_nat + kin.theta * m_b0)
+    try:
+        sharp = curves.companion_parameter(model, u, flat)
+    except Exception as exc:
+        return [flat.hex()] + [[type(exc).__name__, str(exc)]] * 2
+    g = kin.nucleation_gamma
+    return [flat.hex(), sharp.hex(),
+            float((1.0 - g) * sharp + g * m_nat).hex()]
+
+
+def test_thresholds_return_what_the_kinetic_maps_returned():
+    records = []
+    for factory in (cubic_model, elasticity_model):
+        model, calls = _counted_model(factory)
+        for kin in THRESHOLD_KINS:
+            for u in _threshold_states(model):
+                before = calls["critical_fn"]
+                try:
+                    got = [v.hex() for v in thresholds(model, kin, u)]
+                except Exception as exc:
+                    got = [None] + [[type(exc).__name__, str(exc)]] * 2
+                read = calls["critical_fn"] - before
+                if got[0] is None:
+                    got[0] = _outcome(lambda: mu_flat(model, kin, u))
+                off = (abs(models.mu(model, u)) >= 1e-12
+                       and models.in_ball(model, u, "delta0"))
+                assert read == (1 if off else 0), (u, read)
+                assert got == _reference(model, kin, u), u
+                # the public names answer from the same record
+                assert got == [_outcome(lambda: f(model, kin, u))
+                               for f in (mu_flat, mu_sharp, mu_nucleation)]
+                records.append(got)
+    blob = json.dumps(records).encode()
+    assert hashlib.sha256(blob).hexdigest() == THRESHOLD_DIGEST

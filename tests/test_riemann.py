@@ -183,7 +183,9 @@ def test_self_similarity_resplits():
 def test_no_solution_gap_guard(monkeypatch):
     # unreachable for interpolated kinetics; force the threshold past the
     # companion to exercise the guard
-    monkeypatch.setattr(kin_mod, "mu_nucleation", lambda model, kin, u: -0.2)
+    real = kin_mod.thresholds
+    monkeypatch.setattr(kin_mod, "thresholds", lambda model, kin, u: (
+        *real(model, kin, u)[:2], -0.2))
     with pytest.raises(riemann.NoSolutionGap):
         wave_curve_point(CUBIC, KIN, 1.0, 0, -0.22, IdGen())
 
