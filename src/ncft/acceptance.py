@@ -325,7 +325,7 @@ def search_mu_sharp_zero(model, u) -> float:
     """curves.mu_sharp_zero by search: the searched companion of the
     searched zero-dissipation point."""
     a = models.require_in_ball(model, u, "delta0")
-    if abs(models.mu(model, a)) < 1e-12:
+    if abs(models.mu(model, a)) < curves.MANIFOLD_TOL:
         return 0.0
     return search_companion_parameter(model, a, search_mu_flat_zero(model, a))
 

@@ -471,13 +471,11 @@ def _event_row(ev, row: dict) -> dict:
 
 
 def run_experiment(cfg: dict, out_dir: str) -> dict:
-    """Full pipeline for one validated config; returns the manifest dict."""
+    """Full pipeline for one validated config; returns the manifest dict.
+    No artifact is written before tracking has returned."""
     os.makedirs(out_dir, exist_ok=True)
     model, kin, stability, conformance = _prepare(cfg)
-    # initial data without a wave fan is refused before anything is written
     fronts0 = _initial_fronts(cfg, model, kin)
-    _write_json(os.path.join(out_dir, "conformance.json"),
-                conformance.to_json_dict())
     cff = conformance.measured_Cff
 
     weights = _weights_for(cfg, cff)
@@ -486,9 +484,6 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
         n=cfg["calibration"]["n"],
         seed=cfg["seed"],
     )
-    _write_json(os.path.join(out_dir, "calibration.json"),
-                calibration.to_json_dict())
-
     constraints = dg.validate_constraints(weights, cff, calibration.k_floor)
 
     manifest = {
@@ -510,6 +505,10 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
     result, series, audit, conservation = _track(cfg, model, kin, fronts0,
                                                  weights, cff)
 
+    _write_json(os.path.join(out_dir, "conformance.json"),
+                conformance.to_json_dict())
+    _write_json(os.path.join(out_dir, "calibration.json"),
+                calibration.to_json_dict())
     _write_jsonl(os.path.join(out_dir, "trajectory.jsonl"),
                  (fs.to_json_dict() for fs in result.snapshots))
     _write_jsonl(os.path.join(out_dir, "events.jsonl"),
@@ -685,6 +684,10 @@ def main(config_path: Optional[str], out_dir: str, workers: int,
             click.echo(f"artifacts written: {os.path.abspath(out_dir)}")
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
+    except (tracking.TrackingError, riemann.SolverError, curves.CurveError,
+            models.BallViolation) as exc:
+        click.echo(f"run failed: {type(exc).__name__}: {exc}", err=True)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

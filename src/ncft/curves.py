@@ -47,7 +47,12 @@ CRIT_TOL = 1e-10
 # Speed comparisons in classify_shock; ties go to the compressive class.
 CLASSIFY_TOL = 1e-9
 
+# No step: a target parameter within this of its base (a jump within it in
+# the sup norm) reaches the base state, in the curve cores and Riemann walk.
 STATE_COINCIDENCE = 1e-13
+# On the inflection manifold: |mu| below this. Such a state is its own
+# kinetic value, companion and threshold, and its walk reads no kinetics.
+MANIFOLD_TOL = 1e-12
 # largest flux residual |[f] - lambda [u]| that shock_speed accepts
 RH_TOL = 1e-8
 
@@ -149,7 +154,7 @@ def _integral_core(model: FluxModel, a: Array, family: int,
                    m: float) -> Array:
     """rarefaction_point of a float64 state a already checked against the
     outer ball, at a float m; the state it reaches is checked once."""
-    if abs(m - float(model.family_parameter(a, family))) < 1e-15:
+    if abs(m - float(model.family_parameter(a, family))) < STATE_COINCIDENCE:
         return a.copy()
     u = model.integral_curve_fn(a, family, m)
     if not models.within(u, model.delta0):
@@ -284,7 +289,7 @@ def mu_sharp_zero(model: FluxModel, u_minus) -> float:
     flat-zero, tangency, sharp-zero holds along the parameter direction."""
     a = models.require_in_ball(model, u_minus, "delta0")
     mu0 = mu(model, a)
-    if abs(mu0) < 1e-12:
+    if abs(mu0) < MANIFOLD_TOL:
         return 0.0
     s = 1.0 if mu0 > 0 else -1.0
     m_nat, m_b0 = _critical(model, a)

@@ -61,7 +61,7 @@ def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
     sign-change manifold maps to its own parameter."""
     a = models.as_state(model, u)
     muv = float(model.family_parameter(a, model.cc_index))
-    if abs(muv) < 1e-12:
+    if abs(muv) < curves.MANIFOLD_TOL:
         return muv
     return _flat(kin, *curves._critical(model, a))
 
@@ -74,7 +74,7 @@ def thresholds(model: FluxModel, kin: KineticFunction, u) -> tuple:
     mu_nucleation does."""
     a = models.as_state(model, u)
     muv = float(model.family_parameter(a, model.cc_index))
-    if abs(muv) < 1e-12:
+    if abs(muv) < curves.MANIFOLD_TOL:
         return muv, muv, muv
     m_nat, m_b0 = curves._critical(model, a)
     m_flat = _flat(kin, m_nat, m_b0)

@@ -195,13 +195,6 @@ def _rarefaction(model: FluxModel, a: Array, family: int, m: float) -> tuple:
     return a, right, KIND_RAREFACTION, (lam_l, lam_r)
 
 
-def _reads_kinetics(mu0: float, m: float) -> bool:
-    """Whether the designated family's wave curve from a base state of
-    parameter mu0 reads the kinetics on its way to target m: only when
-    the base lies off the inflection manifold and m across it."""
-    return not (abs(mu0) < 1e-12 or (1.0 if mu0 > 0 else -1.0) * m >= 0)
-
-
 def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
            m: float, shock=_shock) -> list:
     """The jumps (left, right, kind, speed) that take a along the family's
@@ -214,7 +207,7 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
     checked against the outer ball, as every state a walk reaches is."""
     mu0 = float(model.family_parameter(a, family))
     m = float(m)
-    if abs(m - mu0) < 1e-14:
+    if abs(m - mu0) < curves.STATE_COINCIDENCE:
         return []
     if family != model.cc_index:
         m_loc = float(model.m_fn(a, family))
@@ -227,8 +220,10 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
         return [shock(model, a, family, m) if shock_side
                 else _rarefaction(model, a, family, m)]
     s = 1.0 if mu0 > 0 else -1.0
-    if not _reads_kinetics(mu0, m):
-        if abs(mu0) < 1e-12 or s * (m - mu0) >= 0:
+    on_manifold = abs(mu0) < curves.MANIFOLD_TOL
+    # only a base off the manifold and a target across it read the kinetics
+    if on_manifold or s * m >= 0:
+        if on_manifold or s * (m - mu0) >= 0:
             # beyond the base parameter, and both ways on the manifold,
             # the characteristic speed grows
             return [_rarefaction(model, a, family, m)]
@@ -245,7 +240,7 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
             f"nucleation threshold: uncovered by either branch"
         )
     leading = shock(model, a, family, m_flat, kin)
-    if abs(m - m_flat) < 1e-14:
+    if abs(m - m_flat) < curves.STATE_COINCIDENCE:
         return [leading]
     mid = leading[1]
     if s * (m - m_flat) > 0:
@@ -276,7 +271,7 @@ def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
     ids = ids or IdGen()
     a = models.require_in_ball(model, u_l)
     b = models.require_in_ball(model, u_r)
-    if models.sup_norm(b - a) < 1e-14:
+    if models.sup_norm(b - a) < curves.STATE_COINCIDENCE:
         return WaveFan(())
     if model.N == 1:
         m = float(model.family_parameter(b, 0))
@@ -289,11 +284,7 @@ def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
     for j in range(model.N):
         state, frag = wave_curve_point(model, kin, state, j, targets[j], ids)
         waves.extend(frag)
-    # a family whose target lands on its base state within roundoff leaves
-    # a wave between equal states; it carries nothing
-    waves = [w for w in _snap_last(model, waves, b)
-             if w.left.tolist() != w.right.tolist()]
-    return WaveFan(tuple(waves)).validate()
+    return WaveFan(tuple(_snap_last(model, waves, b))).validate()
 
 
 def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:

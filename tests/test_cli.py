@@ -13,7 +13,7 @@ from importlib.resources import files
 import pytest
 from click.testing import CliRunner
 
-from ncft import cli
+from ncft import cli, curves, models, riemann, tracking
 from ncft import diagnostics as dg
 
 
@@ -692,6 +692,32 @@ def test_cli_rejects_initial_data_the_solver_cannot_resolve(tmp_path):
     assert "family 0 degenerate at [0.5, 0.0]" in result.output
     assert len(result.output.strip().splitlines()) == 1
     # refused before the first artifact is written
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("error", [
+    tracking.PatternBroken("split without the y token incoming"),
+    riemann.SolverError("curve intersection stalled at residual 1.0e-03"),
+    curves.BallExit("Hugoniot locus left the outer ball at [3.0]"),
+    models.BallViolation("state [3.0] outside the inner ball"),
+], ids=lambda exc: type(exc).__name__)
+def test_cli_run_that_fails_after_validation_ends_in_one_line(
+        tmp_path, monkeypatch, error):
+    # a config that validates but whose tracked run fails exits 1 with one
+    # line naming the error, and writes no artifact
+    def failing_run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tracking, "run", failing_run)
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"run failed: {type(error).__name__}: {error}"]
     assert os.listdir(out) == []
 
 

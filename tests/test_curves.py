@@ -373,7 +373,7 @@ def _ref_point(model, u_minus, m):
 
 def _ref_rarefaction_state(model, u_minus, m):
     mu0 = float(model.family_parameter(u_minus, 0))
-    if abs(m - mu0) < 1e-15:
+    if abs(m - mu0) < curves.STATE_COINCIDENCE:
         return u_minus.copy()
     u = _ref_scalar_state(model, u_minus, 0, m)
     if not _ref_in_ball(model, u):
