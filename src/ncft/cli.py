@@ -636,14 +636,17 @@ def run_check(out_dir: str) -> dict:
 
 
 def _coverage_line(out_dir: str) -> str:
-    """The conformance verdict and how many samples it rests on, read back
+    """The conformance verdict and how the samples drawn split into
+    usable, skipped outside the ball and too near the manifold, read back
     from the run's conformance.json."""
     with open(os.path.join(out_dir, "conformance.json")) as fh:
         conformance = json.load(fh)
     grid = conformance["grid"]
+    near = grid["n_samples"] - grid["n_usable"] - grid["n_skipped_ball"]
     return (f"conformance: {_status(conformance['passed'])}, "
             f"{grid['n_usable']} of {grid['n_samples']} samples usable, "
-            f"{grid['n_skipped_ball']} skipped outside the ball")
+            f"{grid['n_skipped_ball']} skipped outside the ball, "
+            f"{near} too near the manifold")
 
 
 @click.command(name="ncft")

@@ -182,12 +182,6 @@ def mu(model: FluxModel, u) -> float:
     return float(model.family_parameter(a, model.cc_index))
 
 
-def m_value(model: FluxModel, u, family: Optional[int] = None) -> float:
-    """Genuine-nonlinearity measure m_j = grad(lambda_j) . r_j."""
-    j = model.cc_index if family is None else family
-    return float(model.m_fn(as_state(model, u), j))
-
-
 def entropy_pair(model: FluxModel, u) -> tuple:
     a = as_state(model, u)
     U, F = model.entropy(a)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ncft import curves, riemann
 from ncft.kinetics import KineticFunction
-from ncft.models import FluxModel, require_in_ball, sup_norm
+from ncft.models import BallViolation, FluxModel, require_in_ball, sup_norm
 from ncft.riemann import (
     KIND_CLASSICAL,
     KIND_NONCLASSICAL,
@@ -383,16 +383,19 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
     lo, hi, x_star = _cluster_slice(cur, k)
     incoming = tuple(cur.waves[lo:hi])
     incoming_roles = {}
+    y_nonclassical = False
     for wv in incoming:
         if wv.id == cur.y_id:
             incoming_roles[wv.id] = "y"
+            y_nonclassical = wv.kind == KIND_NONCLASSICAL
         elif wv.id == cur.z_id:
             incoming_roles[wv.id] = "z"
     fan = riemann.solve_riemann(model, kin, incoming[0].left,
                                 incoming[-1].right, cur.ids)
     pre_moment = _moment(cur.xs[lo:hi], incoming)
     placed, xs = _place(model, cur, lo, hi, x_star, fan.waves)
-    outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed)
+    outgoing_roles = _propagate_tokens(model, cur, incoming_roles, placed,
+                                       y_nonclassical)
     correction = pre_moment - _moment(xs, placed)
     cur.check(max(lo - 1, 0), lo + len(placed) + 1)
     ev = InteractionEvent(t, x_star, lo, incoming, tuple(placed), fan,
@@ -401,15 +404,21 @@ def resolve_interaction(model: FluxModel, kin: KineticFunction, fs: FrontSet,
 
 
 def _propagate_tokens(model: FluxModel, fs: FrontSet, incoming_roles: dict,
-                      placed: list) -> dict:
+                      placed: list, y_nonclassical: bool) -> dict:
     """Strong identity propagation: split hands y to the nonclassical wave
     and mints z for the trailing classical; merge retires z; crossings
-    keep tokens on the surviving strong wave of the family."""
+    keep tokens on the surviving strong wave of the family. Only a
+    classical y splits: a nonclassical y met without z keeps its token on
+    the outgoing nonclassical wave, and a classical shock beside it is
+    weak."""
     had_y = "y" in incoming_roles.values()
     had_z = "z" in incoming_roles.values()
     if not (had_y or had_z):
         return {}
     strong_out = _strong_candidates(model, placed)
+    if y_nonclassical and not had_z:
+        nonclassical = [w for w in strong_out if w.kind == KIND_NONCLASSICAL]
+        strong_out = nonclassical or strong_out
     roles = {}
     if len(strong_out) == 2:
         first, second = strong_out
@@ -468,7 +477,8 @@ def _snapshot_times(t0: float, t_end: float, snapshot_dt: Optional[float]):
 def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
         t_end: float, snapshot_dt: Optional[float] = None) -> RunResult:
     """Track fronts0 to t_end. The snapshots are fronts0, the set at each
-    grid time before t_end, and last the final set at t_end."""
+    grid time before t_end, and last the final set at t_end. An error
+    raised while resolving an event names the collision time."""
     fs = fronts0
     snapshots = [fronts0]
     events = []
@@ -484,7 +494,11 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             next_snap = next(grid, None)
         if col is None:
             break
-        fs, ev = resolve_interaction(model, kin, fs, col)
+        try:
+            fs, ev = resolve_interaction(model, kin, fs, col)
+        except (TrackingError, riemann.SolverError, curves.CurveError,
+                BallViolation) as exc:
+            raise type(exc)(f"{exc} at t={col[0]}") from exc
         events.append(ev)
         if len(events) > MAX_EVENTS:
             raise TrackingError(f"event count exceeded {MAX_EVENTS}")

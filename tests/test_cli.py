@@ -721,6 +721,28 @@ def test_cli_run_that_fails_after_validation_ends_in_one_line(
     assert os.listdir(out) == []
 
 
+def test_cli_run_failure_names_the_event_time(tmp_path, monkeypatch):
+    # an error raised while resolving an event keeps its class, and its
+    # line ends with the collision time
+    collisions = []
+
+    def failing_resolve(model, kin, fs, collision):
+        collisions.append(collision)
+        raise riemann.SolverError("curve intersection stalled")
+
+    monkeypatch.setattr(tracking, "resolve_interaction", failing_resolve)
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
+                                           str(out)])
+    assert result.exit_code == 1
+    ((t, _),) = collisions
+    assert result.output.splitlines() == [
+        f"run failed: SolverError: curve intersection stalled at t={t}"]
+    assert os.listdir(out) == []
+
+
 def test_cli_run_with_env_seed(tmp_path, monkeypatch):
     cfg = base_cfg()
     cfg["calibration"]["n"] = 8
@@ -765,7 +787,9 @@ def test_cli_config_prints_conformance_coverage(tmp_path):
     verdict = "pass" if conformance["passed"] else "fail"
     want = (f"conformance: {verdict}, {grid['n_usable']} of "
             f"{grid['n_samples']} samples usable, "
-            f"{grid['n_skipped_ball']} skipped outside the ball")
+            f"{grid['n_skipped_ball']} skipped outside the ball, "
+            f"{grid['n_samples'] - grid['n_usable'] - grid['n_skipped_ball']}"
+            " too near the manifold")
     lines = result.output.splitlines()
     assert lines.count(want) == 1
     # next to the check statuses, before the closing line

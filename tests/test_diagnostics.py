@@ -406,6 +406,26 @@ def test_weak_rarefaction_crossing_the_nonclassical_front():
     assert rec.ledgers["alpha_R_tilde"] == pytest.approx(0.015, abs=1e-12)
 
 
+def test_weak_shock_crossing_the_nonclassical_front():
+    # as above with a weak shock from the left (Case4 CN-3): the outgoing
+    # nonclassical y and the classical shock behind it are not a split,
+    # since only a classical y splits; 0.02 in, 0.015 out
+    fs = init_fronts(CUBIC, KIN, [1.02, 1.0, -0.368, -0.388],
+                     [-0.4, 0.0, 0.02], h=0.01, strong_jumps=[1])
+    res = run(CUBIC, KIN, fs, t_end=4.0)
+    assert [dg.classify_case(ev) for ev in res.events] == [
+        ("Case1", "CR-4"), ("Case3", None), ("Case4", "CN-3"),
+        ("Case3", None)]
+    assert dg.lyapunov_series(CUBIC, res.events, res.snapshots,
+                              W)["n_flagged"] == 0
+    audit = dg.cycle_audit(CUBIC, KIN, res.events, res.snapshots, W,
+                           cff=0.75)
+    (rec,) = audit.records
+    assert rec.tf is None
+    assert rec.ledgers["alpha_L"] == pytest.approx(0.02, abs=1e-12)
+    assert rec.ledgers["alpha_R_tilde"] == pytest.approx(0.015, abs=1e-12)
+
+
 def test_glimm_residual_merge_exact(merge_run_three_state):
     res = merge_run_three_state
     rows = dg.lyapunov_series(CUBIC, res.events, res.snapshots, W)["events"]

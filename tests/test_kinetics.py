@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncft import curves, kinetics
+from ncft import curves, kinetics, models
 from ncft.kinetics import (
     KineticFunction,
     check_hypotheses,
@@ -69,22 +70,53 @@ def test_elasticity_kinetic_values():
 
 
 def test_contraction_measurement():
-    cff, witness, n = kinetics.measure_contraction(
-        CUBIC, KIN, default_samples(CUBIC, 100, seed=4)
-    )
-    assert cff == pytest.approx(0.75, abs=1e-9)
-    assert n > 50
+    rep = check_hypotheses(CUBIC, KIN, default_samples(CUBIC, 100, seed=4))
+    assert rep.measured_Cff == pytest.approx(0.75, abs=1e-9)
+    assert rep.grid["n_contraction_evaluated"] > 50
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_elasticity_contraction_exact_on_seeded_samples(seed):
     # samples just above the 1e-3 usable cutoff put the zero-dissipation
     # root at the roundoff floor; the exact 0.75 must still come out
-    cff, witness, n = kinetics.measure_contraction(
-        ELAS, KIN, default_samples(ELAS, n=30, seed=seed)
-    )
-    assert cff == pytest.approx(0.75, abs=1e-8)
-    assert n > 10
+    rep = check_hypotheses(ELAS, KIN, default_samples(ELAS, n=30, seed=seed))
+    assert rep.measured_Cff == pytest.approx(0.75, abs=1e-8)
+    assert rep.grid["n_contraction_evaluated"] > 10
+
+
+@pytest.mark.parametrize("model", [CUBIC, ELAS], ids=["cubic", "elasticity"])
+def test_conformance_reads_each_samples_record_once(model):
+    # H1 and H4 share one critical record per sample; only H3's arcs,
+    # through the first quarter of the usable samples, pass a sample's
+    # own state to the hook again, at their centre
+    reads = collections.Counter()
+
+    def critical_fn(u, mu0):
+        reads[u.tobytes()] += 1
+        return model.critical_fn(u, mu0)
+
+    samples = default_samples(model, 60, seed=1)
+    rep = check_hypotheses(dataclasses.replace(model, critical_fn=critical_fn),
+                           KIN, samples)
+    far = [a for a in samples
+           if abs(models.mu(model, a)) >= kinetics.NEAR_MANIFOLD]
+    usable = []
+    for a in far:
+        try:
+            curves._critical(model, a)
+        except curves.CurveError:
+            continue
+        usable.append(a)
+    assert len(usable) == rep.grid["n_usable"]
+    arcs = usable[: max(1, len(usable) // 4)]
+    for a in samples:
+        n = reads[a.tobytes()]
+        if not any(a is b for b in far):
+            assert n == 0
+        elif any(a is b for b in arcs):
+            assert n == 2
+        else:
+            assert n == 1
 
 
 def test_check_hypotheses_pass():
@@ -106,9 +138,9 @@ CONFORMANCE_SHA256 = {
     ("cubic", 0.0):
         "460e90913ac3a359b6b8f6eb0cd4216381856620a1a047e154f43a99f5da3790",
     ("elasticity", 0.5):
-        "1969fae903114fdf067cc6e8d5d1c1b9a63875d6f8dee775612af81d84b9b883",
+        "d26e629e9d5a00c17449a670d6210a4797f9fb53728a8c3d9607d89a896b700e",
     ("elasticity", 0.0):
-        "29b6395052c7b2b76f78897eeb3151012af5a88ec6595a1fca7cd0b455e42eb9",
+        "6130a0aa0abbf7c1f17fe8784ceaf6fd79cce7ebc786aa7c98cdc486b1c6a1ec",
 }
 
 
@@ -121,6 +153,19 @@ def test_conformance_report_keeps_its_bits(name, weight):
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CONFORMANCE_SHA256[name, weight]
+
+
+@pytest.mark.parametrize("model", [CUBIC, ELAS], ids=["cubic", "elasticity"])
+def test_conformance_coverage_partitions_the_draw(model):
+    # usable, skipped outside the ball and too near the manifold: each
+    # sample counts once, whatever H3's manifold probes meet
+    samples = default_samples(model) + [
+        5e-4 * a for a in default_samples(model, 5, seed=1)]
+    grid = check_hypotheses(model, KIN, samples).grid
+    near = sum(abs(models.mu(model, a)) < 1e-3 for a in samples)
+    assert near >= 5
+    assert (grid["n_usable"] + grid["n_skipped_ball"] + near
+            == grid["n_samples"] == len(samples))
 
 
 def test_check_hypotheses_theta_one_fails_band():

@@ -111,7 +111,7 @@ def test_cubic_eigenvalue_at_one():
 
 
 def test_cubic_manifold_point():
-    assert models.m_value(CUBIC, 0.0) == 0.0
+    assert CUBIC.m_fn((0.0,), CUBIC.cc_index) == 0.0
     assert models.mu(CUBIC, 0.0) == 0.0
 
 
@@ -279,8 +279,8 @@ def m_grad_along_r(model, u, family=None) -> float:
     r = R[:, j]
     step = FD_STEP / max(1.0, float(np.linalg.norm(r)))
     return float(
-        (models.m_value(model, a + step * r, j)
-         - models.m_value(model, a - step * r, j)) / (2 * step)
+        (model.m_fn(a + step * r, j) - model.m_fn(a - step * r, j))
+        / (2 * step)
     )
 
 
@@ -376,7 +376,7 @@ def model_self_check(model, n_samples: int = 1000, seed: int = 0) -> dict:
             H = _fd_entropy_hessian(model, a)
         min_hess_eig = min(min_hess_eig, float(np.min(np.linalg.eigvalsh(H))))
         muv = models.mu(model, a)
-        mv = models.m_value(model, a)
+        mv = model.m_fn(a, model.cc_index)
         if abs(muv) > 1e-8 and np.sign(mv) != np.sign(muv):
             sign_ok = False
         min_m_slope = min(min_m_slope, m_grad_along_r(model, a))
@@ -424,7 +424,7 @@ def test_generic_fallbacks_match_analytic():
             assert R_g == pytest.approx(R_a, abs=1e-6)
             assert L_g @ R_g == pytest.approx(np.eye(model.N), abs=1e-10)
             assert fd_m_value(model, a) == pytest.approx(
-                models.m_value(model, a), abs=1e-5
+                model.m_fn(a, model.cc_index), abs=1e-5
             )
             assert compatibility_residual(model, a, analytic=False) <= 1e-8
 
@@ -433,14 +433,14 @@ def test_elasticity_m_formula():
     # m = 3w / sqrt(3w^2+1) for both families in this orientation
     for w in (-0.8, -0.1, 0.3, 1.0):
         want = 3 * w / np.sqrt(3 * w * w + 1)
-        assert models.m_value(ELAS, (0.2, w), 0) == pytest.approx(want, abs=1e-14)
-        assert models.m_value(ELAS, (0.2, w), 1) == pytest.approx(want, abs=1e-14)
+        assert ELAS.m_fn((0.2, w), 0) == pytest.approx(want, abs=1e-14)
+        assert ELAS.m_fn((0.2, w), 1) == pytest.approx(want, abs=1e-14)
 
 
 @given(st.floats(-1.4, 1.4))
 def test_cubic_sign_structure(u):
     muv = models.mu(CUBIC, u)
-    mv = models.m_value(CUBIC, u)
+    mv = CUBIC.m_fn((u,), CUBIC.cc_index)
     assert mv == pytest.approx(6 * u, abs=1e-14)
     if abs(muv) > 1e-12:
         assert np.sign(mv) == np.sign(muv)

@@ -16,7 +16,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
 
 
 @pytest.mark.parametrize("script", ["run_contrast.py", "riemann_outcomes.py",
-                                    "h_convergence.py"])
+                                    "h_convergence.py", "pattern_probe.py"])
 def test_script_runs_outside_the_checkout_without_pythonpath(script,
                                                              tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncft import tracking
-from ncft.kinetics import KineticFunction
+from ncft.kinetics import KineticFunction, phi_flat
 from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import (
     KIND_CLASSICAL,
@@ -340,7 +340,8 @@ def test_resolve_checks_that_strong_ids_survive_the_splice():
     fs, col = _absorption_with_a_right_neighbour()
     y_id = fs.y_id
 
-    def tokens_left_behind(model, fs, incoming_roles, placed):
+    def tokens_left_behind(model, fs, incoming_roles, placed,
+                           y_nonclassical):
         return {}
 
     with mock.patch.object(tracking, "_propagate_tokens", tokens_left_behind):
@@ -442,6 +443,30 @@ def test_merge_cycle_gamma_half_from_three_state():
     assert res.final.z_id is None
 
 
+def test_nonclassical_y_hit_by_weak_waves_keeps_the_pattern():
+    # a nonclassical p-system front met by weak jumps of both families
+    # with no z incoming: a classical shock trailing the outgoing
+    # nonclassical wave is weak, so y stays nonclassical and no z is
+    # minted (the data w = 0.5, a = 0.002, seed 0 of
+    # scripts/pattern_probe.py)
+    elas = elasticity_model()
+    u_l = np.array([0.0, 0.5])
+    states = [u_l, phi_flat(elas, KIN, u_l)]
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        states.append(states[-1] + rng.uniform(-0.002, 0.002, 2))
+    fs = init_fronts(elas, KIN, states, [0.1 * k for k in range(9)],
+                     h=0.01, strong_jumps=[0])
+    assert fs.z_id is None
+    res = run(elas, KIN, fs, t_end=1.0)
+    assert len(res.events) == 64
+    assert res.final.z_id is None
+    assert {role for ev in res.events
+            for role in ev.outgoing_roles.values()} == {"y"}
+    y = res.final.waves[res.final.index(res.final.y_id)]
+    assert y.kind == KIND_NONCLASSICAL
+
+
 def test_transport_only_run_and_snapshots():
     fs = init_fronts(CUBIC, KIN, [1.0, 0.5], [0.0], h=0.01)
     res = run(CUBIC, KIN, fs, t_end=1.0, snapshot_dt=0.25)
@@ -488,7 +513,8 @@ def test_pattern_broken_guard():
     piece = Wave(0, KIND_PIECE, np.array([-0.375]), np.array([-0.38]),
                  0.4, -0.005, 999)
     with pytest.raises(PatternBroken):
-        tracking._propagate_tokens(CUBIC, fs, {fs.fronts[0].id: "y"}, [piece])
+        tracking._propagate_tokens(CUBIC, fs, {fs.fronts[0].id: "y"}, [piece],
+                                   False)
 
 
 def test_mass_window_guard():
