@@ -687,8 +687,7 @@ def main(config_path: Optional[str], out_dir: str, workers: int,
             click.echo(f"artifacts written: {os.path.abspath(out_dir)}")
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
-    except (tracking.TrackingError, riemann.SolverError, curves.CurveError,
-            models.BallViolation) as exc:
+    except tracking.RUN_ERRORS as exc:
         click.echo(f"run failed: {type(exc).__name__}: {exc}", err=True)
         raise SystemExit(1)
 

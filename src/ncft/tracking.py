@@ -64,6 +64,12 @@ class PatternBroken(TrackingError):
     """The strong-wave configuration left the splitting-merging pattern."""
 
 
+# the errors that end a run; run adds the event time to one raised while
+# resolving an event
+RUN_ERRORS = (TrackingError, riemann.SolverError, curves.CurveError,
+              BallViolation)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Front:
     """A wave at a position; it moves at the wave's speed."""
@@ -143,9 +149,7 @@ class FrontSet:
         right state is the next one's left state among fronts lo..hi-1
         (all of them by default), and every strong id names a front."""
         if not (self.xs[:-1] < self.xs[1:]).all():
-            raise TrackingError(
-                f"front positions not strictly ordered at t={self.time}"
-            )
+            raise TrackingError("front positions not strictly ordered")
         waves = self.waves[lo:hi]
         if [w.right.tolist() for w in waves[:-1]] != \
                 [w.left.tolist() for w in waves[1:]]:
@@ -408,17 +412,17 @@ def _propagate_tokens(model: FluxModel, fs: FrontSet, incoming_roles: dict,
     """Strong identity propagation: split hands y to the nonclassical wave
     and mints z for the trailing classical; merge retires z; crossings
     keep tokens on the surviving strong wave of the family. Only a
-    classical y splits: a nonclassical y met without z keeps its token on
-    the outgoing nonclassical wave, and a classical shock beside it is
-    weak."""
+    classical y splits: when a nonclassical y met without z leaves as a
+    nonclassical wave and a classical one right of it, y stays on the
+    nonclassical wave and the classical shock is weak."""
     had_y = "y" in incoming_roles.values()
     had_z = "z" in incoming_roles.values()
     if not (had_y or had_z):
         return {}
     strong_out = _strong_candidates(model, placed)
-    if y_nonclassical and not had_z:
-        nonclassical = [w for w in strong_out if w.kind == KIND_NONCLASSICAL]
-        strong_out = nonclassical or strong_out
+    if y_nonclassical and not had_z and [w.kind for w in strong_out] == [
+            KIND_NONCLASSICAL, KIND_CLASSICAL]:
+        strong_out = strong_out[:1]
     roles = {}
     if len(strong_out) == 2:
         first, second = strong_out
@@ -496,8 +500,7 @@ def run(model: FluxModel, kin: KineticFunction, fronts0: FrontSet,
             break
         try:
             fs, ev = resolve_interaction(model, kin, fs, col)
-        except (TrackingError, riemann.SolverError, curves.CurveError,
-                BallViolation) as exc:
+        except RUN_ERRORS as exc:
             raise type(exc)(f"{exc} at t={col[0]}") from exc
         events.append(ev)
         if len(events) > MAX_EVENTS:

@@ -162,7 +162,8 @@ def test_conformance_coverage_partitions_the_draw(model):
     samples = default_samples(model) + [
         5e-4 * a for a in default_samples(model, 5, seed=1)]
     grid = check_hypotheses(model, KIN, samples).grid
-    near = sum(abs(models.mu(model, a)) < 1e-3 for a in samples)
+    near = sum(abs(models.mu(model, a)) < kinetics.NEAR_MANIFOLD
+               for a in samples)
     assert near >= 5
     assert (grid["n_usable"] + grid["n_skipped_ball"] + near
             == grid["n_samples"] == len(samples))
