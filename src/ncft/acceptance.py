@@ -516,13 +516,13 @@ def check_c06():
 
 
 def check_c07():
-    kin, w = _kin(), dg.lemma_weights(0.75, zeta=0.1, K=1.0)
+    kin = _kin()
     passed, details = True, []
     # the cubic fits a constant of exactly 0, the p-system a positive one
     for label, model, n in (("", _cubic(), 10000),
                             ("p-system: ", models.elasticity_model(), 2000)):
         # scales keep each incoming strength at or below 0.05
-        rep = dg.calibrate(model, kin, w, n=n, scales=(0.025, 0.01, 0.004),
+        rep = dg.calibrate(model, kin, n=n, scales=(0.025, 0.01, 0.004),
                            seed=11)
         passed = passed and (rep.n_evaluated == n and
                              math.isfinite(rep.fitted_glimm_C) and
@@ -565,7 +565,7 @@ def _cycle_scenario(gamma: float):
     """Strong three-state pattern with a chasing weak shock; merges and
     re-splits inside T=2 so completed cycles exist to audit."""
     model, kin = _cubic(), _kin(0.5, gamma)
-    w = dg.lemma_weights(0.75, zeta=0.1, K=1.0)
+    w = dg.Weights(0.75, zeta=0.1, K=1.0)
     fronts0 = tracking.init_fronts(
         model, kin, [[1.0], [-0.75], [-0.375], [-0.22]], [0.0, 0.02, 0.1],
         h=0.01, strong_jumps=[0, 1])

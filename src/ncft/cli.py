@@ -344,11 +344,6 @@ def stability_report(model: FluxModel, kin: KineticFunction,
     }
 
 
-def _weights_for(cfg: dict, cff: float) -> dg.Weights:
-    return dg.lemma_weights(cff, zeta=cfg["weights"]["zeta"],
-                            K=cfg["weights"]["K"])
-
-
 def _status(passed: bool) -> str:
     return "pass" if passed else "fail"
 
@@ -424,8 +419,7 @@ def _initial_fronts(cfg: dict, model: FluxModel,
 
 
 def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
-           fronts0: tracking.FrontSet, weights: dg.Weights,
-           cff: float) -> tuple:
+           fronts0: tracking.FrontSet, weights: dg.Weights) -> tuple:
     """(run result, Lyapunov series, cycle audit, conservation report):
     the initial fronts tracked to the config's T, then replayed once."""
     result = tracking.run(model, kin, fronts0, t_end=cfg["T"],
@@ -433,7 +427,7 @@ def _track(cfg: dict, model: FluxModel, kin: KineticFunction,
     series = dg.lyapunov_series(model, result.events, result.snapshots,
                                 weights)
     audit = dg.cycle_audit(model, kin, result.events, result.snapshots,
-                           weights, cff=cff)
+                           weights, cff=weights.cff)
     conservation = tracking.conservation_report(model, result)
     return result, series, audit, conservation
 
@@ -476,15 +470,10 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model, kin, stability, conformance = _prepare(cfg)
     fronts0 = _initial_fronts(cfg, model, kin)
-    cff = conformance.measured_Cff
-
-    weights = _weights_for(cfg, cff)
-    calibration = dg.calibrate(
-        model, kin, weights,
-        n=cfg["calibration"]["n"],
-        seed=cfg["seed"],
-    )
-    constraints = dg.validate_constraints(weights, cff, calibration.k_floor)
+    weights = dg.Weights(conformance.measured_Cff, **cfg["weights"])
+    calibration = dg.calibrate(model, kin, n=cfg["calibration"]["n"],
+                               seed=cfg["seed"])
+    constraints = dg.validate_constraints(weights, calibration.k_floor)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -492,7 +481,7 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
         "checks": {key: {"name": name, "status": "not_evaluated"}
                    for key, name in CRITERIA.items()},
         "conformance_passed": conformance.passed,
-        "measured_cff": cff,
+        "measured_cff": weights.cff,
         "weight_constraints": constraints,
         "calibration": {
             "fitted_glimm_C": calibration.fitted_glimm_C,
@@ -503,7 +492,7 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
         "stability": stability,
     }
     result, series, audit, conservation = _track(cfg, model, kin, fronts0,
-                                                 weights, cff)
+                                                 weights)
 
     _write_json(os.path.join(out_dir, "conformance.json"),
                 conformance.to_json_dict())
@@ -518,8 +507,9 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
                (snap.csv_row() for snap in series["series"]))
     _write_json(os.path.join(out_dir, "cycles.json"), audit.to_json_dict())
 
-    initial_l = series["series"][0].lyapunov if series["series"] else 0.0
-    final_l = series["series"][-1].lyapunov if series["series"] else 0.0
+    # run puts the initial fronts first among the snapshots
+    initial_l = series["series"][0].lyapunov
+    final_l = series["series"][-1].lyapunov
     checks = manifest["checks"]
     checks["c08"].update({
         "status": _status(series["n_flagged"] == 0 and final_l <= initial_l),
@@ -574,10 +564,9 @@ def sweep_row(payload: tuple) -> dict:
     try:
         run_cfg = validate_config(_row_config(cfg, overrides))
         model, kin, _, conformance = _prepare(run_cfg)
-        cff = conformance.measured_Cff
         result, series, audit, conservation = _track(
             run_cfg, model, kin, _initial_fronts(run_cfg, model, kin),
-            _weights_for(run_cfg, cff), cff)
+            dg.Weights(conformance.measured_Cff, **run_cfg["weights"]))
         summary = _summary(result, series, audit, conservation)
         drops = [r.lyapunov_drop for r in audit.records
                  if not r.open and r.lyapunov_drop is not None]

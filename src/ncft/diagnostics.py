@@ -83,48 +83,39 @@ class DiagnosticsError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Weights:
-    """Nine region/family weights plus the potential weight K.
+    """The lemma's weights of W + K*Q, built from the measured contraction
+    cff of the kinetic relation, the asymmetry zeta and the potential
+    weight K.
 
-    zeta is the asymmetry knob of the lemma instance; its (0, 0.5) range
-    is a row of validate_constraints, not checked here, so that
-    out-of-range instances can still be built and inspected.
+    zeta's narrower (0, 0.5) range is a row of validate_constraints, not
+    checked here, so that out-of-range instances can still be built and
+    inspected; here it need only keep 1 - zeta and 1 + zeta positive.
     """
 
-    kL: float
-    kM: float
-    kR: float
-    kL_less: float
-    kM_less: float
-    kR_less: float
-    kL_grt: float
-    kM_grt: float
-    kR_grt: float
-    K: float
-    zeta: float
+    cff: float
+    zeta: float = 0.1
+    K: float = 1.0
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            if field.name != "zeta" and not getattr(self, field.name) > 0.0:
-                raise ValueError(f"weight {field.name} must be positive")
+        if not 0.0 <= self.cff < 1.0:
+            raise ValueError("contraction constant must lie in [0, 1)")
+        if not -1.0 < self.zeta < 1.0:
+            raise ValueError("zeta must lie in (-1, 1)")
+        if not self.K > 0.0:
+            raise ValueError("potential weight K must be positive")
 
     def row(self, family: int, cc_index: int) -> tuple:
+        """The weights (left of y, between y and z, right of z) of a weak
+        wave of the family, against the designated family cc_index."""
         if family == cc_index:
-            return (self.kL, self.kM, self.kR)
+            return (1.0 + self.cff + self.zeta, 1.0, 1.0)
         if family < cc_index:
-            return (self.kL_less, self.kM_less, self.kR_less)
-        return (self.kL_grt, self.kM_grt, self.kR_grt)
+            return (1.0 - self.zeta, 1.0, 1.0 + self.zeta)
+        return (1.0 + self.zeta, 1.0, 1.0 - self.zeta)
 
 
-def lemma_weights(cff: float, zeta: float = 0.1, K: float = 1.0) -> Weights:
-    """The explicit weight choice built from the measured contraction."""
-    if not 0.0 <= cff < 1.0:
-        raise ValueError("contraction constant must lie in [0, 1)")
-    return Weights(
-        kL=1.0 + cff + zeta, kM=1.0, kR=1.0,
-        kL_less=1.0 - zeta, kM_less=1.0, kR_less=1.0 + zeta,
-        kL_grt=1.0 + zeta, kM_grt=1.0, kR_grt=1.0 - zeta,
-        K=K, zeta=zeta,
-    )
+# the weights under the lemma's name, which ncft_bench calls
+lemma_weights = Weights
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +535,24 @@ def lyapunov_series(model: FluxModel, events, snapshots, w: Weights) -> dict:
 # constraint validation
 
 
-def validate_constraints(w: Weights, cff: float, k_floor: float) -> dict:
+def validate_constraints(w: Weights, k_floor: float) -> dict:
     """Report on the weight inequalities and the potential-weight floor
     k_floor that calibration measured. All rows are report-only: nothing
     raises."""
+    # the rows of the designated family, of one below it, of one above it
+    own, less, grt = w.row(0, 0), w.row(0, 1), w.row(1, 0)
     rows = {}
     rows["W1"] = {
-        "passed": w.kL > (1.0 + cff) * w.kM,
-        "margin": w.kL - (1.0 + cff) * w.kM,
+        "passed": own[0] > (1.0 + w.cff) * own[1],
+        "margin": own[0] - (1.0 + w.cff) * own[1],
     }
     rows["W2"] = {
-        "passed": w.kL_less < w.kM_less < w.kR_less,
-        "margin": min(w.kM_less - w.kL_less, w.kR_less - w.kM_less),
+        "passed": less[0] < less[1] < less[2],
+        "margin": min(less[1] - less[0], less[2] - less[1]),
     }
     rows["W3"] = {
-        "passed": w.kL_grt > w.kM_grt > w.kR_grt,
-        "margin": min(w.kL_grt - w.kM_grt, w.kM_grt - w.kR_grt),
+        "passed": grt[0] > grt[1] > grt[2],
+        "margin": min(grt[0] - grt[1], grt[1] - grt[2]),
     }
     rows["zeta_range"] = {
         "passed": 0.0 < w.zeta < 0.5,
@@ -573,7 +566,7 @@ def validate_constraints(w: Weights, cff: float, k_floor: float) -> dict:
     return {
         "passed": all(r["passed"] for r in rows.values()),
         "constraints": rows,
-        "cff": cff,
+        "cff": w.cff,
     }
 
 
@@ -823,8 +816,8 @@ def _wave_pair(model: FluxModel, kin: KineticFunction, u0, fam1: int,
     return tuple(out)
 
 
-def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
-              n: int = 10000, scales: tuple = (0.05, 0.02, 0.005),
+def calibrate(model: FluxModel, kin: KineticFunction, n: int = 10000,
+              scales: tuple = (0.05, 0.02, 0.005),
               seed: int = 0) -> CalibrationReport:
     """Measure the interaction constants on random weak binary collisions.
 
@@ -833,15 +826,15 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
     Riemann problem; the pair's waves, with their strengths, are built
     only for the samples kept. The Glimm fit is the worst residual-to-product
     ratio; the potential-weight floor comes from the interactions where
-    the weighted variation grew, scaled by three to cover the weight
-    spread of the region table. Separate expansive same-family pairs pin
+    the variation grew, weighed as in the middle region, where every
+    family's weight is 1, and scaled by three to cover the weight spread
+    of the region table. Separate expansive same-family pairs pin
     the zero-product branch of the estimate.
     """
     if n < 1:
         raise ValueError(f"calibrate needs n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)
     i = model.cc_index
-    mid_w = {fam: w.row(fam, i)[1] for fam in range(model.N)}
 
     def base_state(fam):
         for _ in range(64):
@@ -896,8 +889,8 @@ def calibrate(model: FluxModel, kin: KineticFunction, w: Weights,
         if product > STRENGTH_FLOOR:
             bucket["max_residual_ratio"] = max(
                 bucket["max_residual_ratio"], residual / product)
-        w_pre = mid_w[fam1] * abs(w1.strength) + mid_w[fam2] * abs(w2.strength)
-        w_post = sum(mid_w[wv.family] * abs(wv.strength) for wv in fan.waves)
+        w_pre = abs(w1.strength) + abs(w2.strength)
+        w_post = sum(abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
         q0_post, q1_post, _ = pair_sums(
             fan.waves,

@@ -143,12 +143,14 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
     Hugoniot point with parameter m, its kind (classical or nonclassical)
     derived from the classification. Enforces the admissibility
     invariants: no expansive shock, no positive entropy dissipation, and
-    with kin given, the kinetic relation on a nonclassical jump. Both rules read the one
-    least-squares speed whose Rankine-Hugoniot residual is checked; the
-    jump carries the Hugoniot hook's speed."""
+    with kin given, the kinetic relation on a nonclassical jump. The
+    classification and the entropy rule read the Hugoniot hook's speed,
+    the one the jump carries; the least-squares speed, which loses its
+    digits to cancellation on a tiny jump, serves only the
+    Rankine-Hugoniot residual check."""
     right, speed = curves._hugoniot_core(model, a, family, m)
-    lam = curves.shock_speed(model, a, right, family)
-    cls = curves.classify_at_speed(model, a, right, family, lam)
+    curves.shock_speed(model, a, right, family)
+    cls = curves.classify_at_speed(model, a, right, family, speed)
     if cls == "Lax":
         kind = KIND_CLASSICAL
     elif cls in ("SlowUndercompressive", "FastUndercompressive"):
@@ -157,7 +159,7 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
         raise SolverError(
             f"inadmissible expansive shock emitted on family {family}"
         )
-    E = curves.dissipation_at_speed(model, a, right, lam)
+    E = curves.dissipation_at_speed(model, a, right, speed)
     if E > ENTROPY_TOL:
         raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
     if kind == KIND_NONCLASSICAL and kin is not None:

@@ -75,28 +75,36 @@ def merge_run_three_state():
 
 
 def test_lemma_weights_values():
-    assert W.kL == pytest.approx(1.85)
-    assert W.kM == 1.0 and W.kR == 1.0
-    assert (W.kL_less, W.kM_less, W.kR_less) == pytest.approx((0.9, 1.0, 1.1))
-    assert (W.kL_grt, W.kM_grt, W.kR_grt) == pytest.approx((1.1, 1.0, 0.9))
-    rep = dg.validate_constraints(W, cff=0.75, k_floor=0.0)
+    # designated family 1 of three: the rows of the designated, a lower
+    # and a higher family
+    assert W.row(1, 1) == (1.0 + 0.75 + 0.1, 1.0, 1.0)
+    assert W.row(0, 1) == pytest.approx((0.9, 1.0, 1.1))
+    assert W.row(2, 1) == pytest.approx((1.1, 1.0, 0.9))
+    assert [f.name for f in dataclasses.fields(W)] == ["cff", "zeta", "K"]
+    rep = dg.validate_constraints(W, k_floor=0.0)
     assert rep["passed"]
     assert rep["constraints"]["W1"]["margin"] == pytest.approx(0.1)
     assert rep["constraints"]["Q1"]["passed"]
 
 
 def test_weights_positivity_enforced():
-    with pytest.raises(ValueError):
-        dg.Weights(kL=1.85, kM=0.0, kR=1.0, kL_less=0.9, kM_less=1.0,
-                   kR_less=1.1, kL_grt=1.1, kM_grt=1.0, kR_grt=0.9,
-                   K=1.0, zeta=0.1)
-    with pytest.raises(ValueError):
-        dg.lemma_weights(1.0)
+    # every weight of the table stays positive: K > 0 and |zeta| < 1; and
+    # cff lies in [0, 1), as the lemma assumes
+    for cff, zeta, K, match in [
+            (0.75, 0.1, 0.0, "K must be positive"),
+            (0.75, 0.1, -1.0, "K must be positive"),
+            (0.75, 0.1, float("nan"), "K must be positive"),
+            (0.75, 1.0, 1.0, "zeta"),
+            (0.75, -1.0, 1.0, "zeta"),
+            (1.0, 0.1, 1.0, "contraction"),
+            (-0.1, 0.1, 1.0, "contraction")]:
+        with pytest.raises(ValueError, match=match):
+            dg.Weights(cff, zeta=zeta, K=K)
 
 
 def test_validate_zeta_out_of_range_flagged():
     w = dg.lemma_weights(0.75, zeta=0.6)
-    rep = dg.validate_constraints(w, cff=0.75, k_floor=0.0)
+    rep = dg.validate_constraints(w, k_floor=0.0)
     # the ordering rows still hold, only the range row trips
     assert rep["constraints"]["W2"]["passed"]
     assert rep["constraints"]["W3"]["passed"]
@@ -105,11 +113,11 @@ def test_validate_zeta_out_of_range_flagged():
 
 
 def test_validate_q1_floor():
-    rep = dg.validate_constraints(W, cff=0.75, k_floor=2.0)
+    rep = dg.validate_constraints(W, k_floor=2.0)
     assert not rep["constraints"]["Q1"]["passed"]
     assert rep["constraints"]["Q1"]["margin"] == pytest.approx(-1.0)
     w2 = dg.lemma_weights(0.75, zeta=0.1, K=2.5)
-    rep2 = dg.validate_constraints(w2, cff=0.75, k_floor=2.0)
+    rep2 = dg.validate_constraints(w2, k_floor=2.0)
     assert rep2["constraints"]["Q1"]["passed"]
 
 
@@ -796,7 +804,7 @@ def test_cycle_audit_keeps_a_nested_split(split_run):
 
 
 def test_calibrate_scalar():
-    rep = dg.calibrate(CUBIC, KIN, W, n=400, scales=(0.05, 0.02), seed=1)
+    rep = dg.calibrate(CUBIC, KIN, n=400, scales=(0.05, 0.02), seed=1)
     assert rep.n_evaluated == 400
     assert rep.max_zero_product_residual <= 1e-11
     assert rep.n_zero_product >= 1
@@ -824,7 +832,7 @@ def test_calibrate_builds_waves_for_kept_samples_only():
     with mock.patch.object(riemann, "solve_riemann", solved), \
             mock.patch.object(Wave, "of",
                               wraps=Wave.of) as built:
-        rep = dg.calibrate(CUBIC, KIN, W, n=40, seed=2)
+        rep = dg.calibrate(CUBIC, KIN, n=40, seed=2)
     assert rep.n_skipped > 0
     assert built.call_count == (2 * (rep.n_evaluated + rep.n_zero_product)
                                 + sum(fan_waves))
@@ -834,12 +842,12 @@ def test_calibrate_builds_waves_for_kept_samples_only():
 def test_calibrate_rejects_fewer_than_one_sample(n):
     # no zero-product pair is drawn for a caller that asks for no samples
     with pytest.raises(ValueError, match="n >= 1"):
-        dg.calibrate(CUBIC, KIN, W, n=n)
+        dg.calibrate(CUBIC, KIN, n=n)
 
 
 def test_calibrate_feeds_q1_row():
-    rep = dg.calibrate(CUBIC, KIN, W, n=60, scales=(0.02,), seed=3)
-    out = dg.validate_constraints(W, cff=0.75, k_floor=rep.k_floor)
+    rep = dg.calibrate(CUBIC, KIN, n=60, scales=(0.02,), seed=3)
+    out = dg.validate_constraints(W, k_floor=rep.k_floor)
     assert out["constraints"]["Q1"]["passed"]
 
 
@@ -853,7 +861,7 @@ P_SYSTEM_CALIBRATION = ("11cd49062cd365583a778716d89bedad"
 
 def test_p_system_calibration_keeps_its_bits():
     # system samples: pairs of both families, fans with rarefactions
-    rep = dg.calibrate(ELAS, KIN, dg.lemma_weights(0.75), n=60, seed=3)
+    rep = dg.calibrate(ELAS, KIN, n=60, seed=3)
     assert rep.n_evaluated == 60
     text = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == P_SYSTEM_CALIBRATION
