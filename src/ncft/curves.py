@@ -197,16 +197,15 @@ def chord_speed(model: FluxModel, left: Array, right: Array) -> float:
 
 def entropy_dissipation(model: FluxModel, u_minus, u_plus) -> float:
     """E = -lambda_bar (U+ - U-) + F+ - F-; admissible shocks have E <= 0."""
-    return dissipation_at_speed(model, u_minus, u_plus,
-                                shock_speed(model, u_minus, u_plus))
+    a, b = as_state(model, u_minus), as_state(model, u_plus)
+    return _dissipation(model, a, b, shock_speed(model, a, b))
 
 
-def dissipation_at_speed(model: FluxModel, u_minus, u_plus,
-                         lam: float) -> float:
-    """entropy_dissipation of the jump, given its shock speed lam."""
-    U_m, F_m = models.entropy_pair(model, u_minus)
-    U_p, F_p = models.entropy_pair(model, u_plus)
-    return -lam * (U_p - U_m) + (F_p - F_m)
+def _dissipation(model: FluxModel, a: Array, b: Array, lam: float) -> float:
+    """entropy_dissipation of the float64 states a and b, given the jump's
+    shock speed lam."""
+    (U_m, F_m), (U_p, F_p) = model.entropy(a), model.entropy(b)
+    return -lam * (float(U_p) - float(U_m)) + (float(F_p) - float(F_m))
 
 
 def _critical(model: FluxModel, u_minus, zero: bool = True) -> tuple:
@@ -216,15 +215,17 @@ def _critical(model: FluxModel, u_minus, zero: bool = True) -> tuple:
     With zero False the zero-dissipation point goes unchecked, for the
     maps that read the tangency alone."""
     a = models.require_in_ball(model, u_minus, "delta0")
-    mu0 = mu(model, a)
+    return _critical_core(model, a, mu(model, a), zero)
+
+
+def _critical_core(model: FluxModel, a: Array, mu0: float, zero: bool = True) -> tuple:
+    """_critical of the checked float64 state a, whose parameter is mu0."""
     m_nat, m_b0 = (float(m) for m in model.critical_fn(a, mu0))
     # the tangency point counts as interior only if the chord speed rises
     # past it inside the ball, up to a quarter of |mu| beyond it, the
     # domain the release checks' search covers; where it fails, so does
     # the zero-dissipation map
-    checked = (m_nat - 0.25 * mu0, m_nat, m_b0) if zero else (
-        m_nat - 0.25 * mu0, m_nat)
-    for m in checked:
+    for m in (m_nat - 0.25 * mu0, m_nat, m_b0)[: 3 if zero else 2]:
         if abs(m - mu0) >= STATE_COINCIDENCE:
             _hook_point(model.hugoniot_fn, model.delta0, a, model.cc_index, m)
     return m_nat, m_b0
@@ -292,7 +293,7 @@ def mu_sharp_zero(model: FluxModel, u_minus) -> float:
     if abs(mu0) < MANIFOLD_TOL:
         return 0.0
     s = 1.0 if mu0 > 0 else -1.0
-    m_nat, m_b0 = _critical(model, a)
+    m_nat, m_b0 = _critical_core(model, a, mu0)
     root = _companion(model, a, m_nat, m_b0)
     if not (s * m_b0 < s * m_nat < s * root + CRIT_TOL):
         raise CurveError(
@@ -313,8 +314,13 @@ def classify_shock(model: FluxModel, u_minus, u_plus, family: Optional[int] = No
 def classify_at_speed(model: FluxModel, u_minus, u_plus, family: int,
                       lam: float) -> str:
     """classify_shock of the jump on family, given its shock speed lam."""
-    lam_l = char_speed(model, u_minus, family)
-    lam_r = char_speed(model, u_plus, family)
+    a, b = as_state(model, u_minus), as_state(model, u_plus)
+    return _classify(model, a, b, family, lam)
+
+
+def _classify(model: FluxModel, a: Array, b: Array, family: int, lam: float) -> str:
+    """classify_at_speed of the float64 states a and b."""
+    lam_l, lam_r = (float(model.eigen_fn(u)[0][family]) for u in (a, b))
     above_right = lam - lam_r   # >= 0 when the shock outruns the right state
     below_left = lam_l - lam    # >= 0 when the left state outruns the shock
     if above_right >= -CLASSIFY_TOL and below_left >= -CLASSIFY_TOL:
@@ -335,11 +341,15 @@ def projected_mu(model: FluxModel, u) -> float:
     no companion state, so a state and its mirror image -u both have a
     strength wherever they lie in the outer ball."""
     a = as_state(model, u)
-    v = mu(model, a)
-    if v >= 0:
-        return v
-    a = models.require_in_ball(model, a, "delta0")
-    return float(model.critical_fn(a, v)[1])
+    if mu(model, a) < 0:
+        models.require_in_ball(model, a, "delta0")
+    return _projected(model, a)
+
+
+def _projected(model: FluxModel, a: Array) -> float:
+    """projected_mu of the float64 state a, checked if its mu is negative."""
+    v = float(model.family_parameter(a, model.cc_index))
+    return v if v >= 0 else float(model.critical_fn(a, v)[1])
 
 
 def generalized_strength(model: FluxModel, u_left, u_right, family: int) -> float:
@@ -347,10 +357,13 @@ def generalized_strength(model: FluxModel, u_left, u_right, family: int) -> floa
     increment of the projected parameter (admissible shocks negative,
     rarefactions positive); for other families the plain parameter
     increment."""
-    a = as_state(model, u_left)
-    b = as_state(model, u_right)
-    if family != model.cc_index:
-        return float(
-            model.family_parameter(b, family) - model.family_parameter(a, family)
-        )
-    return projected_mu(model, b) - projected_mu(model, a)
+    if family == model.cc_index:
+        return projected_mu(model, u_right) - projected_mu(model, u_left)
+    return _strength(model, as_state(model, u_left), as_state(model, u_right), family)
+
+
+def _strength(model: FluxModel, a: Array, b: Array, family: int) -> float:
+    """generalized_strength of float64 states, checked if their mu is negative."""
+    if family == model.cc_index:
+        return _projected(model, b) - _projected(model, a)
+    return float(model.family_parameter(b, family) - model.family_parameter(a, family))

@@ -64,9 +64,16 @@ def mu_flat(model: FluxModel, kin: KineticFunction, u) -> float:
     sign-change manifold maps to its own parameter."""
     a = models.as_state(model, u)
     muv = float(model.family_parameter(a, model.cc_index))
+    if abs(muv) >= curves.MANIFOLD_TOL:
+        models.require_in_ball(model, a, "delta0")
+    return _flat_core(model, kin, a, muv)
+
+
+def _flat_core(model: FluxModel, kin: KineticFunction, a: Array, muv: float) -> float:
+    """mu_flat of the float64 state a, checked if off the manifold."""
     if abs(muv) < curves.MANIFOLD_TOL:
         return muv
-    return _flat(kin, *curves._critical(model, a))
+    return _flat(kin, *curves._critical_core(model, a, muv))
 
 
 def thresholds(model: FluxModel, kin: KineticFunction, u) -> tuple:
@@ -135,9 +142,13 @@ class ConformanceReport:
 
 def check_hypotheses(model: FluxModel, kin: KineticFunction,
                      samples=None) -> ConformanceReport:
+    """The conformance report of kin on samples (default_samples(model) if
+    None). Each sample is checked against the outer ball once, as it
+    enters (BallViolation outside it); every other state the pass reads
+    comes checked from a curve core."""
     if samples is None:
         samples = default_samples(model)
-    states = [models.as_state(model, u) for u in samples]
+    states = [models.require_in_ball(model, u, "delta0") for u in samples]
 
     hyps = {}
     n_skipped = 0
@@ -157,7 +168,7 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
             continue
         s = 1.0 if muv > 0 else -1.0
         try:
-            m_nat, m_b0 = curves._critical(model, a)
+            m_nat, m_b0 = curves._critical_core(model, a, muv)
         except curves.CurveError:
             n_skipped += 1
             continue
@@ -169,14 +180,14 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         ):
             h1_witness = a.tolist()
         try:
-            image = curves.hugoniot_point(model, a, model.cc_index, val)[0]
-            ratio = abs(curves.mu_flat_zero(model, image)) / abs(muv)
+            image = curves._hugoniot_core(model, a, model.cc_index, val)[0]
+            image_mu = models.mu(model, image)
+            ratio = abs(curves._critical_core(model, image, image_mu)[1]) / abs(muv)
         except curves.CurveError:
             continue
         n_cff += 1
         if ratio > cff:
             cff, cff_witness = ratio, a
-    usable = [a for _, _, a in reachable]
     hyps["H1"] = {"passed": h1_witness is None, "witness": h1_witness}
 
     # H2: Lipschitz estimate along the parameter and injectivity of the
@@ -206,16 +217,16 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
     manifold_ok = True
     for a in states[: max(1, len(states) // 10)]:
         try:
-            proj = curves.rarefaction_point(model, a, model.cc_index, 0.0)
-            if abs(_flat(kin, *curves._critical(model, proj))) > 1e-9:
+            proj = curves._integral_core(model, a, model.cc_index, 0.0)
+            record = curves._critical_core(model, proj, models.mu(model, proj))
+            if abs(_flat(kin, *record)) > 1e-9:
                 manifold_ok = False
                 break
         except curves.CurveError:
             pass  # a probe that leaves the ball is not evaluated
     arcs_ok = True
     arc_witness = None
-    for a in usable[: max(1, len(usable) // 4)]:
-        mu0 = models.mu(model, a)
+    for mu0, _, a in reachable[: max(1, len(reachable) // 4)]:
         span = min(ARC_SPAN, 0.45 * (model.delta1 - abs(mu0)))
         if span <= 1e-6:
             continue
@@ -223,8 +234,8 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         vals = []
         try:
             for m in grid:
-                st = curves.rarefaction_point(model, a, model.cc_index, m)
-                vals.append(mu_flat(model, kin, st))
+                st = curves._integral_core(model, a, model.cc_index, float(m))
+                vals.append(_flat_core(model, kin, st, models.mu(model, st)))
         except curves.CurveError:
             continue
         # with theta = 0 a step may also equal the tolerance
@@ -253,7 +264,7 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         lipschitz_estimate=lipschitz,
         grid={
             "n_samples": len(states),
-            "n_usable": len(usable),
+            "n_usable": len(reachable),
             "n_skipped_ball": n_skipped,
             "n_contraction_evaluated": n_cff,
             "arc_points": ARC_POINTS,

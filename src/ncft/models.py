@@ -76,14 +76,14 @@ class FluxModel:
 
     Every hook accepts any indexable state, a tuple as well as a vector,
     and a hook that returns a state returns a float64 vector. The public
-    functions of this module and of curves coerce their state with
-    as_state and check its ball; the Riemann walk does not. It checks a
-    state once, where it enters a walk (riemann.solve_riemann,
-    riemann.wave_curve_point, the calibration pairs of diagnostics) or
-    where a curve hook produces it, and from there riemann._jumps, its
-    shock and rarefaction steps and the curve cores
-    (curves._hugoniot_core, curves._integral_core) pass those checked
-    float64 vectors to the hooks as they are.
+    maps of this module, curves and kinetics coerce and check their state
+    around a core that does neither. A state is checked once: where it
+    enters a walk (riemann.solve_riemann, whose families walk the core of
+    riemann.wave_curve_point; the calibration pairs of diagnostics), where
+    kinetics.check_hypotheses reads a sample, or where a curve hook
+    produces it. The walk's steps, Wave.of, the conformance pass and the
+    curve cores (_hugoniot_core, _integral_core, _critical_core,
+    _strength) pass those checked float64 vectors to the hooks as is.
     """
 
     name: str

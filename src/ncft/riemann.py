@@ -110,11 +110,10 @@ class Wave:
     @classmethod
     def of(cls, model: FluxModel, family: int, kind: str, left: Array,
            right: Array, speed, id: int) -> "Wave":
-        """The wave of the jump left -> right, both states copied; its
-        strength is the jump's generalized strength."""
-        strength = curves.generalized_strength(model, left, right, family)
+        """The wave of the jump left -> right, both checked float64 states
+        and both copied; its strength is the jump's generalized strength."""
         return cls(family, kind, left.copy(), right.copy(), speed,
-                   float(strength), id)
+                   curves._strength(model, left, right, family), id)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,10 +146,10 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
     classification and the entropy rule read the Hugoniot hook's speed,
     the one the jump carries; the least-squares speed, which loses its
     digits to cancellation on a tiny jump, serves only the
-    Rankine-Hugoniot residual check."""
+    Rankine-Hugoniot residual check. Speeds and entropies are hook reads."""
     right, speed = curves._hugoniot_core(model, a, family, m)
     curves.shock_speed(model, a, right, family)
-    cls = curves.classify_at_speed(model, a, right, family, speed)
+    cls = curves._classify(model, a, right, family, speed)
     if cls == "Lax":
         kind = KIND_CLASSICAL
     elif cls in ("SlowUndercompressive", "FastUndercompressive"):
@@ -159,7 +158,7 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
         raise SolverError(
             f"inadmissible expansive shock emitted on family {family}"
         )
-    E = curves.dissipation_at_speed(model, a, right, speed)
+    E = curves._dissipation(model, a, right, speed)
     if E > ENTROPY_TOL:
         raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
     if kind == KIND_NONCLASSICAL and kin is not None:
@@ -258,8 +257,13 @@ def wave_curve_point(model: FluxModel, kin: KineticFunction, u_minus, family: in
     (possibly empty, possibly two for the nonclassical branch) that
     realize the jump. u_minus must lie in the outer ball
     (BallViolation otherwise)."""
-    ids = ids or IdGen()
     a = models.require_in_ball(model, u_minus, "delta0")
+    return _wave_point(model, kin, a, family, m, ids or IdGen())
+
+
+def _wave_point(model: FluxModel, kin: KineticFunction, a: Array,
+                family: int, m: float, ids: IdGen) -> tuple:
+    """wave_curve_point of the checked float64 state a."""
     jumps = _jumps(model, kin, a, family, m)
     if not jumps:
         return a.copy(), []
@@ -276,22 +280,20 @@ def solve_riemann(model: FluxModel, kin: KineticFunction, u_l, u_r,
     if models.sup_norm(b - a) < curves.STATE_COINCIDENCE:
         return WaveFan(())
     if model.N == 1:
-        m = float(model.family_parameter(b, 0))
-        _, frag = wave_curve_point(model, kin, a, 0, m, ids)
-        frag = _snap_last(model, frag, b)
-        return WaveFan(tuple(frag)).validate()
+        _, frag = _wave_point(model, kin, a, 0, model.family_parameter(b, 0), ids)
+        return WaveFan(tuple(_snap_last(model, frag, b))).validate()
     targets = _newton_targets(model, kin, a, b)
     waves = []
     state = a
     for j in range(model.N):
-        state, frag = wave_curve_point(model, kin, state, j, targets[j], ids)
+        state, frag = _wave_point(model, kin, state, j, targets[j], ids)
         waves.extend(frag)
     return WaveFan(tuple(_snap_last(model, waves, b))).validate()
 
 
 def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:
-    """Pin the fan's right end to the requested state bit-for-bit; the
-    residual being absorbed is below RESIDUAL_TOL."""
+    """Pin the fan's right end to u_r, the checked requested state, bit
+    for bit; the residual being absorbed is below RESIDUAL_TOL."""
     if not waves:
         return waves
     last = waves[-1]
@@ -300,12 +302,9 @@ def _snap_last(model: FluxModel, waves: list, u_r: Array) -> list:
         return waves
     if gap > 1e-9:
         raise SolverError(f"fan endpoint off by {gap:.3e}")
+    speed = last.speed
     if last.kind == KIND_RAREFACTION:
-        lam_l = last.speed[0]
-        lam_r = models.char_speed(model, u_r, last.family)
-        speed = (lam_l, lam_r)
-    else:
-        speed = last.speed
+        speed = (speed[0], float(model.eigen_fn(u_r)[0][last.family]))
     waves[-1] = Wave(last.family, last.kind, last.left, u_r.copy(), speed,
                      last.strength, last.id)
     return waves

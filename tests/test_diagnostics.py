@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ncft import cli, curves
 from ncft import diagnostics as dg
 from ncft import riemann, tracking
-from ncft.kinetics import KineticFunction
+from ncft.kinetics import KineticFunction, phi_flat
 from ncft.models import cubic_model, elasticity_model
 from ncft.riemann import (KIND_CLASSICAL, KIND_NONCLASSICAL, KIND_PIECE,
                           KIND_RAREFACTION, Wave)
@@ -680,6 +680,17 @@ def _scaling_data(name):
         cfg = _baseline_with_jumps_cfg(1.0, 0.01)
         states, positions = cli.initial_profile(cfg)
         return CUBIC, [0], states, [4.0 + x for x in positions], 0.01, 2.0
+    if name == "p-system-pattern":
+        # the p-system pattern run (w = 0.5, a = 0.002, seed 0): a
+        # nonclassical front met by eight weak jumps of both components.
+        # Unshifted, at x = 0.1 k, its 64 event times and positions differ
+        # from the scaled run's in the last bits, as the other data's do
+        u_l = np.array([0.0, 0.5])
+        states = [u_l, phi_flat(ELAS, KIN, u_l)]
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            states.append(states[-1] + rng.uniform(-0.002, 0.002, 2))
+        return ELAS, [0], states, [4.0 + 0.1 * k for k in range(9)], 0.01, 1.0
     # twelve weak jumps of both components from (0, 0.5), seed 0 or 1
     states, _ = _weak_pressure_jumps(12, seed=int(name[-1]))
     return ELAS, [], states, [4.0 + 0.05 * k for k in range(12)], 0.01, 1.0
@@ -698,6 +709,7 @@ def _scaled_run(model, strong, states, positions, h, T, s):
     ("cubic", 25, 2.0), ("cubic", 25, 0.5), ("cubic", 25, 1024.0),
     ("p-system-seed0", 97, 2.0), ("p-system-seed0", 97, 0.5),
     ("p-system-seed1", 134, 2.0), ("p-system-seed1", 134, 0.5),
+    ("p-system-pattern", 64, 2.0), ("p-system-pattern", 64, 0.5),
 ])
 def test_dyadic_scaling_scales_the_run_bit_for_bit(name, n_events, s):
     # (x, t) -> (s x, s t) maps solutions onto solutions, and a power of

@@ -1,7 +1,9 @@
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +119,42 @@ def test_conformance_reads_each_samples_record_once(model):
             assert n == 2
         else:
             assert n == 1
+
+
+@pytest.mark.parametrize("model", [CUBIC, ELAS], ids=["cubic", "elasticity"])
+def test_the_conformance_pass_checks_each_state_once(model):
+    # one critical record per H1 sample, per H4 image, per manifold probe
+    # and per arc point, and one outer-ball check per sample, none per
+    # arc or arc point: the curve cores check every state they reach
+    reads = []
+
+    def critical_fn(u, mu0):
+        reads.append(u)
+        return model.critical_fn(u, mu0)
+
+    samples = default_samples(model, 60, seed=1)
+    public = [(curves, "rarefaction_point"), (curves, "hugoniot_point"),
+              (curves, "mu_flat_zero"), (kinetics, "mu_flat")]
+    with contextlib.ExitStack() as stack:
+        checks = stack.enter_context(mock.patch.object(
+            models, "require_in_ball", wraps=models.require_in_ball))
+        maps = [stack.enter_context(mock.patch.object(
+            mod, name, wraps=getattr(mod, name))) for mod, name in public]
+        grid = check_hypotheses(
+            dataclasses.replace(model, critical_fn=critical_fn), KIN,
+            samples).grid
+    # the pass reads every state through the cores, none through a
+    # public map
+    assert [m.call_count for m in maps] == [0, 0, 0, 0]
+    far = sum(abs(models.mu(model, a)) >= kinetics.NEAR_MANIFOLD
+              for a in samples)
+    probes = max(1, len(samples) // 10)
+    arcs = max(1, grid["n_usable"] // 4)
+    # on this draw every image, probe and arc point stays in the ball
+    assert grid["n_contraction_evaluated"] == grid["n_usable"] > 30
+    assert len(reads) == (far + grid["n_usable"] + probes
+                          + kinetics.ARC_POINTS * arcs)
+    assert checks.call_count == len(samples)
 
 
 def test_check_hypotheses_pass():

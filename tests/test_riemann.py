@@ -519,6 +519,64 @@ def test_newton_probe_walk_reaches_the_checked_walks_state(model, kin, pairs):
     assert compared > 300
 
 
+@pytest.mark.parametrize("model, u_l, u_r, n_checks", [
+    (CUBIC, [1.0], [-0.2], 3),
+    (CUBIC, [0.5], [0.9], 2),
+    (CUBIC, [1.0], [-0.5], 4),
+    (ELAS, [0.0, -0.5], [0.05, -0.45], 2),
+], ids=["cubic-classical", "cubic-rarefaction", "cubic-nonclassical",
+        "elasticity"])
+def test_a_solve_checks_only_its_two_input_states(model, u_l, u_r, n_checks):
+    # the families walk the core of wave_curve_point and Wave.of reads the
+    # strength core, so past solve_riemann's own two checks only two
+    # public kinetic reads check a state again, the left state of a walk
+    # across the manifold, here u_l: kinetics.thresholds, and
+    # kinetics.mu_flat for the kinetic relation of a nonclassical shock
+    with mock.patch.object(models, "require_in_ball",
+                           wraps=models.require_in_ball) as checks, \
+            mock.patch.object(riemann, "wave_curve_point",
+                              wraps=wave_curve_point) as public_walk:
+        fan = solve_riemann(model, KIN, u_l, u_r)
+    assert fan.waves
+    assert public_walk.call_count == 0
+    assert checks.call_count == n_checks
+    assert all(np.asarray(c.args[1], float).tolist() in (u_l, u_r)
+               for c in checks.call_args_list)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("model, pairs", [
+    (GOLDEN_FANS[2][0], GOLDEN_FANS[2][2]),
+    (GOLDEN_FANS[1][0], GOLDEN_FANS[1][2]),
+], ids=["cubic", "elasticity-strong"])
+def test_the_cores_keep_the_public_maps_bits(model, pairs):
+    # read through the cores from checked states, the strength, an arc
+    # point's kinetic value and the zero-dissipation parameter equal the
+    # public maps' values bit for bit, failures included
+    cc = model.cc_index
+    negative = 0
+    for a, b in pairs():
+        for j in range(model.N):
+            assert (curves._strength(model, a, b, j)
+                    == curves.generalized_strength(model, a, b, j))
+        arc = [curves._integral_core(model, a, cc, models.mu(model, a) + d)
+               for d in (-0.1, 0.1)]
+        for u in [a, b] + arc:
+            muv = models.mu(model, u)
+            negative += muv < 0
+            assert (_outcome(lambda: kin_mod._flat_core(model, KIN, u, muv))
+                    == _outcome(lambda: kin_mod.mu_flat(model, KIN, u)))
+            assert (_outcome(lambda: curves._critical_core(model, u, muv)[1])
+                    == _outcome(lambda: curves.mu_flat_zero(model, u)))
+    assert negative > 400
+
+
 @pytest.mark.parametrize("model, a, family, m, kind", [
     (CUBIC, [1.0], 0, 0.5, KIND_CLASSICAL),
     (CUBIC, [1.0], 0, None, KIND_NONCLASSICAL),
