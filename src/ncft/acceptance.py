@@ -72,9 +72,12 @@ def _kin(theta=0.5, gamma=0.5):
 #   it brackets only [m_nat, mu] and the reference's own speed is a root
 #   there;
 # - on the p-system the searches lose digits as |w| falls, because the
-#   dissipation is O(mu^4): 2.4e-12 at |w| = 0.033, 9.2e-10 at 1.3e-3.
+#   dissipation is O(mu^4): 2.4e-12 at |w| = 0.033, 9.2e-10 at 1.3e-3;
+# - search_mu_natural raises BracketFailure where the chord speed rises
+#   at its walk's first step or the tangency identity keeps its sign on
+#   the walk's bracket; it has no second search to fall back on.
 
-# Finite-difference step for chord-speed and dissipation slopes.
+# Finite-difference step for the dissipation slope.
 FD_M = 1e-6
 # below this parameter size the quartic-order dissipation drops under the
 # floating-point noise floor, so the searches return the normal forms
@@ -94,9 +97,9 @@ def _dissipation_at(model, curve, m: float) -> float:
 def search_mu_natural(model, u) -> float:
     """curves.mu_natural by search: a walking bracket on the chord speed,
     then a root solve on the exact tangency identity, whose sign flips at
-    the minimizer; a golden-section search with a Newton polish covers the
-    rare bracket where the identity fails to change sign."""
-    from scipy.optimize import brentq, minimize_scalar
+    the minimizer. BracketFailure when the chord speed rises at the first
+    step or the identity keeps its sign on the bracket."""
+    from scipy.optimize import brentq
     a = models.require_in_ball(model, u, "delta0")
     mu0 = models.mu(model, a)
     if abs(mu0) < NEAR_MANIFOLD:
@@ -104,12 +107,8 @@ def search_mu_natural(model, u) -> float:
     curve = curves.hugoniot_curve(model, a)
     s = 1.0 if mu0 > 0 else -1.0
     step = 0.25 * abs(mu0)
-    ms = [mu0]
-    vals = [curve.lam0]
-    k = 0
-    bracket = None
-    while k < 200:
-        k += 1
+    v_prev = curve.lam0
+    for k in range(1, 201):
         m_k = mu0 - s * k * step
         try:
             v_k = curve.speed_at(m_k)
@@ -117,25 +116,15 @@ def search_mu_natural(model, u) -> float:
             raise curves.CurveError(
                 "chord speed has no interior minimum inside the ball"
             ) from None
-        ms.append(m_k)
-        vals.append(v_k)
-        if v_k > vals[-2]:
-            if len(ms) >= 3:
-                bracket = (ms[-1], ms[-2], ms[-3])
-            else:
-                m_half = mu0 - s * 0.5 * step
-                v_half = curve.speed_at(m_half)
-                if v_half >= min(vals[0], vals[1]):
-                    raise curves.CurveError(
-                        "chord speed globally increasing: no interior minimum"
-                    )
-                bracket = (ms[-1], m_half, ms[0])
+        if v_k > v_prev:
             break
-    if bracket is None:
+        v_prev = v_k
+    else:
         raise curves.CurveError("chord speed minimum not found inside the ball")
-    xa, xb, xc = bracket
-    if xa > xc:
-        xa, xc = xc, xa
+    if k == 1:
+        raise curves.BracketFailure(
+            "chord speed rises at the first step: no bracket")
+    xa, xc = sorted((m_k, mu0 - s * (k - 2) * step))
 
     # Tangency identity lam_bar(m) = lambda(state(m)); its sign flips
     # exactly at the chord-speed minimizer.
@@ -143,41 +132,11 @@ def search_mu_natural(model, u) -> float:
         u_m, lam = curve.state_speed(m)
         return lam - models.char_speed(model, u_m, model.cc_index)
 
-    m_star = None
-    try:
-        t_lo, t_hi = tangency(xa), tangency(xc)
-        if t_lo * t_hi < 0:
-            m_star = float(brentq(tangency, xa, xc, xtol=1e-13, rtol=8.9e-16))
-    except (curves.CurveError, ValueError):
-        m_star = None
-    if m_star is None:
-        res = minimize_scalar(
-            curve.speed_at, bracket=(xa, xb, xc), method="golden",
-            options={"xtol": 1e-8},
+    if tangency(xa) * tangency(xc) >= 0:
+        raise curves.BracketFailure(
+            "tangency identity keeps its sign on the chord-speed bracket"
         )
-        m_star = float(res.x)
-        # Newton on the finite-difference derivative of the chord speed.
-        for _ in range(30):
-            gp = curve.speed_at(m_star + FD_M)
-            gm = curve.speed_at(m_star - FD_M)
-            g0 = curve.speed_at(m_star)
-            grad = (gp - gm) / (2 * FD_M)
-            curv = (gp - 2 * g0 + gm) / (FD_M * FD_M)
-            if abs(curv) < 1e-14:
-                break
-            delta = grad / curv
-            m_star -= delta
-            if abs(delta) < curves.CRIT_TOL:
-                break
-        half = max(1e-5, 10 * abs(m_star) * 1e-9)
-        lo, hi = m_star - half, m_star + half
-        try:
-            t_lo, t_hi = tangency(lo), tangency(hi)
-            if t_lo * t_hi < 0:
-                m_star = brentq(tangency, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        except (curves.CurveError, ValueError):
-            pass
-    return float(m_star)
+    return float(brentq(tangency, xa, xc, xtol=1e-13, rtol=8.9e-16))
 
 
 def search_mu_minus_natural(model, u):

@@ -13,7 +13,11 @@ are indexed by the parameter value m of the state reached. Every curve
 point comes from the model's closed-form hooks (hugoniot_fn,
 integral_curve_fn), checked against the outer ball; there is no
 continuation or numerical integration. A Hugoniot point is a plain
-(state, shock speed) pair and a rarefaction point a plain state.
+(state, shock speed) pair and a rarefaction point a plain state. Every
+Hugoniot point, a HugoniotCurve's included, comes from one rule,
+_hugoniot_core. A jump passes the Rankine-Hugoniot condition by one rule,
+_check_rh: shock_speed applies it at the jump's chord speed, and
+riemann._shock at the speed the hook gives the jump.
 
 The critical maps answer from the model's critical_fn hook: the tangency
 and zero-dissipation parameters come from the hook, and the left contact
@@ -53,7 +57,7 @@ STATE_COINCIDENCE = 1e-13
 # On the inflection manifold: |mu| below this. Such a state is its own
 # kinetic value, companion and threshold, and its walk reads no kinetics.
 MANIFOLD_TOL = 1e-12
-# largest flux residual |[f] - lambda [u]| that shock_speed accepts
+# largest flux residual |[f] - lambda [u]| that _check_rh accepts
 RH_TOL = 1e-8
 
 
@@ -76,24 +80,17 @@ class BracketFailure(CurveError):
 class HugoniotCurve:
     """One Hugoniot locus, queried by the parameter m of the state reached.
 
-    state_speed(m) returns the point as a (state, shock speed) pair from
-    the model's hugoniot_fn, once the state is known to lie in the outer
-    ball (BallExit otherwise).
-
-    The curve keeps the model's hugoniot_fn and outer radius delta0, not
-    the model, so a curve kept by a caller does not keep its model alive.
-
-    The base state's characteristic speed lam0 is a Python float computed
-    once per curve; a query within STATE_COINCIDENCE of the base parameter
-    returns the base state and lam0.
+    state_speed(m) returns the point as a (state, shock speed) pair by
+    hugoniot_point's rule, _hugoniot_core, from the curve's base state
+    and model (BallExit when the state leaves the outer ball). The base
+    state's characteristic speed lam0 is a Python float computed once
+    per curve.
     """
 
     def __init__(self, model: FluxModel, u_minus, family: int):
-        self._hugoniot_fn = model.hugoniot_fn
-        self._delta0 = model.delta0
+        self.model = model
         self.family = family
         self.u_minus = as_state(model, u_minus)
-        self.mu0 = float(model.family_parameter(self.u_minus, family))
         self.lam0 = char_speed(model, self.u_minus, family)
 
     def speed_at(self, m) -> float:
@@ -101,20 +98,15 @@ class HugoniotCurve:
 
     def state_speed(self, m) -> tuple:
         """(state, shock speed) of the point with parameter m."""
-        m = float(m)
-        if abs(m - self.mu0) < STATE_COINCIDENCE:
-            return self.u_minus.copy(), self.lam0
-        return _hook_point(self._hugoniot_fn, self._delta0, self.u_minus,
-                           self.family, m)
+        return _hugoniot_core(self.model, self.u_minus, self.family, float(m))
 
 
-def _hook_point(hugoniot_fn, delta0: float, a: Array, family: int,
-                m: float) -> tuple:
+def _hook_point(model: FluxModel, a: Array, family: int, m: float) -> tuple:
     """(state, shock speed) of the hook's point with parameter m on the
-    Hugoniot locus of a, once the state is known to lie in the outer ball
-    of radius delta0; BallExit otherwise."""
-    u, lam = hugoniot_fn(a, family, m)
-    if not models.within(u, delta0):
+    Hugoniot locus of a, once the state is known to lie in the outer
+    ball; BallExit otherwise."""
+    u, lam = model.hugoniot_fn(a, family, m)
+    if not models.within(u, model.delta0):
         raise BallExit(f"Hugoniot locus left the outer ball at {u.tolist()}")
     return u, float(lam)
 
@@ -139,7 +131,7 @@ def _hugoniot_core(model: FluxModel, a: Array, family: int,
     outer ball, at a float m; the state it reaches is checked once."""
     if abs(m - float(model.family_parameter(a, family))) < STATE_COINCIDENCE:
         return a.copy(), float(model.eigen_fn(a)[0][family])
-    return _hook_point(model.hugoniot_fn, model.delta0, a, family, m)
+    return _hook_point(model, a, family, m)
 
 
 def rarefaction_point(model: FluxModel, u_minus, family: int, m: float) -> Array:
@@ -166,22 +158,25 @@ def _integral_core(model: FluxModel, a: Array, family: int,
 
 def shock_speed(model: FluxModel, u_minus, u_plus,
                 family: Optional[int] = None) -> float:
-    """Rankine-Hugoniot speed of the jump; raises if the states are not
-    Hugoniot-compatible to within RH_TOL."""
+    """Rankine-Hugoniot speed of the jump, its chord speed; raises if the
+    states are not Hugoniot-compatible to within RH_TOL."""
     a = as_state(model, u_minus)
     b = as_state(model, u_plus)
-    du = b - a
-    if models.sup_norm(du) < STATE_COINCIDENCE:
-        fam = model.cc_index if family is None else family
-        return char_speed(model, a, fam)
-    df = model.flux(b) - model.flux(a)
-    lam = float(du @ df) / float(du @ du)
-    resid = models.sup_norm(df - lam * du)
+    if models.sup_norm(b - a) < STATE_COINCIDENCE:
+        return char_speed(model, a, model.cc_index if family is None else family)
+    lam = chord_speed(model, a, b)
+    _check_rh(model, a, b, lam)
+    return lam
+
+
+def _check_rh(model: FluxModel, a: Array, b: Array, lam: float) -> None:
+    """Raise RHInconsistency unless the jump between the float64 states a
+    and b at speed lam has flux residual |[f] - lam [u]| within RH_TOL."""
+    resid = models.sup_norm(model.flux(b) - model.flux(a) - lam * (b - a))
     if resid > RH_TOL:
         raise RHInconsistency(
             f"states not Rankine-Hugoniot compatible: residual {resid:.3e}"
         )
-    return lam
 
 
 def chord_speed(model: FluxModel, left: Array, right: Array) -> float:
@@ -227,7 +222,7 @@ def _critical_core(model: FluxModel, a: Array, mu0: float, zero: bool = True) ->
     # the zero-dissipation map
     for m in (m_nat - 0.25 * mu0, m_nat, m_b0)[: 3 if zero else 2]:
         if abs(m - mu0) >= STATE_COINCIDENCE:
-            _hook_point(model.hugoniot_fn, model.delta0, a, model.cc_index, m)
+            _hook_point(model, a, model.cc_index, m)
     return m_nat, m_b0
 
 
@@ -307,19 +302,12 @@ def classify_shock(model: FluxModel, u_minus, u_plus, family: Optional[int] = No
     RarefactionShock, by comparing the shock speed with the family's
     characteristic speeds on both sides. Ties go to Lax."""
     fam = model.cc_index if family is None else family
-    return classify_at_speed(model, u_minus, u_plus, fam,
-                             shock_speed(model, u_minus, u_plus, family=fam))
-
-
-def classify_at_speed(model: FluxModel, u_minus, u_plus, family: int,
-                      lam: float) -> str:
-    """classify_shock of the jump on family, given its shock speed lam."""
     a, b = as_state(model, u_minus), as_state(model, u_plus)
-    return _classify(model, a, b, family, lam)
+    return _classify(model, a, b, fam, shock_speed(model, a, b, fam))
 
 
 def _classify(model: FluxModel, a: Array, b: Array, family: int, lam: float) -> str:
-    """classify_at_speed of the float64 states a and b."""
+    """classify_shock of the float64 states a and b at the shock speed lam."""
     lam_l, lam_r = (float(model.eigen_fn(u)[0][family]) for u in (a, b))
     above_right = lam - lam_r   # >= 0 when the shock outruns the right state
     below_left = lam_l - lam    # >= 0 when the left state outruns the shock

@@ -83,7 +83,8 @@ class FluxModel:
     kinetics.check_hypotheses reads a sample, or where a curve hook
     produces it. The walk's steps, Wave.of, the conformance pass and the
     curve cores (_hugoniot_core, _integral_core, _critical_core,
-    _strength) pass those checked float64 vectors to the hooks as is.
+    _strength, and _check_rh, the checked shock's Rankine-Hugoniot check)
+    pass those checked float64 vectors to the hooks as is.
     """
 
     name: str

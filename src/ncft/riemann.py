@@ -137,18 +137,18 @@ class WaveFan:
 
 
 def _shock(model: FluxModel, a: Array, family: int, m: float,
-           kin: Optional[KineticFunction] = None) -> tuple:
+           kin: KineticFunction) -> tuple:
     """The jump (left, right, kind, speed) from the checked state a to the
     Hugoniot point with parameter m, its kind (classical or nonclassical)
     derived from the classification. Enforces the admissibility
-    invariants: no expansive shock, no positive entropy dissipation, and
-    with kin given, the kinetic relation on a nonclassical jump. The
-    classification and the entropy rule read the Hugoniot hook's speed,
-    the one the jump carries; the least-squares speed, which loses its
-    digits to cancellation on a tiny jump, serves only the
-    Rankine-Hugoniot residual check. Speeds and entropies are hook reads."""
+    invariants: the Rankine-Hugoniot condition, no expansive shock, no
+    positive entropy dissipation, and on the designated family the
+    kinetic relation kin on a nonclassical jump. All of them read the
+    Hugoniot hook's speed, the one the jump carries; the Rankine-Hugoniot
+    check is curves._check_rh, the rule shock_speed applies at the chord
+    speed. Speeds and entropies are hook reads."""
     right, speed = curves._hugoniot_core(model, a, family, m)
-    curves.shock_speed(model, a, right, family)
+    curves._check_rh(model, a, right, speed)
     cls = curves._classify(model, a, right, family, speed)
     if cls == "Lax":
         kind = KIND_CLASSICAL
@@ -161,7 +161,7 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
     E = curves._dissipation(model, a, right, speed)
     if E > ENTROPY_TOL:
         raise SolverError(f"entropy dissipation {E:.3e} positive on a shock")
-    if kind == KIND_NONCLASSICAL and kin is not None:
+    if kind == KIND_NONCLASSICAL and family == model.cc_index:
         want = kin_mod.mu_flat(model, kin, a)
         got = float(model.family_parameter(right, family))
         if abs(got - want) > KINETIC_TOL:
@@ -169,11 +169,11 @@ def _shock(model: FluxModel, a: Array, family: int, m: float,
                 f"nonclassical jump violates the kinetic relation: "
                 f"{got} vs {want}"
             )
-    return a, right, kind, float(speed)
+    return a, right, kind, speed
 
 
 def _probe_shock(model: FluxModel, a: Array, family: int, m: float,
-                 kin: Optional[KineticFunction] = None) -> tuple:
+                 kin: KineticFunction) -> tuple:
     """The jump (left, right, None, speed) from the checked state a to
     the Hugoniot point with parameter m, unchecked and unclassified: the
     shock of a Newton probe, which reads the right state alone. kin is
@@ -218,7 +218,7 @@ def _jumps(model: FluxModel, kin: KineticFunction, a: Array, family: int,
                 "curves are only constructed for the designated family"
             )
         shock_side = (m < mu0) if m_loc > 0 else (m > mu0)
-        return [shock(model, a, family, m) if shock_side
+        return [shock(model, a, family, m, kin) if shock_side
                 else _rarefaction(model, a, family, m)]
     s = 1.0 if mu0 > 0 else -1.0
     on_manifold = abs(mu0) < curves.MANIFOLD_TOL

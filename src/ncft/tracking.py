@@ -314,15 +314,13 @@ def _cluster_slice(fs: FrontSet, k: int) -> tuple:
 def _ladder(x_star: float, n: int, width: float) -> list:
     if n == 0:
         return []
+    # the step is several ulp of every rung, so the rungs strictly increase
     step = max(width / n, 8.0 * np.finfo(float).eps * max(1.0, abs(x_star)))
     xs = []
     x = x_star
     for _ in range(n):
         xs.append(x)
-        nxt = x + step
-        while nxt <= x:
-            nxt = np.nextafter(nxt, np.inf)
-        x = nxt
+        x = x + step
     return xs
 
 

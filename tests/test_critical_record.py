@@ -118,21 +118,6 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector(factory, left,
             gc.enable()
 
 
-def test_a_curve_outlives_its_model():
-    # the curve keeps the model's Hugoniot hook and outer radius, not the
-    # model, so it answers after the model is freed
-    model = cubic_model()
-    curve = curves.hugoniot_curve(model, [1.0])
-    ref = weakref.ref(model)
-    del model
-    gc.collect()
-    assert ref() is None
-    state, speed = curve.state_speed(-0.5)
-    assert state[0] == -0.5 and speed == 0.75
-    with pytest.raises(curves.BallExit):
-        curve.state_speed(-2.5)
-
-
 # the last weights are not dyadic, so the interpolations round
 THRESHOLD_KINS = [KineticFunction(0.5, 0.5), KineticFunction(0.25, 0.0),
                   KineticFunction(1.0, 1.0), KineticFunction(0.3, 0.7)]

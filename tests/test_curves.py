@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -515,6 +516,20 @@ def test_critical_hook_matches_generic_search(model, n_values, mu_floor, tol):
     assert worst <= tol
     # the samples reach the ball's edge, where None or CurveError comes out
     assert n_compared >= n_values and n_edge >= 50
+
+
+def test_tangency_search_raises_where_it_has_no_bracket():
+    # a hook speed of -m rises at the walk's first step from u = -0.1,
+    # whose characteristic speed is 0.03; a characteristic speed of 0
+    # leaves the tangency identity positive on the whole bracket
+    hook = CUBIC.hugoniot_fn
+    rising = dataclasses.replace(
+        CUBIC, hugoniot_fn=lambda u, j, m: (hook(u, j, m)[0], -m))
+    with pytest.raises(curves.BracketFailure, match="first step"):
+        acceptance.search_mu_natural(rising, [-0.1])
+    with mock.patch.object(models, "char_speed", return_value=0.0):
+        with pytest.raises(curves.BracketFailure, match="keeps its sign"):
+            acceptance.search_mu_natural(CUBIC, [1.0])
 
 
 @pytest.mark.parametrize("cc_index", [0, 1])

@@ -5,6 +5,7 @@ values; the elasticity solves are checked against a test-local shooting
 oracle built from the closed-form wave curves of that model.
 """
 
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -586,17 +587,52 @@ def test_the_cores_keep_the_public_maps_bits(model, pairs):
 ], ids=["cubic-classical", "cubic-nonclassical", "elasticity-family1",
         "elasticity-family0", "elasticity-nonclassical"])
 def test_checked_shock_gets_its_speed_once(model, a, family, m, kind):
-    # the least-squares speed's Rankine-Hugoniot residual check runs once
-    # per shock; m None is the kinetic value, a nonclassical jump
+    # the Rankine-Hugoniot check runs once per shock, through _check_rh at
+    # the speed the shock returns, not through shock_speed; m None is the
+    # kinetic value, a nonclassical jump
     a = np.array(a)
     if m is None:
         m = kin_mod.mu_flat(model, KIN, a)
     with mock.patch.object(curves, "shock_speed",
-                           wraps=curves.shock_speed) as speed:
-        left, right, got, _ = riemann._shock(model, a, family, m, KIN)
+                           wraps=curves.shock_speed) as speed, \
+            mock.patch.object(curves, "_check_rh",
+                              wraps=curves._check_rh) as rh:
+        left, right, got, lam = riemann._shock(model, a, family, m, KIN)
     assert got == kind
-    assert speed.call_count == 1
-    assert speed.call_args.args[1:] == (left, right, family)
+    assert speed.call_count == 0
+    assert rh.call_count == 1
+    assert rh.call_args.args[1:] == (left, right, lam)
+
+
+def _hook_speed_off(model, rel):
+    """model whose Hugoniot hook reports each speed rel relative off."""
+    hook = model.hugoniot_fn
+
+    def hugoniot_fn(u, j, m):
+        state, lam = hook(u, j, m)
+        return state, lam * (1.0 + rel)
+
+    return dataclasses.replace(model, hugoniot_fn=hugoniot_fn)
+
+
+@pytest.mark.parametrize("model, a, family, m, error, match", [
+    (CUBIC, [1.0], 0, 1.5, SolverError, "expansive shock"),
+    (CUBIC, [1.0], 0, -2.0, SolverError, "entropy dissipation"),
+    (CUBIC, [1.0], 0, -0.8, SolverError, "kinetic relation"),
+    (_hook_speed_off(CUBIC, 1e-6), [1.0], 0, -0.3, curves.RHInconsistency,
+     "residual 1.027e-06"),
+    (_hook_speed_off(ELAS, 1e-6), [0.1, 0.5], 1, 0.3,
+     curves.RHInconsistency, "residual 2.980e-07"),
+], ids=["expansive", "dissipative", "off-kinetic", "cubic-rh", "elasticity-rh"])
+def test_checked_shock_enforces_each_invariant(model, a, family, m, error,
+                                               match):
+    # each invariant of the checked shock raises: a jump to the rarefaction
+    # side, one past the zero-dissipation point, a nonclassical jump off
+    # the kinetic value -0.75, and shocks whose hook speed is 1e-6 relative
+    # off (0.79000079 for 0.79 and 1.2206568 for 1.2206556), which the
+    # least-squares speed of the jump would pass
+    with pytest.raises(error, match=match):
+        riemann._shock(model, np.array(a), family, m, KIN)
 
 
 def test_tiny_transversal_shock_is_classified_at_its_hook_speed():
@@ -606,7 +642,7 @@ def test_tiny_transversal_shock_is_classified_at_its_hook_speed():
     # the jump carries, it lies between its characteristic speeds
     a = np.array([0.5745979556241415, 0.5219983981954989])
     left, right, kind, speed = riemann._shock(ELAS, a, 0,
-                                              -0.5219983992787982)
+                                              -0.5219983992787982, KIN)
     assert kind == KIND_CLASSICAL
     lam_l = curves.char_speed(ELAS, left, 0)
     lam_r = curves.char_speed(ELAS, right, 0)

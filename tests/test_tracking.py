@@ -523,6 +523,20 @@ def test_fold_absorbs_tiny_waves():
     assert w.right[0] == pytest.approx(-0.75 - 1e-8, abs=1e-14)
 
 
+def test_fold_gives_a_weak_first_wave_to_its_right_neighbour():
+    # the first wave has no left neighbour, so its stronger right one takes
+    # its jump, keeps its id and kind and moves at the widened jump's chord
+    a, mid, b = np.array([1.0]), np.array([1.0 - 1e-8]), np.array([-0.75])
+    weak = Wave.of(CUBIC, 0, KIND_CLASSICAL, a, mid, 3.0, 3)
+    strong = Wave.of(CUBIC, 0, KIND_NONCLASSICAL, mid, b, 0.5, 4)
+    (w,) = tracking._fold_small(CUBIC, [weak, strong], 0.01)
+    assert w.left.tolist() == a.tolist() and w.right.tolist() == b.tolist()
+    assert (w.id, w.kind, w.family) == (4, KIND_NONCLASSICAL, 0)
+    assert w.speed == tracking.curves.chord_speed(CUBIC, a, b)
+    assert w.strength == pytest.approx(weak.strength + strong.strength,
+                                       rel=1e-15)
+
+
 def test_pattern_broken_guard():
     fs = init_fronts(CUBIC, KIN, [1.0, -0.375], [0.0], h=0.01)
     piece = Wave(0, KIND_PIECE, np.array([-0.375]), np.array([-0.38]),
