@@ -6,12 +6,12 @@ MANIFEST.json, trajectory.jsonl, events.jsonl, functionals.csv, cycles.json,
 conformance.json, calibration.json. A config with a "sweep" block runs the
 parameter grid instead (one isolated process per row) and aggregates to
 sweep.csv. Runs are deterministic given the config and seed; the NCFT_SEED
-environment variable overrides the config seed.
+environment variable overrides the config seed. The `ncft` command line
+over this module is ncft.__main__; importing this one loads no click.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import csv
 import io
@@ -20,9 +20,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Optional
 
-import click
 import numpy as np
 
 from ncft import diagnostics as dg
@@ -148,6 +146,8 @@ def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -595,6 +595,9 @@ def run_sweep(cfg: dict, out_dir: str, workers: int = 1) -> str:
     if workers <= 1:
         results = [sweep_row(p) for p in payloads]
     else:
+        # a serial sweep and a single run never load the pool
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(sweep_row, payloads))
     path = os.path.join(out_dir, "sweep.csv")
@@ -622,64 +625,3 @@ def run_check(out_dir: str) -> dict:
     }
     _write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
     return manifest
-
-
-def _coverage_line(out_dir: str) -> str:
-    """The conformance verdict and how the samples drawn split into
-    usable, skipped outside the ball and too near the manifold, read back
-    from the run's conformance.json."""
-    with open(os.path.join(out_dir, "conformance.json")) as fh:
-        conformance = json.load(fh)
-    grid = conformance["grid"]
-    near = grid["n_samples"] - grid["n_usable"] - grid["n_skipped_ball"]
-    return (f"conformance: {_status(conformance['passed'])}, "
-            f"{grid['n_usable']} of {grid['n_samples']} samples usable, "
-            f"{grid['n_skipped_ball']} skipped outside the ball, "
-            f"{near} too near the manifold")
-
-
-@click.command(name="ncft")
-@click.option("--config", "config_path", type=click.Path(exists=True,
-              dir_okay=False), default=None, help="Run configuration JSON.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              default="ncft-out", show_default=True,
-              help="Artifact output directory.")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True, help="Parallel sweep workers.")
-@click.option("--check", is_flag=True, help="Run the acceptance suite.")
-def main(config_path: Optional[str], out_dir: str, workers: int,
-         check: bool):
-    """Front-tracking experiment runner."""
-    if check:
-        manifest = run_check(out_dir)
-        failed = [key for key, entry in manifest["checks"].items()
-                  if entry["status"] == "fail"]
-        for key, entry in sorted(manifest["checks"].items()):
-            click.echo(f"{key} {entry['name']}: {entry['status']}")
-        if failed:
-            raise click.ClickException(
-                f"acceptance checks failed: {', '.join(sorted(failed))}")
-        return
-    if config_path is None:
-        raise click.UsageError("--config is required unless --check is given")
-    try:
-        cfg = _apply_env_seed(validate_config(load_config(config_path)))
-        if "sweep" in cfg:
-            path = run_sweep(cfg, out_dir, workers=workers)
-            click.echo(f"sweep written: {path}")
-        else:
-            manifest = run_experiment(cfg, out_dir)
-            for key, entry in sorted(manifest["checks"].items()):
-                if entry["status"] != "not_evaluated":
-                    click.echo(f"{key} {entry['name']}: {entry['status']}")
-            click.echo(_coverage_line(out_dir))
-            click.echo(f"artifacts written: {os.path.abspath(out_dir)}")
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-    except tracking.RUN_ERRORS as exc:
-        click.echo(f"run failed: {type(exc).__name__}: {exc}", err=True)
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,10 @@
 """Config validation, the experiment pipeline, sweeps, and the click entry."""
 
+import concurrent.futures
 import copy
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -10,11 +12,15 @@ import sys
 import types
 from importlib.resources import files
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from ncft import cli, curves, models, riemann, tracking
 from ncft import diagnostics as dg
+from ncft.__main__ import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def base_cfg(**over):
@@ -62,27 +68,57 @@ def test_bundled_configs_validate():
         json.dumps(cfg)
 
 
-def test_bundled_run_leaves_scipy_optimize_unloaded(tmp_path):
-    # the critical maps are closed forms; only the release checks' oracle
-    # in acceptance.py imports scipy.optimize
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """This interpreter run with args in a new process that imports ncft
+    from the tree under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def fresh_bundled_run(tmp_path_factory):
+    """The modules a bundled run through the library loads in a fresh
+    interpreter, less those loaded before it (site's, for one)."""
+    out = tmp_path_factory.mktemp("fresh")
     code = (
         "import json, sys\n"
+        "before = set(sys.modules)\n"
         "from importlib.resources import files\n"
         "from ncft import cli\n"
         "text = files('ncft').joinpath('configs', 'cubic-baseline.json')"
         ".read_text()\n"
         "cli.run_experiment(cli.validate_config(json.loads(text)), sys.argv[1])\n"
-        "print('scipy.optimize' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                 if p]))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = _fresh_python("-c", code, str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == "False"
-    assert (tmp_path / "MANIFEST.json").exists()
+    assert (out / "MANIFEST.json").exists()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bundled_run_leaves_scipy_optimize_unloaded(fresh_bundled_run):
+    # the critical maps are closed forms; only the release checks' oracle
+    # in acceptance.py imports scipy.optimize
+    assert "scipy.optimize" not in fresh_bundled_run
+
+
+def test_library_run_loads_only_stdlib_numpy_and_ncft(fresh_bundled_run):
+    # click is loaded by the command line in ncft.__main__ alone, and the
+    # process pool by a parallel sweep alone
+    loaded = fresh_bundled_run
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ncft"}
+    # the runtime modules of numpy's Cython extensions (numpy.random)
+    foreign = [name for name in loaded
+               if name.split(".")[0] not in allowed
+               and not name.startswith(("_cython_", "cython_runtime"))]
+    assert not foreign, f"loaded outside stdlib, numpy and ncft: {foreign}"
+    present = [name for name in ("click", "concurrent.futures",
+                                 "scipy.optimize") if name in loaded]
+    assert not present, f"loaded by a library run: {present}"
+    assert "ncft.cli" in loaded
 
 
 CONTRAST_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -535,7 +571,7 @@ def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
     cfg = validated(T=0.1, sweep={"h": [0.01, 0.02]})
     with open(cli.run_sweep(cfg, str(tmp_path), workers=64),
@@ -547,9 +583,9 @@ def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path):
 def test_workers_below_one_is_a_usage_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_cfg(sweep={"h": [0.01]})))
-    result = CliRunner().invoke(cli.main, ["--config", str(path), "--out",
-                                           str(tmp_path / "out"),
-                                           "--workers", "0"])
+    result = CliRunner().invoke(main, ["--config", str(path), "--out",
+                                       str(tmp_path / "out"),
+                                       "--workers", "0"])
     assert result.exit_code == 2
     assert "--workers" in result.output
     assert not (tmp_path / "out").exists()
@@ -639,8 +675,26 @@ def test_sweep_empty_grid_writes_header_only(tmp_path):
 # ------------------------------------------------------------- click entry
 
 
+def test_ncft_script_is_the_click_command():
+    # the package is not installed to run the tests, so nothing else
+    # resolves the console script's target
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ncft"]
+    module, attr = target.split(":")
+    assert isinstance(getattr(importlib.import_module(module), attr),
+                      click.Command)
+
+
+def test_python_m_ncft_runs_the_command_line():
+    proc = _fresh_python("-m", "ncft", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--config" in proc.stdout
+    assert "--check" in proc.stdout
+
+
 def test_cli_requires_config():
-    result = CliRunner().invoke(cli.main, [])
+    result = CliRunner().invoke(main, [])
     assert result.exit_code == 2
     assert "--config is required" in result.output
 
@@ -648,9 +702,23 @@ def test_cli_requires_config():
 def test_cli_reports_validation_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(base_cfg(kinetics={"theta": 1.2, "gamma": 0.5})))
-    result = CliRunner().invoke(cli.main, ["--config", str(p)])
+    result = CliRunner().invoke(main, ["--config", str(p)])
     assert result.exit_code == 1
     assert "(H1)" in result.output
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith(f"Error: {p}: not UTF-8 text: ")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_rejects_a_base_state_whose_companion_leaves_the_ball(tmp_path):
@@ -663,8 +731,8 @@ def test_cli_rejects_a_base_state_whose_companion_leaves_the_ball(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert result.output.startswith("Error: initial.u_star [0.0, 0.8]: ")
@@ -683,8 +751,8 @@ def test_cli_rejects_initial_data_the_solver_cannot_resolve(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -712,8 +780,8 @@ def test_cli_run_that_fails_after_validation_ends_in_one_line(
     p = tmp_path / "run.json"
     p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [
@@ -734,8 +802,8 @@ def test_cli_run_failure_names_the_event_time(tmp_path, monkeypatch):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 1
     ((t, _),) = collisions
     assert result.output.splitlines() == [
@@ -750,8 +818,8 @@ def test_cli_run_with_env_seed(tmp_path, monkeypatch):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     monkeypatch.setenv("NCFT_SEED", "123")
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["seed"] == manifest["config"]["seed"] == 123
@@ -768,8 +836,8 @@ def test_cli_has_no_calibrate_only_mode(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(base_cfg()))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out), "--calibrate-only"])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out), "--calibrate-only"])
     assert result.exit_code == 2
     assert "No such option '--calibrate-only'" in result.output
     assert not out.exists()
@@ -779,8 +847,8 @@ def test_cli_config_prints_conformance_coverage(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(base_cfg(calibration={"n": 4})))
     out = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, ["--config", str(p), "--out",
-                                           str(out)])
+    result = CliRunner().invoke(main, ["--config", str(p), "--out",
+                                       str(out)])
     assert result.exit_code == 0, result.output
     conformance = json.loads((out / "conformance.json").read_text())
     grid = conformance["grid"]
@@ -811,7 +879,7 @@ def test_cli_check_passes_with_stub(tmp_path, monkeypatch):
     _stub_acceptance(monkeypatch, {
         key: {"passed": True, "detail": "stub"} for key in cli.CRITERIA})
     out = tmp_path / "chk"
-    result = CliRunner().invoke(cli.main, ["--check", "--out", str(out)])
+    result = CliRunner().invoke(main, ["--check", "--out", str(out)])
     assert result.exit_code == 0, result.output
     lines = [ln for ln in result.output.splitlines() if ln.startswith("c")]
     assert len(lines) == 13
@@ -823,7 +891,7 @@ def test_cli_check_fails_with_stub(tmp_path, monkeypatch):
     results = {key: {"passed": True, "detail": "stub"} for key in cli.CRITERIA}
     results["c05"] = {"passed": False, "detail": "broken"}
     _stub_acceptance(monkeypatch, results)
-    result = CliRunner().invoke(cli.main, ["--check", "--out",
-                                           str(tmp_path / "chk")])
+    result = CliRunner().invoke(main, ["--check", "--out",
+                                       str(tmp_path / "chk")])
     assert result.exit_code == 1
     assert "c05" in result.output
