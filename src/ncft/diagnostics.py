@@ -23,9 +23,9 @@ not approach, or belong to the other sum, hold 0.0, which leaves a sum
 unchanged. Each sum is the last entry of np.add.accumulate, which adds
 strictly left to right, so Q has the same bits as a double loop over the
 pairs; np.sum, which adds pairwise, would not. A few waves, an event's
-incoming or placed waves or a calibration sample, are summed by that
-double loop itself (pair_sums), where numpy's per-call cost would exceed
-the sums.
+incoming or placed waves or a calibration sample's two jumps and its
+fan, are summed by that double loop itself (pair_sums), where numpy's
+per-call cost would exceed the sums.
 
 The per-event replay never evaluates the potential of a whole set. It
 keeps the set as per-wave arrays with its W and Q, and an event only
@@ -44,6 +44,7 @@ loop's bits.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Optional
 
@@ -790,6 +791,11 @@ class CalibrationReport:
         return dataclasses.asdict(self)
 
 
+# a calibration pair's jump as pair_sums and _additivity_residual read
+# a wave: family, kind and strength, with no states copied
+_Jump = collections.namedtuple("_Jump", "family kind strength")
+
+
 def _chord(model: FluxModel, left: Array, right: Array, speed) -> float:
     """The speed of a shock, the chord speed of a rarefaction, whose speed
     is a (left, right) characteristic pair."""
@@ -823,18 +829,25 @@ def calibrate(model: FluxModel, kin: KineticFunction, n: int = 10000,
 
     Each sample chains two weak jumps off a random base state, keeps the
     pair only when it genuinely approaches, and re-solves the outer
-    Riemann problem; the pair's waves, with their strengths, are built
-    only for the samples kept. The Glimm fit is the worst residual-to-product
-    ratio; the potential-weight floor comes from the interactions where
-    the variation grew, weighed as in the middle region, where every
-    family's weight is 1, and scaled by three to cover the weight spread
-    of the region table. Separate expansive same-family pairs pin
-    the zero-product branch of the estimate.
+    Riemann problem. The pair is measured from its two jumps' family,
+    kind and strength; the only waves built are the re-solved fans'. The
+    Glimm fit is the worst residual-to-product ratio; the potential-weight
+    floor comes from the interactions where the variation grew, weighed
+    as in the middle region, where every family's weight is 1, and scaled
+    by three to cover the weight spread of the region table. Separate
+    expansive same-family pairs pin the zero-product branch of the
+    estimate.
     """
     if n < 1:
         raise ValueError(f"calibrate needs n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)
     i = model.cc_index
+
+    # rng.uniform(0.25, 1.0) bit for bit: numpy's own formula, low +
+    # (high - low) * rng.random(), on the same double of the stream,
+    # without rng.uniform's per-call array conversions
+    def magnitude():
+        return 0.25 + (1.0 - 0.25) * rng.random()
 
     def base_state(fam):
         for _ in range(64):
@@ -855,15 +868,15 @@ def calibrate(model: FluxModel, kin: KineticFunction, n: int = 10000,
         scale = scales[n_eval % len(scales)]
         fam1 = i
         fam2 = i
-        if model.N > 1 and rng.uniform() < CROSS_FAMILY_SHARE:
+        if model.N > 1 and rng.random() < CROSS_FAMILY_SHARE:
             fam1 = int(rng.integers(1, model.N))
             fam2 = int(rng.integers(0, fam1))
         u0 = base_state(fam1)
         if u0 is None:
             n_skip += 1
             continue
-        d1 = scale * rng.uniform(0.25, 1.0) * (1 if rng.uniform() < 0.5 else -1)
-        d2 = scale * rng.uniform(0.25, 1.0) * (1 if rng.uniform() < 0.5 else -1)
+        d1 = scale * magnitude() * (1 if rng.random() < 0.5 else -1)
+        d2 = scale * magnitude() * (1 if rng.random() < 0.5 else -1)
         try:
             pair = _wave_pair(model, kin, u0, fam1, d1, fam2, d2)
             if pair is None:
@@ -875,21 +888,21 @@ def calibrate(model: FluxModel, kin: KineticFunction, n: int = 10000,
                 n_skip += 1
                 continue
             fan = riemann.solve_riemann(model, kin, u0, r2)
-            w1 = Wave.of(model, fam1, k1, l1, r1, s1, 0)
-            w2 = Wave.of(model, fam2, k2, l2, r2, s2, 0)
+            j1 = _Jump(fam1, k1, curves._strength(model, l1, r1, fam1))
+            j2 = _Jump(fam2, k2, curves._strength(model, l2, r2, fam2))
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             n_skip += 1
             continue
         n_eval += 1
-        residual = _additivity_residual((w1, w2), fan.waves)
-        q0_pre, q1_pre, product = pair_sums((w1, w2), (v1, v2), i)
+        residual = _additivity_residual((j1, j2), fan.waves)
+        q0_pre, q1_pre, product = pair_sums((j1, j2), (v1, v2), i)
         max_residual = max(max_residual, residual)
         bucket = per_scale[scale]
         bucket["n"] += 1
         if product > STRENGTH_FLOOR:
             bucket["max_residual_ratio"] = max(
                 bucket["max_residual_ratio"], residual / product)
-        w_pre = abs(w1.strength) + abs(w2.strength)
+        w_pre = abs(j1.strength) + abs(j2.strength)
         w_post = sum(abs(wv.strength) for wv in fan.waves)
         d_w = w_post - w_pre
         q0_post, q1_post, _ = pair_sums(
@@ -920,22 +933,21 @@ def calibrate(model: FluxModel, kin: KineticFunction, n: int = 10000,
         if u0 is None:
             break
         s = 1.0 if model.family_parameter(u0, i) > 0 else -1.0
-        d1 = s * scale * rng.uniform(0.25, 1.0)
-        d2 = s * scale * rng.uniform(0.25, 1.0)
+        d1 = s * scale * magnitude()
+        d2 = s * scale * magnitude()
         try:
             pair = _wave_pair(model, kin, u0, i, d1, i, d2)
             if pair is None:
                 continue
-            (l1, r1, k1, s1), (l2, r2, k2, s2) = pair
+            (l1, r1, k1, _), (l2, r2, k2, _) = pair
             if not (k1 in RAREFACTION_KINDS and k2 in RAREFACTION_KINDS):
                 continue
             fan = riemann.solve_riemann(model, kin, u0, r2)
-            w1 = Wave.of(model, i, k1, l1, r1, s1, 0)
-            w2 = Wave.of(model, i, k2, l2, r2, s2, 0)
+            a = (curves._strength(model, l1, r1, i)
+                 + curves._strength(model, l2, r2, i))
         except (curves.CurveError, riemann.SolverError, models.BallViolation):
             continue
         zero_done += 1
-        a = w1.strength + w2.strength
         g = sum(wv.strength for wv in fan.waves if wv.family == i)
         max_zero_resid = max(max_zero_resid, abs(g - a))
 

@@ -233,8 +233,8 @@ def check_hypotheses(model: FluxModel, kin: KineticFunction,
         grid = np.linspace(mu0 - span, mu0 + span, ARC_POINTS)
         vals = []
         try:
-            for m in grid:
-                st = curves._integral_core(model, a, model.cc_index, float(m))
+            for m in grid.tolist():
+                st = curves._integral_core(model, a, model.cc_index, m)
                 vals.append(_flat_core(model, kin, st, models.mu(model, st)))
         except curves.CurveError:
             continue

@@ -197,7 +197,7 @@ def sample_ball(model: FluxModel, n: int, rng: np.random.Generator,
     for _ in range(n):
         v = rng.normal(size=model.N)
         v /= math.sqrt(float(v.dot(v)))
-        out.append(v * r * rng.uniform() ** (1.0 / model.N))
+        out.append(v * r * rng.random() ** (1.0 / model.N))
     return out
 
 
@@ -212,18 +212,22 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     global parameter is the state itself.
     """
 
+    # flux, entropy, eigen_fn and hugoniot_fn compute on Python floats in
+    # the order numpy's scalars would, so in the outer ball they return
+    # numpy's bits; outside it a float can raise where numpy gives inf
     def flux(u):
-        return np.array([u[0] ** 3])
+        return np.array([float(u[0]) ** 3])
 
     def entropy(u):
-        return u[0] ** 2, 1.5 * u[0] ** 4
+        x = float(u[0])
+        return x ** 2, 1.5 * x ** 4
 
     def family_parameter(u, j):
         return float(u[0])
 
     # plain tuples: eigen() makes the arrays, char_speed reads lambda alone
     def eigen_fn(u):
-        return (3.0 * u[0] ** 2,), ((1.0,),), ((1.0,),)
+        return (3.0 * float(u[0]) ** 2,), ((1.0,),), ((1.0,),)
 
     def m_fn(u, j):
         return 6.0 * u[0]
@@ -231,7 +235,7 @@ def cubic_model(delta0: float = 2.0, delta1: float = 1.5) -> FluxModel:
     # every scalar state is on both wave curves; the one with parameter m
     # is [m], and the shock speed is the chord slope of the flux
     def hugoniot_fn(u, j, m):
-        x0 = u[0]
+        x0 = float(u[0])
         return np.array([m]), (m ** 3 - x0 ** 3) / (m - x0)
 
     def integral_curve_fn(u, j, m):

@@ -237,6 +237,31 @@ def test_elasticity_hooks_on_floats_match_numpy_scalars():
     assert np.array_equal(ELAS.flux((0.0, -0.75)), [0.75 ** 3 + 0.75, -0.0])
 
 
+def test_cubic_hooks_on_floats_match_numpy_scalars():
+    # the cubic's flux, entropy, eigen_fn and hugoniot_fn as they were
+    # written on numpy scalars, against the hooks on Python floats, over
+    # the outer ball and parameters across it
+    def reference(u, m):
+        x = u[0]
+        return [x ** 3, x ** 2, 1.5 * x ** 4, 3.0 * x ** 2,
+                (m ** 3 - x ** 3) / (m - x)]
+
+    def hooks(u, m):
+        return [CUBIC.flux(u)[0], *CUBIC.entropy(u), CUBIC.eigen_fn(u)[0][0],
+                CUBIC.hugoniot_fn(u, 0, m)[1]]
+
+    rng = np.random.default_rng(31)
+    pairs = rng.uniform(-CUBIC.delta0, CUBIC.delta0, (4000, 2)).tolist()
+    pairs += [(x, m) for x in (0.0, -0.0, 2.0, -2.0, 1e-8)
+              for m in (0.5, -1.5, 2.0 - 1e-9)]
+    for x, m in pairs:
+        u = np.array([x])
+        want = _components(reference(u, m))
+        assert _components(hooks(u, m)) == want, (x, m)
+        assert _components(hooks((x,), m)) == want, (x, m)
+    assert CUBIC.hugoniot_fn(np.array([1.0]), 0, -0.5)[0].dtype == np.float64
+
+
 def test_field_kind_validation():
     # cc_index must name one of the N families
     for model in (CUBIC, ELAS):
